@@ -38,7 +38,8 @@ class ALSConfig:
         lines 5-10; the paper uses 10-30).
     row_batch:
         How many rows of X/Θ each kernel launch covers on the *numerics*
-        side (bounds host memory of the vectorised outer-product buffer).
+        side.  It sets the MO-ALS batch structure, and with it simulated
+        time, and bounds the host memory of one block's Hermitians.
     init_scale:
         Scale of the uniform [0, init_scale) factor initialisation.
     dtype:

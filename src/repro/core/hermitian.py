@@ -10,9 +10,10 @@ the λ term appears ``n_{x_u}`` times, i.e. ``A_u`` gets ``λ n_{x_u} I``.
 Two implementations are provided:
 
 * :func:`compute_hermitians` — the vectorised production path: gathers all
-  θ_v of a row block at once, forms the outer products with one einsum and
-  segment-sums them with ``np.add.reduceat`` over the CSR row pointer
-  (no Python-level per-rating loop, per the HPC guide).
+  θ_v of a row block once, groups the rows by rating count and forms each
+  group's ``Θᵀ_u Θ_u`` with one batched ``matmul`` over a ``(rows, n_{x_u}, f)``
+  stack, so no per-rating ``f × f`` outer product is ever stored (the host
+  analogue of ``get_hermitian`` staging θ columns through shared memory).
 * :func:`compute_hermitians_loop` — a straight transliteration of
   Algorithm 1 used as the ground truth in tests.
 """
@@ -83,11 +84,19 @@ def compute_hermitians(
     indptr = r.indptr[row_start : row_stop + 1] - lo
 
     gathered = theta[cols]  # (nnz_block, f)
-    outer = np.einsum("ki,kj->kij", gathered, gathered)
-    a = segment_sum(outer, indptr)
+    counts = np.diff(indptr)
+    a = np.zeros((rows, f, f), dtype=np.float64)
+    # Rows of equal length L stack into a dense (k, L, f) block whose gram
+    # matrices are one batched matmul; only one block exists at a time.
+    order = np.argsort(counts, kind="stable")
+    lengths = counts[order]
+    starts = np.flatnonzero(np.diff(lengths, prepend=0))  # rows with no ratings keep A = 0
+    for lo_k, hi_k in zip(starts, np.append(starts[1:], rows)):
+        sel = order[lo_k:hi_k]
+        g = gathered[indptr[sel, None] + np.arange(lengths[lo_k])]
+        a[sel] = np.matmul(g.transpose(0, 2, 1), g)
     b = segment_sum(vals[:, None] * gathered, indptr)
 
-    counts = np.diff(indptr).astype(np.float64)
     eye = np.eye(f, dtype=np.float64)
     if weighted:
         a += lam * counts[:, None, None] * eye
@@ -97,9 +106,7 @@ def compute_hermitians(
     return a, b
 
 
-def compute_hermitians_loop(
-    r: CSRMatrix, theta: np.ndarray, lam: float, weighted: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
+def compute_hermitians_loop(r: CSRMatrix, theta: np.ndarray, lam: float, weighted: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Reference implementation of Algorithm 1 lines 2-9 (per-row loop)."""
     theta = np.asarray(theta, dtype=np.float64)
     m = r.shape[0]
@@ -131,13 +138,7 @@ def batch_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if (
-        a.ndim != 3
-        or b.ndim != 2
-        or a.shape[0] != b.shape[0]
-        or a.shape[1] != a.shape[2]
-        or a.shape[2] != b.shape[1]
-    ):
+    if a.ndim != 3 or b.ndim != 2 or a.shape[0] != b.shape[0] or a.shape[1] != a.shape[2] or a.shape[2] != b.shape[1]:
         raise ValueError(f"incompatible shapes for batch solve: {a.shape} vs {b.shape}")
     out = np.zeros_like(b)
     # Identify well-posed systems cheaply via the diagonal (A_u is PSD + λnI,
@@ -168,9 +169,9 @@ def update_factor(
 ) -> np.ndarray:
     """One full update-X pass: returns the new ``X`` given ``Θ`` fixed.
 
-    The pass runs in row blocks of ``row_batch`` to bound the temporary
-    outer-product buffer (``block_nnz × f × f`` floats), which is exactly
-    the batching structure cuMF uses on the GPU.
+    The pass runs in row blocks of ``row_batch``, which is exactly the
+    batching structure cuMF uses on the GPU; a block's temporaries are its
+    ``(rows, f, f)`` Hermitians and ``block_nnz × f`` gathered θ_v.
     """
     m = r.shape[0]
     f = np.asarray(theta).shape[1]

@@ -22,6 +22,10 @@ __all__ = [
     "rmse_from_residual",
 ]
 
+# Stored entries per prediction chunk in :func:`sampled_residual`: bounds
+# its two gathered ``(chunk, f)`` operands to a few MB whatever the nnz.
+RESIDUAL_CHUNK = 8192
+
 
 def csr_spmv(r: CSRMatrix, x: np.ndarray) -> np.ndarray:
     """Sparse matrix-vector product ``R @ x``."""
@@ -65,13 +69,18 @@ def sampled_residual(r: CSRMatrix, x: np.ndarray, theta: np.ndarray) -> np.ndarr
 
     This is the sampled dense-dense product (SDDMM) used by the SGD and
     CCD++ baselines and by the RMSE metric; it never materialises the dense
-    ``X Θᵀ``.
+    ``X Θᵀ``, nor more than :data:`RESIDUAL_CHUNK` gathered rows at a time.
+    Every entry's dot product is the same whatever the chunking.
     """
     x = np.asarray(x, dtype=np.float64)
     theta = np.asarray(theta, dtype=np.float64)
     rows = r.row_ids()
-    pred = np.einsum("ij,ij->i", x[rows], theta[r.indices])
-    return r.data - pred
+    out = np.empty(r.nnz, dtype=np.float64)
+    for lo in range(0, r.nnz, RESIDUAL_CHUNK):
+        hi = lo + RESIDUAL_CHUNK
+        pred = np.einsum("ij,ij->i", x[rows[lo:hi]], theta[r.indices[lo:hi]])
+        out[lo:hi] = r.data[lo:hi] - pred
+    return out
 
 
 def rmse_from_residual(residual: np.ndarray) -> float:

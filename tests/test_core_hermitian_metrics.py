@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +18,37 @@ from repro.core.hermitian import (
 )
 from repro.core.metrics import objective_value, predict_entries, rmse
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.ops import RESIDUAL_CHUNK, sampled_residual
 
 from tests.conftest import random_coo
+
+
+@st.composite
+def hermitian_cases(draw):
+    """A CSR matrix, Θ, a row sub-range and a λ weighting for Hermitian assembly.
+
+    Row lengths come from one of three shapes: mixed (with empty rows), every
+    row the same length, or short rows plus one very long row.
+    """
+    f = draw(st.sampled_from([1, 32]))
+    m = draw(st.integers(1, 25))
+    n = draw(st.integers(1, 40))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["mixed", "same", "long"]))
+    if shape == "mixed":
+        counts = gen.integers(0, 6, size=m)
+    elif shape == "same":
+        counts = np.full(m, gen.integers(0, 6))
+    else:
+        counts = gen.integers(0, 3, size=m)
+        counts[gen.integers(m)] = 300
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    nnz = int(indptr[-1])
+    r = CSRMatrix((m, n), indptr, gen.integers(0, n, size=nnz), gen.normal(size=nnz))
+    theta = gen.normal(size=(n, f))
+    row_start = draw(st.integers(0, m))
+    row_stop = draw(st.integers(row_start, m))
+    return r, theta, row_start, row_stop, draw(st.booleans())
 
 
 class TestSegmentSum:
@@ -101,6 +132,28 @@ class TestHermitians:
         with pytest.raises(ValueError):
             compute_hermitians(r, theta, 0.1, row_start=10, row_stop=5)
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=hermitian_cases())
+    def test_property_matches_loop_reference(self, case):
+        r, theta, row_start, row_stop, weighted = case
+        a, b = compute_hermitians(r, theta, 0.3, row_start, row_stop, weighted=weighted)
+        a_ref, b_ref = compute_hermitians_loop(r.row_slice(row_start, row_stop), theta, 0.3, weighted=weighted)
+        np.testing.assert_allclose(a, a_ref, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-10)
+
+    def test_transient_memory_is_linear_in_rows_and_nnz(self):
+        """No ``(nnz, f, f)`` intermediate: the peak stays within a few outputs."""
+        f = 32
+        r = random_coo(400, 64, 8000, seed=17).to_csr()
+        theta = np.random.default_rng(4).normal(size=(64, f))
+        tracemalloc.start()
+        try:
+            compute_hermitians(r, theta, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * (r.shape[0] * f * f + r.nnz * f)
+
 
 class TestBatchSolve:
     def test_solves_stacked_spd_systems(self, rng):
@@ -133,9 +186,7 @@ class TestBatchSolve:
         x_init = rng.normal(size=x_opt.shape)
 
         def j_of(x):
-            return objective_value(r, x, theta, lam) - lam * np.sum(
-                r.nnz_per_col() * np.sum(theta**2, axis=1)
-            )
+            return objective_value(r, x, theta, lam) - lam * np.sum(r.nnz_per_col() * np.sum(theta**2, axis=1))
 
         assert j_of(x_opt) <= j_of(x_init) + 1e-9
         # Perturbing the optimum must not decrease the objective.
@@ -149,6 +200,21 @@ class TestBatchSolve:
         a = update_factor(r, theta, 0.05, row_batch=7)
         b = update_factor(r, theta, 0.05, row_batch=1000)
         np.testing.assert_allclose(a, b, atol=1e-10)
+
+
+class TestSampledResidual:
+    @pytest.mark.parametrize("nnz", [0, RESIDUAL_CHUNK, 3 * RESIDUAL_CHUNK + 17])
+    @pytest.mark.parametrize("f", [1, 32])
+    def test_chunked_equals_unchunked_bitwise(self, nnz, f):
+        m, n = 300, 200
+        gen = np.random.default_rng(nnz + f)
+        rows = np.sort(gen.integers(0, m, size=nnz))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
+        r = CSRMatrix((m, n), indptr, gen.integers(0, n, size=nnz), gen.normal(size=nnz))
+        x = gen.normal(size=(m, f))
+        theta = gen.normal(size=(n, f))
+        expected = r.data - np.einsum("ij,ij->i", x[r.row_ids()], theta[r.indices])
+        assert sampled_residual(r, x, theta).tobytes() == expected.tobytes()
 
 
 class TestMetrics:
