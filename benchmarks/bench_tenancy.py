@@ -10,11 +10,11 @@ Three pins, mirroring the acceptance criteria of the tenancy layer:
   capacity goes to the batch tenant (work conservation within 10%);
 * **weighted shares** — two saturated tenants with 2:1 weights and
   bounded flow buffers split throughput 2:1 within 10%;
-* **zero cost when unconfigured** — the fast replay loop and the
-  scheduled loop under a trivial single-tenant policy produce
+* **zero cost when unconfigured** — the replay loop's FIFO discipline
+  and its WFQ discipline under a trivial single-tenant policy produce
   byte-identical aggregate reports, and without a policy table a
-  tenant-labelled trace stays on the fast loop (per-tenant reports are
-  built post hoc) at < 5% wall overhead over a plain trace.
+  tenant-labelled trace stays on the FIFO discipline (per-tenant reports
+  are built post hoc) at < 5% wall overhead over a plain trace.
 """
 
 import time
@@ -163,10 +163,10 @@ def test_bench_zero_cost_when_unconfigured(result, report):
             policies=policies,
         )
 
-    fast = build().run(trace_plain)
-    scheduled = build(policies=[TenantPolicy("solo")]).run(trace_labelled)
-    # Byte-identical aggregates: a trivial single-tenant policy replays
-    # the exact same windows as the policy-free fast loop.
+    fifo = build().run(trace_plain)
+    wfq = build(policies=[TenantPolicy("solo")]).run(trace_labelled)
+    # Byte-identical aggregates: under a trivial single-tenant policy the
+    # WFQ discipline fills the exact same windows as the FIFO one.
     for fld in (
         "n_requests",
         "n_batches",
@@ -180,13 +180,13 @@ def test_bench_zero_cost_when_unconfigured(result, report):
         "n_dropped",
         "per_replica_queries",
     ):
-        assert getattr(fast, fld) == getattr(scheduled, fld), fld
-    assert scheduled.n_shed == 0 and scheduled.n_degraded == 0
+        assert getattr(fifo, fld) == getattr(wfq, fld), fld
+    assert wfq.n_shed == 0 and wfq.n_degraded == 0
 
     # Wall overhead of the *unconfigured* path: with no policy table,
     # labelling a trace keeps per-tenant visibility (post-hoc reports)
-    # but must stay on the fast loop and cost < 5% wall.  The scheduled
-    # loop's own cost (only paid once policies are configured) is
+    # but must stay on the FIFO discipline and cost < 5% wall.  The WFQ
+    # discipline's own cost (only paid once policies are configured) is
     # reported for context, not asserted — it is Python bookkeeping per
     # request, noise-dominated at this scale.
     sim_plain = build()
@@ -211,9 +211,9 @@ def test_bench_zero_cost_when_unconfigured(result, report):
     overhead = wall_label / wall_plain - 1.0
     report(
         "tenancy wall overhead, %d requests, no policy table" % trace_plain.n_requests,
-        "plain trace:      %8.3f ms wall  (fast loop)\n"
-        "labelled trace:   %8.3f ms wall  (fast loop + per-tenant report): %+6.2f%%\n"
-        "with policies:    %8.3f ms wall  (scheduled loop, for context):   %+6.2f%%"
+        "plain trace:      %8.3f ms wall  (FIFO)\n"
+        "labelled trace:   %8.3f ms wall  (FIFO + per-tenant report):  %+6.2f%%\n"
+        "with policies:    %8.3f ms wall  (WFQ, for context):          %+6.2f%%"
         % (
             wall_plain * 1e3,
             wall_label * 1e3,
@@ -224,5 +224,5 @@ def test_bench_zero_cost_when_unconfigured(result, report):
     )
     assert overhead < MAX_OVERHEAD, (
         f"labelling a trace without policies costs {overhead:.1%} wall "
-        f"(threshold {MAX_OVERHEAD:.0%}; it must stay on the fast loop)"
+        f"(threshold {MAX_OVERHEAD:.0%}; it must stay on the FIFO discipline)"
     )

@@ -20,14 +20,10 @@ declarative :class:`~repro.serving.service.ServingConfig` (replicas,
 router, shards, interaction log, registry directory) and returns a
 :class:`~repro.serving.service.RecommenderService` — typed data-plane
 envelopes over any backend, plus the admin plane (fold-in, refresh,
-snapshot, rollout, rollback).  The older ``export_store`` /
-``export_cluster`` / ``export_registry`` trio remains as thin deprecated
-shims over the same construction path.
+snapshot, rollout, rollback).
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -195,8 +191,8 @@ class CuMF:
         plane.  One replica builds a single
         :class:`~repro.serving.store.FactorStore`; more build a
         :class:`~repro.serving.cluster.ServingCluster` behind the
-        configured router.  Every deployment the deprecated ``export_*``
-        trio could produce is a field choice here.
+        configured router; ``service.backend`` is that store or cluster
+        and ``service.registry`` the registry.
         """
         from dataclasses import replace
 
@@ -245,34 +241,6 @@ class CuMF:
             policies=config.tenant_table(),
         )
 
-    def export_store(self, machine: MultiGPUMachine | None = None, n_shards: int | None = None, **kwargs):
-        """Deprecated: snapshot the fitted factors into a :class:`FactorStore`.
-
-        Thin shim kept for compatibility — prefer
-        ``CuMF.serve(ServingConfig(...))``, which wraps the same store in
-        a :class:`~repro.serving.service.RecommenderService` (use
-        ``service.backend`` for the raw store).
-        """
-        warnings.warn(
-            "CuMF.export_store is deprecated; use CuMF.serve(ServingConfig(...)) "
-            "and service.backend",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._build_store(machine=machine, n_shards=n_shards, **kwargs)
-
-    def _build_store(self, **kwargs):
-        """Snapshot the fitted factors into a servable :class:`FactorStore`.
-
-        The store shards Θ across simulated devices (its own machine by
-        default, so serving does not advance the training clock), serves
-        batched top-k queries with simulated-time accounting, and folds
-        in cold-start users against the frozen Θ.
-        """
-        from repro.serving.store import FactorStore
-
-        return FactorStore.from_result(self._require_fit(), **kwargs)
-
     def refresh(self, train: CSRMatrix, log, callbacks=()):
         """Fold serving-time ratings back into the model incrementally.
 
@@ -292,7 +260,8 @@ class CuMF:
         checkpointing is on) and the
         :class:`~repro.serving.lifecycle.RefreshResult` is returned —
         its ``ratings`` field is the merged matrix to pass to the *next*
-        refresh, and its factors are what :meth:`export_registry`
+        refresh, and its factors are what
+        :meth:`~repro.serving.lifecycle.SnapshotRegistry.publish_result`
         publishes as the next version.
         """
         from repro.serving.lifecycle import run_refresh_session
@@ -323,49 +292,12 @@ class CuMF:
             self.checkpoints.save(iteration, refreshed.x, refreshed.theta)
         return refreshed
 
-    def export_registry(self, directory: str, tag: str = ""):
-        """Deprecated: publish the fitted factors to a registry at ``directory``.
-
-        Thin shim kept for compatibility — prefer
-        ``CuMF.serve(ServingConfig(registry_dir=directory))``, which
-        publishes the same version and returns a service whose
-        ``registry`` attribute is this registry.
-        """
-        warnings.warn(
-            "CuMF.export_registry is deprecated; use "
-            "CuMF.serve(ServingConfig(registry_dir=...)) and service.registry",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.serving.lifecycle import SnapshotRegistry
-
-        registry = SnapshotRegistry(directory)
-        registry.publish_result(self._require_fit(), tag=tag)
-        return registry
-
-    def export_cluster(self, n_replicas: int = 2, router="least-loaded", **kwargs):
-        """Deprecated: snapshot the fitted factors into a :class:`ServingCluster`.
-
-        Thin shim kept for compatibility — prefer
-        ``CuMF.serve(ServingConfig(replicas=R, router=...))``, which wraps
-        the same cluster in a
-        :class:`~repro.serving.service.RecommenderService` (use
-        ``service.backend`` for the raw cluster).
-        """
-        warnings.warn(
-            "CuMF.export_cluster is deprecated; use "
-            "CuMF.serve(ServingConfig(replicas=..., router=...)) and service.backend",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.serving.cluster import ServingCluster
-
-        return ServingCluster.from_result(self._require_fit(), n_replicas, router=router, **kwargs)
-
     def _serving_store(self):
         """The cached store backing predict/recommend (built on first use)."""
         if self._store is None:
-            self._store = self._build_store()
+            from repro.serving.store import FactorStore
+
+            self._store = FactorStore.from_result(self._require_fit())
         return self._store
 
     def predict(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:

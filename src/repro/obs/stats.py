@@ -1,12 +1,9 @@
-"""Shared report math for the serving replay loops.
+"""Shared report math for the serving replay.
 
-``RequestSimulator`` builds the same p50/p95/window-p95/utilization
-blocks in its fast loop and its scheduled tenancy loop, and
-``build_tenant_reports`` repeats the percentile pair per tenant.  These
-helpers are the single home of that arithmetic — drop-in equivalents of
-the inline blocks they replaced (same ``np.percentile`` defaults, same
-empty-input zeros), regression-pinned by the simulator tests that
-compare fast-loop and scheduled-loop reports.
+``RequestSimulator`` builds its p50/p95/window-p95/utilization blocks
+here and ``build_tenant_reports`` repeats the percentile pair per
+tenant.  These helpers are the single home of that arithmetic (plain
+``np.percentile`` defaults, zeros for empty input).
 """
 
 from __future__ import annotations
@@ -33,19 +30,15 @@ def event_window_p95(
     latencies: np.ndarray,
     lo: float,
     hi: float,
-    served_mask: np.ndarray | None = None,
+    served_mask: np.ndarray,
 ) -> tuple[int, float]:
     """``(count, p95)`` of served requests arriving inside ``[lo, hi]``.
 
     The "window" is the span of lifecycle events during a replay — the
     stretch where a rollout or drain was in flight.  ``served_mask``
-    restricts to requests that actually completed (the scheduled loop
-    passes its OK|degraded mask; the fast loop pre-slices to the served
-    prefix and omits it).
+    marks the requests that actually completed.
     """
-    in_window = (arrivals >= lo) & (arrivals <= hi)
-    if served_mask is not None:
-        in_window &= served_mask
+    in_window = (arrivals >= lo) & (arrivals <= hi) & served_mask
     count = int(in_window.sum())
     if not count:
         return 0, 0.0

@@ -75,8 +75,8 @@ class ServingConfig:
         :meth:`~repro.serving.tenancy.TenantPolicyTable.coerce` accepts
         (a sequence of :class:`~repro.serving.tenancy.TenantPolicy`, a
         single policy, or a prebuilt table).  When set, the service
-        enforces per-tenant rate caps on its data plane and runs the
-        weighted-fair scheduled replay for tenant-labelled traces.
+        enforces per-tenant rate caps on its data plane and replays
+        tenant-labelled traces through the weighted-fair discipline.
         ``None`` (default) serves single-tenant with zero overhead.
     cache:
         Optional heat-aware factor cache — a

@@ -561,9 +561,9 @@ class RecommenderService:
         merged matrix only matches the new model's item count.
 
         The service's tenant policies (if any) ride along: a
-        tenant-labelled trace then runs the scheduled weighted-fair
-        replay with cap enforcement and overload shedding, bounded by
-        ``max_pending`` queued requests (see
+        tenant-labelled trace then fills windows through the weighted-
+        fair discipline with cap enforcement and overload shedding,
+        bounded by ``max_pending`` queued requests (see
         :class:`~repro.serving.simulator.RequestSimulator`).
         """
         from repro.serving.simulator import RequestSimulator

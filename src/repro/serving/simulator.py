@@ -13,17 +13,19 @@ hardware.
 
 Traces may additionally be *tenant-labelled* (``QueryTrace.tenants``,
 built with :meth:`QueryTrace.multi_tenant` / :meth:`QueryTrace.merge`).
-When the simulator is also given a
-:class:`~repro.serving.tenancy.TenantPolicyTable`, the replay runs a
-scheduled admission stage in front of the router: per-tenant token
-buckets enforce rate caps, a start-time weighted-fair-queueing clock
-orders dispatch so backlogged tenants share capacity by weight, and
-overload is *shed* (deadline blown, cap exceeded, queue overflow) or
-*degraded* (reduced-``k``) per policy instead of queueing unboundedly.
-Outcomes land in :class:`TrafficReport.per_tenant` as one
-:class:`~repro.serving.tenancy.TenantReport` per tenant.  Without a
-policy table the original unscheduled loop runs untouched — tenancy is
-zero-cost when unconfigured.
+There is one replay loop; what varies is the queue discipline that
+fills each window.  Given a
+:class:`~repro.serving.tenancy.TenantPolicyTable` and a labelled trace,
+windows fill through an admission stage in front of the router:
+per-tenant token buckets enforce rate caps, a start-time
+weighted-fair-queueing clock orders dispatch so backlogged tenants share
+capacity by weight, and overload is *shed* (deadline blown, cap
+exceeded, queue overflow) or *degraded* (reduced-``k``) per policy
+instead of queueing unboundedly.  Outcomes land in
+:class:`TrafficReport.per_tenant` as one
+:class:`~repro.serving.tenancy.TenantReport` per tenant.  Any other
+input fills windows in arrival order with one ``recommend_batch`` call
+each — tenancy is zero-cost when unconfigured.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from repro.obs.stats import event_window_p95, percentile_summary, utilization
 from repro.serving.tenancy import (
     DEFAULT_TENANT,
     STATUS_DEGRADED,
+    STATUS_DROPPED,
     STATUS_OK,
     STATUS_SHED_CAP,
     STATUS_SHED_DEADLINE,
@@ -432,6 +435,165 @@ def _publish_report(report: TrafficReport, served: np.ndarray, tenants: np.ndarr
         registry.gauge("serve.utilization", replica=f"replica:{r}").set(util)
 
 
+def _fire(due: deque, until: float) -> bool:
+    """Run every queued lifecycle event due by ``until``; True if any ran."""
+    fired = False
+    while due and due[0].time <= until:
+        due.popleft().action()
+        fired = True
+    return fired
+
+
+class _Fifo:
+    """Arrival-order discipline: a window is the next contiguous slice of the trace.
+
+    A discipline gives the replay loop ``head()`` (the arrival time the
+    next window opens at, ``None`` when nothing is left), ``take(horizon)``
+    (the window closing at ``horizon`` as ``(groups, size, latest
+    arrival)``, each group ``(k, members, count)``, or ``None`` when it
+    was shed whole) and ``put_back()`` (undo the last take).  Here a
+    window is one group at the replay's ``k``, a view of the trace's
+    user array — the cheapest window there is, so tenancy stays
+    zero-cost when unconfigured.
+    """
+
+    def __init__(self, sim: "RequestSimulator", trace: QueryTrace):
+        self.arrivals = trace.arrivals
+        self.k = sim.k
+        self.max_batch = sim.max_batch
+        self.next = 0  # first request not yet taken
+        self.taken = 0  # start of the last window taken
+
+    def head(self) -> float | None:
+        return float(self.arrivals[self.next]) if self.next < self.arrivals.size else None
+
+    def take(self, horizon: float):
+        i = self.next  # everything arrived by the horizon, capped at max_batch
+        j = min(i + self.max_batch, int(np.searchsorted(self.arrivals, horizon, side="right")))
+        self.taken, self.next = i, j
+        return [(self.k, slice(i, j), j - i)], j - i, float(self.arrivals[j - 1])
+
+    def put_back(self) -> None:
+        self.next = self.taken
+
+
+class _Wfq:
+    """Tenant-scheduled discipline: admission caps, WFQ fill, overload shedding.
+
+    Each arrival inside a window passes its tenant's token bucket at its
+    own arrival time: cap overflow sheds on the spot (or marks the
+    request for degraded service when the policy has a ``degrade_k``),
+    so a tenant hammering past its cap never occupies queue space.  A
+    full per-tenant flow buffer (``queue_limit``) tail-drops before
+    stamping — bounding the backlog is what keeps a flooding tenant's
+    finish tags near the virtual clock, so the weighted interleave holds
+    under sustained overload — and past ``max_pending`` the lowest-
+    priority tenant's newest request is evicted.  Windows fill in
+    virtual-tag order, so a backlogged heavy tenant cannot starve a
+    light one; at fill time a request whose queueing delay exceeds its
+    deadline is shed, and past ``degrade_after`` of the deadline it is
+    served at the policy's reduced ``k``.
+    """
+
+    def __init__(self, sim: "RequestSimulator", trace: QueryTrace, status: np.ndarray):
+        self.table = sim.policies
+        self.scheduler = TenantScheduler(self.table)
+        self.k = sim.k
+        self.max_batch = sim.max_batch
+        self.max_pending = sim.max_pending
+        self.arrivals = trace.arrivals
+        self.tenants = trace.tenants
+        self.status = status  # shared with the loop; 0 = not resolved yet
+        self.k_of = [sim.k] * trace.n_requests  # effective k; reduced when degraded
+        self.heap: list[tuple[float, int]] = []  # (virtual finish tag, request idx)
+        self.queued: deque[int] = deque()  # admitted, in arrival order, lazily cleaned
+        self.newest: dict[str, list[int]] = {}  # admitted per tenant, newest last
+        self.backlog: dict[str, int] = {}  # live queued count per tenant
+        self.next = 0  # next arrival not yet through admission
+        self.taken: list[tuple[float, int]] = []  # (tag, idx) of the last window
+
+    def head(self) -> float | None:
+        """Arrival of the oldest backlogged request, else of the next arrival."""
+        queued = self.queued
+        while queued and self.status[queued[0]] != 0:
+            queued.popleft()
+        if queued:
+            return float(self.arrivals[queued[0]])
+        if self.next < self.arrivals.size:
+            return float(self.arrivals[self.next])
+        return None
+
+    def take(self, horizon: float):
+        """Admit arrivals up to ``horizon``, then fill a window in tag order."""
+        self._admit(horizon)
+        self._shed_overflow()
+        scheduler, status = self.scheduler, self.status
+        self.taken = []
+        while self.heap and len(self.taken) < self.max_batch:
+            tag, idx = heapq.heappop(self.heap)
+            if status[idx] != 0:
+                continue
+            tenant = str(self.tenants[idx])
+            policy = self.table.policy_for(tenant)
+            action = scheduler.overload_action(policy, horizon - float(self.arrivals[idx]))
+            scheduler.advance(tag)
+            self.backlog[tenant] -= 1
+            if action == "shed":
+                status[idx] = STATUS_SHED_DEADLINE
+                continue
+            if action == "degraded":
+                self.k_of[idx] = min(self.k, policy.degrade_k)
+            self.taken.append((tag, idx))
+        if not self.taken:
+            return None
+        groups: dict[int, list[int]] = {}
+        for _, idx in self.taken:
+            groups.setdefault(self.k_of[idx], []).append(idx)
+        latest = float(self.arrivals[max(idx for _, idx in self.taken)])
+        window = [(k, np.asarray(groups[k]), len(groups[k])) for k in sorted(groups, reverse=True)]
+        return window, len(self.taken), latest
+
+    def put_back(self) -> None:
+        for tag, idx in self.taken:
+            heapq.heappush(self.heap, (tag, idx))
+            self.backlog[str(self.tenants[idx])] += 1
+
+    def _admit(self, horizon: float) -> None:
+        arrivals, status, scheduler = self.arrivals, self.status, self.scheduler
+        while self.next < arrivals.size and arrivals[self.next] <= horizon:
+            idx = self.next
+            self.next += 1
+            tenant = str(self.tenants[idx])
+            policy = self.table.policy_for(tenant)
+            if policy.queue_limit is not None and self.backlog.get(tenant, 0) >= policy.queue_limit:
+                status[idx] = STATUS_SHED_QUEUE
+                continue
+            if not scheduler.try_acquire(tenant, float(arrivals[idx])):
+                if policy.degrade_k is None:
+                    status[idx] = STATUS_SHED_CAP
+                    continue
+                self.k_of[idx] = min(self.k, policy.degrade_k)
+            heapq.heappush(self.heap, (scheduler.stamp(tenant), idx))
+            self.queued.append(idx)
+            self.newest.setdefault(tenant, []).append(idx)
+            self.backlog[tenant] = self.backlog.get(tenant, 0) + 1
+
+    def _shed_overflow(self) -> None:
+        """Past ``max_pending``, evict the lowest-priority tenant's newest requests."""
+        while self.max_pending is not None and sum(self.backlog.values()) > self.max_pending:
+            candidates = []
+            for name, stack in self.newest.items():
+                while stack and self.status[stack[-1]] != 0:
+                    stack.pop()
+                if stack:
+                    candidates.append((self.table.policy_for(name).priority, name))
+            if not candidates:
+                break
+            victim = min(candidates)[1]
+            self.status[self.newest[victim].pop()] = STATUS_SHED_QUEUE
+            self.backlog[victim] -= 1
+
+
 class RequestSimulator:
     """Replays a :class:`QueryTrace` through a store in batched windows.
 
@@ -448,7 +610,7 @@ class RequestSimulator:
         ``route_among``), and reports per-unit query counts and
         utilization; a lone store is simply a one-unit backend.
     k:
-        Top-k size of every query.
+        Top-k size of every query (an integer >= 1).
     exclude:
         Optional seen-item matrix applied to every query.
     max_batch:
@@ -459,15 +621,15 @@ class RequestSimulator:
     policies:
         Optional tenant policy table (anything
         :meth:`~repro.serving.tenancy.TenantPolicyTable.coerce` accepts).
-        Combined with a tenant-labelled trace it switches the replay to
-        the scheduled loop: token-bucket caps, WFQ dispatch order,
-        deadline shedding and reduced-``k`` degradation.  ``None`` keeps
-        the original unscheduled loop byte-for-byte.
+        Combined with a tenant-labelled trace it fills windows through
+        the tenant discipline: token-bucket caps, WFQ dispatch order,
+        deadline shedding and reduced-``k`` degradation.  Otherwise
+        windows are plain arrival-order slices of the trace.
     max_pending:
-        Bound on the admitted-but-undispatched queue under the scheduled
-        loop.  On overflow the lowest-priority tenant's newest request
-        is shed (typed ``shed`` outcome) — the backpressure that keeps
-        an overloaded replay from queueing unboundedly.
+        Bound on the admitted-but-undispatched queue under the tenant
+        discipline.  On overflow the lowest-priority tenant's newest
+        request is shed (typed ``shed`` outcome) — the backpressure that
+        keeps an overloaded replay from queueing unboundedly.
     """
 
     def __init__(
@@ -480,6 +642,8 @@ class RequestSimulator:
         policies: TenantPolicyTable | None = None,
         max_pending: int | None = None,
     ):
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {k!r}")
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
         if window_s < 0:
@@ -497,21 +661,23 @@ class RequestSimulator:
     def run(self, trace: QueryTrace, events: Sequence[LifecycleEvent] = ()) -> TrafficReport:
         """Serve every query in the trace; returns the traffic report.
 
+        A window opens at the earliest unresolved request and closes at
+        its deadline or when the first replica in rotation frees up,
+        whichever is later (earlier once it holds ``max_batch``).  The
+        queue discipline picks its requests — arrival order, or the
+        tenant discipline when a policy table meets a tenant-labelled
+        trace — and the chosen replica serves one ``recommend_batch``
+        call per effective ``k``, back-to-back.
+
         ``events`` schedules lifecycle actions (drain / snapshot swap /
         restore, see :class:`LifecycleEvent`) on the replay timeline:
-        each fires once, when the clock reaches the next arrival at or
-        past its time, and routing only considers replicas that are in
-        rotation afterwards.  Should every replica be drained at once,
+        each fires once, when the clock reaches the next window start at
+        or past its time, and routing only considers replicas that are
+        in rotation afterwards.  Should every replica be drained at once,
         the replay fast-forwards to the next event; with none left the
         remaining queries are *dropped* and counted in the report.
         Events scheduled past the last arrival fire when the trace ends.
-
-        A tenant-labelled trace plus a configured policy table runs the
-        scheduled loop instead (see the class docstring); either one
-        missing keeps the original fast path.
         """
-        if self.policies is not None and trace.tenants is not None:
-            return self._run_scheduled(trace, events)
         backend = self.store
         replicas = list(backend.serving_units())
         backend.reset_routing()
@@ -519,58 +685,47 @@ class RequestSimulator:
         cache_before = _cache_snapshot(replicas)
         arrivals, users = trace.arrivals, trace.users
         n = trace.n_requests
-        pending = sorted(events, key=lambda event: event.time)
-        next_event = 0
-        latencies = np.empty(n, dtype=np.float64)
+        status = np.full(n, STATUS_DROPPED, dtype=np.int8)
+        latencies = np.zeros(n, dtype=np.float64)
+        if self.policies is not None and trace.tenants is not None:
+            queue = _Wfq(self, trace, status)
+        else:
+            queue = _Fifo(self, trace)
+        timeline = sorted(events, key=lambda event: event.time)
+        due = deque(timeline)
         server_free = [0.0] * n_replicas
         replica_busy = [0.0] * n_replicas
         replica_queries = [0] * n_replicas
         version_queries: dict[str, int] = {}
         service_total = 0.0
         n_batches = 0
-        i = 0
-        n_served = n
         obs_on = obs.enabled()
         tracer = obs.get_tracer()
         wall_start = time.perf_counter()
-        while i < n:
-            # Apply lifecycle events the clock has reached.
-            while next_event < len(pending) and pending[next_event].time <= arrivals[i]:
-                pending[next_event].action()
-                next_event += 1
+        while (t0 := queue.head()) is not None:
+            _fire(due, t0)
             active = backend.active_indices()
             # Nothing in rotation: fast-forward to the event that will
             # change that, or drop the rest of the trace.
-            while not active and next_event < len(pending):
-                pending[next_event].action()
-                next_event += 1
+            while not active and due:
+                due.popleft().action()
                 active = backend.active_indices()
             if not active:
-                n_served = i
-                break
-            # Collect the window: everything that has arrived by the time
-            # the window closes (deadline or first server availability)
-            # joins, capped at max_batch.
+                break  # unresolved requests stay STATUS_DROPPED
             free_min = min(server_free[r] for r in active)
-            horizon = max(arrivals[i] + self.window_s, free_min)
-            j = i
-            while j < n and j - i < self.max_batch and arrivals[j] <= horizon:
-                j += 1
-            if j - i == self.max_batch:
-                dispatch = max(arrivals[j - 1], free_min)
-            else:
-                dispatch = horizon
+            horizon = max(t0 + self.window_s, free_min)
+            window = queue.take(horizon)
+            if window is None:
+                continue  # the whole window was shed; move to the next one
+            groups, size, latest = window
+            dispatch = max(latest, free_min) if size == self.max_batch else horizon
             # Events due before the dispatch moment take effect now, so a
             # replica drained while the window was collecting is not routed
-            # to (re-enter the loop if the rotation emptied).
-            fired = False
-            while next_event < len(pending) and pending[next_event].time <= dispatch:
-                pending[next_event].action()
-                next_event += 1
-                fired = True
-            if fired:
+            # to (requeue the window if the rotation emptied).
+            if _fire(due, dispatch):
                 active = backend.active_indices()
                 if not active:
+                    queue.put_back()
                     continue
             # Route on outstanding work at dispatch time; a load-blind
             # policy may pick a replica that is still busy, in which case
@@ -579,50 +734,49 @@ class RequestSimulator:
             loads = [max(0.0, server_free[r] - dispatch) for r in active]
             choice = active[backend.route_among(loads)]
             replica = replicas[choice]
-            before = replica.stats.simulated_seconds
-            replica.recommend_batch(users[i:j], k=self.k, exclude=self.exclude)
-            service = replica.stats.simulated_seconds - before
-            done = max(dispatch, server_free[choice]) + service
-            latencies[i:j] = done - arrivals[i:j]
-            server_free[choice] = done
-            replica_busy[choice] += service
-            replica_queries[choice] += j - i
             version = replica.version
-            version_queries[version] = version_queries.get(version, 0) + (j - i)
-            service_total += service
-            n_batches += 1
-            if obs_on:
-                tracer.add_span(
-                    f"batch[{j - i}]",
-                    start=done - service,
-                    end=done,
-                    category="request",
-                    process="serve",
-                    track=f"replica:{choice}",
-                    n=j - i,
-                    version=version,
-                )
-            i = j
+            done = max(dispatch, server_free[choice])
+            for k_eff, members, count in groups:
+                before = replica.stats.simulated_seconds
+                replica.recommend_batch(users[members], k=k_eff, exclude=self.exclude)
+                service = replica.stats.simulated_seconds - before
+                done += service
+                latencies[members] = done - arrivals[members]
+                status[members] = STATUS_OK if k_eff == self.k else STATUS_DEGRADED
+                replica_busy[choice] += service
+                replica_queries[choice] += count
+                version_queries[version] = version_queries.get(version, 0) + count
+                service_total += service
+                n_batches += 1
+                if obs_on:
+                    tracer.add_span(
+                        f"batch[{count}]",
+                        start=done - service,
+                        end=done,
+                        category="request",
+                        process="serve",
+                        track=f"replica:{choice}",
+                        n=count,
+                        k=k_eff,
+                        version=version,
+                    )
+            server_free[choice] = done
         # Late events (scheduled past the last arrival) still apply, so a
         # rollout that outlives the trace completes instead of wedging the
         # cluster half-drained.
-        while next_event < len(pending):
-            pending[next_event].action()
-            next_event += 1
+        _fire(due, float("inf"))
         wall = time.perf_counter() - wall_start
-        served = latencies[:n_served]
+        served_mask = (status == STATUS_OK) | (status == STATUS_DEGRADED)
+        n_served = int(served_mask.sum())
+        n_dropped = int((status == STATUS_DROPPED).sum())
+        served = latencies[served_mask]
         makespan = max(server_free) - float(arrivals[0]) if n_served else 0.0
-        window_queries = 0
-        window_p95 = 0.0
-        if pending and n_served:
-            lo, hi = pending[0].time, pending[-1].time
-            window_queries, window_p95 = event_window_p95(arrivals[:n_served], served, lo, hi)
+        window_queries, window_p95 = 0, 0.0
+        if timeline and n_served:
+            lo, hi = timeline[0].time, timeline[-1].time
+            window_queries, window_p95 = event_window_p95(arrivals, latencies, lo, hi, served_mask)
         per_tenant: dict = {}
         if trace.tenants is not None:
-            # Unscheduled replay of a labelled trace: everything served in
-            # arrival order, tail dropped — report it per tenant anyway.
-            status = np.zeros(n, dtype=np.int8)
-            status[:n_served] = STATUS_OK
             per_tenant = build_tenant_reports(trace.tenants, status, latencies, makespan, self.policies)
         p50, p95, lat_max = percentile_summary(served)
         report = TrafficReport(
@@ -631,7 +785,7 @@ class RequestSimulator:
             n_batches=n_batches,
             mean_batch_size=n_served / n_batches if n_batches else 0.0,
             makespan_s=makespan,
-            throughput_qps=n_served / makespan if makespan > 0 else float("inf"),
+            throughput_qps=n_served / makespan if makespan > 0 else 0.0,
             service_seconds=service_total,
             latency_p50_s=p50,
             latency_p95_s=p95,
@@ -643,271 +797,16 @@ class RequestSimulator:
             per_replica_busy_s=tuple(replica_busy),
             per_replica_utilization=utilization(replica_busy, makespan),
             per_version_queries=version_queries,
-            n_dropped=n - n_served,
-            n_events=len(pending),
+            n_dropped=n_dropped,
+            n_events=len(timeline),
             window_queries=window_queries,
             window_p95_s=window_p95,
             per_tenant=per_tenant,
-            cache=_cache_delta(replicas, cache_before),
-        )
-        if obs_on:
-            tenants = trace.tenants[:n_served] if trace.tenants is not None else None
-            _publish_report(report, served, tenants)
-        return report
-
-    # ------------------------------------------------------------------ #
-    # scheduled replay: admission caps + WFQ dispatch + overload shedding
-    # ------------------------------------------------------------------ #
-    def _run_scheduled(self, trace: QueryTrace, events: Sequence[LifecycleEvent]) -> TrafficReport:
-        """The tenant-aware replay loop.
-
-        Same window mechanics as the fast path, with an admission stage
-        in between: arrivals pass their tenant's token bucket (fail →
-        ``shed`` immediately, or flagged for degraded service when the
-        policy has a ``degrade_k``), join a WFQ heap keyed by virtual
-        finish tags, and windows are filled in tag order instead of
-        arrival order — so a backlogged heavy tenant cannot starve a
-        light one.  At dispatch a request whose queueing delay exceeds
-        its deadline is shed; past ``degrade_after`` of the deadline it
-        is served at the policy's reduced ``k``.  For a single tenant
-        with a trivial policy, tag order degenerates to FIFO and this
-        loop reproduces the fast path's windows — and therefore its
-        aggregate report — exactly.
-        """
-        backend = self.store
-        table = self.policies
-        assert table is not None and trace.tenants is not None
-        scheduler = TenantScheduler(table)
-        replicas = list(backend.serving_units())
-        backend.reset_routing()
-        n_replicas = len(replicas)
-        cache_before = _cache_snapshot(replicas)
-        arrivals, users, tenants = trace.arrivals, trace.users, trace.tenants
-        n = trace.n_requests
-        pending_events = sorted(events, key=lambda event: event.time)
-        next_event = 0
-        status = np.zeros(n, dtype=np.int8)
-        degraded = np.zeros(n, dtype=bool)
-        latencies = np.zeros(n, dtype=np.float64)
-        server_free = [0.0] * n_replicas
-        replica_busy = [0.0] * n_replicas
-        replica_queries = [0] * n_replicas
-        version_queries: dict[str, int] = {}
-        service_total = 0.0
-        n_batches = 0
-        heap: list[tuple[float, int]] = []  # (virtual finish tag, request idx)
-        fifo: deque[int] = deque()  # pending in arrival order, lazily cleaned
-        tenant_pending: dict[str, list[int]] = {}  # newest-last, for queue shed
-        tenant_backlog: dict[str, int] = {}  # live queued count per tenant
-        n_pending = 0
-        a = 0  # next arrival not yet through admission
-        obs_on = obs.enabled()
-        tracer = obs.get_tracer()
-        wall_start = time.perf_counter()
-
-        def shed_overflow() -> int:
-            """Evict newest requests of the lowest-priority tenant; returns evictions."""
-            evicted = 0
-            while self.max_pending is not None and n_pending - evicted > self.max_pending:
-                candidates = []
-                for name, stack in tenant_pending.items():
-                    while stack and status[stack[-1]] != 0:
-                        stack.pop()
-                    if stack:
-                        candidates.append((table.policy_for(name).priority, name))
-                if not candidates:
-                    break
-                victim = min(candidates)[1]
-                idx = tenant_pending[victim].pop()
-                status[idx] = STATUS_SHED_QUEUE
-                tenant_backlog[victim] -= 1
-                evicted += 1
-            return evicted
-
-        while True:
-            # The next window starts at the earliest unresolved request:
-            # a backlogged admitted one, else the next arrival.
-            while fifo and status[fifo[0]] != 0:
-                fifo.popleft()
-            if fifo:
-                t0 = float(arrivals[fifo[0]])
-            elif a < n:
-                t0 = float(arrivals[a])
-            else:
-                break
-            while next_event < len(pending_events) and pending_events[next_event].time <= t0:
-                pending_events[next_event].action()
-                next_event += 1
-            active = backend.active_indices()
-            while not active and next_event < len(pending_events):
-                pending_events[next_event].action()
-                next_event += 1
-                active = backend.active_indices()
-            if not active:
-                break  # unresolved requests stay status 0 -> dropped
-            free_min = min(server_free[r] for r in active)
-            horizon = max(t0 + self.window_s, free_min)
-            # Admission: each arrival inside the window passes its token
-            # bucket at its own arrival time.  Cap overflow sheds on the
-            # spot (or marks for degraded service), so a tenant hammering
-            # past its cap never occupies queue space.  A full per-tenant
-            # flow buffer (``queue_limit``) tail-drops before stamping —
-            # bounding the backlog is what keeps a flooding tenant's
-            # finish tags near the virtual clock, so the weighted
-            # interleave holds under sustained overload.
-            while a < n and arrivals[a] <= horizon:
-                tenant = str(tenants[a])
-                policy = table.policy_for(tenant)
-                limit = policy.queue_limit
-                if limit is not None and tenant_backlog.get(tenant, 0) >= limit:
-                    status[a] = STATUS_SHED_QUEUE
-                    a += 1
-                    continue
-                if not scheduler.try_acquire(tenant, float(arrivals[a])):
-                    if policy.degrade_k is None:
-                        status[a] = STATUS_SHED_CAP
-                        a += 1
-                        continue
-                    degraded[a] = True
-                heapq.heappush(heap, (scheduler.stamp(tenant), a))
-                fifo.append(a)
-                tenant_pending.setdefault(tenant, []).append(a)
-                tenant_backlog[tenant] = tenant_backlog.get(tenant, 0) + 1
-                n_pending += 1
-                a += 1
-            n_pending -= shed_overflow()
-            # Fill the window in virtual-tag order — the weighted-fair
-            # interleave — applying each request's overload action at the
-            # moment it would dispatch.
-            batch: list[int] = []
-            selected: list[tuple[float, int]] = []
-            while heap and len(batch) < self.max_batch:
-                tag, idx = heapq.heappop(heap)
-                if status[idx] != 0:
-                    continue
-                tenant = str(tenants[idx])
-                policy = table.policy_for(tenant)
-                action = scheduler.overload_action(policy, horizon - float(arrivals[idx]))
-                scheduler.advance(tag)
-                if action == "shed":
-                    status[idx] = STATUS_SHED_DEADLINE
-                    tenant_backlog[tenant] -= 1
-                    n_pending -= 1
-                    continue
-                if action == "degraded":
-                    degraded[idx] = True
-                batch.append(idx)
-                selected.append((tag, idx))
-            if not batch:
-                continue  # whole window shed; move to the next one
-            if len(batch) == self.max_batch:
-                dispatch = max(max(float(arrivals[idx]) for idx in batch), free_min)
-            else:
-                dispatch = horizon
-            fired = False
-            while next_event < len(pending_events) and pending_events[next_event].time <= dispatch:
-                pending_events[next_event].action()
-                next_event += 1
-                fired = True
-            if fired:
-                active = backend.active_indices()
-                if not active:
-                    for entry in selected:
-                        heapq.heappush(heap, entry)
-                    continue
-            loads = [max(0.0, server_free[r] - dispatch) for r in active]
-            choice = active[backend.route_among(loads)]
-            replica = replicas[choice]
-            # Serve the window as one group per effective k (full-k
-            # first): degraded requests get their policy's reduced k, and
-            # groups run back-to-back on the chosen replica's timeline.
-            groups: dict[int, list[int]] = {}
-            for idx in batch:
-                if degraded[idx]:
-                    policy = table.policy_for(str(tenants[idx]))
-                    k_eff = min(self.k, policy.degrade_k or self.k)
-                else:
-                    k_eff = self.k
-                groups.setdefault(k_eff, []).append(idx)
-            done = max(dispatch, server_free[choice])
-            version = replica.version
-            for k_eff in sorted(groups, reverse=True):
-                members = groups[k_eff]
-                before = replica.stats.simulated_seconds
-                replica.recommend_batch(users[np.asarray(members)], k=k_eff, exclude=self.exclude)
-                service = replica.stats.simulated_seconds - before
-                done += service
-                for idx in members:
-                    latencies[idx] = done - float(arrivals[idx])
-                    status[idx] = STATUS_DEGRADED if k_eff != self.k else STATUS_OK
-                    tenant_backlog[str(tenants[idx])] -= 1
-                replica_busy[choice] += service
-                replica_queries[choice] += len(members)
-                version_queries[version] = version_queries.get(version, 0) + len(members)
-                service_total += service
-                n_batches += 1
-                n_pending -= len(members)
-                if obs_on:
-                    tracer.add_span(
-                        f"batch[{len(members)}] k={k_eff}",
-                        start=done - service,
-                        end=done,
-                        category="request",
-                        process="serve",
-                        track=f"replica:{choice}",
-                        n=len(members),
-                        version=version,
-                    )
-            server_free[choice] = done
-        while next_event < len(pending_events):
-            pending_events[next_event].action()
-            next_event += 1
-        wall = time.perf_counter() - wall_start
-        served_mask = (status == STATUS_OK) | (status == STATUS_DEGRADED)
-        n_served = int(served_mask.sum())
-        served = latencies[served_mask]
-        makespan = max(server_free) - float(arrivals[0]) if n_served else 0.0
-        window_queries = 0
-        window_p95 = 0.0
-        if pending_events and n_served:
-            lo, hi = pending_events[0].time, pending_events[-1].time
-            window_queries, window_p95 = event_window_p95(
-                arrivals, latencies, lo, hi, served_mask=served_mask
-            )
-        per_tenant = build_tenant_reports(tenants, status, latencies, makespan, table)
-        shed_mask = (
-            (status == STATUS_SHED_CAP)
-            | (status == STATUS_SHED_DEADLINE)
-            | (status == STATUS_SHED_QUEUE)
-        )
-        p50, p95, lat_max = percentile_summary(served)
-        report = TrafficReport(
-            label=trace.label,
-            n_requests=n,
-            n_batches=n_batches,
-            mean_batch_size=n_served / n_batches if n_batches else 0.0,
-            makespan_s=makespan,
-            throughput_qps=n_served / makespan if makespan > 0 else float("inf"),
-            service_seconds=service_total,
-            latency_p50_s=p50,
-            latency_p95_s=p95,
-            latency_max_s=lat_max,
-            wall_seconds=wall,
-            n_replicas=n_replicas,
-            router=backend.routing_label(),
-            per_replica_queries=tuple(replica_queries),
-            per_replica_busy_s=tuple(replica_busy),
-            per_replica_utilization=utilization(replica_busy, makespan),
-            per_version_queries=version_queries,
-            n_dropped=int((status == 0).sum()),
-            n_events=len(pending_events),
-            window_queries=window_queries,
-            window_p95_s=window_p95,
-            per_tenant=per_tenant,
-            n_shed=int(shed_mask.sum()),
+            n_shed=n - n_served - n_dropped,
             n_degraded=int((status == STATUS_DEGRADED).sum()),
             cache=_cache_delta(replicas, cache_before),
         )
         if obs_on:
-            _publish_report(report, served, tenants[served_mask])
+            tenants = trace.tenants[served_mask] if trace.tenants is not None else None
+            _publish_report(report, served, tenants)
         return report

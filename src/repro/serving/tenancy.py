@@ -52,7 +52,7 @@ __all__ = [
 #: Tenant label attached to requests that do not name one.
 DEFAULT_TENANT = "default"
 
-# Per-request outcome codes used by the simulator's scheduled replay.
+# Per-request outcome codes of a simulator replay.
 # 0 doubles as "still pending": whatever is left unresolved when the
 # replay ends (e.g. every replica drained away) was dropped.
 STATUS_DROPPED = 0

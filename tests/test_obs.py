@@ -283,7 +283,7 @@ class TestStatsHelpers:
         latencies = rng.exponential(0.01, 100)
         lo, hi = 0.25, 0.75
         in_window = (arrivals >= lo) & (arrivals <= hi)
-        count, p95 = obs.event_window_p95(arrivals, latencies, lo, hi)
+        count, p95 = obs.event_window_p95(arrivals, latencies, lo, hi, np.ones(100, dtype=bool))
         assert count == int(in_window.sum())
         assert p95 == float(np.percentile(latencies[in_window], 95))
 
@@ -294,7 +294,7 @@ class TestStatsHelpers:
         count, p95 = obs.event_window_p95(arrivals, latencies, 0.0, 1.0, served_mask=mask)
         assert count == 2
         assert p95 == float(np.percentile(latencies[mask], 95))
-        assert obs.event_window_p95(arrivals, latencies, 5.0, 6.0) == (0, 0.0)
+        assert obs.event_window_p95(arrivals, latencies, 5.0, 6.0, mask) == (0, 0.0)
 
     def test_utilization(self):
         assert obs.utilization([1.0, 3.0], 4.0) == (0.25, 0.75)

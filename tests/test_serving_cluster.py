@@ -15,6 +15,7 @@ from repro.serving import (
     RequestSimulator,
     RoundRobinRouter,
     ServingCluster,
+    ServingConfig,
     make_router,
 )
 
@@ -28,7 +29,7 @@ def fitted(tiny_ratings):
 
 @pytest.fixture()
 def store(fitted):
-    return fitted.export_store(n_shards=2)
+    return fitted.serve(ServingConfig(n_shards=2, log=False)).backend
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +102,8 @@ class TestConstruction:
         np.testing.assert_array_equal(clone._folded_items[user], store._folded_items[user])
         assert clone.stats.simulated_seconds == 0.0
 
-    def test_export_cluster(self, fitted):
-        cluster = fitted.export_cluster(n_replicas=2, router="power-of-two", n_shards=2)
+    def test_serve_builds_cluster(self, fitted):
+        cluster = fitted.serve(ServingConfig(replicas=2, router="power-of-two", n_shards=2, log=False)).backend
         assert cluster.n_replicas == 2
         assert cluster.router.name == "power-of-two"
         assert cluster.replicas[0].n_shards == 2
@@ -131,7 +132,7 @@ class TestConstruction:
 
     def test_shared_machine_rejected(self, fitted):
         with pytest.raises(ValueError, match="independent machines"):
-            fitted.export_cluster(n_replicas=2, machine=MultiGPUMachine(n_gpus=2))
+            ServingCluster.from_result(fitted.result, 2, machine=MultiGPUMachine(n_gpus=2))
 
 
 class TestRoutingInvariants:

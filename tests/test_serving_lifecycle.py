@@ -18,6 +18,7 @@ from repro.serving import (
     RequestSimulator,
     RolloutController,
     ServingCluster,
+    ServingConfig,
     SnapshotRegistry,
     merged_ratings,
     refresh_factors,
@@ -33,7 +34,7 @@ def fitted(tiny_ratings):
 
 @pytest.fixture()
 def store(fitted):
-    return fitted.export_store(n_shards=2)
+    return fitted.serve(ServingConfig(n_shards=2, log=False)).backend
 
 
 def _feedback_log(train, n_new_items: int = 2):
@@ -306,7 +307,7 @@ class TestStoreLifecycleHooks:
 
     def test_fold_in_records_into_attached_log(self, fitted):
         log = InteractionLog()
-        store = fitted.export_store(n_shards=2)
+        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend
         store.log = log
         user = store.fold_in(np.array([2, 7]), np.array([5.0, 3.0]))
         assert log.affected_users().tolist() == [user]
@@ -475,7 +476,7 @@ class TestRollout:
 
     def test_all_replicas_drained_drops_the_tail(self, fitted):
         """Without a restore event left, the remaining queries are dropped."""
-        store = fitted.export_store(n_shards=2)
+        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend
         cluster = ServingCluster.from_store(store, 2)
         trace = QueryTrace.poisson(100, 10_000.0, store.n_users, seed=4)
         cutoff = trace.arrivals[49]

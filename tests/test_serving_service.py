@@ -232,7 +232,7 @@ class TestTopKValidation:
 
 
 # ---------------------------------------------------------------------- #
-# CuMF.serve and the deprecated export_* shims
+# CuMF.serve construction
 # ---------------------------------------------------------------------- #
 class TestServeConstruction:
     def test_single_replica_builds_store(self, fitted, data):
@@ -269,17 +269,6 @@ class TestServeConstruction:
             ServingConfig(registry_keep=2)
         with pytest.raises(ValueError, match="unknown router"):
             ServingConfig(router="no-such-policy")
-
-    def test_export_shims_deprecated_but_working(self, fitted, tmp_path):
-        with pytest.warns(DeprecationWarning, match="export_store is deprecated"):
-            store = fitted.export_store(n_shards=2)
-        assert isinstance(store, FactorStore)
-        with pytest.warns(DeprecationWarning, match="export_cluster is deprecated"):
-            cluster = fitted.export_cluster(n_replicas=2)
-        assert isinstance(cluster, ServingCluster)
-        with pytest.warns(DeprecationWarning, match="export_registry is deprecated"):
-            registry = fitted.export_registry(str(tmp_path))
-        assert registry.versions() == [0]
 
     def test_rate_without_log_is_error_envelope(self, fitted):
         service = fitted.serve(ServingConfig(log=False))

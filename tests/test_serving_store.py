@@ -10,7 +10,7 @@ import pytest
 from repro.core import ALSConfig, CuMF
 from repro.core.checkpoint import CheckpointManager
 from repro.gpu.machine import MultiGPUMachine
-from repro.serving import FactorStore
+from repro.serving import FactorStore, ServingConfig
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +22,7 @@ def fitted(tiny_ratings):
 
 @pytest.fixture()
 def store(fitted):
-    return fitted.export_store(n_shards=3)
+    return fitted.serve(ServingConfig(n_shards=3, log=False)).backend
 
 
 class TestConstruction:
@@ -34,17 +34,17 @@ class TestConstruction:
         assert store.n_items == fitted.result.theta.shape[0]
 
     def test_shards_cover_theta(self, fitted):
-        store = fitted.export_store(n_shards=4)
+        store = fitted.serve(ServingConfig(n_shards=4, log=False)).backend
         rebuilt = np.concatenate(store._shards, axis=0)
         np.testing.assert_array_equal(rebuilt, store.theta.astype(store.score_dtype))
         assert store.partition.bounds[-1] == store.n_items
 
     def test_machine_defines_shard_count(self, fitted):
         machine = MultiGPUMachine(n_gpus=2)
-        store = fitted.export_store(machine=machine)
+        store = FactorStore.from_result(fitted.result, machine=machine)
         assert store.n_shards == 2
         with pytest.raises(ValueError):
-            fitted.export_store(machine=machine, n_shards=3)
+            FactorStore.from_result(fitted.result, machine=machine, n_shards=3)
 
     def test_bad_factor_shapes_rejected(self):
         with pytest.raises(ValueError):
@@ -56,7 +56,7 @@ class TestConstruction:
 
     def test_store_is_a_snapshot(self, fitted):
         x_before = fitted.result.x.copy()
-        store = fitted.export_store()
+        store = fitted.serve(ServingConfig(log=False)).backend
         try:
             fitted.result.x += 1.0  # training-side mutation must not leak into serving
             np.testing.assert_array_equal(store.x, x_before)
@@ -127,7 +127,7 @@ class TestBatchedTopK:
 
 class TestSimulatedTime:
     def test_batches_advance_the_clock(self, fitted):
-        store = fitted.export_store(n_shards=2)
+        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend
         assert store.stats.simulated_seconds == 0.0
         store.recommend_batch(np.arange(32), k=5)
         assert store.stats.queries == 32
@@ -277,7 +277,7 @@ class TestPerDeviceAccounting:
         assert store.stats.per_device_seconds == pytest.approx(tenant.stats.per_device_seconds)
 
     def test_fold_in_charges_device_zero(self, fitted, tiny_ratings):
-        store = fitted.export_store(n_shards=2)
+        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend
         store.recommend_batch(np.arange(8), k=3)
         before = dict(store.stats.per_device_seconds)
         store.fold_in(*tiny_ratings.train.row(2))
@@ -285,7 +285,7 @@ class TestPerDeviceAccounting:
         assert store.stats.per_device_seconds[1] == before[1]  # solve runs on device 0
 
     def test_deltas_accumulate_batch_over_batch(self, fitted):
-        store = fitted.export_store(n_shards=2)
+        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend
         store.recommend_batch(np.arange(8), k=3)
         one_batch = dict(store.stats.per_device_seconds)
         store.recommend_batch(np.arange(8), k=3)

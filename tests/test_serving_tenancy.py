@@ -2,23 +2,30 @@
 
 Covers the tenancy layer end to end — :class:`TenantPolicy` /
 :class:`TenantPolicyTable` validation, the :class:`TenantScheduler`
-token-bucket and virtual-clock mechanics, the scheduled simulator loop
-(cap enforcement, weighted fair shares, priority shedding, degraded
-service, per-tenant report math) on BOTH backends (store and cluster),
-the facade's admission path, and the router registry satellites.  The
-zero-cost pin at the bottom replays one trace through the fast loop and
-the scheduled loop under a trivial single-tenant policy and requires
-identical aggregates.
+token-bucket and virtual-clock mechanics, the replay loop's WFQ
+discipline (cap enforcement, weighted fair shares, priority shedding,
+degraded service, per-tenant report math) on BOTH backends (store and
+cluster), the facade's admission path, and the router registry
+satellites.  The zero-cost property at the end of the replay tests runs
+generated replays through the FIFO discipline and, labelled, through
+the WFQ discipline under a trivial single-tenant policy, and requires
+identical reports.
 """
+
+import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import ALSConfig
 from repro.core.solver import get_solver_spec
 from repro.core.trainer import CuMF
 from repro.datasets import NETFLIX, generate_ratings
 from repro.serving import (
+    LifecycleEvent,
     QueryTrace,
     RecommendRequest,
     RequestSimulator,
@@ -29,6 +36,7 @@ from repro.serving import (
     TenantPolicy,
     TenantPolicyTable,
     TenantScheduler,
+    TrafficReport,
     make_router,
     register_router,
     router_names,
@@ -38,11 +46,12 @@ from repro.serving.store import FactorStore
 
 F = 8
 LAM = 0.05
+N_USERS = 500
 
 
 @pytest.fixture(scope="module")
 def data():
-    spec = NETFLIX.scaled(max_rows=500, f=F)
+    spec = NETFLIX.scaled(max_rows=N_USERS, f=F)
     return generate_ratings(spec, seed=0, noise_sigma=0.3)
 
 
@@ -275,8 +284,65 @@ class TestTraces:
 
 
 # ---------------------------------------------------------------------- #
-# scheduled replay: the tentpole behaviours, on both backends
+# WFQ replay: the tentpole behaviours, on both backends
 # ---------------------------------------------------------------------- #
+def _fresh_backend(fitted, replicas: int):
+    store = FactorStore.from_result(fitted.result, n_shards=2)
+    return store if replicas == 1 else ServingCluster.from_store(store, n_replicas=replicas)
+
+
+def _events(backend, specs, duration: float) -> list:
+    """Materialise ``(fraction of duration, kind, unit)`` specs on ``backend``.
+
+    ``drain`` / ``restore`` go through the guarded public calls and are
+    skipped where the guard would refuse them (a lone store has nothing
+    to drain); ``drain-all`` bypasses the last-replica guard on purpose
+    to empty the rotation.
+    """
+
+    def drain(unit):
+        if unit < len(backend.serving_units()) and len(backend.active_indices()) > 1 and unit in backend.active_indices():
+            backend.drain(unit)
+
+    def restore(unit):
+        if unit < len(backend.serving_units()) and unit not in backend.active_indices():
+            backend.restore(unit)
+
+    def drain_all(_unit):
+        backend._active = [False] * backend.n_replicas
+
+    actions = {"drain": drain, "restore": restore, "drain-all": drain_all}
+    return [LifecycleEvent(frac * duration, functools.partial(actions[kind], unit), kind) for frac, kind, unit in specs]
+
+
+@st.composite
+def _replays(draw):
+    """A replay input: trace, batching knobs, backend size, lifecycle events."""
+    n, rate, seed = draw(st.integers(20, 300)), draw(st.sampled_from([500.0, 5e3, 5e4])), draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        trace = QueryTrace.poisson(n, rate, N_USERS, seed=seed)
+    else:
+        trace = QueryTrace.bursty(n, rate / 10, rate, N_USERS, burst_every_s=0.05, burst_len_s=0.01, seed=seed)
+    replicas = draw(st.sampled_from([1, 2, 3]))
+    frac = st.integers(0, 1200).map(lambda permille: permille / 1000)  # of the trace duration
+    events = draw(st.lists(st.tuples(frac, st.sampled_from(["drain", "restore"]), st.integers(0, 2)), max_size=4))
+    if replicas > 1:
+        full_drain = draw(st.sampled_from(["none", "drain", "drain+restore"]))
+        drained_at = draw(frac)
+        if full_drain != "none":
+            events.append((drained_at, "drain-all", 0))
+        if full_drain == "drain+restore":
+            events.append((drained_at + draw(frac) / 2, "restore", 0))
+    return {
+        "trace": trace,
+        "replicas": replicas,
+        "events": events,
+        "max_batch": draw(st.sampled_from([1, 8, 64, 256])),
+        "window_s": draw(st.sampled_from([0.0, 1e-4, 5e-3])),
+        "exclude": draw(st.booleans()),
+    }
+
+
 class TestScheduledReplay:
     def test_cap_enforcement(self, backend, per_query_s, n_users):
         """A capped tenant is rate-limited via typed sheds, not queueing."""
@@ -413,43 +479,58 @@ class TestScheduledReplay:
         assert solo.latency_p50_s == pytest.approx(report.latency_p50_s)
         assert solo.share == 1.0
 
-    def test_zero_cost_when_unconfigured(self, backend_kind, fitted, n_users):
-        """Fast loop vs trivial-policy scheduled loop: identical aggregates."""
-        trace_plain = QueryTrace.poisson(400, 2000.0, n_users, seed=3)
-        trace_labelled = QueryTrace(
-            trace_plain.arrivals,
-            trace_plain.users,
-            label=trace_plain.label,
-            tenants=np.full(trace_plain.n_requests, "solo"),
-        )
-        fast = RequestSimulator(
-            _build_backend(backend_kind, fitted), k=10, max_batch=64, window_s=5e-3
-        ).run(trace_plain)
-        scheduled = RequestSimulator(
-            _build_backend(backend_kind, fitted),
-            k=10,
-            max_batch=64,
-            window_s=5e-3,
-            policies=[TenantPolicy("solo")],
-        ).run(trace_labelled)
-        for fld in (
-            "n_requests",
-            "n_batches",
-            "mean_batch_size",
-            "makespan_s",
-            "throughput_qps",
-            "service_seconds",
-            "latency_p50_s",
-            "latency_p95_s",
-            "latency_max_s",
-            "n_dropped",
-            "per_replica_queries",
-        ):
-            assert getattr(fast, fld) == getattr(scheduled, fld), fld
-        assert scheduled.n_shed == 0 and scheduled.n_degraded == 0
+    @settings(max_examples=50, deadline=None)
+    @given(replay=_replays())
+    def test_zero_cost_when_unconfigured(self, fitted, data, replay):
+        """FIFO vs trivial-policy WFQ on generated replays: identical reports."""
+        trace = replay["trace"]
+        labelled = QueryTrace(trace.arrivals, trace.users, label=trace.label, tenants=np.full(trace.n_requests, "solo"))
+        exclude = data.train if replay["exclude"] else None
+
+        def run(trace, policies=None):
+            backend = _fresh_backend(fitted, replay["replicas"])
+            sim = RequestSimulator(backend, k=10, exclude=exclude, max_batch=replay["max_batch"], window_s=replay["window_s"], policies=policies)
+            return sim.run(trace, _events(backend, replay["events"], trace.duration))
+
+        fifo = run(trace)
+        wfq = run(labelled, policies=[TenantPolicy("solo")])
+        for fld in dataclasses.fields(TrafficReport):
+            if fld.name not in ("wall_seconds", "per_tenant", "n_shed", "n_degraded"):
+                assert getattr(fifo, fld.name) == getattr(wfq, fld.name), fld.name
+        assert wfq.n_shed == 0 and wfq.n_degraded == 0
+
+    @pytest.mark.parametrize("policies", [None, [TenantPolicy("solo")]], ids=["fifo", "wfq"])
+    @pytest.mark.parametrize("case", ["empty", "all-dropped"])
+    def test_nothing_served_reports_zero_throughput(self, fitted, n_users, policies, case):
+        """No served query means throughput 0.0 (not inf), under both disciplines."""
+        if case == "empty":
+            backend = _fresh_backend(fitted, 1)
+            trace = QueryTrace(np.empty(0), np.empty(0, dtype=np.int64), tenants=np.empty(0, dtype=str))
+            events = []
+        else:
+            backend = _fresh_backend(fitted, 2)
+            trace = QueryTrace.poisson(50, 2000.0, n_users, seed=5, tenant="solo")
+            events = _events(backend, [(0.0, "drain-all", 0)], trace.duration)
+        report = RequestSimulator(backend, k=10, max_batch=8, policies=policies).run(trace, events)
+        assert report.n_dropped == trace.n_requests
+        assert report.makespan_s == 0.0
+        assert report.throughput_qps == 0.0
+        assert all(t.throughput_qps == 0.0 for t in report.per_tenant.values())
+
+    @pytest.mark.parametrize("k", [0, -3, 2.5, "10", True])
+    def test_bad_k_rejected_before_any_event(self, fitted, data, n_users, k):
+        fired = []
+        trace = QueryTrace.poisson(20, 2000.0, n_users, seed=1)
+        events = [LifecycleEvent(0.0, lambda: fired.append("sim"))]
+        with pytest.raises(ValueError, match="k must be an integer"):
+            RequestSimulator(_fresh_backend(fitted, 2), k=k).run(trace, events)
+        service = fitted.serve(ServingConfig(replicas=2, ratings=data.train))
+        with pytest.raises(ValueError, match="k must be an integer"):
+            service.simulate(trace, [LifecycleEvent(0.0, lambda: fired.append("service"))], k=k)
+        assert fired == []
 
     def test_unlabelled_trace_ignores_policies(self, backend, n_users):
-        """No tenant labels -> fast loop even with policies configured."""
+        """No tenant labels -> FIFO discipline even with policies configured."""
         sim = RequestSimulator(
             backend, k=10, max_batch=64, window_s=5e-3, policies=[TenantPolicy("ghost", rate_cap_qps=1.0)]
         )
