@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Regenerate the paper's headline tables: Table 1 (cost) and Figure 11.
 
-Everything here is analytical (no numerics): the cuMF side comes from the
-simulated-GPU performance model, the baselines from the cluster model, and
+Everything here is analytical (no numerics): the cuMF side comes from
+SU-ALS's own update graphs sized by each dataset and run on the simulated
+GPUs, the baselines from the cluster model, and
 the dollars from the AWS / Softlayer prices quoted in the paper.
 
 Run:  python examples/cost_comparison.py

@@ -17,8 +17,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.comm import OnePhaseParallelReduction, ReduceToOne, TwoPhaseTopologyReduction
 from repro.core import ALSConfig, CuMF
-from repro.core.perfmodel import mo_als_iteration_time, su_als_iteration_time
 from repro.datasets import NETFLIX, YAHOOMUSIC, generate_ratings
+from repro.experiments.common import full_scale_seconds
 from repro.experiments.reduction_ablation import reduction_rows
 
 
@@ -33,21 +33,14 @@ def scaling_demo() -> None:
     for n_gpus in (1, 2, 4):
         model = CuMF(config, backend="su" if n_gpus > 1 else "mo", n_gpus=n_gpus)
         result = model.fit(data.train, data.test)
-        full = (
-            mo_als_iteration_time(NETFLIX)
-            if n_gpus == 1
-            else su_als_iteration_time(NETFLIX, n_gpus=n_gpus)
-        )
-        baseline = baseline or full.seconds
-        print(
-            f"{n_gpus:>4}  {result.final_test_rmse:>15.4f}  {full.seconds:>17.2f}"
-            f"  {baseline / full.seconds:>7.2f}x"
-        )
+        full = full_scale_seconds(NETFLIX) if n_gpus == 1 else full_scale_seconds(NETFLIX, "su", n_gpus=n_gpus)
+        baseline = baseline or full
+        print(f"{n_gpus:>4}  {result.final_test_rmse:>15.4f}  {full:>17.2f}  {baseline / full:>7.2f}x")
 
-    print("\nYahooMusic full-scale per-iteration seconds (model only):")
+    print("\nYahooMusic full-scale per-iteration seconds (task graphs only, no numerics):")
     for n_gpus in (1, 2, 4):
-        full = mo_als_iteration_time(YAHOOMUSIC) if n_gpus == 1 else su_als_iteration_time(YAHOOMUSIC, n_gpus=n_gpus)
-        print(f"  {n_gpus} GPU(s): {full.seconds:.2f} s")
+        full = full_scale_seconds(YAHOOMUSIC) if n_gpus == 1 else full_scale_seconds(YAHOOMUSIC, "su", n_gpus=n_gpus)
+        print(f"  {n_gpus} GPU(s): {full:.2f} s")
 
 
 def reduction_demo() -> None:

@@ -5,9 +5,12 @@ Demonstrates the two mechanisms that let one machine handle matrices far
 beyond GPU memory:
 
 1. the eq.-8 partition planner choosing (p, q) for every Table-5 workload;
-2. the proactive, double-buffered out-of-core scheduler hiding partition
-   loads behind compute ("close-to-zero data loading time except for the
-   first load");
+2. out-of-core streaming: when a pass needs q > 1 batches, each batch
+   loads its R block and X slice into the GPU.  The serial schedule pays
+   every load; the eager schedule runs them, double buffered, under the
+   previous batch's kernels ("close-to-zero data loading time except for
+   the first load").  cuMF's earlier hop, disk to host memory on CPU
+   threads, is left out: the simulated machine has no disk;
 3. an actual SU-ALS run on a Hugewiki-shaped (scaled) matrix with the
    data-parallel path and the two-phase reduction forced on.
 
@@ -22,11 +25,10 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.core import ALSConfig
+from repro.core.als_mo import MemoryOptimizedALS
 from repro.core.als_su import ScaleUpALS
-from repro.core.outofcore import BatchPlan, OutOfCoreScheduler
 from repro.core.partition_planner import plan_partitions
-from repro.core.perfmodel import su_als_iteration_time
-from repro.datasets import DATASETS, HUGEWIKI, generate_ratings
+from repro.datasets import DATASETS, HUGEWIKI, NETFLIX, YAHOOMUSIC, generate_ratings
 from repro.gpu.specs import TITAN_X
 
 
@@ -40,19 +42,14 @@ def planner_demo() -> None:
 
 
 def outofcore_demo() -> None:
-    print("\n=== Out-of-core overlap on the Facebook-sized workload ===")
-    # One update pass = q batches; each batch streams its R block from disk.
-    iteration = su_als_iteration_time(HUGEWIKI, n_gpus=4)
-    per_batch_compute = iteration.seconds / max(iteration.q_x + iteration.q_theta, 1)
-    scheduler = OutOfCoreScheduler(disk_bandwidth=2e9, host_to_device_bandwidth=12e9)
-    batches = [
-        BatchPlan(batch_index=i, gpu_id=i % 4, nbytes=6e9, compute_seconds=per_batch_compute)
-        for i in range(iteration.q_x + iteration.q_theta)
-    ]
-    report = scheduler.run(batches)
-    print(f"  batches: {len(batches)}, compute {report.compute_seconds:.1f}s, copies {report.copy_seconds:.1f}s")
-    print(f"  exposed copy time: {report.exposed_copy_seconds:.1f}s ({report.hidden_fraction:.0%} hidden)")
-    print(f"  naive (no overlap) schedule: {scheduler.naive_seconds(batches):.1f}s vs {report.total_seconds:.1f}s overlapped")
+    print("\n=== Out-of-core streaming on one 12 GB GPU (MO-ALS, full scale) ===")
+    for spec in (NETFLIX, YAHOOMUSIC):
+        config = ALSConfig(f=spec.f, lam=spec.lam)
+        serial = MemoryOptimizedALS(config, scheduler="serial").iteration_time(spec)
+        eager = MemoryOptimizedALS(config, scheduler="eager").iteration_time(spec)
+        loads = serial.breakdown.get("h2d", 0.0)
+        print(f"  {spec.name:<10} q_x={serial.q_x} q_theta={serial.q_theta}: {loads:.3f}s of batch loads")
+        print(f"  {'':<10} serial {serial.seconds:.3f}s/iter, eager {eager.seconds:.3f}s/iter ({serial.seconds - eager.seconds:.3f}s hidden)")
 
 
 def hugewiki_run() -> None:
@@ -63,7 +60,7 @@ def hugewiki_run() -> None:
     result = solver.fit(data.train, data.test)
     for stats in result.history:
         print(f"  iter {stats.iteration}: test RMSE {stats.test_rmse:.4f}")
-    full = su_als_iteration_time(HUGEWIKI, n_gpus=4)
+    full = ScaleUpALS(ALSConfig(f=HUGEWIKI.f, lam=HUGEWIKI.lam), n_gpus=4).iteration_time(HUGEWIKI)
     print(f"  full-scale Hugewiki per-iteration time on 4 GPUs: {full.seconds:.1f} s (q_x={full.q_x}, q_theta={full.q_theta})")
 
 

@@ -7,8 +7,8 @@ GPUs.  This package rebuilds the whole system in Python on top of a
 simulated GPU substrate:
 
 * :mod:`repro.core` — the ALS solvers (Algorithm 1 base ALS, Algorithm 2
-  MO-ALS, Algorithm 3 SU-ALS), partition planner, out-of-core scheduler,
-  checkpointing and the high-level :class:`repro.core.trainer.CuMF` API;
+  MO-ALS, Algorithm 3 SU-ALS) as task graphs over the simulated GPUs,
+  partition planner, checkpointing and the high-level :class:`repro.core.trainer.CuMF` API;
 * :mod:`repro.gpu` — the simulated device: memory hierarchy, kernel cost
   model, PCIe topology and transfer engine;
 * :mod:`repro.comm` — the reduction schemes of Figure 5;

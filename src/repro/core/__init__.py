@@ -28,9 +28,13 @@ scheduler (:mod:`repro.core.schedule` — ``make_scheduler`` /
 simulated machine and records chrome-tracing-exportable traces;
 :class:`~repro.core.streaming.StreamingALS` (``"streaming-als"``)
 feeds rating chunks through the same machinery as arriving waves.
+The same graphs, sized from a full-scale
+:class:`~repro.datasets.registry.DatasetSpec` instead of a rating
+matrix, give the figures' per-iteration seconds
+(``iteration_time`` on either GPU solver, an :class:`IterationTime`).
 """
 
-from repro.core.config import ALSConfig, FitResult, IterationStats
+from repro.core.config import ALSConfig, FitResult, IterationStats, IterationTime
 from repro.core.metrics import objective_value, rmse
 from repro.core.hermitian import (
     batch_solve,
@@ -54,7 +58,6 @@ from repro.core.schedule import (
     scheduler_names,
 )
 from repro.core.partition_planner import PartitionPlan, plan_partitions
-from repro.core.outofcore import OutOfCoreScheduler
 from repro.core.checkpoint import CheckpointManager
 from repro.core.sgd import sgd_epoch
 from repro.core.solver import (
@@ -75,6 +78,7 @@ from repro.core.trainer import CuMF
 __all__ = [
     "ALSConfig",
     "IterationStats",
+    "IterationTime",
     "FitResult",
     "rmse",
     "objective_value",
@@ -101,7 +105,6 @@ __all__ = [
     "scheduler_catalogue",
     "PartitionPlan",
     "plan_partitions",
-    "OutOfCoreScheduler",
     "CheckpointManager",
     "sgd_epoch",
     "Solver",

@@ -12,12 +12,14 @@ a :class:`~repro.core.solver.session.TrainingSession`.
 
 from __future__ import annotations
 
+import gc
 from typing import Iterator
 
 import numpy as np
 
-from repro.core.config import ALSConfig, FitResult
+from repro.core.config import ALSConfig, FitResult, IterationTime
 from repro.core.hermitian import update_factor
+from repro.core.schedule import execute_graph
 from repro.core.solver.protocol import SolverStep, apply_warm_start
 from repro.core.solver.session import TrainingSession
 from repro.sparse.csr import CSRMatrix
@@ -49,6 +51,31 @@ def starting_factors(
     m, n = train.shape
     x, theta = init_factors(m, n, config)
     return apply_warm_start(x, theta, x0, theta0)
+
+
+def shape_iteration_time(solver, spec, machine) -> IterationTime:
+    """Time one iteration of a GPU solver's own update graphs, sized by ``spec``.
+
+    Both passes are built without factors (shape only: kernel profiles and
+    transfer sizes, no numeric closures) and executed on ``machine``, which
+    should be fresh, under the solver's scheduler.  Shared by the
+    ``iteration_time`` of MO-ALS and SU-ALS.
+    """
+    batches = []
+    # A full-scale pass is up to ~10^5 tasks, all alive until it has run;
+    # the cyclic collector can free none of them, so it is paused rather
+    # than left to re-scan the growing graph.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for source, label in ((spec, "x"), (spec.transposed(), "theta")):
+            graph, _ = solver.build_update_graph(source, None, label)
+            execute_graph(graph, machine, solver.scheduler, verify=solver.verify)
+            batches.append(solver.plan_batches(source))
+    finally:
+        if collecting:
+            gc.enable()
+    return IterationTime(machine.elapsed_seconds(), machine.clock.breakdown(), *batches)
 
 
 class BaseALS:

@@ -15,11 +15,16 @@ changes is that every update pass is *executed through the simulated GPU*:
 
 Like SU-ALS, an update pass is built as an explicit
 :class:`~repro.core.taskgraph.TaskGraph` (one ``get_hermitian`` +
-``batch_solve`` pair per row batch, all pinned to the single device) and
+``batch_solve`` pair per row block, all pinned to the single device, plus
+one streamed load per eq.-8 batch when the pass does not fit) and
 executed through a :mod:`repro.core.schedule` scheduler; the default
-``"serial"`` schedule charges the clock kernel by kernel under the same
-labels as before, and executed-graph traces accumulate on
-:attr:`MemoryOptimizedALS.traces`.
+``"serial"`` schedule charges the clock kernel by kernel, and
+executed-graph traces accumulate on :attr:`MemoryOptimizedALS.traces`.
+The same builder sized from a full-scale
+:class:`~repro.datasets.registry.DatasetSpec` gives the figures'
+per-iteration seconds (:meth:`MemoryOptimizedALS.iteration_time`); under
+``"eager"`` the streamed loads overlap compute, which is §4.4's
+out-of-core prefetching.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.als_base import starting_factors
-from repro.core.config import ALSConfig, FitResult
+from repro.core.als_base import shape_iteration_time, starting_factors
+from repro.core.config import ALSConfig, FitResult, IterationTime
 from repro.core.hermitian import batch_solve, compute_hermitians
 from repro.core.kernels import FLOAT_BYTES, batch_solve_profile, get_hermitian_profile
 from repro.core.partition_planner import plan_partitions
@@ -37,10 +42,12 @@ from repro.core.schedule import ExecutionTrace, execute_graph, make_scheduler
 from repro.core.solver.protocol import SolverStep
 from repro.core.solver.session import TrainingSession
 from repro.core.taskgraph import TaskGraph
+from repro.datasets.registry import DatasetSpec
 from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.memory import MemoryKind, OutOfDeviceMemory
 from repro.gpu.specs import TITAN_X, DeviceSpec
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.partition import partition_bounds
 
 __all__ = ["MemoryOptimizedALS"]
 
@@ -91,66 +98,97 @@ class MemoryOptimizedALS:
         self.device.allocate("x", min(x_bytes, cap.free_bytes // 2), MemoryKind.GLOBAL)
         self.device.allocate("r_csr", min(r_bytes, max(cap.free_bytes - 256 * 1024 * 1024, 0)), MemoryKind.GLOBAL)
 
-    def _plan_row_batches(self, rows: int, other_dim: int, nz: int) -> int:
+    def plan_batches(self, source) -> int:
         """Number of row batches (q of eq. 8 with p = 1) for one update pass."""
-        plan = plan_partitions(
-            m=rows,
-            n=other_dim,
-            nz=nz,
-            f=self.config.f,
-            capacity_bytes=self.device.spec.global_bytes,
-            n_gpus=1,
-        )
+        rows, other = source.shape
+        plan = plan_partitions(rows, other, source.nnz, self.config.f, self.device.spec.global_bytes, n_gpus=1)
         return max(1, plan.q)
 
-    def build_update_graph(self, r: CSRMatrix, fixed: np.ndarray, label: str) -> tuple[TaskGraph, np.ndarray]:
-        """The task graph of one update pass: a kernel pair per row batch.
+    def build_update_graph(self, source, fixed: np.ndarray | None, label: str) -> tuple[TaskGraph, np.ndarray | None]:
+        """The task graph of one update pass: a kernel pair per row block.
+
+        ``source`` sizes the graph: a :class:`~repro.sparse.csr.CSRMatrix`
+        (exact ratings per row block) or a full-scale
+        :class:`~repro.datasets.registry.DatasetSpec` (uniform ratings per
+        row).  Numeric closures are attached only when the ``fixed`` factor
+        is given; the returned array (``None`` otherwise) is filled when
+        the graph executes.
 
         Every kernel gets its own wave (unique ``group``) so the serial
-        schedule charges the clock launch by launch under the same
-        ``get_hermitian_*`` / ``batch_solve_*`` labels the eager code used.
-        The returned array is filled when the graph executes.
+        schedule charges the clock launch by launch under the
+        ``get_hermitian_*`` / ``batch_solve_*`` labels, and each waits for
+        the one before it (the device's single compute stream).  When eq. 8
+        splits the pass into ``q > 1`` batches (§4.4 out-of-core), each
+        batch first streams in its R block and X slice: one ``h2d`` task its
+        kernels wait for.  Loads are double buffered — batch ``j``'s reuses
+        batch ``j - 2``'s buffer and waits for that batch's last kernel — so
+        an overlapping schedule can hide every load but the first.
         """
         cfg = self.config
-        rows, other = r.shape
-        q = self._plan_row_batches(rows, other, r.nnz)
-        batch_rows = max(1, -(-rows // q))
-        batch_rows = min(batch_rows, cfg.row_batch) if rows > cfg.row_batch else batch_rows
+        rows, other = source.shape
+        q = self.plan_batches(source)
+        bounds = partition_bounds(rows, q)
         graph = TaskGraph()
-        out = np.zeros((rows, cfg.f), dtype=np.float64)
+        out = None if fixed is None else np.zeros((rows, cfg.f), dtype=np.float64)
+        freed = []  # per batch: its last kernel, after which its buffer is reusable
+        solve_task = None
 
-        for start in range(0, rows, batch_rows):
-            stop = min(start + batch_rows, rows)
-            block_nnz = int(r.indptr[stop] - r.indptr[start])
-            herm = get_hermitian_profile(
-                self.device.spec, stop - start, block_nnz, other, cfg, name=f"get_hermitian_{label}"
-            )
-            solve = batch_solve_profile(stop - start, cfg.f, name=f"batch_solve_{label}")
-            herm_task = graph.new_task(
-                f"herm:{label}:r{start}",
-                "kernel",
-                group=f"{label}:r{start}:herm",
-                clock_label=f"get_hermitian_{label}",
-                profile=herm,
-                use_texture=cfg.use_texture,
-                pin=0,
-            )
+        for j in range(q):
+            lo, hi = int(bounds[j]), int(bounds[j + 1])
+            blocks = []
+            if q > 1:
+                nbytes = (2 * source.range_nnz(lo, hi) + (hi - lo) + 1 + (hi - lo) * cfg.f) * FLOAT_BYTES
+                load = graph.new_task(
+                    f"h2d:{label}:b{j}",
+                    "transfer",
+                    clock_label="h2d",
+                    transfer=self.machine.h2d(0, nbytes, tag=f"r-block-{label}"),
+                    after=[freed[j - 2]] if j >= 2 else [],
+                )
+                blocks = [graph.new_object(nbytes, name=f"block:{label}:b{j}", producer=load)]
+            for start in range(lo, hi, cfg.row_batch):
+                stop = min(start + cfg.row_batch, hi)
+                herm = get_hermitian_profile(self.device.spec, stop - start, source.range_nnz(start, stop), other, cfg, name=f"get_hermitian_{label}")
+                solve = batch_solve_profile(stop - start, cfg.f, name=f"batch_solve_{label}")
+                herm_task = graph.new_task(
+                    f"herm:{label}:r{start}",
+                    "kernel",
+                    group=f"{label}:r{start}:herm",
+                    clock_label=f"get_hermitian_{label}",
+                    profile=herm,
+                    use_texture=cfg.use_texture,
+                    pin=0,
+                    inputs=blocks,
+                    after=[solve_task] if solve_task is not None else [],
+                )
+                run_solve = None
+                if fixed is not None:
 
-            def run_solve(start=start, stop=stop):
-                a, b = compute_hermitians(r, fixed, cfg.lam, start, stop)
-                out[start:stop] = batch_solve(a, b)
+                    def run_solve(start=start, stop=stop):
+                        a, b = compute_hermitians(source, fixed, cfg.lam, start, stop)
+                        out[start:stop] = batch_solve(a, b)
 
-            graph.new_task(
-                f"solve:{label}:r{start}",
-                "kernel",
-                group=f"{label}:r{start}:solve",
-                clock_label=f"batch_solve_{label}",
-                profile=solve,
-                pin=0,
-                run=run_solve,
-                after=[herm_task],
-            )
+                solve_task = graph.new_task(
+                    f"solve:{label}:r{start}",
+                    "kernel",
+                    group=f"{label}:r{start}:solve",
+                    clock_label=f"batch_solve_{label}",
+                    profile=solve,
+                    pin=0,
+                    run=run_solve,
+                    after=[herm_task],
+                )
+            freed.append(solve_task)
         return graph, out
+
+    def iteration_time(self, spec: DatasetSpec) -> IterationTime:
+        """Simulated seconds of one full-scale iteration on ``spec`` (no numerics).
+
+        Both passes' shape graphs run on a fresh machine with this solver's
+        device, topology and scheduler.
+        """
+        machine = MultiGPUMachine(n_gpus=1, spec=self.device.spec, topology=self.machine.topology)
+        return shape_iteration_time(self, spec, machine)
 
     def _update_pass(self, r: CSRMatrix, fixed: np.ndarray, label: str) -> np.ndarray:
         """One update pass (update-X when ``fixed`` is Θ, update-Θ when it is X)."""
@@ -214,6 +252,4 @@ class MemoryOptimizedALS:
         compute_objective: bool = False,
     ) -> FitResult:
         """Run MO-ALS; the history carries simulated seconds."""
-        return TrainingSession(self).run(
-            train, test, x0=x0, theta0=theta0, compute_objective=compute_objective
-        )
+        return TrainingSession(self).run(train, test, x0=x0, theta0=theta0, compute_objective=compute_objective)

@@ -18,18 +18,22 @@ differs: kernels run concurrently across GPUs and the reduction cost
 depends on the selected :class:`~repro.comm.reduction.ReductionScheme` and
 the machine topology.
 
-Since the task-graph refactor an update pass is *built* as an explicit
+An update pass is *built* as an explicit
 :class:`~repro.core.taskgraph.TaskGraph` — per-shard hermitian build →
 per-batch solve → reduce → gather, with the dependency structure the
 dataflow actually has — and *executed* through a scheduler from
 :mod:`repro.core.schedule`.  The default ``"serial"`` scheduler replays
-the graph's waves call-for-call like the old eager code (timings and
-breakdown labels unchanged); ``"eager"`` overlaps independent transfers
-with compute.  Factors are bitwise identical under every scheduler
-because numerics always run in topological order.  Each executed graph's
+the graph wave by wave; ``"eager"`` overlaps independent transfers with
+compute.  Factors are bitwise identical under every scheduler because
+numerics always run in topological order.  Each executed graph's
 :class:`~repro.core.schedule.ExecutionTrace` is appended to
 :attr:`ScaleUpALS.traces` (reset per ``iterate``), exportable as
 chrome-tracing JSON via :meth:`ScaleUpALS.export_trace`.
+
+The builder is the only description of the dataflow: sized from a
+full-scale :class:`~repro.datasets.registry.DatasetSpec` instead of a
+rating matrix, with no factors attached, the same graphs give the
+figures' per-iteration seconds (:meth:`ScaleUpALS.iteration_time`).
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ import numpy as np
 
 from repro.comm.collective import scatter_plan
 from repro.comm.reduction import ReductionScheme, TwoPhaseTopologyReduction, numeric_reduce
-from repro.core.als_base import starting_factors
-from repro.core.config import ALSConfig, FitResult
+from repro.core.als_base import shape_iteration_time, starting_factors
+from repro.core.config import ALSConfig, FitResult, IterationTime
 from repro.core.hermitian import batch_solve, compute_hermitians
 from repro.core.kernels import FLOAT_BYTES, batch_solve_profile, get_hermitian_profile
 from repro.core.partition_planner import plan_partitions
@@ -49,10 +53,11 @@ from repro.core.schedule import ExecutionTrace, execute_graph, make_scheduler
 from repro.core.solver.protocol import SolverStep
 from repro.core.solver.session import TrainingSession
 from repro.core.taskgraph import TaskGraph
+from repro.datasets.registry import DatasetSpec
 from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.specs import TITAN_X, DeviceSpec
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.partition import Partition1D, grid_partition
+from repro.sparse.partition import Partition1D, grid_partition, partition_bounds
 
 __all__ = ["ScaleUpALS"]
 
@@ -94,48 +99,54 @@ class ScaleUpALS:
         return self.machine.n_gpus
 
     # ------------------------------------------------------------------ #
-    def _choose_q(self, rows: int, other: int, nz: int) -> int:
-        """Number of model-parallel batches for one update pass (eq. 8)."""
-        if self.q_override is not None:
-            return max(1, self.q_override)
-        plan = plan_partitions(
-            m=rows,
-            n=other,
-            nz=nz,
-            f=self.config.f,
-            capacity_bytes=self.machine.spec.global_bytes,
-            n_gpus=self.p,
-        )
-        return max(1, plan.q)
-
-    def needs_data_parallelism(self, fixed_rows: int) -> bool:
-        """Whether the *fixed* factor is too big to replicate on every GPU.
+    def _model_parallel(self, fixed_rows: int) -> bool:
+        """Whether a pass replicates its fixed factor (``fixed_rows`` rows) on every GPU.
 
         §5.4: when both X and Θ fit on one GPU "only model parallelism is
         needed"; data parallelism (and its reduction) is reserved for the
         pass whose fixed factor — X when solving Θ on Hugewiki, for example
         — cannot be replicated.
         """
-        fixed_bytes = fixed_rows * self.config.f * FLOAT_BYTES
-        return fixed_bytes > 0.45 * self.machine.spec.global_bytes
+        fits = fixed_rows * self.config.f * FLOAT_BYTES <= 0.45 * self.machine.spec.global_bytes
+        return self.p > 1 and not self.force_data_parallel and fits
+
+    def plan_batches(self, source) -> int:
+        """Number of row batches q (eq. 8) for one update pass over ``source``.
+
+        With the fixed factor replicated, every GPU plans its own row slice
+        as a one-GPU problem; the data-parallel scheme plans the whole pass
+        across the ``p`` partitions of the fixed factor.
+        """
+        if self.q_override is not None:
+            return max(1, self.q_override)
+        rows, other = source.shape
+        f, capacity = self.config.f, self.machine.spec.global_bytes
+        if self._model_parallel(other):
+            plan = plan_partitions(-(-rows // self.p), other, int(source.nnz / self.p), f, capacity, n_gpus=1)
+        else:
+            plan = plan_partitions(rows, other, source.nnz, f, capacity, n_gpus=self.p)
+        return max(1, plan.q)
 
     # ------------------------------------------------------------------ #
     # graph builders
     # ------------------------------------------------------------------ #
-    def _build_model_parallel_graph(self, r: CSRMatrix, fixed: np.ndarray, label: str) -> tuple[TaskGraph, np.ndarray]:
+    def _build_model_parallel_graph(self, source, fixed: np.ndarray | None, label: str) -> tuple[TaskGraph, np.ndarray | None]:
         """Model parallelism only: rows are split across GPUs, Θ replicated.
 
         This is the PALS-style scheme cuMF falls back to whenever the fixed
         factor fits on every device (Netflix / YahooMusic in Figure 9): no
         inter-GPU reduction is required, so the speedup is bounded only by
-        PCIe contention on the shared host links.
+        PCIe contention on the shared host links.  Each GPU works through
+        its row slice in the eq.-8 batches, streaming each batch's rows of R
+        in and its solved rows out.
         """
         cfg = self.config
         p = self.p
-        rows, other = r.shape
+        rows, other = source.shape
+        q = self.plan_batches(source)
         row_part = Partition1D(rows, p)
         graph = TaskGraph()
-        out = np.zeros((rows, cfg.f), dtype=np.float64)
+        out = None if fixed is None else np.zeros((rows, cfg.f), dtype=np.float64)
 
         # Replicate the fixed factor on every GPU (concurrent host→device).
         fixed_bytes = other * cfg.f * FLOAT_BYTES
@@ -149,83 +160,92 @@ class ScaleUpALS:
                 transfer=self.machine.h2d(i, fixed_bytes, tag=f"fixed-bcast-{label}"),
             )
             fixed_objs[i] = graph.new_object(fixed_bytes, name=f"fixed:{label}:g{i}", producer=task)
-        # Stream each GPU's row slice of R.
-        block_objs = {}
-        for i in range(p):
-            lo, hi = row_part.range_of(i)
-            nbytes = r.row_slice(lo, hi).memory_floats() * FLOAT_BYTES
-            task = graph.new_task(
-                f"h2d:{label}:g{i}",
-                "transfer",
-                group=f"{label}:h2d",
-                clock_label="h2d",
-                transfer=self.machine.h2d(i, nbytes, tag=f"r-rows-{label}"),
-            )
-            block_objs[i] = graph.new_object(nbytes, name=f"rows:{label}:g{i}", producer=task)
 
+        slices = [row_part.range_of(i)[0] + partition_bounds(row_part.size_of(i), q) for i in range(p)]
         state: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        herm_tasks = {}
-        for i in range(p):
-            lo, hi = row_part.range_of(i)
-            block_nnz = int(r.indptr[hi] - r.indptr[lo])
-            profile = get_hermitian_profile(
-                self.machine.spec, hi - lo, block_nnz, other, cfg, name=f"get_hermitian_{label}"
-            )
+        for j in range(q):
+            ranges = [(int(bounds[j]), int(bounds[j + 1])) for bounds in slices]
+            # Stream this batch of each GPU's rows of R.
+            block_objs = {}
+            for i, (lo, hi) in enumerate(ranges):
+                nbytes = (2 * source.range_nnz(lo, hi) + (hi - lo) + 1) * FLOAT_BYTES
+                task = graph.new_task(
+                    f"h2d:{label}:b{j}:g{i}",
+                    "transfer",
+                    group=f"{label}:b{j}:h2d",
+                    clock_label="h2d",
+                    transfer=self.machine.h2d(i, nbytes, tag=f"r-rows-{label}"),
+                )
+                block_objs[i] = graph.new_object(nbytes, name=f"rows:{label}:b{j}:g{i}", producer=task)
 
-            def run_herm(i=i, lo=lo, hi=hi):
-                state[i] = compute_hermitians(r, fixed, cfg.lam, lo, hi)
+            herm_tasks = {}
+            for i, (lo, hi) in enumerate(ranges):
+                profile = get_hermitian_profile(self.machine.spec, hi - lo, source.range_nnz(lo, hi), other, cfg, name=f"get_hermitian_{label}")
+                run_herm = None
+                if fixed is not None:
 
-            herm_tasks[i] = graph.new_task(
-                f"herm:{label}:g{i}",
-                "kernel",
-                group=f"{label}:herm",
-                clock_label="kernels",
-                profile=profile,
-                use_texture=cfg.use_texture,
-                pin=i,
-                run=run_herm,
-                inputs=[fixed_objs[i], block_objs[i]],
-            )
-        solve_tasks = {}
-        for i in range(p):
-            lo, hi = row_part.range_of(i)
-            profile = batch_solve_profile(hi - lo, cfg.f, name=f"batch_solve_{label}")
+                    def run_herm(i=i, lo=lo, hi=hi):
+                        state[i] = compute_hermitians(source, fixed, cfg.lam, lo, hi)
 
-            def run_solve(i=i, lo=lo, hi=hi):
-                out[lo:hi] = batch_solve(*state.pop(i))
+                herm_tasks[i] = graph.new_task(
+                    f"herm:{label}:b{j}:g{i}",
+                    "kernel",
+                    group=f"{label}:b{j}:herm",
+                    clock_label="kernels",
+                    profile=profile,
+                    use_texture=cfg.use_texture,
+                    pin=i,
+                    run=run_herm,
+                    inputs=[fixed_objs[i], block_objs[i]],
+                )
+            solve_tasks = {}
+            for i, (lo, hi) in enumerate(ranges):
+                profile = batch_solve_profile(hi - lo, cfg.f, name=f"batch_solve_{label}")
+                run_solve = None
+                if fixed is not None:
 
-            solve_tasks[i] = graph.new_task(
-                f"solve:{label}:g{i}",
-                "kernel",
-                group=f"{label}:solve",
-                clock_label="kernels",
-                profile=profile,
-                pin=i,
-                run=run_solve,
-                after=[herm_tasks[i]],
-            )
-        for i in range(p):
-            graph.new_task(
-                f"gather:{label}:g{i}",
-                "transfer",
-                group=f"{label}:gather",
-                clock_label="gather",
-                transfer=self.machine.d2h(i, row_part.size_of(i) * cfg.f * FLOAT_BYTES, tag=f"x-gather-{label}"),
-                after=[solve_tasks[i]],
-            )
+                    def run_solve(i=i, lo=lo, hi=hi):
+                        out[lo:hi] = batch_solve(*state.pop(i))
+
+                solve_tasks[i] = graph.new_task(
+                    f"solve:{label}:b{j}:g{i}",
+                    "kernel",
+                    group=f"{label}:b{j}:solve",
+                    clock_label="kernels",
+                    profile=profile,
+                    pin=i,
+                    run=run_solve,
+                    after=[herm_tasks[i]],
+                )
+            for i, (lo, hi) in enumerate(ranges):
+                graph.new_task(
+                    f"gather:{label}:b{j}:g{i}",
+                    "transfer",
+                    group=f"{label}:b{j}:gather",
+                    clock_label="gather",
+                    transfer=self.machine.d2h(i, (hi - lo) * cfg.f * FLOAT_BYTES, tag=f"x-gather-{label}"),
+                    after=[solve_tasks[i]],
+                )
         return graph, out
 
-    def _build_data_parallel_graph(self, r: CSRMatrix, fixed: np.ndarray, label: str) -> tuple[TaskGraph, np.ndarray]:
+    def _build_data_parallel_graph(self, source, fixed: np.ndarray | None, label: str) -> tuple[TaskGraph, np.ndarray | None]:
         """The grid-partition + reduction scheme of Algorithm 3, as a graph."""
         cfg = self.config
         p = self.p
-        rows, other = r.shape
-        q = self._choose_q(rows, other, r.nnz)
-        grid = grid_partition(r, p, q)
-        col_part = grid.col_partition
-        row_part = grid.row_partition
+        rows, other = source.shape
+        q = self.plan_batches(source)
+        row_part = Partition1D(rows, q)
+        col_part = Partition1D(other, p)
+        grid = grid_partition(source, p, q) if isinstance(source, CSRMatrix) else None
+
+        def block_nnz(i: int, j: int) -> float:
+            """Ratings in R^(ij): exact from the grid, else batch j's share by Θ partition width."""
+            if grid is None:
+                return source.range_nnz(*row_part.range_of(j)) * col_part.size_of(i) / other
+            return grid.block(i, j).nnz
+
         graph = TaskGraph()
-        out = np.zeros((rows, cfg.f), dtype=np.float64)
+        out = None if fixed is None else np.zeros((rows, cfg.f), dtype=np.float64)
 
         # Lines 5-7: scatter the vertical partitions of the fixed factor.
         theta_bytes = [col_part.size_of(i) * cfg.f * FLOAT_BYTES for i in range(p)]
@@ -243,7 +263,9 @@ class ScaleUpALS:
             scatter_tasks[gpu] = task
             theta_objs[gpu] = graph.new_object(transfer.nbytes, name=f"theta:{label}:g{gpu}", producer=task)
 
-        fixed_parts = [np.asarray(fixed)[col_part.range_of(i)[0] : col_part.range_of(i)[1]] for i in range(p)]
+        if fixed is not None:
+            fixed_parts = [np.asarray(fixed)[col_part.range_of(i)[0] : col_part.range_of(i)[1]] for i in range(p)]
+        reduction_plans: dict[int, list] = {}  # the even row split gives at most two batch sizes
 
         for j in range(q):  # line 8: model-parallel loop over X batches
             j_lo, j_hi = row_part.range_of(j)
@@ -252,7 +274,7 @@ class ScaleUpALS:
             # Line 10: copy the R^(ij) blocks to their GPUs (concurrently).
             block_objs = {}
             for i in range(p):
-                nbytes = grid.block(i, j).memory_floats() * FLOAT_BYTES
+                nbytes = (2 * block_nnz(i, j) + batch_rows + 1) * FLOAT_BYTES
                 task = graph.new_task(
                     f"h2d:{label}:b{j}:g{i}",
                     "transfer",
@@ -270,16 +292,18 @@ class ScaleUpALS:
                 profile = get_hermitian_profile(
                     self.machine.spec,
                     batch_rows,
-                    grid.block(i, j).nnz,
+                    block_nnz(i, j),
                     max(1, col_part.size_of(i)),
                     cfg,
                     name=f"get_hermitian_{label}",
                 )
+                run_herm = None
+                if fixed is not None:
 
-                def run_herm(i=i, j=j, batch_rows=batch_rows, partial_a=partial_a, partial_b=partial_b):
-                    a_i, b_i = compute_hermitians(grid.block(i, j), fixed_parts[i], cfg.lam, 0, batch_rows)
-                    partial_a.append(a_i)
-                    partial_b.append(b_i)
+                    def run_herm(i=i, j=j, batch_rows=batch_rows, partial_a=partial_a, partial_b=partial_b):
+                        a_i, b_i = compute_hermitians(grid.block(i, j), fixed_parts[i], cfg.lam, 0, batch_rows)
+                        partial_a.append(a_i)
+                        partial_b.append(b_i)
 
                 herm_tasks.append(
                     graph.new_task(
@@ -300,9 +324,11 @@ class ScaleUpALS:
             # the scheme's transfer schedule is one wave; waves stay
             # sequential (the two-phase scheme's phase 2 moves what phase 1
             # pre-reduced), so they chain through ``after``.
-            partial_bytes = batch_rows * (cfg.f * cfg.f + cfg.f) * FLOAT_BYTES
+            if batch_rows not in reduction_plans:
+                partial_bytes = batch_rows * (cfg.f * cfg.f + cfg.f) * FLOAT_BYTES
+                reduction_plans[batch_rows] = self.reduction.transfer_batches(self.machine, partial_bytes)
             barrier = herm_tasks
-            for k, batch in enumerate(self.reduction.transfer_batches(self.machine, partial_bytes)):
+            for k, batch in enumerate(reduction_plans[batch_rows]):
                 wave = [
                     graph.new_task(
                         f"reduce:{label}:b{j}:p{k}:{idx}",
@@ -317,12 +343,14 @@ class ScaleUpALS:
                 barrier = wave
 
             state: dict[str, np.ndarray] = {}
+            run_reduce = None
+            if fixed is not None:
 
-            def run_reduce(state=state, partial_a=partial_a, partial_b=partial_b):
-                state["a"] = numeric_reduce(partial_a)
-                state["b"] = numeric_reduce(partial_b)
-                partial_a.clear()
-                partial_b.clear()
+                def run_reduce(state=state, partial_a=partial_a, partial_b=partial_b):
+                    state["a"] = numeric_reduce(partial_a)
+                    state["b"] = numeric_reduce(partial_b)
+                    partial_a.clear()
+                    partial_b.clear()
 
             reduce_sum = graph.new_task(
                 f"reduce-sum:{label}:b{j}",
@@ -339,9 +367,11 @@ class ScaleUpALS:
             solve_tasks = []
             for i in range(solver_width):
                 profile = batch_solve_profile(slice_part.size_of(i), cfg.f, name=f"batch_solve_{label}")
+                run_solve = None
+                if fixed is not None and i == 0:
 
-                def run_solve(state=state, j_lo=j_lo, j_hi=j_hi):
-                    out[j_lo:j_hi] = batch_solve(state.pop("a"), state.pop("b"))
+                    def run_solve(state=state, j_lo=j_lo, j_hi=j_hi):
+                        out[j_lo:j_hi] = batch_solve(state.pop("a"), state.pop("b"))
 
                 solve_tasks.append(
                     graph.new_task(
@@ -351,7 +381,7 @@ class ScaleUpALS:
                         clock_label="kernels",
                         profile=profile,
                         pin=i,
-                        run=run_solve if i == 0 else None,
+                        run=run_solve,
                         after=[reduce_sum],
                     )
                 )
@@ -368,18 +398,33 @@ class ScaleUpALS:
                 )
         return graph, out
 
-    def build_update_graph(self, r: CSRMatrix, fixed: np.ndarray, label: str) -> tuple[TaskGraph, np.ndarray]:
-        """The task graph of one update pass (solving the ``r``-row side).
+    def build_update_graph(self, source, fixed: np.ndarray | None, label: str) -> tuple[TaskGraph, np.ndarray | None]:
+        """The task graph of one update pass (solving the ``source``-row side).
+
+        ``source`` sizes the graph: a :class:`~repro.sparse.csr.CSRMatrix`
+        (exact ratings per row range and per grid block) or a full-scale
+        :class:`~repro.datasets.registry.DatasetSpec` (uniform ratings per
+        row, grid blocks in proportion to their column share).  Numeric
+        closures are attached only when the ``fixed`` factor is given; the
+        returned array (``None`` otherwise) is filled when the graph
+        executes.
 
         Dispatches to pure model parallelism when the fixed factor fits on
         one GPU, and to the data-parallel (grid partition + reduction)
-        scheme of Algorithm 3 otherwise.  The returned array is filled
-        when the graph executes.
+        scheme of Algorithm 3 otherwise.
         """
-        rows, other = r.shape
-        if self.p > 1 and not self.force_data_parallel and not self.needs_data_parallelism(other):
-            return self._build_model_parallel_graph(r, fixed, label)
-        return self._build_data_parallel_graph(r, fixed, label)
+        if self._model_parallel(source.shape[1]):
+            return self._build_model_parallel_graph(source, fixed, label)
+        return self._build_data_parallel_graph(source, fixed, label)
+
+    def iteration_time(self, spec: DatasetSpec) -> IterationTime:
+        """Simulated seconds of one full-scale iteration on ``spec`` (no numerics).
+
+        Both passes' shape graphs run on a fresh machine with this solver's
+        device, topology, reduction scheme and scheduler.
+        """
+        machine = MultiGPUMachine(n_gpus=self.p, spec=self.machine.spec, topology=self.machine.topology)
+        return shape_iteration_time(self, spec, machine)
 
     def _update_pass(self, r: CSRMatrix, fixed: np.ndarray, label: str) -> np.ndarray:
         """One SU-ALS update pass: build the graph, execute it, keep the trace."""
@@ -437,6 +482,4 @@ class ScaleUpALS:
         compute_objective: bool = False,
     ) -> FitResult:
         """Run SU-ALS; the history carries simulated seconds."""
-        return TrainingSession(self).run(
-            train, test, x0=x0, theta0=theta0, compute_objective=compute_objective
-        )
+        return TrainingSession(self).run(train, test, x0=x0, theta0=theta0, compute_objective=compute_objective)

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.core.validation import validate_hyperparameters
 
-__all__ = ["ALSConfig", "IterationStats", "FitResult"]
+__all__ = ["ALSConfig", "IterationStats", "IterationTime", "FitResult"]
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,20 @@ class IterationStats:
             "cumulative_seconds": self.cumulative_seconds,
             "objective": self.objective,
         }
+
+
+@dataclass
+class IterationTime:
+    """Simulated seconds of one ALS iteration (both passes) and their breakdown.
+
+    ``q_x`` and ``q_theta`` are the eq.-8 batch counts the update-X and
+    update-Θ passes were planned with.
+    """
+
+    seconds: float
+    breakdown: dict = field(default_factory=dict)
+    q_x: int = 1
+    q_theta: int = 1
 
 
 @dataclass

@@ -29,6 +29,7 @@ Every execution returns an :class:`ExecutionTrace` whose
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, runtime_checkable
@@ -362,12 +363,12 @@ def execute_graph(graph: TaskGraph, machine: MultiGPUMachine, scheduler="serial"
     every graph it executes.
     """
     sched = make_scheduler(scheduler)
-    graph.validate()
+    order = graph.validate()
     if verify:
         from repro.analysis.hazards import check_graph
 
         check_graph(graph, machine)
-    for task in graph.topological_order():
+    for task in order:
         if task.run is not None:
             task.run()
     base = machine.clock.now
@@ -474,13 +475,18 @@ def _simulate_events(graph: TaskGraph, machine: MultiGPUMachine, sched) -> Execu
         trace.add(name, "transfer", f"{src}->{dst}", start, end, nbytes=nbytes)
         return end
 
-    pending = list(graph.tasks)
-    done: set[int] = set()
-    while pending:
-        ready = [t for t in pending if all(dep.tid in done for dep in t.dependencies())]
-        task = max(ready, key=lambda t: (rank[t.tid], -t.tid))
-        pending.remove(task)
-        dep_done = max((finish[dep.tid] for dep in task.dependencies()), default=0.0)
+    # Ready tasks in a heap: the highest rank runs first, ties by insertion.
+    deps = {task.tid: task.dependencies() for task in graph.tasks}
+    waiting = {tid: len(task_deps) for tid, task_deps in deps.items()}
+    dependents: dict[int, list[Task]] = {task.tid: [] for task in graph.tasks}
+    for task in graph.tasks:
+        for dep in deps[task.tid]:
+            dependents[dep.tid].append(task)
+    ready = [(-rank[task.tid], task.tid) for task in graph.tasks if not waiting[task.tid]]
+    heapq.heapify(ready)
+    while ready:
+        task = graph.tasks[heapq.heappop(ready)[1]]
+        dep_done = max((finish[dep.tid] for dep in deps[task.tid]), default=0.0)
 
         if task.kind == "kernel":
             device = task.pin if task.pin is not None else sched.place(task, graph, machine, device_free)
@@ -512,7 +518,10 @@ def _simulate_events(graph: TaskGraph, machine: MultiGPUMachine, sched) -> Execu
         finish[task.tid] = end
         for obj in task.outputs:
             object_ready[obj.oid] = end
-        done.add(task.tid)
+        for succ in dependents[task.tid]:
+            waiting[succ.tid] -= 1
+            if not waiting[succ.tid]:
+                heapq.heappush(ready, (-rank[succ.tid], succ.tid))
 
     makespan = max(finish.values(), default=0.0)
     machine.clock.advance(makespan, label=f"schedule:{sched.name}")

@@ -97,17 +97,13 @@ class Task:
 
     def dependencies(self) -> list["Task"]:
         """Producers of the inputs plus explicit ``after`` edges, deduplicated."""
-        deps: list[Task] = []
-        seen: set[int] = set()
-        for obj in self.inputs:
-            if obj.producer is not None and obj.producer.tid not in seen:
-                seen.add(obj.producer.tid)
-                deps.append(obj.producer)
-        for task in self.after:
-            if task.tid not in seen:
-                seen.add(task.tid)
-                deps.append(task)
-        return deps
+        deps = [obj.producer for obj in self.inputs if obj.producer is not None] + self.after
+        if len(deps) < 2:
+            return deps
+        unique: dict[int, Task] = {}
+        for task in deps:
+            unique.setdefault(task.tid, task)
+        return list(unique.values())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Task({self.tid}, {self.name!r}, kind={self.kind!r}, group={self.group!r})"
@@ -183,16 +179,18 @@ class TaskGraph:
     # ------------------------------------------------------------------ #
     # validation and orderings
     # ------------------------------------------------------------------ #
-    def validate(self) -> None:
+    def validate(self) -> list[Task]:
         """Check the graph is a well-formed DAG with kind-consistent tasks.
 
         Every violation is collected and raised as *one* ``ValueError``
         (one line per offending task/object), so a multi-error graph is
-        debuggable in a single pass instead of error-by-error.
+        debuggable in a single pass instead of error-by-error.  Returns the
+        :meth:`topological_order` the cycle check computed.
         """
         problems: list[str] = []
         ids = {id(t) for t in self.tasks}
         foreign_refs = False
+        deps: dict[int, list[Task]] = {}
         for task in self.tasks:
             if task.kind not in TASK_KINDS:
                 problems.append(f"task {task.name!r} has unknown kind {task.kind!r}")
@@ -202,7 +200,8 @@ class TaskGraph:
                 problems.append(f"transfer task {task.name!r} needs a Transfer")
             if task.seconds < 0:
                 problems.append(f"task {task.name!r} has negative duration")
-            for dep in task.dependencies():
+            deps[task.tid] = task.dependencies()
+            for dep in deps[task.tid]:
                 if id(dep) not in ids:
                     foreign_refs = True
                     problems.append(f"task {task.name!r} depends on a task outside this graph")
@@ -211,13 +210,15 @@ class TaskGraph:
                     problems.append(f"task {task.name!r} references an object outside this graph")
         # Foreign dependencies would confuse the indegree bookkeeping, so
         # only look for cycles once every reference resolves in-graph.
-        if not foreign_refs and len(self.topological_order()) != len(self.tasks):
+        order = [] if foreign_refs else self._kahn(deps)
+        if not foreign_refs and len(order) != len(self.tasks):
             problems.append("task graph contains a cycle")
         if len(problems) == 1:
             raise ValueError(problems[0])
         if problems:
             listing = "\n".join(f"  - {p}" for p in problems)
             raise ValueError(f"task graph validation failed with {len(problems)} problems:\n{listing}")
+        return order
 
     def topological_order(self) -> list[Task]:
         """Kahn's algorithm, insertion-stable: ready tasks run in append order.
@@ -226,12 +227,18 @@ class TaskGraph:
         depends on the chosen schedule, so every scheduler produces
         bitwise-identical factors.
         """
+        return self._kahn({t.tid: t.dependencies() for t in self.tasks})
+
+    def _kahn(self, deps: dict[int, list[Task]]) -> list[Task]:
+        """:meth:`topological_order` over precomputed ``task id → dependencies``."""
         import heapq
 
-        indegree = {t.tid: len(t.dependencies()) for t in self.tasks}
+        if all(dep.tid < tid for tid, task_deps in deps.items() for dep in task_deps):
+            return list(self.tasks)  # built in dependency order: the insertion-stable order itself
+        indegree = {tid: len(task_deps) for tid, task_deps in deps.items()}
         dependents: dict[int, list[Task]] = {t.tid: [] for t in self.tasks}
         for task in self.tasks:
-            for dep in task.dependencies():
+            for dep in deps[task.tid]:
                 dependents[dep.tid].append(task)
         ready = [t.tid for t in self.tasks if indegree[t.tid] == 0]
         heapq.heapify(ready)

@@ -3,8 +3,8 @@
 cuMF's out-of-core mode (§4.4) streams rating partitions from a parallel
 file system into host memory and then into the GPUs.  The helpers here
 give the reproduction the same shape: `.npz` persistence for checkpoints
-and datasets, and a row-chunk iterator that the out-of-core scheduler
-consumes without ever holding the whole matrix.
+and datasets, and a row-chunk iterator that walks the matrix in X-batches
+without ever holding the whole of it.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ def iter_row_chunks(ratings: CSRMatrix, rows_per_chunk: int) -> Iterator[tuple[i
     """Yield ``(start_row, stop_row, chunk)`` covering the matrix in order.
 
     Every chunk is an independent CSR matrix whose row indices are re-based
-    to zero; together they tile the original matrix, which is what the
-    out-of-core batch scheduler feeds to the GPUs one X-batch at a time.
+    to zero; together they tile the original matrix the way out-of-core
+    cuMF feeds it to the GPUs, one X-batch at a time.
     """
     if rows_per_chunk <= 0:
         raise ValueError("rows_per_chunk must be positive")

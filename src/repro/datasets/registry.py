@@ -61,6 +61,24 @@ class DatasetSpec:
     rating_scale: tuple[float, float] = (1.0, 5.0)
 
     @property
+    def shape(self) -> tuple[int, int]:
+        """``(m, n)``; with ``nnz`` and ``range_nnz`` it sizes update graphs like a rating matrix."""
+        return (self.m, self.n)
+
+    @property
+    def nnz(self) -> int:
+        """``Nz``, under the rating matrix's name for it."""
+        return self.nz
+
+    def range_nnz(self, start_row: int, stop_row: int) -> float:
+        """Ratings in rows ``[start_row, stop_row)`` at the uniform rate ``Nz / m``."""
+        return self.nz * (stop_row - start_row) / self.m
+
+    def transposed(self) -> "DatasetSpec":
+        """The same workload seen from the item side (the update-Θ pass)."""
+        return replace(self, m=self.n, n=self.m)
+
+    @property
     def model_parameters(self) -> int:
         """Size of the factor model, ``(m + n) · f`` (the Figure 2 x-axis)."""
         return (self.m + self.n) * self.f

@@ -6,8 +6,9 @@ The convergence experiments combine two ingredients (see DESIGN.md):
   that is actually factorized, giving a genuine RMSE-per-iteration (or
   per-epoch) trajectory;
 * **full-scale timing** — the per-iteration seconds the same solver would
-  take on the paper-scale dataset, from the simulated-GPU performance
-  model (cuMF) or the cluster model (CPU baselines).
+  take on the paper-scale dataset: for cuMF, the solver's own update
+  graphs sized by the dataset and run on the simulated GPUs
+  (:func:`full_scale_seconds`); for the CPU baselines, the cluster model.
 
 :func:`remap_time_axis` stitches the two together, which is how every
 "RMSE vs training time" series in Figures 6-10 is produced.
@@ -20,7 +21,7 @@ class or hand-wires a constructor.
 
 from __future__ import annotations
 
-from repro.core.config import FitResult
+from repro.core.config import ALSConfig, FitResult
 from repro.core.solver import make_solver
 from repro.datasets.registry import HUGEWIKI, NETFLIX, YAHOOMUSIC, DatasetSpec
 from repro.datasets.synthetic import SyntheticRatings, generate_ratings
@@ -30,6 +31,7 @@ __all__ = [
     "yahoomusic_like",
     "hugewiki_like",
     "run_solvers",
+    "full_scale_seconds",
     "remap_time_axis",
     "series_reaches",
     "format_table",
@@ -63,6 +65,17 @@ def run_solvers(specs: dict[str, dict], train, test=None) -> dict[str, FitResult
     like ``cores`` or ``n_gpus``.
     """
     return {key: make_solver(spec).fit(train, test) for key, spec in specs.items()}
+
+
+def full_scale_seconds(dataset: DatasetSpec, name: str = "mo", **options) -> float:
+    """Simulated seconds of one iteration of GPU solver ``name`` on ``dataset``.
+
+    The solver comes from the registry with the dataset's own ``f``/λ;
+    ``options`` are solver keywords (``n_gpus``, ``spec``) or config
+    overrides (``use_registers=False``, ``f=100``).
+    """
+    config = ALSConfig(f=dataset.f, lam=dataset.lam, iterations=1)
+    return make_solver({"name": name, "config": config, **options}).iteration_time(dataset).seconds
 
 
 def remap_time_axis(result: FitResult, seconds_per_iteration: float) -> list[dict]:

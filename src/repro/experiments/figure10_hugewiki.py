@@ -13,9 +13,8 @@ from __future__ import annotations
 from repro.cluster.nodes import AWS_M3_XLARGE, HPC_NODE, ClusterSpec
 from repro.cluster.perf import distributed_sgd_epoch_time
 from repro.core.config import ALSConfig
-from repro.core.perfmodel import su_als_iteration_time
 from repro.datasets.registry import HUGEWIKI
-from repro.experiments.common import hugewiki_like, remap_time_axis, run_solvers
+from repro.experiments.common import full_scale_seconds, hugewiki_like, remap_time_axis, run_solvers
 
 __all__ = ["figure10_series"]
 
@@ -33,7 +32,7 @@ def figure10_series(max_rows: int = 2500, f: int = 16, iterations: int = 6, epoc
         data.train,
         data.test,
     )
-    cumf_iter_s = su_als_iteration_time(HUGEWIKI, n_gpus=4).seconds
+    cumf_iter_s = full_scale_seconds(HUGEWIKI, "su", n_gpus=4)
     hpc64 = ClusterSpec(HPC_NODE, 64, "NOMAD 64-node HPC")
     aws32 = ClusterSpec(AWS_M3_XLARGE, 32, "NOMAD 32-node AWS")
     epoch_hpc = distributed_sgd_epoch_time(HUGEWIKI, hpc64)

@@ -3,8 +3,8 @@
 SparkALS, Factorbird and Facebook are too large to factorize numerically
 in this reproduction; following §5.5 the comparison is per-iteration (or
 per-epoch) latency, which both sides produce from their performance
-models: cuMF@4×GK210 from the simulated-GPU model, the baselines from the
-cluster model.  The cuMF f=100 row is the "largest MF problem reported"
+models: cuMF@4×GK210 from SU-ALS's own update graphs sized by the
+dataset, the baselines from the cluster model.  The cuMF f=100 row is the "largest MF problem reported"
 run (3.8 hours per iteration in the paper).
 
 Like the convergence drivers, the comparison is *declarative*: one
@@ -20,9 +20,8 @@ from repro.cluster.perf import (
     parameter_server_epoch_time,
     rotation_als_iteration_time,
 )
-from repro.core.config import ALSConfig
-from repro.core.perfmodel import su_als_iteration_time
 from repro.datasets.registry import CUMF_LARGEST, FACEBOOK, FACTORBIRD, SPARKALS
+from repro.experiments.common import full_scale_seconds
 from repro.gpu.specs import GK210
 
 __all__ = ["figure11_rows"]
@@ -70,7 +69,7 @@ def figure11_rows(n_gpus: int = 4) -> list[dict]:
                 "workload": dataset.name,
                 "baseline_system": workload["baseline_system"],
                 "baseline_seconds": workload["baseline_model"](dataset, cluster),
-                "cumf_seconds": su_als_iteration_time(dataset, n_gpus=n_gpus, spec=GK210).seconds,
+                "cumf_seconds": full_scale_seconds(dataset, "su", n_gpus=n_gpus, spec=GK210),
                 "paper_baseline_seconds": PAPER_BASELINE_SECONDS[workload["paper_key"]],
                 "paper_cumf_seconds": PAPER_CUMF_SECONDS[workload["paper_key"]],
             }
@@ -81,9 +80,7 @@ def figure11_rows(n_gpus: int = 4) -> list[dict]:
             "workload": CUMF_LARGEST.name + " (f=100)",
             "baseline_system": "none (largest problem reported)",
             "baseline_seconds": float("nan"),
-            "cumf_seconds": su_als_iteration_time(
-                CUMF_LARGEST, n_gpus=n_gpus, spec=GK210, config=ALSConfig(f=100, lam=CUMF_LARGEST.lam)
-            ).seconds,
+            "cumf_seconds": full_scale_seconds(CUMF_LARGEST, "su", n_gpus=n_gpus, spec=GK210, f=100),
             "paper_baseline_seconds": float("nan"),
             "paper_cumf_seconds": PAPER_CUMF_SECONDS["cuMF"],
         }

@@ -13,9 +13,8 @@ from __future__ import annotations
 from repro.cluster.nodes import ClusterSpec, NodeSpec
 from repro.cluster.perf import distributed_sgd_epoch_time
 from repro.core.config import ALSConfig
-from repro.core.perfmodel import mo_als_iteration_time
 from repro.datasets.registry import NETFLIX, YAHOOMUSIC, DatasetSpec
-from repro.experiments.common import netflix_like, remap_time_axis, run_solvers, yahoomusic_like
+from repro.experiments.common import full_scale_seconds, netflix_like, remap_time_axis, run_solvers, yahoomusic_like
 
 __all__ = ["figure6_series", "CPU_30_CORES"]
 
@@ -28,7 +27,7 @@ CPU_30_CORES = NodeSpec(
 def _one_dataset(data, full_spec: DatasetSpec, iterations: int, epochs: int, f: int, seed: int) -> dict:
     # The numeric run uses a λ suited to the generator's 1-5 rating scale;
     # the dataset's own λ (e.g. YahooMusic's 1.4, tuned for 0-100 ratings)
-    # only parameterises the full-scale timing model.
+    # only sizes the full-scale iteration time.
     als_cfg = ALSConfig(f=f, lam=0.05, iterations=iterations, seed=seed)
     fits = run_solvers(
         {
@@ -39,7 +38,7 @@ def _one_dataset(data, full_spec: DatasetSpec, iterations: int, epochs: int, f: 
         data.train,
         data.test,
     )
-    cumf_iter_s = mo_als_iteration_time(full_spec).seconds
+    cumf_iter_s = full_scale_seconds(full_spec)
     epoch_s = distributed_sgd_epoch_time(full_spec, ClusterSpec(CPU_30_CORES, 1))
 
     return {

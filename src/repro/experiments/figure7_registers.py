@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from repro.core.config import ALSConfig
-from repro.core.perfmodel import mo_als_iteration_time
 from repro.datasets.registry import NETFLIX, YAHOOMUSIC, DatasetSpec
-from repro.experiments.common import netflix_like, remap_time_axis, run_solvers, yahoomusic_like
+from repro.experiments.common import full_scale_seconds, netflix_like, remap_time_axis, run_solvers, yahoomusic_like
 
 __all__ = ["figure7_series"]
 
@@ -21,15 +20,15 @@ def _panel(data, full_spec: DatasetSpec, f: int, iterations: int, seed: int) -> 
         data.test,
     )
     with_fit, without_fit = fits["with"], fits["without"]
-    with_full = mo_als_iteration_time(full_spec, ALSConfig(f=full_spec.f, lam=full_spec.lam, use_registers=True))
-    without_full = mo_als_iteration_time(full_spec, ALSConfig(f=full_spec.f, lam=full_spec.lam, use_registers=False))
+    with_full = full_scale_seconds(full_spec, use_registers=True)
+    without_full = full_scale_seconds(full_spec, use_registers=False)
     return {
         "dataset": full_spec.name,
-        "with_registers": remap_time_axis(with_fit, with_full.seconds),
-        "without_registers": remap_time_axis(without_fit, without_full.seconds),
-        "seconds_per_iteration_with": with_full.seconds,
-        "seconds_per_iteration_without": without_full.seconds,
-        "slowdown_without_registers": without_full.seconds / with_full.seconds,
+        "with_registers": remap_time_axis(with_fit, with_full),
+        "without_registers": remap_time_axis(without_fit, without_full),
+        "seconds_per_iteration_with": with_full,
+        "seconds_per_iteration_without": without_full,
+        "slowdown_without_registers": without_full / with_full,
     }
 
 

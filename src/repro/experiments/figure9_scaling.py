@@ -8,9 +8,8 @@ speedup (3.8× at four GPUs) bounded only by PCIe contention.
 from __future__ import annotations
 
 from repro.core.config import ALSConfig
-from repro.core.perfmodel import mo_als_iteration_time, su_als_iteration_time
 from repro.datasets.registry import NETFLIX, YAHOOMUSIC, DatasetSpec
-from repro.experiments.common import netflix_like, remap_time_axis, run_solvers, yahoomusic_like
+from repro.experiments.common import full_scale_seconds, netflix_like, remap_time_axis, run_solvers, yahoomusic_like
 
 __all__ = ["figure9_series"]
 
@@ -25,9 +24,9 @@ def _panel(data, full_spec: DatasetSpec, f: int, iterations: int, seed: int, gpu
     curves = {}
     iteration_seconds = {}
     for p in gpu_counts:
-        full = mo_als_iteration_time(full_spec) if p == 1 else su_als_iteration_time(full_spec, n_gpus=p)
-        curves[p] = remap_time_axis(fits[p], full.seconds)
-        iteration_seconds[p] = full.seconds
+        full = full_scale_seconds(full_spec) if p == 1 else full_scale_seconds(full_spec, "su", n_gpus=p)
+        curves[p] = remap_time_axis(fits[p], full)
+        iteration_seconds[p] = full
     base = iteration_seconds[gpu_counts[0]]
     return {
         "dataset": full_spec.name,

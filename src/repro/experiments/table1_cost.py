@@ -15,8 +15,8 @@ from repro.cluster.perf import (
     distributed_sgd_epoch_time,
     parameter_server_epoch_time,
 )
-from repro.core.perfmodel import su_als_iteration_time
 from repro.datasets.registry import FACTORBIRD, HUGEWIKI, SPARKALS
+from repro.experiments.common import full_scale_seconds
 from repro.gpu.specs import GK210
 
 __all__ = ["table1_rows"]
@@ -49,11 +49,11 @@ def table1_rows(n_gpus: int = 4, als_iterations: int = 10, sgd_epochs: int = 40)
     clusters = {name: ClusterSpec(*spec) for name, spec in _CLUSTERS.items()}
 
     nomad_seconds = distributed_sgd_epoch_time(HUGEWIKI, clusters["NOMAD"]) * sgd_epochs
-    cumf_hugewiki = su_als_iteration_time(HUGEWIKI, n_gpus=n_gpus, spec=GK210).seconds * als_iterations
+    cumf_hugewiki = full_scale_seconds(HUGEWIKI, "su", n_gpus=n_gpus, spec=GK210) * als_iterations
     spark_seconds = distributed_als_iteration_time(SPARKALS, clusters["SparkALS"])
-    cumf_spark = su_als_iteration_time(SPARKALS, n_gpus=n_gpus, spec=GK210).seconds
+    cumf_spark = full_scale_seconds(SPARKALS, "su", n_gpus=n_gpus, spec=GK210)
     factorbird_seconds = parameter_server_epoch_time(FACTORBIRD, clusters["Factorbird"])
-    cumf_factorbird = su_als_iteration_time(FACTORBIRD, n_gpus=n_gpus, spec=GK210).seconds
+    cumf_factorbird = full_scale_seconds(FACTORBIRD, "su", n_gpus=n_gpus, spec=GK210)
 
     entries = table1_entries(
         nomad_seconds, cumf_hugewiki, spark_seconds, cumf_spark, factorbird_seconds, cumf_factorbird

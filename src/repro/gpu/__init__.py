@@ -22,9 +22,9 @@ an explicit simulator:
 * :mod:`repro.gpu.transfer` — transfer scheduling over that graph with
   full-duplex links and contention.
 * :mod:`repro.gpu.machine` — a whole machine: host memory + devices +
-  interconnect + a shared simulated clock.
-* :mod:`repro.gpu.stream` — CUDA-stream-like asynchronous copy engines used
-  by the out-of-core scheduler to overlap loading with compute.
+  interconnect + a shared simulated clock.  Overlapping loads with compute
+  is the ``eager`` scheduler's job (:mod:`repro.core.schedule`), not the
+  machine's.
 
 The numerics of every solver are real NumPy; only *time* is simulated.
 """
@@ -43,7 +43,6 @@ from repro.gpu.device import GPUDevice
 from repro.gpu.topology import Link, MachineTopology
 from repro.gpu.transfer import Transfer, TransferEngine
 from repro.gpu.machine import MultiGPUMachine
-from repro.gpu.stream import CopyStream
 
 __all__ = [
     "DeviceSpec",
@@ -64,5 +63,4 @@ __all__ = [
     "Transfer",
     "TransferEngine",
     "MultiGPUMachine",
-    "CopyStream",
 ]

@@ -54,9 +54,12 @@ class MachineTopology:
     """Named nodes (GPUs, PCIe switches, sockets, host) joined by links."""
 
     nodes: list[str] = field(default_factory=list)
-    links: list[Link] = field(default_factory=list)
+    links: tuple[Link, ...] = ()
     gpu_socket: dict = field(default_factory=dict)
     description: str = ""
+    # Shortest paths per (src, dst), filled on first request; the links
+    # are a tuple so a cached path cannot go stale.
+    _paths: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
     # construction
@@ -68,10 +71,9 @@ class MachineTopology:
             raise ValueError("need at least one GPU")
         topo = cls(description=f"single-socket, {n_gpus} GPU(s)")
         topo.nodes = ["host:0", "pcie:0"] + [f"gpu:{i}" for i in range(n_gpus)]
-        topo.links = [Link("host:0", "pcie:0", host_gbs * GB, name="root")]
-        for i in range(n_gpus):
-            topo.links.append(Link(f"gpu:{i}", "pcie:0", pcie_gbs * GB, name=f"pcie-gpu{i}"))
-            topo.gpu_socket[i] = 0
+        gpu_links = [Link(f"gpu:{i}", "pcie:0", pcie_gbs * GB, name=f"pcie-gpu{i}") for i in range(n_gpus)]
+        topo.links = (Link("host:0", "pcie:0", host_gbs * GB, name="root"), *gpu_links)
+        topo.gpu_socket = {i: 0 for i in range(n_gpus)}
         return topo
 
     @classmethod
@@ -94,15 +96,13 @@ class MachineTopology:
             raise ValueError("need at least one GPU")
         topo = cls(description=f"dual-socket, {n_gpus} GPU(s)")
         topo.nodes = ["host:0", "host:1", "pcie:0", "pcie:1"] + [f"gpu:{i}" for i in range(n_gpus)]
-        topo.links = [
+        topo.gpu_socket = {i: 0 if i < (n_gpus + 1) // 2 else 1 for i in range(n_gpus)}
+        topo.links = (
             Link("host:0", "pcie:0", host_gbs * GB, name="root0"),
             Link("host:1", "pcie:1", host_gbs * GB, name="root1"),
             Link("pcie:0", "pcie:1", qpi_gbs * GB, name="qpi"),
-        ]
-        for i in range(n_gpus):
-            socket = 0 if i < (n_gpus + 1) // 2 else 1
-            topo.links.append(Link(f"gpu:{i}", f"pcie:{socket}", pcie_gbs * GB, name=f"pcie-gpu{i}"))
-            topo.gpu_socket[i] = socket
+            *(Link(f"gpu:{i}", f"pcie:{s}", pcie_gbs * GB, name=f"pcie-gpu{i}") for i, s in topo.gpu_socket.items()),
+        )
         return topo
 
     # ------------------------------------------------------------------ #
@@ -128,9 +128,20 @@ class MachineTopology:
         return adj
 
     def path(self, src: str, dst: str) -> list[Link]:
-        """Shortest path (by hop count) between two nodes, as a link list."""
+        """Shortest path (by hop count) between two nodes, as a link list.
+
+        Each endpoint pair is searched once; later requests copy the
+        cached path.
+        """
         if src == dst:
             return []
+        key = (src, dst)
+        if key not in self._paths:
+            self._paths[key] = tuple(self._search(src, dst))
+        return list(self._paths[key])
+
+    def _search(self, src: str, dst: str) -> list[Link]:
+        """Breadth-first search for the fewest-hop path ``src → dst``."""
         adj = self._adjacency()
         if src not in adj or dst not in adj:
             raise KeyError(f"unknown node in path request: {src!r} → {dst!r}")

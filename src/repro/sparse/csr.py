@@ -94,6 +94,10 @@ class CSRMatrix:
         m, n = self.shape
         return self.nnz / float(m * n)
 
+    def range_nnz(self, start_row: int, stop_row: int) -> int:
+        """Stored entries in rows ``[start_row, stop_row)``."""
+        return int(self.indptr[stop_row] - self.indptr[start_row])
+
     def nnz_per_row(self) -> np.ndarray:
         """``n_{x_u}`` of the paper: number of ratings in every row."""
         return np.diff(self.indptr)

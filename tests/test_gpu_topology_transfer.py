@@ -1,11 +1,10 @@
-"""Tests for the interconnect topology, transfer engine, machine and streams."""
+"""Tests for the interconnect topology, transfer engine and machine."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.gpu.machine import MultiGPUMachine
-from repro.gpu.stream import CopyStream
 from repro.gpu.topology import MachineTopology
 from repro.gpu.transfer import Transfer, TransferEngine
 from repro.gpu.specs import TITAN_X
@@ -47,6 +46,23 @@ class TestTopology:
         topo = MachineTopology.single_socket(2)
         with pytest.raises(KeyError):
             topo.path("gpu:0", "gpu:99")
+
+    @pytest.mark.parametrize("layout", ["single_socket", "dual_socket"])
+    @pytest.mark.parametrize("n_gpus", range(1, 9))
+    def test_cached_path_equals_search(self, layout, n_gpus):
+        """Every endpoint pair: the first request fills the cache, later ones must return the same BFS path."""
+        topo = getattr(MachineTopology, layout)(n_gpus)
+        for src in topo.nodes:
+            for dst in topo.nodes:
+                want = [] if src == dst else topo._search(src, dst)
+                assert topo.path(src, dst) == want
+                topo.path(src, dst).clear()  # callers own the list they get
+                assert topo.path(src, dst) == want
+                node = src  # the path is a chain of links from src to dst
+                for link in want:
+                    assert node in link.endpoints()
+                    node = link.b if node == link.a else link.a
+                assert node == dst
 
     def test_needs_at_least_one_gpu(self):
         with pytest.raises(ValueError):
@@ -127,34 +143,3 @@ class TestMultiGPUMachine:
         machine.reset()
         assert machine.elapsed_seconds() == 0.0
         assert machine.device(0).busy_seconds() == 0.0
-
-
-class TestCopyStream:
-    def test_prefetch_fully_hidden_under_compute(self):
-        stream = CopyStream()
-        stream.blocking_copy(1.0)
-        stream.prefetch(0.5)
-        stream.compute(2.0)
-        report = stream.drain()
-        assert report.exposed_copy_seconds == pytest.approx(1.0)
-        assert report.hidden_copy_seconds == pytest.approx(0.5)
-
-    def test_prefetch_partially_exposed(self):
-        stream = CopyStream()
-        stream.prefetch(3.0)
-        stream.compute(1.0)
-        report = stream.drain()
-        assert report.exposed_copy_seconds == pytest.approx(2.0)
-
-    def test_pending_copy_exposed_on_drain(self):
-        stream = CopyStream()
-        stream.prefetch(1.5)
-        report = stream.drain()
-        assert report.exposed_copy_seconds == pytest.approx(1.5)
-
-    def test_negative_durations_rejected(self):
-        stream = CopyStream()
-        with pytest.raises(ValueError):
-            stream.prefetch(-1)
-        with pytest.raises(ValueError):
-            stream.compute(-1)

@@ -13,16 +13,25 @@ from repro.cluster.perf import (
     parameter_server_epoch_time,
     rotation_als_iteration_time,
 )
+from repro.core.als_mo import MemoryOptimizedALS
+from repro.core.als_su import ScaleUpALS
 from repro.core.config import ALSConfig
-from repro.core.perfmodel import mo_als_iteration_time, su_als_iteration_time
-from repro.datasets.registry import FACTORBIRD, HUGEWIKI, NETFLIX, SPARKALS, YAHOOMUSIC
+from repro.datasets.registry import CUMF_LARGEST, FACEBOOK, FACTORBIRD, HUGEWIKI, NETFLIX, SPARKALS, YAHOOMUSIC
 from repro.experiments import figure2_rows, reduction_rows, table1_rows, table3_rows, table5_rows
 from repro.experiments.figure11_large import figure11_rows
 from repro.perf.analytical import als_iteration_cost, batch_solve_cost, get_hermitian_cost, memory_footprint_floats
 from repro.perf.counters import OpCounter
 from repro.perf.roofline import attainable_gflops, classify, roofline_time
 from repro.perf.timeline import SimClock
-from repro.gpu.specs import TITAN_X
+from repro.gpu.specs import GK210, TITAN_X
+
+
+def iteration_time(solver, dataset, n_gpus=1, device=TITAN_X, scheduler="serial", verify=False, **switches):
+    """One full-scale MO-ALS (``"mo"``) or SU-ALS iteration on ``dataset``, at its own f/λ unless overridden."""
+    config = ALSConfig(**{"f": dataset.f, "lam": dataset.lam, **switches})
+    if solver == "mo":
+        return MemoryOptimizedALS(config, spec=device, scheduler=scheduler, verify=verify).iteration_time(dataset)
+    return ScaleUpALS(config, n_gpus=n_gpus, spec=device, scheduler=scheduler, verify=verify).iteration_time(dataset)
 
 
 class TestTimelineAndCounters:
@@ -99,37 +108,91 @@ class TestRoofline:
 class TestGPUPerfModel:
     def test_netflix_iteration_seconds_in_paper_ballpark(self):
         """Figure 7: RMSE 0.92 reached around 30 s, i.e. a handful of seconds/iteration."""
-        t = mo_als_iteration_time(NETFLIX).seconds
+        t = iteration_time("mo", NETFLIX).seconds
         assert 1.0 < t < 20.0
 
     def test_register_ablation_slowdown_factor(self):
-        base = mo_als_iteration_time(NETFLIX).seconds
-        no_reg = mo_als_iteration_time(NETFLIX, ALSConfig(f=100, lam=0.05, use_registers=False)).seconds
+        base = iteration_time("mo", NETFLIX).seconds
+        no_reg = iteration_time("mo", NETFLIX, use_registers=False).seconds
         assert 1.5 < no_reg / base < 4.0  # paper: ~2.5x on Netflix
 
     def test_texture_ablation_direction(self):
-        base = mo_als_iteration_time(NETFLIX).seconds
-        no_tex = mo_als_iteration_time(NETFLIX, ALSConfig(f=100, lam=0.05, use_texture=False)).seconds
+        base = iteration_time("mo", NETFLIX).seconds
+        no_tex = iteration_time("mo", NETFLIX, use_texture=False).seconds
         assert no_tex > base
 
     def test_multi_gpu_speedup_close_to_linear(self):
         """Figure 9: ~3.8x speedup on 4 GPUs for Netflix/YahooMusic."""
         for dataset in (NETFLIX, YAHOOMUSIC):
-            t1 = mo_als_iteration_time(dataset).seconds
-            t4 = su_als_iteration_time(dataset, n_gpus=4).seconds
+            t1 = iteration_time("mo", dataset).seconds
+            t4 = iteration_time("su", dataset, 4).seconds
             assert 3.0 < t1 / t4 <= 4.05
 
     def test_two_gpus_faster_than_one_slower_than_four(self):
-        t1 = mo_als_iteration_time(NETFLIX).seconds
-        t2 = su_als_iteration_time(NETFLIX, n_gpus=2).seconds
-        t4 = su_als_iteration_time(NETFLIX, n_gpus=4).seconds
+        t1 = iteration_time("mo", NETFLIX).seconds
+        t2 = iteration_time("su", NETFLIX, 2).seconds
+        t4 = iteration_time("su", NETFLIX, 4).seconds
         assert t4 < t2 < t1
 
     def test_hugewiki_uses_data_parallelism_for_theta_pass(self):
-        t = su_als_iteration_time(HUGEWIKI, n_gpus=4)
+        t = iteration_time("su", HUGEWIKI, 4)
         assert t.q_x >= 1 and t.seconds > 0
         # The update-Θ pass must have charged reduction transfers.
         assert any(k.startswith("reduce:") for k in t.breakdown)
+
+
+#: Every full-scale iteration time the Figure 6-11 and Table 1 drivers ask
+#: for, as the hand-written closed-form model computed it before the figures
+#: were timed from the solvers' own task graphs:
+#: (solver, dataset, GPUs, device, config overrides) -> (seconds, (q_x, q_theta)).
+FULL_SCALE_PINS = {
+    "fig6-9-mo-netflix": (("mo", NETFLIX, 1, TITAN_X, {}), (4.338113829018479, (2, 1))),
+    "fig7-mo-netflix-no-registers": (("mo", NETFLIX, 1, TITAN_X, {"use_registers": False}), (10.944860495685145, (2, 1))),
+    "fig8-mo-netflix-no-texture": (("mo", NETFLIX, 1, TITAN_X, {"use_texture": False}), (4.837048514857144, (2, 1))),
+    "fig9-su-netflix-p2": (("su", NETFLIX, 2, TITAN_X, {}), (2.3100359355568583, (1, 1))),
+    "fig9-su-netflix-p4": (("su", NETFLIX, 4, TITAN_X, {}), (1.1716772322070006, (1, 1))),
+    "fig6-9-mo-yahoomusic": (("mo", YAHOOMUSIC, 1, TITAN_X, {}), (11.482517581264506, (4, 3))),
+    "fig7-mo-yahoomusic-no-registers": (("mo", YAHOOMUSIC, 1, TITAN_X, {"use_registers": False}), (28.353078766449684, (4, 3))),
+    "fig8-mo-yahoomusic-no-texture": (("mo", YAHOOMUSIC, 1, TITAN_X, {"use_texture": False}), (12.73316273983598, (4, 3))),
+    "fig9-su-yahoomusic-p2": (("su", YAHOOMUSIC, 2, TITAN_X, {}), (6.045689349179872, (2, 2))),
+    "fig9-su-yahoomusic-p4": (("su", YAHOOMUSIC, 4, TITAN_X, {}), (3.0770636716851745, (1, 1))),
+    "fig10-su-hugewiki-p4": (("su", HUGEWIKI, 4, TITAN_X, {}), (42.204250060300666, (42, 6))),
+    "table1-su-hugewiki-gk210": (("su", HUGEWIKI, 4, GK210, {}), (54.938698853572305, (42, 6))),
+    "fig11-table1-su-sparkals-gk210": (("su", SPARKALS, 4, GK210, {}), (39.893414125393946, (8, 3))),
+    "fig11-table1-su-factorbird-gk210": (("su", FACTORBIRD, 4, GK210, {}), (52.45075270182868, (11, 11))),
+    "fig11-su-facebook-gk210": (("su", FACEBOOK, 4, GK210, {}), (205.53939272445794, (57, 4096))),
+    "fig11-su-cumf-f100-gk210": (("su", CUMF_LARGEST, 4, GK210, {"f": 100}), (8362.850025298601, (4096, 4096))),
+}
+
+
+class TestFullScaleTimes:
+    @pytest.mark.parametrize("case", list(FULL_SCALE_PINS))
+    def test_matches_the_closed_form_model(self, case):
+        (*call, switches), (seconds, batches) = FULL_SCALE_PINS[case]
+        t = iteration_time(*call, **switches)
+        assert t.seconds == pytest.approx(seconds, rel=1e-4)
+        assert (t.q_x, t.q_theta) == batches
+
+    @pytest.mark.parametrize(
+        "case",
+        [key for key in FULL_SCALE_PINS if key.startswith(("fig9", "fig6-9", "fig10", "table1", "fig11-table1"))],
+    )
+    def test_shape_graphs_verify_clean_under_serial_and_eager(self, case):
+        """Hazard analysis and trace verification pass on every pass graph; eager never loses to serial."""
+        (*call, switches), _ = FULL_SCALE_PINS[case]
+        serial = iteration_time(*call, verify=True, **switches)
+        eager = iteration_time(*call, scheduler="eager", verify=True, **switches)
+        assert serial.seconds == iteration_time(*call, **switches).seconds
+        assert (eager.q_x, eager.q_theta) == (serial.q_x, serial.q_theta)
+        assert 0 < eager.seconds <= serial.seconds
+
+    def test_eager_hides_all_but_the_first_streamed_load(self):
+        """Netflix MO splits update-X into two batches: the second load runs under the first batch's kernels."""
+        serial = iteration_time("mo", NETFLIX)
+        eager = iteration_time("mo", NETFLIX, scheduler="eager")
+        assert serial.q_x == 2
+        one_load = serial.breakdown["h2d"] / 2
+        assert serial.seconds - eager.seconds == pytest.approx(one_load, rel=1e-2)
 
 
 class TestClusterModel:

@@ -1,4 +1,4 @@
-"""Tests for the eq.-8 planner, out-of-core scheduler, checkpointing and SGD kernel."""
+"""Tests for the eq.-8 planner, out-of-core streaming, checkpointing and SGD kernel."""
 
 from __future__ import annotations
 
@@ -7,15 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.als_base import BaseALS
+from repro.core.als_mo import MemoryOptimizedALS
 from repro.core.checkpoint import CheckpointManager
 from repro.core.config import ALSConfig
 from repro.core.kernels import batch_solve_profile, get_hermitian_profile, texture_reuse_factor
-from repro.core.outofcore import BatchPlan, OutOfCoreScheduler
-from repro.core.partition_planner import footprint_floats, plan_partitions
+from repro.core.partition_planner import DEFAULT_HEADROOM_BYTES, footprint_floats, plan_partitions
+from repro.core.schedule import LINK_LATENCY_S
 from repro.core.sgd import sgd_epoch
-from repro.datasets.registry import FACEBOOK, HUGEWIKI, NETFLIX, YAHOOMUSIC
+from repro.datasets.registry import FACEBOOK, HUGEWIKI, NETFLIX, YAHOOMUSIC, DatasetSpec
+from repro.datasets.synthetic import generate_ratings
+from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.specs import TITAN_X
+from repro.gpu.topology import MachineTopology
+from repro.gpu.transfer import Transfer, TransferEngine
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.partition import partition_bounds
 
 GIB = 1024**3
 
@@ -126,32 +133,89 @@ class TestKernelProfiles:
             batch_solve_profile(10, 0)
 
 
-class TestOutOfCore:
-    def test_all_but_first_load_hidden_when_compute_dominates(self):
-        sched = OutOfCoreScheduler(disk_bandwidth=1e9, host_to_device_bandwidth=10e9)
-        batches = [BatchPlan(i, 0, nbytes=1e9, compute_seconds=5.0) for i in range(4)]
-        report = sched.run(batches)
-        assert report.exposed_copy_seconds == pytest.approx(sched.copy_seconds(1e9))
-        assert report.hidden_fraction == pytest.approx(0.75)
+class TestOutOfCoreStreaming:
+    """MO-ALS on a device too small for one update-X pass (§4.4 out-of-core).
 
-    def test_exposed_time_when_copies_dominate(self):
-        sched = OutOfCoreScheduler(disk_bandwidth=1e9, host_to_device_bandwidth=1e9)
-        batches = [BatchPlan(i, 0, nbytes=2e9, compute_seconds=0.5) for i in range(3)]
-        report = sched.run(batches)
-        assert report.exposed_copy_seconds > report.hidden_copy_seconds
+    Eq. 8 splits the pass into ``q >= 3`` batches; each streams its R block
+    and X slice in before its kernels run.  ``serial`` charges every load,
+    ``eager`` overlaps them with compute under double buffering.
+    """
 
-    def test_overlap_never_slower_than_naive(self):
-        sched = OutOfCoreScheduler()
-        batches = [BatchPlan(i, i % 2, nbytes=5e8 * (i + 1), compute_seconds=0.2 * i) for i in range(6)]
-        assert sched.run(batches).total_seconds <= sched.naive_seconds(batches) + 1e-9
+    SPEC = DatasetSpec("out-of-core", 600, 80, 6000, 8, 0.05, kind="synthetic")
+    CONFIG = ALSConfig(f=8, lam=0.05, iterations=2, seed=1)
+    #: ~25k floats above the eq.-8 headroom: update-X needs three batches, update-Θ one.
+    DEVICE = TITAN_X.with_memory(DEFAULT_HEADROOM_BYTES + 100_000)
 
-    def test_empty_plan(self):
-        report = OutOfCoreScheduler().run([])
-        assert report.total_seconds == 0.0
+    @pytest.fixture(scope="class")
+    def ratings(self):
+        return generate_ratings(self.SPEC, seed=3)
 
-    def test_invalid_bandwidths(self):
-        with pytest.raises(ValueError):
-            OutOfCoreScheduler(disk_bandwidth=0)
+    def solver(self, scheduler, link_gbs=12.0):
+        """MO-ALS on the small device; every graph and trace is race-checked (``verify=True``)."""
+        topology = MachineTopology.single_socket(1, pcie_gbs=link_gbs, host_gbs=link_gbs)
+        machine = MultiGPUMachine(1, spec=self.DEVICE, topology=topology)
+        return MemoryOptimizedALS(self.CONFIG, machine=machine, scheduler=scheduler, verify=True)
+
+    @staticmethod
+    def x_passes(solver):
+        """Per update-X trace: the streamed loads and each batch's (get_hermitian, batch_solve) events."""
+        for trace in solver.traces[::2]:
+            loads = [e for e in trace.events if e.name.startswith("h2d:")]
+            kernels = sorted((e for e in trace.events if e.kind == "kernel"), key=lambda e: e.start)
+            assert len(kernels) == 2 * len(loads)  # one kernel pair per batch at this size
+            yield trace, loads, list(zip(kernels[::2], kernels[1::2]))
+
+    def test_planner_splits_update_x(self, ratings):
+        solver = self.solver("serial")
+        assert solver.plan_batches(ratings.train) >= 3
+        assert solver.plan_batches(ratings.train.to_csc().transpose_csr()) == 1
+
+    def test_serial_charges_every_load_under_h2d(self, ratings):
+        solver = self.solver("serial")
+        result = solver.fit(ratings.train)
+        train, f = ratings.train, self.CONFIG.f
+        (m, n), nnz = train.shape, train.nnz
+        engine = TransferEngine(solver.machine.topology)
+
+        def load_seconds(floats):
+            return engine.batch_time([Transfer("host:0", "gpu:0", floats * 4)]).seconds
+
+        bounds = partition_bounds(m, solver.plan_batches(train))
+        batches = [load_seconds(2 * train.range_nnz(lo, hi) + (hi - lo) + 1 + (hi - lo) * f) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        initial = load_seconds(n * f + m * f + 2 * nnz + m + 1)
+        assert result.breakdown["h2d"] == pytest.approx(initial + self.CONFIG.iterations * sum(batches), rel=1e-12)
+
+    def test_eager_exposes_only_the_first_load_when_compute_dominates(self, ratings):
+        solver = self.solver("eager")
+        solver.fit(ratings.train)
+        for trace, loads, batches in self.x_passes(solver):
+            compute = [herm.duration + solve.duration for herm, solve in batches]
+            assert all(load.duration < work for load, work in zip(loads[1:], compute))
+            assert trace.makespan == pytest.approx(loads[0].duration + sum(compute), rel=1e-12)
+            # Two buffers: batch j's load overwrites batch j - 2's data, so it waits for that batch.
+            assert loads[1].start < batches[0][1].end
+            assert all(load.start >= batches[j][1].end for j, load in enumerate(loads[2:]))
+
+    def test_eager_exposes_load_minus_compute_per_batch_when_loads_dominate(self, ratings):
+        solver = self.solver("eager", link_gbs=0.01)
+        solver.fit(ratings.train)
+        latency = 2 * LINK_LATENCY_S  # host -> PCIe switch -> GPU; loads pipeline behind it on the link
+        for trace, loads, batches in self.x_passes(solver):
+            compute = [herm.duration + solve.duration for herm, solve in batches]
+            link = [load.duration - latency for load in loads]
+            assert all(busy > work for busy, work in zip(link[1:], compute))
+            exposed = trace.makespan - sum(compute)
+            want = loads[0].duration + sum(busy - work for busy, work in zip(link[1:], compute))
+            assert exposed == pytest.approx(want, rel=1e-12)
+
+    def test_factors_bitwise_identical_across_schedulers(self, ratings):
+        serial = self.solver("serial").fit(ratings.train)
+        eager = self.solver("eager").fit(ratings.train)
+        assert np.array_equal(serial.x, eager.x) and np.array_equal(serial.theta, eager.theta)
+        base = BaseALS(self.CONFIG).fit(ratings.train)
+        np.testing.assert_allclose(serial.x, base.x, atol=1e-8)
+        np.testing.assert_allclose(serial.theta, base.theta, atol=1e-8)
+        assert eager.total_seconds < serial.total_seconds
 
 
 class TestCheckpointManager:
