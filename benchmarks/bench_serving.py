@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.config import FitResult
 from repro.serving import FactorStore, QueryTrace, RequestSimulator
+from repro.sparse.csr import CSRMatrix
 
 M_USERS = 5_000
 N_ITEMS = 20_000
@@ -23,6 +24,7 @@ F = 32
 BATCH = 256
 TOPK = 10
 N_SHARDS = 4
+SEEN_PER_USER = 25
 
 
 def _factors() -> FitResult:
@@ -44,6 +46,15 @@ def users():
     return np.random.default_rng(11).integers(0, M_USERS, size=BATCH)
 
 
+@pytest.fixture(scope="module")
+def seen():
+    """A seen-item matrix of ~SEEN_PER_USER ratings per user (duplicates merge)."""
+    rng = np.random.default_rng(13)
+    nnz = SEEN_PER_USER * M_USERS
+    rows, cols = rng.integers(0, M_USERS, nnz), rng.integers(0, N_ITEMS, nnz)
+    return CSRMatrix.from_arrays((M_USERS, N_ITEMS), rows, cols, np.ones(nnz))
+
+
 @pytest.fixture()
 def store(result):
     return FactorStore.from_result(result, n_shards=N_SHARDS)
@@ -52,6 +63,13 @@ def store(result):
 def test_bench_recommend_batch(benchmark, store, users):
     recs = benchmark(store.recommend_batch, users, TOPK)
     assert len(recs) == BATCH and len(recs[0]) == TOPK
+
+
+def test_bench_recommend_batch_masked(benchmark, store, users, seen):
+    recs = benchmark(store.recommend_batch, users, TOPK, seen)
+    assert len(recs) == BATCH and all(len(row) == TOPK for row in recs)
+    for user, row in zip(users, recs):
+        assert not set(seen.row(int(user))[0].tolist()) & {item for item, _ in row}
 
 
 def test_bench_recommend_looped(benchmark, store, users):

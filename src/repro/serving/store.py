@@ -10,11 +10,15 @@ training, and answers top-k queries in batches:
 * a batch of B users is scored against all N items in blocked matmuls
   (one GEMM per Θ shard, i.e. per device), in single precision like the
   cuMF kernels;
-* each shard selects its local top-k candidates with ``np.argpartition``
-  and the per-user candidates are merged on the host — the classic
-  scatter/gather top-k of a sharded ANN/recommender tier;
 * items a user has already rated are masked out from a CSR matrix
-  (typically the training matrix);
+  (typically the training matrix) with one gather over its ``indptr``;
+* the host selects each user's exact top-k from the whole score block
+  in one threshold pass (descending score, ties by ascending item id);
+* the simulated clock charges the classic scatter/gather top-k of a
+  sharded recommender tier instead — a score+select kernel per shard,
+  then a D2H copy of each shard's k candidates for a host merge.  Both
+  give the same answer, because the top-k of the union of the shards'
+  top-k lists is the top-k of the whole row;
 * every batch advances the machine's simulated clock with per-device
   kernel and transfer estimates via :mod:`repro.gpu.kernel`, so the
   batching advantage (Θ is read once per batch instead of once per
@@ -27,6 +31,7 @@ single-precision scoring copy for the top-k path.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -128,14 +133,7 @@ class FactorStore:
     ):
         # Snapshot semantics: the store owns private, immutable copies, so
         # later training runs cannot mutate what is being served.
-        x = np.array(x, dtype=np.float64, order="C", copy=True)
-        theta = np.array(theta, dtype=np.float64, order="C", copy=True)
-        if x.ndim != 2 or theta.ndim != 2:
-            raise ValueError("x and theta must be 2-D factor matrices")
-        if x.shape[1] != theta.shape[1]:
-            raise ValueError(
-                f"factor dimensions disagree: x has f={x.shape[1]}, theta f={theta.shape[1]}"
-            )
+        x, theta = self._checked_factors({"x": x, "theta": theta})
         if lam < 0:
             raise ValueError("lam must be non-negative")
         if machine is not None and n_shards is not None and n_shards != machine.n_gpus:
@@ -160,6 +158,33 @@ class FactorStore:
         self.stats = ServingStats()
         self._install_factors(x, theta, n_shards)
         self._folded_items: dict[int, np.ndarray] = {}
+
+    @staticmethod
+    def _checked_factors(factors: dict, f: int | None = None) -> list[np.ndarray]:
+        """Private C-order float64 copies of the named factor matrices.
+
+        The one gate factors pass on their way into the served state
+        (construction, and so :meth:`load`; :meth:`swap_snapshot`;
+        :meth:`grow_items`).  Every matrix must be 2-D, all must share
+        one latent dimension (``f`` when given), and every entry must be
+        finite: a diverged fit's NaN row would otherwise rank first in
+        selection and be dropped at boxing, so its users would silently
+        get fewer than ``k`` items.
+        """
+        copies = [np.array(v, dtype=np.float64, order="C", copy=True) for v in factors.values()]
+        names = list(factors)
+        if f is not None:
+            for name, m in zip(names, copies):
+                if m.ndim != 2 or m.shape[1] != f:
+                    raise ValueError(f"{name} must have shape (j, {f})")
+        elif any(m.ndim != 2 for m in copies):
+            raise ValueError(f"{' and '.join(names)} must be 2-D factor matrices")
+        elif copies[0].shape[1] != copies[-1].shape[1]:
+            raise ValueError(f"factor dimensions disagree: {names[0]} has f={copies[0].shape[1]}, {names[-1]} f={copies[-1].shape[1]}")
+        for name, m in zip(names, copies):
+            if not np.isfinite(m).all():
+                raise ValueError(f"{name} has non-finite entries (NaN or inf); refusing to serve it")
+        return copies
 
     def _install_factors(self, x: np.ndarray, theta: np.ndarray, n_shards: int) -> None:
         """(Re)build the served state from immutable factor matrices.
@@ -376,14 +401,7 @@ class FactorStore:
         load a real replica pays while drained.  ``lam``/``weighted``/
         ``version``/``solver`` update the serving metadata when given.
         """
-        x = np.array(x, dtype=np.float64, order="C", copy=True)
-        theta = np.array(theta, dtype=np.float64, order="C", copy=True)
-        if x.ndim != 2 or theta.ndim != 2:
-            raise ValueError("x and theta must be 2-D factor matrices")
-        if x.shape[1] != theta.shape[1]:
-            raise ValueError(
-                f"factor dimensions disagree: x has f={x.shape[1]}, theta f={theta.shape[1]}"
-            )
+        x, theta = self._checked_factors({"x": x, "theta": theta})
         if theta.shape[0] < self.n_shards:
             raise ValueError(
                 f"new snapshot has {theta.shape[0]} items but the store keeps {self.n_shards} shards"
@@ -422,9 +440,7 @@ class FactorStore:
         Exclude matrices built for the old item count no longer match and
         must be regrown by the caller (or omitted).
         """
-        new_theta = np.asarray(new_theta, dtype=np.float64)
-        if new_theta.ndim != 2 or new_theta.shape[1] != self.f:
-            raise ValueError(f"new item rows must have shape (j, {self.f})")
+        (new_theta,) = self._checked_factors({"new item rows": new_theta}, f=self.f)
         start = self.n_items
         if new_theta.shape[0] == 0:
             return start
@@ -575,10 +591,13 @@ class FactorStore:
         """Top-``k`` items for every user in ``users``.
 
         Returns one ``[(item, score), ...]`` list per query, sorted by
-        descending score, excluded/invalid items filtered out — the same
-        contract as the single-user :meth:`recommend`.  Scoring runs in
-        blocks of ``user_block`` users to bound the ``block × n_items``
-        score buffer.
+        descending score with ties broken by ascending item id, and
+        excluded/invalid items filtered out — the same contract as the
+        single-user :meth:`recommend` (the tie order used to depend on
+        ``np.argpartition``).  Scoring runs in blocks of
+        ``user_block`` users to bound the ``block × n_items`` score
+        buffer.  This is the one top-k entry point: the traffic simulator
+        and every serving front end go through it.
         """
         if k <= 0:
             raise ValueError("k must be >= 1")
@@ -594,69 +613,78 @@ class FactorStore:
         kk = min(k, self.n_items)
         out: list[list[tuple[int, float]]] = []
         for start in range(0, users.size, user_block):
-            block = users[start : start + user_block]
-            ids, vals = self._topk_block(block, kk, exclude)
-            for row_ids, row_vals in zip(ids, vals):
-                out.append(
-                    [
-                        (int(i), float(v))
-                        for i, v in zip(row_ids, row_vals)
-                        if np.isfinite(v)
-                    ]
-                )
+            ids, vals = self._topk_block(users[start : start + user_block], kk, exclude)
+            rows = [list(zip(i, v)) for i, v in zip(ids.tolist(), vals.astype(np.float64).tolist())]
+            for r in np.flatnonzero(~np.isfinite(vals).all(axis=1)):
+                rows[r] = [(i, v) for i, v in rows[r] if math.isfinite(v)]
+            out.extend(rows)
         return out
 
-    def _seen_items(self, user: int, exclude: CSRMatrix) -> np.ndarray:
-        """Items to mask for ``user``: its CSR row, or its fold-in ratings."""
-        if user < self._n_trained_users:
-            return exclude.row(user)[0]
-        return self._folded_items.get(user, np.empty(0, dtype=np.int64))
+    def _mask_seen(self, scores: np.ndarray, block: np.ndarray, exclude: CSRMatrix) -> None:
+        """Set every item each user of ``block`` has already rated to ``-inf``.
+
+        Trained users' rows of ``exclude`` are masked with one CSR gather:
+        row ``r`` of the batch repeats over its user's row length, and the
+        column indices are read at ``indptr[user] + (0 .. len - 1)``.  The
+        few fold-in users above ``_n_trained_users`` mask their recorded
+        fold-in items instead.
+        """
+        trained = block < self._n_trained_users
+        rows = np.flatnonzero(trained)
+        starts = exclude.indptr[block[rows]]
+        lens = exclude.indptr[block[rows] + 1] - starts
+        offsets = np.cumsum(lens) - lens
+        gather = np.arange(lens.sum()) + np.repeat(starts - offsets, lens)
+        scores[np.repeat(rows, lens), exclude.indices[gather]] = -np.inf
+        for r in np.flatnonzero(~trained):
+            seen = self._folded_items.get(int(block[r]))
+            if seen is not None:
+                scores[r, seen] = -np.inf
 
     def _topk_block(
         self, block: np.ndarray, kk: int, exclude: CSRMatrix | None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Exact top-``kk`` ids/scores for one block of users.
 
-        Each Θ shard is scored with one GEMM and selects its local
-        candidates; candidates are merged per user.  The simulated
-        per-device time of the same dataflow is charged to the machine
-        clock afterwards.
+        Each Θ shard is scored with one GEMM into a shared ``(b, n_items)``
+        block, then the host selects from the whole block in one pass:
+        the row is cut into ``g = min(4·kk, n_items)`` column groups and
+        the kk-th largest group maximum ``t`` is a lower bound on the
+        row's kk-th largest score (kk groups each hold an entry >= t), so
+        the exact top-kk lies among the few entries >= t.  Those are
+        ordered by descending score, then ascending item id.  Rows hold
+        ``-inf`` past their last candidate.  The simulated per-device time
+        of the sharded dataflow is charged to the machine clock afterwards.
         """
-        b = block.size
+        b, n = block.size, self.n_items
         xb = np.ascontiguousarray(self._x_score[block])
-        scores = np.empty((b, self.n_items), dtype=self.score_dtype)
+        scores = np.empty((b, n), dtype=self.score_dtype)
         for i, shard in enumerate(self._shards):
             lo, hi = self.partition.range_of(i)
             scores[:, lo:hi] = xb @ shard.T
         if exclude is not None:
-            neg = -np.inf
-            for bi, user in enumerate(block):
-                seen = self._seen_items(int(user), exclude)
-                if seen.size:
-                    scores[bi, seen] = neg
+            self._mask_seen(scores, block, exclude)
 
-        cand_ids = []
-        cand_vals = []
-        for i in range(self.n_shards):
-            lo, hi = self.partition.range_of(i)
-            width = hi - lo
-            kk_i = min(kk, width)
-            sub = scores[:, lo:hi]
-            idx = np.argpartition(sub, width - kk_i, axis=1)[:, width - kk_i :]
-            cand_ids.append(idx + lo)
-            cand_vals.append(np.take_along_axis(sub, idx, axis=1))
-        ids = np.concatenate(cand_ids, axis=1)
-        vals = np.concatenate(cand_vals, axis=1)
-        if vals.shape[1] > kk:
-            sel = np.argpartition(vals, vals.shape[1] - kk, axis=1)[:, vals.shape[1] - kk :]
-            ids = np.take_along_axis(ids, sel, axis=1)
-            vals = np.take_along_axis(vals, sel, axis=1)
-        order = np.argsort(-vals, axis=1, kind="stable")
-        ids = np.take_along_axis(ids, order, axis=1)
-        vals = np.take_along_axis(vals, order, axis=1)
+        # The < g tail columns join no group: they still face the threshold.
+        g = min(4 * kk, n)
+        width = n // g
+        group_max = np.fmax.reduce(scores[:, : g * width].reshape(b, g, width), axis=2)
+        threshold = np.partition(group_max, g - kk, axis=1)[:, g - kk]
+        flat = np.flatnonzero(scores >= threshold[:, None])
+        rows, cols = np.divmod(flat, n)
+        vals = scores.ravel()[flat]
+        order = np.lexsort((cols, -vals, rows))
+        counts = np.bincount(rows, minlength=b)
+        rank = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        first = rank < kk
+        keep = order[first]
+        ids = np.zeros((b, kk), dtype=np.int64)
+        top = np.full((b, kk), -np.inf, dtype=self.score_dtype)
+        ids[rows[keep], rank[first]] = cols[keep]
+        top[rows[keep], rank[first]] = vals[keep]
 
         self._account_topk(b, kk)
-        return ids, vals
+        return ids, top
 
     # ------------------------------------------------------------------ #
     # simulated-time accounting

@@ -282,6 +282,22 @@ class TestStoreLifecycleHooks:
         with pytest.raises(ValueError, match="shards"):
             store.swap_snapshot(np.zeros((4, 3)), np.zeros((1, 3)))
 
+    def test_swap_snapshot_rejects_non_finite_factors(self, store):
+        before = store.recommend_batch(np.arange(5), k=3)
+        version, x, theta = store.version, store.x, store.theta
+        for bad in (np.nan, np.inf, -np.inf):
+            theta2 = store.theta.copy()
+            theta2[1, 0] = bad
+            with pytest.raises(ValueError, match="theta has non-finite"):
+                store.swap_snapshot(store.x, theta2, version="v-bad")
+            x2 = store.x.copy()
+            x2[-1, -1] = bad
+            with pytest.raises(ValueError, match="x has non-finite"):
+                store.swap_snapshot(x2, store.theta, version="v-bad")
+        # a rejected swap leaves the served snapshot untouched
+        assert store.version == version and store.x is x and store.theta is theta
+        assert store.recommend_batch(np.arange(5), k=3) == before
+
     def test_grow_items_appends_and_repartitions(self, store):
         rng = np.random.default_rng(6)
         n_before = store.n_items
@@ -304,6 +320,15 @@ class TestStoreLifecycleHooks:
             store.grow_items(np.zeros((2, store.f + 1)))
         with pytest.raises(ValueError, match="shape"):
             store.grow_items(np.zeros(store.f))
+
+    def test_grow_items_rejects_non_finite_rows(self, store):
+        n_before = store.n_items
+        for bad in (np.nan, np.inf, -np.inf):
+            rows = np.ones((3, store.f))
+            rows[2, 0] = bad
+            with pytest.raises(ValueError, match="new item rows has non-finite"):
+                store.grow_items(rows)
+        assert store.n_items == n_before and store.partition.bounds[-1] == n_before
 
     def test_fold_in_records_into_attached_log(self, fitted):
         log = InteractionLog()

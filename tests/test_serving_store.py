@@ -6,11 +6,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ALSConfig, CuMF
 from repro.core.checkpoint import CheckpointManager
 from repro.gpu.machine import MultiGPUMachine
-from repro.serving import FactorStore, ServingConfig
+from repro.serving import FactorStore, ServingConfig, TieredFactorStore
+from repro.sparse.csr import CSRMatrix
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +56,24 @@ class TestConstruction:
             FactorStore(np.zeros(4), np.zeros((5, 2)))
         with pytest.raises(ValueError):
             FactorStore(np.zeros((4, 3)), np.zeros((5, 3)), lam=-1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_factors_rejected(self, bad):
+        # A diverged fit's NaN row would rank first in selection and then
+        # vanish at boxing: its users would silently get fewer than k items.
+        poisoned = np.ones((5, 3))
+        poisoned[4, 2] = bad
+        with pytest.raises(ValueError, match="x has non-finite"):
+            FactorStore(poisoned, np.ones((6, 3)))
+        with pytest.raises(ValueError, match="theta has non-finite"):
+            FactorStore(np.ones((4, 3)), poisoned)
+
+    def test_load_rejects_non_finite_checkpoint(self, tmp_path):
+        theta = np.ones((6, 3))
+        theta[0, 0] = np.nan
+        CheckpointManager(str(tmp_path)).save(0, np.ones((4, 3)), theta)
+        with pytest.raises(ValueError, match="theta has non-finite"):
+            FactorStore.load(str(tmp_path))
 
     def test_store_is_a_snapshot(self, fitted):
         x_before = fitted.result.x.copy()
@@ -123,6 +144,72 @@ class TestBatchedTopK:
         whole = store.recommend_batch(users, k=4)
         blocked = store.recommend_batch(users, k=4, user_block=7)
         assert whole == blocked
+
+
+def _oracle_topk(x, theta, users, k, seen_of):
+    """Plain-NumPy top-k: exact integer scores, ties by ascending item id."""
+    out = []
+    for user in users:
+        scores = (x[user] @ theta.T).astype(np.float64)
+        scores[seen_of(user)] = -np.inf
+        order = np.lexsort((np.arange(scores.size), -scores))[:k]
+        out.append([(int(i), float(scores[i])) for i in order if np.isfinite(scores[i])])
+    return out
+
+
+class TestTopKTieRule:
+    """``recommend_batch`` equals a plain-NumPy oracle exactly, ties included.
+
+    Small-integer factors are exact in float32, so every GEMM blocking
+    yields the same scores and equal scores are common: the order among
+    them must be ascending item id, whatever the shard count, block size,
+    batch composition or masking.
+    """
+
+    @pytest.mark.parametrize("store_cls", [FactorStore, TieredFactorStore])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_shards=st.integers(1, 4),
+        n_items=st.one_of(st.integers(1, 12), st.integers(1, 300)),
+        f=st.integers(1, 4),
+        n_trained=st.integers(2, 12),
+        n_folded=st.integers(0, 3),
+        k_extra=st.integers(0, 3),
+        k_frac=st.floats(0.0, 1.0),
+        batch=st.integers(1, 40),
+        user_block=st.integers(1, 64),
+        masked=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_lexsort_oracle(self, store_cls, n_shards, n_items, f, n_trained, n_folded, k_extra, k_frac, batch, user_block, masked, seed):
+        n_shards = min(n_shards, n_items)
+        rng = np.random.default_rng(seed)
+        n_users = n_trained + n_folded
+        x = rng.integers(-3, 4, size=(n_users, f))
+        theta = rng.integers(-3, 4, size=(n_items, f))
+        store = store_cls(x, theta, n_shards=n_shards)
+        # Rows above n_trained are fold-in users: their seen items come
+        # from the store's fold-in bookkeeping, not the exclude matrix.
+        folded = {n_trained + j: np.unique(rng.integers(0, n_items, rng.integers(1, 6))) for j in range(n_folded)}
+        store._restore_fold_state(n_trained, folded)
+        # Trained user 0 has rated every item; the rest a few (duplicates allowed).
+        nnz = int(rng.integers(0, 4 * n_trained))
+        rows = np.concatenate([np.zeros(n_items, dtype=np.int64), rng.integers(1, n_trained, nnz)])
+        cols = np.concatenate([np.arange(n_items), rng.integers(0, n_items, nnz)])
+        exclude = CSRMatrix.from_arrays((n_trained, n_items), rows, cols, np.ones(rows.size))
+
+        def seen_of(user):
+            if not masked:
+                return np.empty(0, dtype=np.int64)
+            return folded[user] if user >= n_trained else exclude.row(user)[0]
+
+        users = rng.integers(0, n_users, batch)  # duplicates are likely
+        users[rng.integers(0, batch)] = 0
+        k = max(1, int(k_frac * n_items)) + k_extra  # k > n_items included
+        got = store.recommend_batch(users, k=k, exclude=exclude if masked else None, user_block=user_block)
+        assert got == _oracle_topk(x, theta, users, k, seen_of)
+        if masked:
+            assert all(recs == [] for user, recs in zip(users, got) if user == 0)
 
 
 class TestSimulatedTime:
