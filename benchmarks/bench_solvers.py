@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core.metrics import rmse
-from repro.core.solver import TrainingSession, make_solver, solver_catalogue, solver_names
+from repro.core.solver import TrainingSession, get_solver_spec, make_solver, solver_names
 from repro.datasets.registry import DatasetSpec
 from repro.datasets.synthetic import generate_ratings
 from repro.experiments.common import format_table
@@ -37,7 +37,6 @@ def workload():
 
 def test_registry_sweep(benchmark, workload, report):
     """Every registered solver factorizes the same workload through the API."""
-    catalogue = {entry["name"]: entry for entry in solver_catalogue()}
 
     def sweep():
         rows = []
@@ -46,7 +45,7 @@ def test_registry_sweep(benchmark, workload, report):
             rows.append(
                 {
                     "solver": name,
-                    "kind": catalogue[name]["kind"],
+                    "kind": get_solver_spec(name).kind,
                     "result_label": result.solver,
                     "iterations": len(result.history),
                     "final_train_rmse": result.final_train_rmse,

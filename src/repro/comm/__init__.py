@@ -1,4 +1,4 @@
-"""Inter-GPU communication schemes (reductions and collectives).
+"""Inter-GPU communication schemes (reductions and the Θ scatter).
 
 This package implements the three ways §4.2 considers for combining the
 per-GPU partial Hermitians ``A^(ij)`` / right-hand sides ``B^(ij)`` that
@@ -15,7 +15,8 @@ data parallelism produces:
 
 All schemes share the same numerics (:func:`numeric_reduce`); they differ
 only in the transfer batches they schedule, and therefore in simulated
-time.
+time.  :func:`~repro.comm.collective.scatter_plan` builds the one other
+collective SU-ALS issues: the host → GPU scatter of the Θᵀ partitions.
 """
 
 from repro.comm.reduction import (
@@ -24,9 +25,8 @@ from repro.comm.reduction import (
     ReductionScheme,
     TwoPhaseTopologyReduction,
     numeric_reduce,
-    numeric_reduce_partitioned,
 )
-from repro.comm.collective import broadcast_plan, gather_plan, scatter_plan
+from repro.comm.collective import scatter_plan
 
 __all__ = [
     "ReductionScheme",
@@ -34,8 +34,5 @@ __all__ = [
     "OnePhaseParallelReduction",
     "TwoPhaseTopologyReduction",
     "numeric_reduce",
-    "numeric_reduce_partitioned",
     "scatter_plan",
-    "gather_plan",
-    "broadcast_plan",
 ]

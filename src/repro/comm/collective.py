@@ -1,15 +1,8 @@
-"""Collective transfer plans used by SU-ALS outside the reduction step.
+"""The scatter transfer plan SU-ALS issues outside the reduction step.
 
-Algorithm 3 needs three more data movements besides the reduction:
-
-* line 5-7: the vertical partitions Θᵀ^(i) are *scattered* from host memory
-  to their GPUs (in parallel);
-* line 10: each grid block R^(ij) is copied host → GPU at the start of a
-  batch;
-* line 19: the solved partitions X^(j)_i are *gathered* back (to the host,
-  or broadcast to peers when the next update-Θ pass needs X resident).
-
-These helpers only build transfer batches; the caller hands them to
+Lines 5-7 of Algorithm 3 *scatter* the vertical partitions Θᵀ^(i) from
+host memory to their GPUs (in parallel).  The plan only builds the
+transfer batch; the caller hands it to
 :meth:`repro.gpu.machine.MultiGPUMachine.run_transfers`.
 """
 
@@ -18,7 +11,7 @@ from __future__ import annotations
 from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.transfer import Transfer
 
-__all__ = ["scatter_plan", "gather_plan", "broadcast_plan"]
+__all__ = ["scatter_plan"]
 
 
 def scatter_plan(machine: MultiGPUMachine, bytes_per_gpu: list[float], tag: str = "scatter") -> list[Transfer]:
@@ -26,17 +19,3 @@ def scatter_plan(machine: MultiGPUMachine, bytes_per_gpu: list[float], tag: str 
     if len(bytes_per_gpu) != machine.n_gpus:
         raise ValueError("need exactly one buffer size per GPU")
     return [machine.h2d(i, nbytes, tag=tag) for i, nbytes in enumerate(bytes_per_gpu) if nbytes > 0]
-
-
-def gather_plan(machine: MultiGPUMachine, bytes_per_gpu: list[float], tag: str = "gather") -> list[Transfer]:
-    """Each GPU → host, one buffer per GPU."""
-    if len(bytes_per_gpu) != machine.n_gpus:
-        raise ValueError("need exactly one buffer size per GPU")
-    return [machine.d2h(i, nbytes, tag=tag) for i, nbytes in enumerate(bytes_per_gpu) if nbytes > 0]
-
-
-def broadcast_plan(machine: MultiGPUMachine, root: int, nbytes: float, tag: str = "broadcast") -> list[Transfer]:
-    """Root GPU → every other GPU (peer-to-peer), same buffer to each."""
-    if not 0 <= root < machine.n_gpus:
-        raise ValueError("invalid root GPU id")
-    return [machine.d2d(root, dst, nbytes, tag=tag) for dst in range(machine.n_gpus) if dst != root]

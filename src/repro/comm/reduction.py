@@ -8,8 +8,8 @@ schedule.  Each scheme below therefore exposes two things:
 * :meth:`ReductionScheme.transfer_batches` — the batches of concurrent
   point-to-point copies the scheme issues (consumed by the transfer engine
   to produce a simulated time), and
-* the shared :func:`numeric_reduce` / :func:`numeric_reduce_partitioned`
-  helpers that produce the actual reduced arrays.
+* the shared :func:`numeric_reduce` helper that produces the actual
+  reduced arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.transfer import Transfer
-from repro.sparse.partition import partition_bounds
 
 __all__ = [
     "ReductionScheme",
@@ -28,7 +27,6 @@ __all__ = [
     "OnePhaseParallelReduction",
     "TwoPhaseTopologyReduction",
     "numeric_reduce",
-    "numeric_reduce_partitioned",
 ]
 
 
@@ -45,17 +43,6 @@ def numeric_reduce(partials: list[np.ndarray]) -> np.ndarray:
             raise ValueError("all partials must have the same shape")
         out += part
     return out
-
-
-def numeric_reduce_partitioned(partials: list[np.ndarray], p: int) -> list[np.ndarray]:
-    """Reduce and slice row-wise into ``p`` owner partitions.
-
-    Mirrors lines 13–16 of Algorithm 3: the reduced array is split evenly
-    by its first axis, slice ``i`` ending up on GPU ``i``.
-    """
-    reduced = numeric_reduce(partials)
-    bounds = partition_bounds(reduced.shape[0], p)
-    return [reduced[bounds[i] : bounds[i + 1]] for i in range(p)]
 
 
 # ---------------------------------------------------------------------- #
@@ -102,11 +89,7 @@ class ReduceToOne(ReductionScheme):
         self.root = int(root)
 
     def transfer_batches(self, machine: MultiGPUMachine, nbytes_per_gpu: float) -> list[list[Transfer]]:
-        batch = [
-            machine.d2d(src, self.root, nbytes_per_gpu, tag="reduce-to-one")
-            for src in range(machine.n_gpus)
-            if src != self.root
-        ]
+        batch = [machine.d2d(src, self.root, nbytes_per_gpu, tag="reduce-to-one") for src in range(machine.n_gpus) if src != self.root]
         return [batch] if batch else []
 
     def solver_parallelism(self, p: int) -> int:
@@ -129,12 +112,7 @@ class OnePhaseParallelReduction(ReductionScheme):
         if p == 1:
             return []
         slice_bytes = nbytes_per_gpu / p
-        batch = [
-            machine.d2d(src, dst, slice_bytes, tag="parallel-reduce")
-            for src in range(p)
-            for dst in range(p)
-            if src != dst
-        ]
+        batch = [machine.d2d(src, dst, slice_bytes, tag="parallel-reduce") for src in range(p) for dst in range(p) if src != dst]
         return [batch]
 
 

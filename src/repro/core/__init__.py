@@ -54,7 +54,6 @@ from repro.core.schedule import (
     execute_graph,
     make_scheduler,
     register_scheduler,
-    scheduler_catalogue,
     scheduler_names,
 )
 from repro.core.partition_planner import PartitionPlan, plan_partitions
@@ -70,7 +69,6 @@ from repro.core.solver import (
     TrainingSession,
     make_solver,
     register_solver,
-    solver_catalogue,
     solver_names,
 )
 from repro.core.trainer import CuMF
@@ -102,7 +100,6 @@ __all__ = [
     "make_scheduler",
     "register_scheduler",
     "scheduler_names",
-    "scheduler_catalogue",
     "PartitionPlan",
     "plan_partitions",
     "CheckpointManager",
@@ -112,7 +109,6 @@ __all__ = [
     "make_solver",
     "register_solver",
     "solver_names",
-    "solver_catalogue",
     "TrainingSession",
     "FitCallback",
     "CheckpointCallback",

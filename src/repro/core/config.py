@@ -140,21 +140,3 @@ class FitResult:
     def total_seconds(self) -> float:
         """Total (simulated or wall-clock) training time."""
         return self.history[-1].cumulative_seconds if self.history else 0.0
-
-    def time_to_rmse(self, target: float) -> float:
-        """First cumulative time at which test RMSE drops to ``target``.
-
-        Returns ``inf`` if the run never reaches the target — the metric
-        used throughout §5 ("measured at RMSE 0.92").
-        """
-        for stats in self.history:
-            if stats.test_rmse <= target:
-                return stats.cumulative_seconds
-        return float("inf")
-
-    def iterations_to_rmse(self, target: float) -> int:
-        """Number of iterations needed to reach ``target`` test RMSE (or -1)."""
-        for stats in self.history:
-            if stats.test_rmse <= target:
-                return stats.iteration
-        return -1

@@ -7,13 +7,7 @@ import numpy as np
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import rmse_from_residual, sampled_residual
 
-__all__ = ["rmse", "objective_value", "predict_entries"]
-
-
-def predict_entries(ratings: CSRMatrix, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Model prediction ``x_uᵀ θ_v`` at every stored coordinate of ``ratings``."""
-    rows = ratings.row_ids()
-    return np.einsum("ij,ij->i", np.asarray(x)[rows], np.asarray(theta)[ratings.indices])
+__all__ = ["rmse", "objective_value"]
 
 
 def rmse(ratings: CSRMatrix, x: np.ndarray, theta: np.ndarray) -> float:

@@ -47,7 +47,6 @@ __all__ = [
     "make_scheduler",
     "get_scheduler_spec",
     "scheduler_names",
-    "scheduler_catalogue",
     "SerialScheduler",
     "EagerScheduler",
     "RoundRobinScheduler",
@@ -129,14 +128,6 @@ def register_scheduler(
 def scheduler_names() -> tuple[str, ...]:
     """Canonical names of every registered scheduler (aliases excluded)."""
     return tuple(_REGISTRY)
-
-
-def scheduler_catalogue() -> list[dict]:
-    """One row per registered scheduler (name, description, aliases)."""
-    return [
-        {"name": spec.name, "description": spec.description, "aliases": list(spec.aliases)}
-        for spec in _REGISTRY.values()
-    ]
 
 
 def get_scheduler_spec(name: str) -> SchedulerSpec:

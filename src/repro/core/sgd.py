@@ -9,8 +9,8 @@ rating ``r_uv`` at a time and applies
 Updates of two ratings sharing a row (or column) are *not* independent,
 which is why cuMF picks ALS for thousands of GPU cores (§2.1).  This
 module provides the sequential epoch primitive; the multi-core SGD
-baselines (libMF / NOMAD / DSGD-style) in :mod:`repro.baselines` build
-their block-parallel schedules on top of it.
+baselines (libMF / NOMAD / DSGD-style) in :mod:`repro.baselines` run it
+on each private rating block of their block-parallel schedules.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.sparse.csr import CSRMatrix
 
-__all__ = ["sgd_epoch", "sgd_block_epoch"]
+__all__ = ["sgd_epoch"]
 
 
 def sgd_epoch(
@@ -49,23 +49,3 @@ def sgd_epoch(
         x[u] -= lr * (err * theta[v] + lam * xu)
         theta[v] -= lr * (err * xu + lam * theta[v])
     return x, theta
-
-
-def sgd_block_epoch(
-    block: CSRMatrix,
-    x_block: np.ndarray,
-    theta_block: np.ndarray,
-    lr: float,
-    lam: float,
-    rng: np.random.Generator,
-) -> int:
-    """SGD over one rating block whose row/column ranges are private.
-
-    This is the primitive the block-partition schedulers (DSGD, libMF,
-    NOMAD) run inside a "core": because blocks assigned concurrently share
-    no rows or columns, running them sequentially here is numerically
-    equivalent to running them in parallel on real cores.  Returns the
-    number of updates applied.
-    """
-    sgd_epoch(block, x_block, theta_block, lr, lam, rng, shuffle=True)
-    return block.nnz

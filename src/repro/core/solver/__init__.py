@@ -28,7 +28,6 @@ from repro.core.solver.registry import (
     get_solver_spec,
     make_solver,
     register_solver,
-    solver_catalogue,
     solver_names,
 )
 from repro.core.solver.session import (
@@ -49,7 +48,6 @@ __all__ = [
     "make_solver",
     "get_solver_spec",
     "solver_names",
-    "solver_catalogue",
     "TrainingSession",
     "FitCallback",
     "CheckpointCallback",

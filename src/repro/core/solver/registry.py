@@ -45,7 +45,6 @@ __all__ = [
     "make_solver",
     "get_solver_spec",
     "solver_names",
-    "solver_catalogue",
 ]
 
 
@@ -90,14 +89,6 @@ def register_solver(
 def solver_names() -> tuple[str, ...]:
     """Canonical names of every registered solver (aliases excluded)."""
     return tuple(_REGISTRY)
-
-
-def solver_catalogue() -> list[dict]:
-    """One row per registered solver (name, kind, description, aliases)."""
-    return [
-        {"name": spec.name, "kind": spec.kind, "description": spec.description, "aliases": list(spec.aliases)}
-        for spec in _REGISTRY.values()
-    ]
 
 
 def get_solver_spec(name: str) -> SolverSpec:

@@ -215,6 +215,9 @@ class TrainingSession:
         """
         if start_iteration < 0:
             raise ValueError("start_iteration must be non-negative")
+        for name, ratings in (("train", train), ("test", test)):
+            if ratings is not None and not np.isfinite(ratings.data).all():
+                raise ValueError(f"{name} ratings hold non-finite values (NaN or inf)")
         self._stop = False
         callbacks = list(self.callbacks)
         if obs.enabled():

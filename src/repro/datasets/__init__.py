@@ -9,6 +9,8 @@ convergence behaviour depends on: a low-rank ground truth, additive noise,
 and power-law (skewed) user/item activity.  The registry records the
 full-scale characteristics for the analytical experiments and provides
 consistently scaled-down versions for the ones that actually factorize.
+:mod:`repro.datasets.split` holds out test ratings and
+:mod:`repro.datasets.io` persists a rating matrix as ``.npz``.
 """
 
 from repro.datasets.registry import (
@@ -27,11 +29,9 @@ from repro.datasets.synthetic import (
     SyntheticRatings,
     generate_ratings,
     powerlaw_weights,
-    synthesize_spec,
 )
-from repro.datasets.amazon_dup import duplicate_ratings
 from repro.datasets.split import train_test_split
-from repro.datasets.io import load_ratings_npz, save_ratings_npz, iter_row_chunks
+from repro.datasets.io import load_ratings_npz, save_ratings_npz
 
 __all__ = [
     "DatasetSpec",
@@ -46,11 +46,8 @@ __all__ = [
     "get_dataset",
     "SyntheticRatings",
     "generate_ratings",
-    "synthesize_spec",
     "powerlaw_weights",
-    "duplicate_ratings",
     "train_test_split",
     "save_ratings_npz",
     "load_ratings_npz",
-    "iter_row_chunks",
 ]

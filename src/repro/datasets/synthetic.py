@@ -22,7 +22,7 @@ from repro.datasets.registry import DatasetSpec
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 
-__all__ = ["SyntheticRatings", "powerlaw_weights", "generate_ratings", "synthesize_spec"]
+__all__ = ["SyntheticRatings", "powerlaw_weights", "generate_ratings"]
 
 
 @dataclass
@@ -62,9 +62,7 @@ def powerlaw_weights(size: int, exponent: float, rng: np.random.Generator) -> np
     return weights / weights.sum()
 
 
-def _sample_coordinates(
-    m: int, n: int, nnz: int, rng: np.random.Generator, row_exponent: float, col_exponent: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _sample_coordinates(m: int, n: int, nnz: int, rng: np.random.Generator, row_exponent: float, col_exponent: float) -> tuple[np.ndarray, np.ndarray]:
     """Sample ``nnz`` distinct (row, col) coordinates with skewed activity."""
     row_w = powerlaw_weights(m, row_exponent, rng)
     col_w = powerlaw_weights(n, col_exponent, rng)
@@ -122,10 +120,7 @@ def generate_ratings(
         the real datasets effectively are).
     """
     if spec.m * spec.n > 5e8:
-        raise ValueError(
-            f"refusing to densely generate {spec.name}: {spec.m}x{spec.n} is full scale; "
-            "call spec.scaled(...) first"
-        )
+        raise ValueError(f"refusing to densely generate {spec.name}: {spec.m}x{spec.n} is full scale; call spec.scaled(...) first")
     rng = np.random.default_rng(seed)
     rank = true_rank if true_rank is not None else max(2, min(spec.f, 10))
 
@@ -176,17 +171,3 @@ def generate_ratings(
         true_theta=true_theta,
         noise_sigma=noise_sigma,
     )
-
-
-def synthesize_spec(
-    name: str,
-    m: int,
-    n: int,
-    nz: int,
-    f: int = 16,
-    lam: float = 0.05,
-    **kwargs,
-) -> SyntheticRatings:
-    """Convenience wrapper: build a spec on the fly and generate it."""
-    spec = DatasetSpec(name=name, m=m, n=n, nz=nz, f=f, lam=lam, kind="synthetic")
-    return generate_ratings(spec, **kwargs)

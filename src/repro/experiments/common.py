@@ -122,10 +122,3 @@ def _fmt(value) -> str:
             return f"{value:.3g}"
         return f"{value:.3f}"
     return str(value)
-
-
-def dataset_for(name: str) -> DatasetSpec:
-    """Convenience lookup used by the benches."""
-    from repro.datasets.registry import get_dataset
-
-    return get_dataset(name)

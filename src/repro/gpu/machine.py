@@ -58,9 +58,7 @@ class MultiGPUMachine:
         if topology is None:
             topology = MachineTopology.dual_socket(n_gpus) if n_gpus > 2 else MachineTopology.single_socket(n_gpus)
         if topology.n_gpus() != n_gpus:
-            raise ValueError(
-                f"topology describes {topology.n_gpus()} GPUs but machine was asked for {n_gpus}"
-            )
+            raise ValueError(f"topology describes {topology.n_gpus()} GPUs but machine was asked for {n_gpus}")
         self.spec = spec
         self.topology = topology
         self.devices = [GPUDevice(spec, device_id=i, socket=topology.socket_of(i)) for i in range(n_gpus)]

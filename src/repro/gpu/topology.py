@@ -42,12 +42,6 @@ class Link:
         """Both endpoints, in construction order."""
         return (self.a, self.b)
 
-    def directed_key(self, src: str, dst: str) -> tuple[str, str]:
-        """Canonical key for the ``src → dst`` direction of this link."""
-        if {src, dst} != {self.a, self.b}:
-            raise ValueError(f"({src}, {dst}) are not the endpoints of {self}")
-        return (src, dst)
-
 
 @dataclass
 class MachineTopology:
@@ -167,14 +161,6 @@ class MachineTopology:
                     nxt.append(neigh)
             frontier = nxt
         raise ValueError(f"no path between {src!r} and {dst!r}")
-
-    def gpu_path(self, gpu_a: int, gpu_b: int) -> list[Link]:
-        """Path between two GPUs."""
-        return self.path(f"gpu:{gpu_a}", f"gpu:{gpu_b}")
-
-    def host_path(self, gpu_id: int) -> list[Link]:
-        """Path from a GPU to the host memory of its own socket."""
-        return self.path(f"gpu:{gpu_id}", f"host:{self.socket_of(gpu_id)}")
 
     def point_to_point_bandwidth(self, src: str, dst: str) -> float:
         """Bottleneck (min-link) bandwidth of the path ``src → dst``."""

@@ -19,7 +19,7 @@ completes when its most-loaded directed link drains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.gpu.topology import MachineTopology
 
@@ -54,12 +54,6 @@ class TransferReport:
 
     seconds: float
     total_bytes: float
-    link_seconds: dict = field(default_factory=dict)
-    bottleneck: str = ""
-
-    def busiest_link(self) -> str:
-        """Name of the directed link that bounded the batch."""
-        return self.bottleneck
 
 
 class TransferEngine:
@@ -104,33 +98,13 @@ class TransferEngine:
         total_bytes = sum(tr.nbytes for tr in transfers)
         if not load:
             return TransferReport(seconds=0.0, total_bytes=0.0)
-        link_seconds = {}
-        bottleneck = ""
-        worst = 0.0
-        for (src, dst, bw), nbytes in load.items():
-            seconds = nbytes / bw
-            name = f"{src}->{dst}"
-            link_seconds[name] = seconds
-            if seconds > worst:
-                worst = seconds
-                bottleneck = name
+        worst = max(nbytes / bw for (_, _, bw), nbytes in load.items())
         # Every transfer additionally pays one end-to-end latency; use the
         # largest hop count in the batch as a conservative single charge.
         max_hops = max((len(self.topology.path(t.src, t.dst)) for t in transfers if t.nbytes), default=0)
         latency = max_hops * 10e-6
-        report = TransferReport(seconds=worst + latency, total_bytes=total_bytes, link_seconds=link_seconds, bottleneck=bottleneck)
+        report = TransferReport(seconds=worst + latency, total_bytes=total_bytes)
         self.total_bytes_moved += total_bytes
         self.total_transfer_seconds += report.seconds
         self.batches += 1
         return report
-
-    def sequential_time(self, transfers: list[Transfer]) -> float:
-        """Time if the transfers were issued one after another (no overlap)."""
-        total = 0.0
-        for tr in transfers:
-            total += self.batch_time([tr]).seconds
-        return total
-
-    def point_to_point_time(self, src: str, dst: str, nbytes: float) -> float:
-        """Convenience: time of a single transfer."""
-        return self.batch_time([Transfer(src, dst, nbytes)]).seconds

@@ -1,8 +1,7 @@
-"""Performance accounting: simulated clock, counters, roofline, Table-3 model."""
+"""Performance accounting: simulated clock, counters, Table-3 model."""
 
-from repro.perf.timeline import Event, SimClock, Timeline
+from repro.perf.timeline import SimClock
 from repro.perf.counters import OpCounter
-from repro.perf.roofline import RooflinePoint, roofline_time
 from repro.perf.analytical import (
     UpdateCost,
     als_iteration_cost,
@@ -13,11 +12,7 @@ from repro.perf.analytical import (
 
 __all__ = [
     "SimClock",
-    "Event",
-    "Timeline",
     "OpCounter",
-    "RooflinePoint",
-    "roofline_time",
     "UpdateCost",
     "get_hermitian_cost",
     "batch_solve_cost",

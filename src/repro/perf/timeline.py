@@ -1,83 +1,41 @@
-"""Simulated clock and event timeline.
+"""Simulated clock with per-label totals.
 
 Every solver in this reproduction advances a :class:`SimClock` instead of
 measuring wall-clock time: the numerics run at laptop scale, but the clock
 records how long the same dataflow would take on the simulated hardware.
-A :class:`Timeline` keeps labelled spans so experiments can break an
-iteration down into kernel / transfer / reduction phases.
+Each advance is charged to a label, so experiments can break an iteration
+down into kernel / transfer / reduction phases.  Only the running totals
+are kept; per-span detail is what :mod:`repro.obs` records when it is on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-__all__ = ["Event", "SimClock", "Timeline"]
-
-
-@dataclass(frozen=True)
-class Event:
-    """One labelled span on the simulated timeline."""
-
-    label: str
-    start: float
-    duration: float
-
-    @property
-    def end(self) -> float:
-        """End time of the span."""
-        return self.start + self.duration
-
-
-@dataclass
-class Timeline:
-    """An append-only list of events with aggregation helpers."""
-
-    events: list = field(default_factory=list)
-
-    def add(self, label: str, start: float, duration: float) -> Event:
-        """Record a span."""
-        event = Event(label, start, duration)
-        self.events.append(event)
-        return event
-
-    def total(self, label: str | None = None) -> float:
-        """Total duration, optionally restricted to one label."""
-        return sum(e.duration for e in self.events if label is None or e.label == label)
-
-    def by_label(self) -> dict:
-        """Total duration per label."""
-        out: dict[str, float] = {}
-        for event in self.events:
-            out[event.label] = out.get(event.label, 0.0) + event.duration
-        return out
-
-    def __len__(self) -> int:
-        return len(self.events)
+__all__ = ["SimClock"]
 
 
 class SimClock:
-    """A monotonically advancing simulated clock with an attached timeline."""
+    """A monotonically advancing simulated clock with per-label totals."""
 
     def __init__(self) -> None:
         self.now = 0.0
-        self.timeline = Timeline()
+        self._totals: dict[str, float] = {}
 
     def advance(self, seconds: float, label: str = "span") -> float:
         """Advance the clock by ``seconds`` (must be non-negative)."""
         if seconds < 0:
             raise ValueError(f"cannot advance the clock backwards ({seconds} s)")
-        self.timeline.add(label, self.now, seconds)
+        self._totals[label] = self._totals.get(label, 0.0) + seconds
         self.now += seconds
         return self.now
 
     def reset(self) -> None:
-        """Reset to time zero and clear the timeline."""
+        """Reset to time zero and clear the totals."""
         self.now = 0.0
-        self.timeline = Timeline()
+        self._totals = {}
 
     def breakdown(self) -> dict:
-        """Elapsed time per label."""
-        return self.timeline.by_label()
+        """Elapsed time per label (a copy of the running totals)."""
+        return dict(self._totals)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SimClock(now={self.now:.6f}s, events={len(self.timeline)})"
+        return f"SimClock(now={self.now:.6f}s, labels={len(self._totals)})"

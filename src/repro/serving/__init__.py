@@ -94,7 +94,6 @@ from repro.serving.routing import (
     RouterSpec,
     get_router_spec,
     register_router,
-    router_catalogue,
     router_names,
 )
 from repro.serving.service import (
@@ -150,7 +149,6 @@ __all__ = [
     "register_router",
     "get_router_spec",
     "router_names",
-    "router_catalogue",
     "TenantPolicy",
     "TenantPolicyTable",
     "TenantScheduler",

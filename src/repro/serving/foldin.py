@@ -31,10 +31,10 @@ def validate_ratings(
     :func:`fold_in_user`, :meth:`FactorStore.fold_in` and
     :class:`~repro.serving.lifecycle.InteractionLog.record` — so bad
     input fails identically everywhere: items must be 1-D integer
-    indices aligned with the ratings, non-negative, and (when ``n_items``
-    is given) within range.  Duplicate item ids are *allowed* here; the
-    downstream CSR construction sums them, matching the deduplication
-    the trainer applies to its input.
+    indices aligned with finite ratings, non-negative, and (when
+    ``n_items`` is given) within range.  Duplicate item ids are
+    *allowed* here; the downstream CSR construction sums them, matching
+    the deduplication the trainer applies to its input.
     """
     items = np.asarray(items)
     ratings = np.asarray(ratings, dtype=np.float64)
@@ -42,6 +42,8 @@ def validate_ratings(
         raise ValueError("items and ratings must be aligned 1-D arrays")
     if items.size and not np.issubdtype(items.dtype, np.integer):
         raise ValueError(f"items must be integer indices, got dtype {items.dtype}")
+    if not np.isfinite(ratings).all():
+        raise ValueError("ratings must be finite (no NaN or inf)")
     items = items.astype(np.int64, copy=False)
     if n_items is not None:
         if items.size and (items.min() < 0 or items.max() >= n_items):

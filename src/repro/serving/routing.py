@@ -48,7 +48,6 @@ __all__ = [
     "make_router",
     "get_router_spec",
     "router_names",
-    "router_catalogue",
     "select_replica",
 ]
 
@@ -172,14 +171,6 @@ def register_router(
 def router_names() -> tuple[str, ...]:
     """Canonical names of every registered router (aliases excluded)."""
     return tuple(_REGISTRY)
-
-
-def router_catalogue() -> list[dict]:
-    """One row per registered router (name, description, aliases)."""
-    return [
-        {"name": spec.name, "description": spec.description, "aliases": list(spec.aliases)}
-        for spec in _REGISTRY.values()
-    ]
 
 
 def get_router_spec(name: str) -> RouterSpec:

@@ -16,8 +16,10 @@ Public classes
 ``CSCMatrix``
     Compressed sparse column; used for the update-Θ pass (column gathers).
 
-Partitioning helpers (:mod:`repro.sparse.partition`) implement the
-horizontal / vertical / grid splits of Algorithm 3 (SU-ALS).
+Partitioning helpers (:mod:`repro.sparse.partition`) compute even
+partition bounds and the ``p × q`` grid split of Algorithm 3 (SU-ALS);
+:mod:`repro.sparse.ops` holds the sampled residual the metrics and the
+SGD/CCD baselines share.
 """
 
 from repro.sparse.coo import COOMatrix
@@ -27,17 +29,9 @@ from repro.sparse.partition import (
     GridPartition,
     Partition1D,
     grid_partition,
-    horizontal_partition,
     partition_bounds,
-    vertical_partition,
 )
-from repro.sparse.ops import (
-    csr_column_gather,
-    csr_row_dense_product,
-    csr_spmm,
-    csr_spmv,
-    sampled_residual,
-)
+from repro.sparse.ops import sampled_residual
 
 __all__ = [
     "COOMatrix",
@@ -46,12 +40,6 @@ __all__ = [
     "Partition1D",
     "GridPartition",
     "partition_bounds",
-    "horizontal_partition",
-    "vertical_partition",
     "grid_partition",
-    "csr_spmv",
-    "csr_spmm",
-    "csr_row_dense_product",
-    "csr_column_gather",
     "sampled_residual",
 ]

@@ -1,10 +1,9 @@
-"""Vectorised sparse kernels shared by the solvers.
+"""Vectorised residual helpers shared by the solvers and metrics.
 
-These are the NumPy equivalents of the CUDA kernels cuMF builds on top of
-cuSPARSE (``csrmm2`` for ``Θᵀ·Rᵀ_{u*}``) plus a few residual helpers used by
-the SGD/CCD baselines.  All of them avoid Python-level per-entry loops —
-the guide's "vectorise the hot loop" rule — by expanding to COO index
-vectors and using fancy indexing + ``np.add.at`` scatter adds.
+The sampled residual ``r_uv − x_uᵀθ_v`` at every stored rating feeds the
+RMSE metric and the SGD/CCD baselines.  It avoids Python-level per-entry
+loops by expanding CSR to COO index vectors and gathering the factor rows
+with fancy indexing.
 """
 
 from __future__ import annotations
@@ -14,10 +13,6 @@ import numpy as np
 from repro.sparse.csr import CSRMatrix
 
 __all__ = [
-    "csr_spmv",
-    "csr_spmm",
-    "csr_row_dense_product",
-    "csr_column_gather",
     "sampled_residual",
     "rmse_from_residual",
 ]
@@ -25,43 +20,6 @@ __all__ = [
 # Stored entries per prediction chunk in :func:`sampled_residual`: bounds
 # its two gathered ``(chunk, f)`` operands to a few MB whatever the nnz.
 RESIDUAL_CHUNK = 8192
-
-
-def csr_spmv(r: CSRMatrix, x: np.ndarray) -> np.ndarray:
-    """Sparse matrix-vector product ``R @ x``."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (r.shape[1],):
-        raise ValueError("vector length must equal number of columns")
-    contrib = r.data * x[r.indices]
-    out = np.zeros(r.shape[0], dtype=np.float64)
-    np.add.at(out, r.row_ids(), contrib)
-    return out
-
-
-def csr_spmm(r: CSRMatrix, dense: np.ndarray) -> np.ndarray:
-    """Sparse-dense matrix product ``R @ D`` with ``D`` of shape ``(n, k)``."""
-    return r.dot_dense(dense)
-
-
-def csr_row_dense_product(r: CSRMatrix, theta: np.ndarray) -> np.ndarray:
-    """Compute ``B`` with ``B[u] = Θᵀ · Rᵀ_{u*}`` for every row ``u``.
-
-    ``theta`` is the ``(n, f)`` factor matrix (row ``v`` is ``θ_v``); the
-    result is the ``(m, f)`` stack of right-hand sides of eq. (2).
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape[0] != r.shape[1]:
-        raise ValueError("theta must have one row per column of R")
-    return r.dot_dense(theta)
-
-
-def csr_column_gather(r: CSRMatrix, theta: np.ndarray, u: int) -> np.ndarray:
-    """Gather ``Θᵀ_u``: the θ_v columns rated by row ``u`` (Algorithm 1 line 3).
-
-    Returns an ``(n_{x_u}, f)`` array whose rows are the gathered θ_v.
-    """
-    cols, _ = r.row(u)
-    return np.asarray(theta, dtype=np.float64)[cols]
 
 
 def sampled_residual(r: CSRMatrix, x: np.ndarray, theta: np.ndarray) -> np.ndarray:

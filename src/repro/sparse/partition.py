@@ -25,8 +25,6 @@ __all__ = [
     "Partition1D",
     "GridPartition",
     "partition_bounds",
-    "horizontal_partition",
-    "vertical_partition",
     "grid_partition",
 ]
 
@@ -90,20 +88,6 @@ class Partition1D:
         return self.parts
 
 
-def horizontal_partition(r: CSRMatrix, q: int) -> tuple[Partition1D, list[CSRMatrix]]:
-    """Split R by rows into ``q`` blocks (the X / model-parallel split)."""
-    part = Partition1D(r.shape[0], q)
-    blocks = [r.row_slice(*part.range_of(j)) for j in range(q)]
-    return part, blocks
-
-
-def vertical_partition(r: CSRMatrix, p: int) -> tuple[Partition1D, list[CSRMatrix]]:
-    """Split R by columns into ``p`` blocks (the Θ / data-parallel split)."""
-    part = Partition1D(r.shape[1], p)
-    blocks = [r.col_slice(*part.range_of(i)) for i in range(p)]
-    return part, blocks
-
-
 @dataclass
 class GridPartition:
     """The ``p × q`` grid partition of R used by SU-ALS.
@@ -130,10 +114,6 @@ class GridPartition:
     def block(self, i: int, j: int) -> CSRMatrix:
         """``R^(ij)``: column partition ``i``, row batch ``j``."""
         return self.blocks[i][j]
-
-    def total_nnz(self) -> int:
-        """Sum of nnz over all blocks (must equal the original matrix)."""
-        return sum(b.nnz for row in self.blocks for b in row)
 
 
 def grid_partition(r: CSRMatrix, p: int, q: int) -> GridPartition:

@@ -4,16 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.comm.collective import broadcast_plan, gather_plan, scatter_plan
+from repro.comm.collective import scatter_plan
 from repro.comm.reduction import (
     OnePhaseParallelReduction,
     ReduceToOne,
     TwoPhaseTopologyReduction,
     numeric_reduce,
-    numeric_reduce_partitioned,
 )
 from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.topology import MachineTopology
@@ -24,11 +21,6 @@ class TestNumericReduce:
         partials = [rng.normal(size=(6, 4)) for _ in range(4)]
         np.testing.assert_allclose(numeric_reduce(partials), np.sum(partials, axis=0))
 
-    def test_partitioned_reduce_covers_all_rows(self, rng):
-        partials = [rng.normal(size=(10, 3)) for _ in range(3)]
-        slices = numeric_reduce_partitioned(partials, 3)
-        np.testing.assert_allclose(np.vstack(slices), np.sum(partials, axis=0))
-
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             numeric_reduce([])
@@ -36,14 +28,6 @@ class TestNumericReduce:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             numeric_reduce([np.zeros((2, 2)), np.zeros((3, 2))])
-
-    @settings(max_examples=20, deadline=None)
-    @given(p=st.integers(min_value=1, max_value=6), rows=st.integers(min_value=1, max_value=20))
-    def test_property_partition_sizes_cover_rows(self, p, rows):
-        partials = [np.ones((rows, 2)) for _ in range(p)]
-        slices = numeric_reduce_partitioned(partials, p)
-        assert sum(s.shape[0] for s in slices) == rows
-        np.testing.assert_allclose(np.vstack(slices), p * np.ones((rows, 2)))
 
 
 class TestReductionSchedules:
@@ -117,19 +101,3 @@ class TestCollectives:
         machine = MultiGPUMachine(2)
         with pytest.raises(ValueError):
             scatter_plan(machine, [1e6])
-
-    def test_gather_plan_directions(self):
-        machine = MultiGPUMachine(2)
-        plan = gather_plan(machine, [1e6, 1e6])
-        assert all(t.src.startswith("gpu:") and t.dst.startswith("host:") for t in plan)
-
-    def test_broadcast_plan_excludes_root(self):
-        machine = MultiGPUMachine(4)
-        plan = broadcast_plan(machine, root=2, nbytes=1e6)
-        assert len(plan) == 3
-        assert all(t.src == "gpu:2" for t in plan)
-
-    def test_broadcast_invalid_root(self):
-        machine = MultiGPUMachine(2)
-        with pytest.raises(ValueError):
-            broadcast_plan(machine, root=5, nbytes=1.0)

@@ -16,7 +16,7 @@ from repro.core.hermitian import (
     segment_sum,
     update_factor,
 )
-from repro.core.metrics import objective_value, predict_entries, rmse
+from repro.core.metrics import objective_value, rmse
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import RESIDUAL_CHUNK, sampled_residual
 
@@ -229,13 +229,6 @@ class TestMetrics:
         x = np.zeros((2, 1))
         theta = np.zeros((2, 1))
         assert rmse(r, x, theta) == pytest.approx(np.sqrt((4 + 16) / 2))
-
-    def test_predict_entries_alignment(self, rng):
-        x = rng.normal(size=(5, 2))
-        theta = rng.normal(size=(4, 2))
-        r = CSRMatrix.from_dense(np.ones((5, 4)))
-        preds = predict_entries(r, x, theta)
-        np.testing.assert_allclose(preds, (x @ theta.T).ravel())
 
     def test_objective_value_components(self, rng):
         x = rng.normal(size=(4, 2))

@@ -1,4 +1,4 @@
-"""Tests for the dataset registry, synthetic generator, duplication and I/O."""
+"""Tests for the dataset registry, synthetic generator, split and I/O."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets.amazon_dup import duplicate_ratings
-from repro.datasets.io import iter_row_chunks, load_ratings_npz, save_ratings_npz
+from repro.datasets.io import load_ratings_npz, save_ratings_npz
 from repro.datasets.registry import DATASETS, FACEBOOK, HUGEWIKI, NETFLIX, DatasetSpec, get_dataset
 from repro.datasets.split import train_test_split
 from repro.datasets.synthetic import generate_ratings, powerlaw_weights
@@ -135,42 +134,9 @@ class TestSplit:
         assert train.nnz + test.nnz == csr.nnz
 
 
-class TestAmazonDuplication:
-    def test_duplication_scales_all_dimensions(self, small_csr):
-        dup = duplicate_ratings(small_csr, row_copies=3, col_copies=2)
-        assert dup.shape == (small_csr.shape[0] * 3, small_csr.shape[1] * 2)
-        assert dup.nnz == small_csr.nnz * 6
-
-    def test_tiles_carry_identical_values(self, small_csr):
-        dup = duplicate_ratings(small_csr, 2, 2)
-        dense = dup.to_dense()
-        m, n = small_csr.shape
-        base = small_csr.to_dense()
-        for i in range(2):
-            for j in range(2):
-                np.testing.assert_allclose(dense[i * m : (i + 1) * m, j * n : (j + 1) * n], base)
-
-    def test_identity_duplication(self, small_csr):
-        assert duplicate_ratings(small_csr, 1, 1) == small_csr
-
-    def test_validation(self, small_csr):
-        with pytest.raises(ValueError):
-            duplicate_ratings(small_csr, 0, 1)
-
-
 class TestIO:
     def test_npz_roundtrip(self, tmp_path, small_csr):
         path = tmp_path / "ratings.npz"
         save_ratings_npz(path, small_csr)
         loaded = load_ratings_npz(path)
         assert loaded == small_csr
-
-    def test_row_chunk_iteration_covers_matrix(self, small_csr, small_dense):
-        chunks = list(iter_row_chunks(small_csr, rows_per_chunk=3))
-        assert [c[0] for c in chunks] == [0, 3]
-        reassembled = np.vstack([chunk.to_dense() for _, _, chunk in chunks])
-        np.testing.assert_allclose(reassembled, small_dense)
-
-    def test_chunk_size_validation(self, small_csr):
-        with pytest.raises(ValueError):
-            list(iter_row_chunks(small_csr, 0))

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import inspect
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.nodes import AWS_M3_2XLARGE, AWS_M3_XLARGE, HPC_NODE, ClusterSpec
 from repro.cluster.perf import (
@@ -21,8 +26,8 @@ from repro.experiments import figure2_rows, reduction_rows, table1_rows, table3_
 from repro.experiments.figure11_large import figure11_rows
 from repro.perf.analytical import als_iteration_cost, batch_solve_cost, get_hermitian_cost, memory_footprint_floats
 from repro.perf.counters import OpCounter
-from repro.perf.roofline import attainable_gflops, classify, roofline_time
 from repro.perf.timeline import SimClock
+from repro.serving import FactorStore, QueryTrace, RequestSimulator
 from repro.gpu.specs import GK210, TITAN_X
 
 
@@ -35,13 +40,48 @@ def iteration_time(solver, dataset, n_gpus=1, device=TITAN_X, scheduler="serial"
 
 
 class TestTimelineAndCounters:
-    def test_clock_advances_and_breaks_down(self):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(st.sampled_from(["kernels", "h2d", "reduce", "d2h"]), st.floats(0.0, 1e3, allow_nan=False)),
+            max_size=40,
+        ),
+    )
+    def test_clock_totals_are_running_sums(self, steps):
+        """``breakdown()`` is, bit for bit, a per-label running sum in call order; ``now`` the running total."""
         clock = SimClock()
-        clock.advance(1.0, "a")
-        clock.advance(2.0, "b")
-        clock.advance(0.5, "a")
-        assert clock.now == pytest.approx(3.5)
-        assert clock.breakdown() == {"a": pytest.approx(1.5), "b": pytest.approx(2.0)}
+        sums: dict[str, float] = {}
+        now = 0.0
+        for label, seconds in steps:
+            assert clock.advance(seconds, label) == now + seconds
+            sums[label] = sums.get(label, 0.0) + seconds
+            now += seconds
+        assert clock.now == now
+        assert list(clock.breakdown().items()) == list(sums.items())
+        clock.reset()
+        assert clock.now == 0.0 and clock.breakdown() == {}
+
+    def test_clock_memory_flat_across_replays(self):
+        """A long-lived store's clock keeps per-label totals, not one record per advance."""
+        rng = np.random.default_rng(0)
+        store = FactorStore(rng.normal(size=(40, 4)), rng.normal(size=(60, 4)), n_shards=2)
+        trace = QueryTrace.poisson(64, 20_000.0, store.n_users, seed=1)
+        sim = RequestSimulator(store, k=5, max_batch=8)
+        only_clock = [tracemalloc.Filter(True, inspect.getfile(SimClock))]
+
+        def clock_bytes() -> int:
+            return sum(stat.size for stat in tracemalloc.take_snapshot().filter_traces(only_clock).statistics("filename"))
+
+        tracemalloc.start()
+        try:
+            sim.run(trace)
+            first = clock_bytes()
+            for _ in range(49):
+                sim.run(trace)
+            last = clock_bytes()
+        finally:
+            tracemalloc.stop()
+        assert 0 < first and last <= first
 
     def test_clock_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -85,24 +125,6 @@ class TestAnalyticalTable3:
             get_hermitian_cost(0, 10, 5)
         with pytest.raises(ValueError):
             batch_solve_cost(5, -1)
-
-
-class TestRoofline:
-    def test_ceiling_min_of_compute_and_memory(self):
-        low = attainable_gflops(TITAN_X, 0.001)
-        high = attainable_gflops(TITAN_X, 1e6)
-        assert low < high
-        assert high == pytest.approx(TITAN_X.effective_gflops)
-
-    def test_roofline_time_binding_resource(self):
-        assert roofline_time(TITAN_X, flops=TITAN_X.effective_gflops * 1e9, dram_bytes=0) == pytest.approx(1.0)
-        assert roofline_time(TITAN_X, flops=0, dram_bytes=TITAN_X.global_bw) == pytest.approx(1.0)
-
-    def test_classification(self):
-        memory_bound = classify(TITAN_X, "m", flops=1e6, dram_bytes=1e9, seconds=0.01)
-        compute_bound = classify(TITAN_X, "c", flops=1e13, dram_bytes=1e6, seconds=1.0)
-        assert memory_bound.is_memory_bound()
-        assert not compute_bound.is_memory_bound()
 
 
 class TestGPUPerfModel:

@@ -8,6 +8,7 @@ import pytest
 from repro.core import ALSConfig, CuMF
 from repro.core.hermitian import update_factor
 from repro.serving import (
+    InteractionLog,
     QueryTrace,
     RequestSimulator,
     ServingConfig,
@@ -96,6 +97,9 @@ class TestUnifiedValidation:
         (np.array([True]), np.array([1.0])),  # bool is not an index
         (np.array([-1]), np.array([1.0])),  # negative id
         (np.array([10**9]), np.array([1.0])),  # out of range
+        (np.array([0]), np.array([np.nan])),  # NaN rating
+        (np.array([0, 1]), np.array([4.0, np.inf])),  # inf rating
+        (np.array([0, 1]), np.array([-np.inf, 4.0])),  # -inf rating
     ]
 
     @pytest.mark.parametrize("items,ratings", BAD_INPUTS)
@@ -133,6 +137,15 @@ class TestUnifiedValidation:
         validate_ratings(np.array([10**9]), np.array([1.0]))
         with pytest.raises(ValueError, match="non-negative"):
             validate_ratings(np.array([-3]), np.array([1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            validate_ratings(np.array([3]), np.array([np.nan]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_log_rejects_non_finite_ratings(self, bad):
+        log = InteractionLog()
+        with pytest.raises(ValueError, match="finite"):
+            log.record(0, np.array([1, 2]), np.array([4.0, bad]))
+        assert len(log) == 0
 
 
 class TestQueryTrace:

@@ -29,12 +29,12 @@ from repro.core.solver import (
     TrainingSession,
     get_solver_spec,
     make_solver,
-    solver_catalogue,
     solver_names,
 )
 from repro.core.trainer import CuMF
 from repro.core.validation import MESSAGES
 from repro.serving.service import RecommenderService, ServingConfig
+from repro.sparse.csr import CSRMatrix
 
 ALL_SOLVERS = sorted(solver_names())
 
@@ -81,12 +81,11 @@ class TestRegistry:
     def test_all_expected_solvers_registered(self):
         assert {"base", "mo", "su", "ccd++", "libmf-sgd", "nomad", "pals", "spark-als"} <= set(ALL_SOLVERS)
 
-    def test_catalogue_covers_every_solver(self):
-        catalogue = {entry["name"]: entry for entry in solver_catalogue()}
-        assert set(catalogue) == set(ALL_SOLVERS)
-        for entry in catalogue.values():
-            assert entry["kind"] in ("als", "sgd", "ccd")
-            assert entry["description"]
+    def test_every_solver_has_kind_and_description(self):
+        for name in ALL_SOLVERS:
+            spec = get_solver_spec(name)
+            assert spec.kind in ("als", "sgd", "ccd")
+            assert spec.description
 
     @pytest.mark.parametrize("alias,canonical", [("base-als", "base"), ("mo-als", "mo"), ("su-als", "su"), ("ccd", "ccd++"), ("libmf", "libmf-sgd"), ("nomad-sgd", "nomad"), ("spark", "spark-als")])
     def test_aliases_resolve(self, alias, canonical):
@@ -226,6 +225,19 @@ class TestTrainingSession:
     def test_negative_start_iteration_rejected(self, data):
         with pytest.raises(ValueError, match="start_iteration"):
             TrainingSession(build("base")).run(data.train, start_iteration=-1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("name", ["base", "mo", "su"])
+    def test_non_finite_ratings_rejected(self, data, name, split, bad):
+        """A NaN/inf rating is refused up front instead of training to NaN factors."""
+        ratings = {"train": data.train, "test": data.test}
+        clean = ratings[split]
+        values = clean.data.copy()
+        values[len(values) // 2] = bad
+        ratings[split] = CSRMatrix(clean.shape, clean.indptr, clean.indices, values)
+        with pytest.raises(ValueError, match=f"{split} ratings hold non-finite"):
+            build(name).fit(ratings["train"], ratings["test"])
 
     def test_checkpoint_callback_saves_every_iteration(self, data, tmp_path):
         from repro.core.checkpoint import CheckpointManager

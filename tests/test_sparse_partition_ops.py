@@ -8,20 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import (
-    csr_column_gather,
-    csr_row_dense_product,
-    csr_spmv,
-    rmse_from_residual,
-    sampled_residual,
-)
-from repro.sparse.partition import (
-    Partition1D,
-    grid_partition,
-    horizontal_partition,
-    partition_bounds,
-    vertical_partition,
-)
+from repro.sparse.ops import rmse_from_residual, sampled_residual
+from repro.sparse.partition import Partition1D, grid_partition, partition_bounds
 
 from tests.conftest import random_coo
 
@@ -60,21 +48,11 @@ class TestPartition1D:
 
 
 class TestMatrixPartitioning:
-    def test_horizontal_partition_covers_matrix(self, small_csr, small_dense):
-        part, blocks = horizontal_partition(small_csr, 2)
-        stacked = np.vstack([b.to_dense() for b in blocks])
-        np.testing.assert_allclose(stacked, small_dense)
-
-    def test_vertical_partition_covers_matrix(self, small_csr, small_dense):
-        part, blocks = vertical_partition(small_csr, 3)
-        stacked = np.hstack([b.to_dense() for b in blocks])
-        np.testing.assert_allclose(stacked, small_dense)
-
     def test_grid_partition_preserves_nnz_and_values(self):
         csr = random_coo(40, 30, 300, seed=5).to_csr()
         grid = grid_partition(csr, p=3, q=4)
         assert grid.p == 3 and grid.q == 4
-        assert grid.total_nnz() == csr.nnz
+        assert sum(b.nnz for row in grid.blocks for b in row) == csr.nnz
         # Reassemble the dense matrix from the grid blocks.
         dense = np.zeros(csr.shape)
         for i in range(grid.p):
@@ -98,24 +76,6 @@ class TestMatrixPartitioning:
 
 
 class TestSparseOps:
-    def test_spmv_matches_dense(self, small_csr, small_dense, rng):
-        x = rng.normal(size=5)
-        np.testing.assert_allclose(csr_spmv(small_csr, x), small_dense @ x)
-
-    def test_spmv_validates_length(self, small_csr):
-        with pytest.raises(ValueError):
-            csr_spmv(small_csr, np.zeros(3))
-
-    def test_row_dense_product_is_rhs_of_eq2(self, small_csr, small_dense, rng):
-        theta = rng.normal(size=(5, 3))
-        expected = small_dense @ theta
-        np.testing.assert_allclose(csr_row_dense_product(small_csr, theta), expected)
-
-    def test_column_gather_returns_rated_columns(self, small_csr, rng):
-        theta = rng.normal(size=(5, 3))
-        gathered = csr_column_gather(small_csr, theta, 2)
-        np.testing.assert_allclose(gathered, theta[[1, 3, 4]])
-
     def test_sampled_residual_zero_for_exact_factors(self, rng):
         x = rng.normal(size=(6, 3))
         theta = rng.normal(size=(4, 3))

@@ -16,7 +16,6 @@ from repro.core.schedule import (
     execute_graph,
     get_scheduler_spec,
     make_scheduler,
-    scheduler_catalogue,
     scheduler_names,
 )
 from repro.core.solver.registry import make_solver
@@ -119,13 +118,11 @@ class TestTaskGraphIR:
 
 
 class TestSchedulerRegistry:
-    def test_names_and_catalogue(self):
+    def test_names_and_specs(self):
         names = scheduler_names()
         assert {"serial", "eager", "round-robin"} <= set(names)
-        rows = scheduler_catalogue()
-        by_name = {row["name"]: row for row in rows}
-        assert "heft" in by_name["eager"]["aliases"]
-        assert by_name["serial"]["description"]
+        assert "heft" in get_scheduler_spec("eager").aliases
+        assert get_scheduler_spec("serial").description
 
     def test_aliases_resolve_to_canonical(self):
         assert isinstance(make_scheduler("heft"), EagerScheduler)
