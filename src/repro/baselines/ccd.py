@@ -18,9 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.config import FitResult
-from repro.core.solver.protocol import SolverStep, apply_warm_start
-from repro.core.solver.session import TrainingSession
+from repro.core.solver.protocol import Solver, SolverStep, apply_warm_start
 from repro.core.validation import validate_hyperparameters
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import sampled_residual
@@ -44,7 +42,7 @@ class CCDConfig:
         )
 
 
-class CCDPlusPlus:
+class CCDPlusPlus(Solver):
     """CCD++ with the one-dimension-at-a-time (rank-one) update order.
 
     Constructed from a :class:`CCDConfig` or the same loose keywords as
@@ -149,14 +147,3 @@ class CCDPlusPlus:
                     x[:, k] = new_xk
                     theta[:, k] = new_tk
             yield SolverStep(x, theta)
-
-    def fit(
-        self,
-        train: CSRMatrix,
-        test: CSRMatrix | None = None,
-        *,
-        x0: np.ndarray | None = None,
-        theta0: np.ndarray | None = None,
-    ) -> FitResult:
-        """Run CCD++; one iteration sweeps all ``f`` rank-one subproblems."""
-        return TrainingSession(self).run(train, test, x0=x0, theta0=theta0)

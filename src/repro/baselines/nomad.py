@@ -21,10 +21,8 @@ import numpy as np
 
 from repro.cluster.nodes import ClusterSpec
 from repro.cluster.perf import distributed_sgd_epoch_time
-from repro.core.config import FitResult
 from repro.core.sgd import sgd_epoch
-from repro.core.solver.protocol import SolverStep, apply_warm_start
-from repro.core.solver.session import TrainingSession
+from repro.core.solver.protocol import Solver, SolverStep, apply_warm_start
 from repro.core.validation import validate_hyperparameters
 from repro.datasets.registry import DatasetSpec
 from repro.sparse.csr import CSRMatrix
@@ -35,7 +33,7 @@ from repro.baselines.sgd_hogwild import SGDConfig
 __all__ = ["NomadSGD"]
 
 
-class NomadSGD:
+class NomadSGD(Solver):
     """NOMAD: column tokens passed around row-partitioned workers."""
 
     name = "nomad-sgd"
@@ -107,14 +105,3 @@ class NomadSGD:
                     sgd_epoch(block, x[r_lo:r_hi], theta[c_lo:c_hi], lr, cfg.lam, rng)
             lr *= cfg.lr_decay
             yield SolverStep(x, theta, seconds=epoch_seconds)
-
-    def fit(
-        self,
-        train: CSRMatrix,
-        test: CSRMatrix | None = None,
-        *,
-        x0: np.ndarray | None = None,
-        theta0: np.ndarray | None = None,
-    ) -> FitResult:
-        """Run ``config.epochs`` epochs of the token-passing schedule."""
-        return TrainingSession(self).run(train, test, x0=x0, theta0=theta0)

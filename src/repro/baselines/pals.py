@@ -16,9 +16,8 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.als_base import BaseALS
-from repro.core.config import ALSConfig, FitResult
-from repro.core.solver.protocol import SolverStep, StashedBreakdown
-from repro.core.solver.session import TrainingSession
+from repro.core.config import ALSConfig
+from repro.core.solver.protocol import Solver, SolverStep, StashedBreakdown
 from repro.core.validation import validate_hyperparameters
 from repro.sparse.csr import CSRMatrix
 
@@ -27,7 +26,7 @@ __all__ = ["PALS"]
 FLOAT_BYTES = 4
 
 
-class PALS(StashedBreakdown):
+class PALS(StashedBreakdown, Solver):
     """Row-partitioned ALS with full factor replication."""
 
     name = "pals"
@@ -68,14 +67,3 @@ class PALS(StashedBreakdown):
             }
         )
         yield from BaseALS(self.config).iterate(train, test, x0=x0, theta0=theta0)
-
-    def fit(
-        self,
-        train: CSRMatrix,
-        test: CSRMatrix | None = None,
-        *,
-        x0: np.ndarray | None = None,
-        theta0: np.ndarray | None = None,
-    ) -> FitResult:
-        """Run the (numerically standard) ALS iterations."""
-        return TrainingSession(self).run(train, test, x0=x0, theta0=theta0)

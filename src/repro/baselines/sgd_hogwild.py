@@ -21,10 +21,8 @@ import numpy as np
 
 from repro.cluster.nodes import ClusterSpec, NodeSpec
 from repro.cluster.perf import distributed_sgd_epoch_time
-from repro.core.config import FitResult
 from repro.core.sgd import sgd_epoch
-from repro.core.solver.protocol import SolverStep, apply_warm_start
-from repro.core.solver.session import TrainingSession
+from repro.core.solver.protocol import Solver, SolverStep, apply_warm_start
 from repro.core.validation import validate_hyperparameters
 from repro.datasets.registry import DatasetSpec
 from repro.sparse.csr import CSRMatrix
@@ -56,7 +54,7 @@ class SGDConfig:
         )
 
 
-class ParallelSGD:
+class ParallelSGD(Solver):
     """Block-partitioned SGD with ``cores`` simulated workers (libMF).
 
     Parameters
@@ -148,14 +146,3 @@ class ParallelSGD:
                     sgd_epoch(block, x_view, t_view, lr, cfg.lam, rng)
             lr *= cfg.lr_decay
             yield SolverStep(x, theta, seconds=epoch_seconds)
-
-    def fit(
-        self,
-        train: CSRMatrix,
-        test: CSRMatrix | None = None,
-        *,
-        x0: np.ndarray | None = None,
-        theta0: np.ndarray | None = None,
-    ) -> FitResult:
-        """Run ``config.epochs`` epochs of the Latin-square block schedule."""
-        return TrainingSession(self).run(train, test, x0=x0, theta0=theta0)

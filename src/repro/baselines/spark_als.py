@@ -22,9 +22,8 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.als_base import BaseALS
-from repro.core.config import ALSConfig, FitResult
-from repro.core.solver.protocol import SolverStep, StashedBreakdown
-from repro.core.solver.session import TrainingSession
+from repro.core.config import ALSConfig
+from repro.core.solver.protocol import Solver, SolverStep, StashedBreakdown
 from repro.core.validation import validate_hyperparameters
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.partition import Partition1D
@@ -62,7 +61,7 @@ def theta_shipping_volume(train: CSRMatrix, workers: int, f: int) -> dict:
     }
 
 
-class SparkALS(StashedBreakdown):
+class SparkALS(StashedBreakdown, Solver):
     """Row-partitioned ALS shipping only the needed Θ subsets."""
 
     name = "spark-als"
@@ -97,14 +96,3 @@ class SparkALS(StashedBreakdown):
             }
         )
         yield from BaseALS(self.config).iterate(train, test, x0=x0, theta0=theta0)
-
-    def fit(
-        self,
-        train: CSRMatrix,
-        test: CSRMatrix | None = None,
-        *,
-        x0: np.ndarray | None = None,
-        theta0: np.ndarray | None = None,
-    ) -> FitResult:
-        """Run ALS and attach the shuffle-volume accounting to the result."""
-        return TrainingSession(self).run(train, test, x0=x0, theta0=theta0)

@@ -17,21 +17,23 @@ Three solver classes mirror the paper's three algorithm levels:
 solver, runs the alternating iterations, tracks RMSE and simulated time,
 and offers prediction/recommendation helpers.  The unified training API
 lives in :mod:`repro.core.solver`: the :class:`~repro.core.solver.Solver`
-protocol, the solver registry (``make_solver``/``register_solver``) and
-the callback-driven :class:`~repro.core.solver.TrainingSession` every
-solver's ``fit`` delegates to.
+protocol, whose one ``fit`` every solver inherits, the solver registry
+(``make_solver``/``register_solver``) and the callback-driven
+:class:`~repro.core.solver.TrainingSession` that ``fit`` runs.
 
 An ALS iteration is *built* as an explicit dataflow graph
 (:mod:`repro.core.taskgraph`) and *executed* through a pluggable
 scheduler (:mod:`repro.core.schedule` — ``make_scheduler`` /
-``register_scheduler``), which replays kernels and transfers on the
+``register_scheduler``, the same :class:`~repro.core.validation.Registry`
+as the solver and router registries), which replays kernels and transfers on the
 simulated machine and records chrome-tracing-exportable traces;
 :class:`~repro.core.streaming.StreamingALS` (``"streaming-als"``)
 feeds rating chunks through the same machinery as arriving waves.
 The same graphs, sized from a full-scale
 :class:`~repro.datasets.registry.DatasetSpec` instead of a rating
 matrix, give the figures' per-iteration seconds
-(``iteration_time`` on either GPU solver, an :class:`IterationTime`).
+(``iteration_time`` on either GPU solver, an :class:`IterationTime`,
+defined once on their shared driver :class:`~repro.core.als_base.GPUSolver`).
 """
 
 from repro.core.config import ALSConfig, FitResult, IterationStats, IterationTime

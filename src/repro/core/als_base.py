@@ -8,6 +8,10 @@ is what the property-based tests check.
 Like every solver, it exposes the update passes as an ``iterate``
 generator and delegates the loop bookkeeping (timing, history, RMSE) to
 a :class:`~repro.core.solver.session.TrainingSession`.
+
+:class:`GPUSolver` is the driver the simulated-GPU solvers share: the
+alternating loop, trace export, breakdown and full-scale
+``iteration_time`` around each solver's own update-pass graph builder.
 """
 
 from __future__ import annotations
@@ -19,12 +23,13 @@ import numpy as np
 
 from repro.core.config import ALSConfig, FitResult, IterationTime
 from repro.core.hermitian import update_factor
-from repro.core.schedule import execute_graph
-from repro.core.solver.protocol import SolverStep, apply_warm_start
-from repro.core.solver.session import TrainingSession
+from repro.core.schedule import ExecutionTrace, Scheduler, execute_graph
+from repro.core.solver.protocol import Solver, SolverStep, apply_warm_start
+from repro.datasets.registry import DatasetSpec
+from repro.gpu.machine import MultiGPUMachine
 from repro.sparse.csr import CSRMatrix
 
-__all__ = ["BaseALS", "init_factors"]
+__all__ = ["BaseALS", "GPUSolver", "init_factors"]
 
 
 def init_factors(m: int, n: int, config: ALSConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -53,32 +58,7 @@ def starting_factors(
     return apply_warm_start(x, theta, x0, theta0)
 
 
-def shape_iteration_time(solver, spec, machine) -> IterationTime:
-    """Time one iteration of a GPU solver's own update graphs, sized by ``spec``.
-
-    Both passes are built without factors (shape only: kernel profiles and
-    transfer sizes, no numeric closures) and executed on ``machine``, which
-    should be fresh, under the solver's scheduler.  Shared by the
-    ``iteration_time`` of MO-ALS and SU-ALS.
-    """
-    batches = []
-    # A full-scale pass is up to ~10^5 tasks, all alive until it has run;
-    # the cyclic collector can free none of them, so it is paused rather
-    # than left to re-scan the growing graph.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        for source, label in ((spec, "x"), (spec.transposed(), "theta")):
-            graph, _ = solver.build_update_graph(source, None, label)
-            execute_graph(graph, machine, solver.scheduler, verify=solver.verify)
-            batches.append(solver.plan_batches(source))
-    finally:
-        if collecting:
-            gc.enable()
-    return IterationTime(machine.elapsed_seconds(), machine.clock.breakdown(), *batches)
-
-
-class BaseALS:
+class BaseALS(Solver):
     """Straightforward ALS: update X with Θ fixed, then Θ with X fixed."""
 
     name = "base-als"
@@ -110,21 +90,94 @@ class BaseALS:
             theta = update_factor(train_t, x, cfg.lam, row_batch=cfg.row_batch)
             yield SolverStep(x, theta)
 
-    def fit(
+
+class GPUSolver(Solver):
+    """The driver shared by the simulated-GPU ALS solvers (MO-ALS, SU-ALS, streaming).
+
+    A subclass supplies the dataflow — ``build_update_graph`` and
+    ``plan_batches`` for one update pass — plus ``_update_pass``, which
+    builds a pass's graph on real ratings, executes it on :attr:`machine`
+    under :attr:`scheduler` and appends the trace to :attr:`traces`.
+    (``_update_pass`` stays with the subclass so that it calls the
+    ``execute_graph`` bound in the solver's own module, where
+    ``benchmarks/e2e/spans.py`` times it.)  This class owns everything
+    around that: the alternating loop with simulated seconds per
+    iteration, the merged trace export, the per-label breakdown on the
+    :class:`~repro.core.config.FitResult` and the full-scale
+    :meth:`iteration_time`.  :class:`~repro.core.streaming.StreamingALS`
+    replaces :meth:`iterate` with its chunk waves and uses only the trace
+    export and the breakdown.
+    """
+
+    config: ALSConfig
+    machine: MultiGPUMachine
+    scheduler: Scheduler
+    verify: bool
+    traces: list[ExecutionTrace]
+
+    def _prepare(self, train: CSRMatrix) -> None:
+        """Hook run once per ``iterate``, after the clock mark and before the first pass."""
+
+    def iterate(
         self,
         train: CSRMatrix,
         test: CSRMatrix | None = None,
         *,
         x0: np.ndarray | None = None,
         theta0: np.ndarray | None = None,
-        compute_objective: bool = False,
-    ) -> FitResult:
-        """Run ``config.iterations`` alternating updates.
+    ) -> Iterator[SolverStep]:
+        """Yield per-iteration factors with *simulated* seconds attached."""
+        cfg = self.config
+        x, theta = starting_factors(train, cfg, x0, theta0)
+        self.traces = []
+        yield SolverStep(x, theta)
 
-        ``x0`` / ``theta0`` override the random initialisation (used by the
-        checkpoint-restart path and by tests that need identical starting
-        points across solvers).
+        mark = self.machine.elapsed_seconds()
+        self._prepare(train)
+        train_t = train.to_csc().transpose_csr()
+        for _ in range(cfg.iterations):
+            x = self._update_pass(train, theta, label="x")
+            theta = self._update_pass(train_t, x, label="theta")
+            elapsed = self.machine.elapsed_seconds()
+            yield SolverStep(x, theta, seconds=elapsed - mark)
+            mark = elapsed
+
+    def export_trace(self, path: str | None = None):
+        """Merge the per-pass traces; write chrome-tracing JSON when ``path``.
+
+        Returns the merged :class:`~repro.core.schedule.ExecutionTrace`
+        (or the written path when one was given).
         """
-        return TrainingSession(self).run(
-            train, test, x0=x0, theta0=theta0, compute_objective=compute_objective
-        )
+        merged = ExecutionTrace.merge(self.traces)
+        if path is not None:
+            return merged.dump(path)
+        return merged
+
+    def finalize_result(self, result: FitResult) -> FitResult:
+        """Attach the machine's per-kernel/transfer/reduction time breakdown."""
+        result.breakdown = self.machine.clock.breakdown()
+        return result
+
+    def iteration_time(self, spec: DatasetSpec) -> IterationTime:
+        """Simulated seconds of one full-scale iteration on ``spec`` (no numerics).
+
+        Both passes' shape graphs (kernel profiles and transfer sizes, no
+        numeric closures) run on a fresh machine with this solver's
+        device, GPU count, topology and scheduler.
+        """
+        machine = MultiGPUMachine(n_gpus=self.machine.n_gpus, spec=self.machine.spec, topology=self.machine.topology)
+        batches = []
+        # A full-scale pass is up to ~10^5 tasks, all alive until it has run;
+        # the cyclic collector can free none of them, so it is paused rather
+        # than left to re-scan the growing graph.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for source, label in ((spec, "x"), (spec.transposed(), "theta")):
+                graph, _ = self.build_update_graph(source, None, label)
+                execute_graph(graph, machine, self.scheduler, verify=self.verify)
+                batches.append(self.plan_batches(source))
+        finally:
+            if collecting:
+                gc.enable()
+        return IterationTime(machine.elapsed_seconds(), machine.clock.breakdown(), *batches)

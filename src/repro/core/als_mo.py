@@ -29,20 +29,15 @@ out-of-core prefetching.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
-from repro.core.als_base import shape_iteration_time, starting_factors
-from repro.core.config import ALSConfig, FitResult, IterationTime
+from repro.core.als_base import GPUSolver
+from repro.core.config import ALSConfig
 from repro.core.hermitian import batch_solve, compute_hermitians
 from repro.core.kernels import FLOAT_BYTES, batch_solve_profile, get_hermitian_profile
 from repro.core.partition_planner import plan_partitions
 from repro.core.schedule import ExecutionTrace, execute_graph, make_scheduler
-from repro.core.solver.protocol import SolverStep
-from repro.core.solver.session import TrainingSession
 from repro.core.taskgraph import TaskGraph
-from repro.datasets.registry import DatasetSpec
 from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.memory import MemoryKind, OutOfDeviceMemory
 from repro.gpu.specs import TITAN_X, DeviceSpec
@@ -52,7 +47,7 @@ from repro.sparse.partition import partition_bounds
 __all__ = ["MemoryOptimizedALS"]
 
 
-class MemoryOptimizedALS:
+class MemoryOptimizedALS(GPUSolver):
     """MO-ALS on one simulated GPU."""
 
     name = "mo-als"
@@ -181,75 +176,19 @@ class MemoryOptimizedALS:
             freed.append(solve_task)
         return graph, out
 
-    def iteration_time(self, spec: DatasetSpec) -> IterationTime:
-        """Simulated seconds of one full-scale iteration on ``spec`` (no numerics).
-
-        Both passes' shape graphs run on a fresh machine with this solver's
-        device, topology and scheduler.
-        """
-        machine = MultiGPUMachine(n_gpus=1, spec=self.device.spec, topology=self.machine.topology)
-        return shape_iteration_time(self, spec, machine)
-
     def _update_pass(self, r: CSRMatrix, fixed: np.ndarray, label: str) -> np.ndarray:
         """One update pass (update-X when ``fixed`` is Θ, update-Θ when it is X)."""
         graph, out = self.build_update_graph(r, fixed, label)
         self.traces.append(execute_graph(graph, self.machine, self.scheduler, verify=self.verify))
         return out
 
-    # ------------------------------------------------------------------ #
-    def iterate(
-        self,
-        train: CSRMatrix,
-        test: CSRMatrix | None = None,
-        *,
-        x0: np.ndarray | None = None,
-        theta0: np.ndarray | None = None,
-    ) -> Iterator[SolverStep]:
-        """Yield per-iteration factors with *simulated* seconds attached.
+    def _prepare(self, train: CSRMatrix) -> None:
+        """Reserve device memory, then charge the initial host→device load of Θ, X and R.
 
-        The initial host→device load of Θ, X and R is charged to the
-        first iteration's clock (further iterations reuse the resident
-        copies).
+        The load lands on the first iteration's clock; further
+        iterations reuse the resident copies.
         """
-        cfg = self.config
         m, n = train.shape
-        x, theta = starting_factors(train, cfg, x0, theta0)
-        self.traces = []
-        yield SolverStep(x, theta)
-
-        mark = self.machine.elapsed_seconds()
         self._check_and_allocate(m, n, train.nnz)
-        train_t = train.to_csc().transpose_csr()
-        initial_bytes = (n * cfg.f + m * cfg.f + 2 * train.nnz + m + 1) * FLOAT_BYTES
+        initial_bytes = (n * self.config.f + m * self.config.f + 2 * train.nnz + m + 1) * FLOAT_BYTES
         self.machine.run_transfers([self.machine.h2d(0, initial_bytes, tag="initial-load")], label="h2d")
-
-        for _ in range(cfg.iterations):
-            x = self._update_pass(train, theta, label="x")
-            theta = self._update_pass(train_t, x, label="theta")
-            elapsed = self.machine.elapsed_seconds()
-            yield SolverStep(x, theta, seconds=elapsed - mark)
-            mark = elapsed
-
-    def export_trace(self, path: str | None = None):
-        """Merge the per-pass traces; write chrome-tracing JSON when ``path``."""
-        merged = ExecutionTrace.merge(self.traces)
-        if path is not None:
-            return merged.dump(path)
-        return merged
-
-    def finalize_result(self, result: FitResult) -> FitResult:
-        """Attach the machine's per-kernel/transfer time breakdown."""
-        result.breakdown = self.machine.clock.breakdown()
-        return result
-
-    def fit(
-        self,
-        train: CSRMatrix,
-        test: CSRMatrix | None = None,
-        *,
-        x0: np.ndarray | None = None,
-        theta0: np.ndarray | None = None,
-        compute_objective: bool = False,
-    ) -> FitResult:
-        """Run MO-ALS; the history carries simulated seconds."""
-        return TrainingSession(self).run(train, test, x0=x0, theta0=theta0, compute_objective=compute_objective)

@@ -38,22 +38,18 @@ figures' per-iteration seconds (:meth:`ScaleUpALS.iteration_time`).
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from repro.comm.collective import scatter_plan
 from repro.comm.reduction import ReductionScheme, TwoPhaseTopologyReduction, numeric_reduce
-from repro.core.als_base import shape_iteration_time, starting_factors
-from repro.core.config import ALSConfig, FitResult, IterationTime
+from repro.core.als_base import GPUSolver
+from repro.core.config import ALSConfig
 from repro.core.hermitian import batch_solve, compute_hermitians
 from repro.core.kernels import FLOAT_BYTES, batch_solve_profile, get_hermitian_profile
 from repro.core.partition_planner import plan_partitions
 from repro.core.schedule import ExecutionTrace, execute_graph, make_scheduler
-from repro.core.solver.protocol import SolverStep
-from repro.core.solver.session import TrainingSession
+from repro.core.solver.protocol import Solver
 from repro.core.taskgraph import TaskGraph
-from repro.datasets.registry import DatasetSpec
 from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.specs import TITAN_X, DeviceSpec
 from repro.sparse.csr import CSRMatrix
@@ -62,10 +58,12 @@ from repro.sparse.partition import Partition1D, grid_partition, partition_bounds
 __all__ = ["ScaleUpALS"]
 
 
-class ScaleUpALS:
+class ScaleUpALS(GPUSolver):
     """SU-ALS across a (simulated) multi-GPU machine."""
 
     name = "su-als"
+    # Bound in the class dict so benchmarks/e2e/spans.py can wrap ScaleUpALS.fit.
+    fit = Solver.fit
 
     def __init__(
         self,
@@ -417,69 +415,8 @@ class ScaleUpALS:
             return self._build_model_parallel_graph(source, fixed, label)
         return self._build_data_parallel_graph(source, fixed, label)
 
-    def iteration_time(self, spec: DatasetSpec) -> IterationTime:
-        """Simulated seconds of one full-scale iteration on ``spec`` (no numerics).
-
-        Both passes' shape graphs run on a fresh machine with this solver's
-        device, topology, reduction scheme and scheduler.
-        """
-        machine = MultiGPUMachine(n_gpus=self.p, spec=self.machine.spec, topology=self.machine.topology)
-        return shape_iteration_time(self, spec, machine)
-
     def _update_pass(self, r: CSRMatrix, fixed: np.ndarray, label: str) -> np.ndarray:
         """One SU-ALS update pass: build the graph, execute it, keep the trace."""
         graph, out = self.build_update_graph(r, fixed, label)
         self.traces.append(execute_graph(graph, self.machine, self.scheduler, verify=self.verify))
         return out
-
-    # ------------------------------------------------------------------ #
-    def iterate(
-        self,
-        train: CSRMatrix,
-        test: CSRMatrix | None = None,
-        *,
-        x0: np.ndarray | None = None,
-        theta0: np.ndarray | None = None,
-    ) -> Iterator[SolverStep]:
-        """Yield per-iteration factors with *simulated* seconds attached."""
-        cfg = self.config
-        x, theta = starting_factors(train, cfg, x0, theta0)
-        self.traces = []
-        yield SolverStep(x, theta)
-
-        train_t = train.to_csc().transpose_csr()
-        mark = self.machine.elapsed_seconds()
-        for _ in range(cfg.iterations):
-            x = self._update_pass(train, theta, label="x")
-            theta = self._update_pass(train_t, x, label="theta")
-            elapsed = self.machine.elapsed_seconds()
-            yield SolverStep(x, theta, seconds=elapsed - mark)
-            mark = elapsed
-
-    def export_trace(self, path: str | None = None):
-        """Merge the per-pass traces; write chrome-tracing JSON when ``path``.
-
-        Returns the merged :class:`~repro.core.schedule.ExecutionTrace`
-        (or the written path when one was given).
-        """
-        merged = ExecutionTrace.merge(self.traces)
-        if path is not None:
-            return merged.dump(path)
-        return merged
-
-    def finalize_result(self, result: FitResult) -> FitResult:
-        """Attach the machine's per-kernel/transfer/reduction breakdown."""
-        result.breakdown = self.machine.clock.breakdown()
-        return result
-
-    def fit(
-        self,
-        train: CSRMatrix,
-        test: CSRMatrix | None = None,
-        *,
-        x0: np.ndarray | None = None,
-        theta0: np.ndarray | None = None,
-        compute_objective: bool = False,
-    ) -> FitResult:
-        """Run SU-ALS; the history carries simulated seconds."""
-        return TrainingSession(self).run(train, test, x0=x0, theta0=theta0, compute_objective=compute_objective)

@@ -1,8 +1,9 @@
 """Schedulers and the executor that replays a task graph on a machine.
 
 A :class:`~repro.core.taskgraph.TaskGraph` says *what* one iteration
-does; a scheduler says *when and where*.  Schedulers are declarative,
-mirroring the solver and router registries — request one by name::
+does; a scheduler says *when and where*.  Schedulers are declarative —
+the scheduler registry is the same :class:`~repro.core.validation.Registry`
+as the solver and router registries — request one by name::
 
     make_scheduler("serial")        # wave-by-wave, exact eager parity
     make_scheduler("eager")         # HEFT-style list scheduling, overlap-aware
@@ -32,11 +33,11 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import repro.obs as obs
 from repro.core.taskgraph import Task, TaskGraph
-from repro.core.validation import duplicate_name_error, prebuilt_override_error, spec_needs_name_error, unknown_name_error
+from repro.core.validation import Registry, Spec
 from repro.gpu.kernel import estimate_kernel_time
 from repro.gpu.machine import MultiGPUMachine
 
@@ -90,74 +91,15 @@ class Scheduler(Protocol):
 
 
 @dataclass(frozen=True)
-class SchedulerSpec:
-    """One registry entry: a canonical name, a factory, and metadata."""
-
-    name: str
-    factory: Callable[..., "Scheduler"]
-    description: str = ""
-    aliases: tuple[str, ...] = ()
+class SchedulerSpec(Spec):
+    """One scheduler registry entry: a canonical name, a factory, and metadata."""
 
 
-_REGISTRY: dict[str, SchedulerSpec] = {}
-_ALIASES: dict[str, str] = {}
-
-
-def register_scheduler(
-    name: str,
-    factory: Callable[..., "Scheduler"],
-    *,
-    description: str = "",
-    aliases: tuple[str, ...] = (),
-) -> SchedulerSpec:
-    """Add a scheduler factory under ``name`` (plus ``aliases``); returns the spec.
-
-    Names and aliases share one namespace and must be unique, exactly
-    like the solver and router registries.
-    """
-    spec = SchedulerSpec(name=name, factory=factory, description=description, aliases=tuple(aliases))
-    for label in (name, *spec.aliases):
-        if label in _REGISTRY or label in _ALIASES:
-            raise duplicate_name_error("scheduler", label)
-    _REGISTRY[name] = spec
-    for alias in spec.aliases:
-        _ALIASES[alias] = name
-    return spec
-
-
-def scheduler_names() -> tuple[str, ...]:
-    """Canonical names of every registered scheduler (aliases excluded)."""
-    return tuple(_REGISTRY)
-
-
-def get_scheduler_spec(name: str) -> SchedulerSpec:
-    """Resolve a name or alias to its :class:`SchedulerSpec` (ValueError if unknown)."""
-    canonical = _ALIASES.get(name, name)
-    try:
-        return _REGISTRY[canonical]
-    except KeyError:
-        raise unknown_name_error("scheduler", name, set(_REGISTRY) | set(_ALIASES)) from None
-
-
-def make_scheduler(spec, /, **kwargs) -> "Scheduler":
-    """Build a scheduler from a name, dict, :class:`SchedulerSpec`, or instance."""
-    if isinstance(spec, str):
-        return get_scheduler_spec(spec).factory(**kwargs)
-    if isinstance(spec, dict):
-        merged = dict(spec)
-        try:
-            name = merged.pop("name")
-        except KeyError:
-            raise spec_needs_name_error("scheduler") from None
-        merged.update(kwargs)
-        return get_scheduler_spec(name).factory(**merged)
-    if isinstance(spec, SchedulerSpec):
-        return spec.factory(**kwargs)
-    if hasattr(spec, "mode") and hasattr(spec, "priorities"):
-        if kwargs:
-            raise prebuilt_override_error("scheduler")
-        return spec
-    raise TypeError(f"cannot build a scheduler from {type(spec).__name__}")
+_SCHEDULERS = Registry("scheduler", SchedulerSpec, Scheduler)
+register_scheduler = _SCHEDULERS.register
+make_scheduler = _SCHEDULERS.make
+get_scheduler_spec = _SCHEDULERS.get
+scheduler_names = _SCHEDULERS.names
 
 
 # ---------------------------------------------------------------------- #

@@ -8,7 +8,8 @@ tracking, :class:`~repro.core.config.IterationStats` history).  This
 package is the training-side twin of the PR-4 serving redesign:
 
 * :class:`~repro.core.solver.protocol.Solver` — the runtime-checkable
-  contract (``name``, ``fit``, ``iterate``) every solver satisfies;
+  contract (``name``, ``fit``, ``iterate``) every solver satisfies; the
+  built-in solvers subclass it and inherit its one ``fit``;
 * :mod:`~repro.core.solver.registry` — ``register_solver`` /
   ``make_solver``: declarative construction of any registered solver
   (the three ALS levels *and* all baselines) from a name plus uniform

@@ -7,9 +7,12 @@ protocol that unifies them — the training-side twin of
 :class:`~repro.serving.service.protocol.ServingBackend`:
 
 * ``name`` — the label stamped on :attr:`FitResult.solver`;
-* ``fit(train, test=None, *, x0=None, theta0=None) -> FitResult`` — run
-  to completion.  ``x0``/``theta0`` warm-start from given factors (the
-  checkpoint-resume path), on *every* solver — baselines included;
+* ``fit(train, test=None, *, x0=None, theta0=None, compute_objective=False)
+  -> FitResult`` — run to completion.  ``x0``/``theta0`` warm-start from
+  given factors (the checkpoint-resume path), on *every* solver —
+  baselines included.  The protocol class defines it once, as a plain
+  :class:`~repro.core.solver.session.TrainingSession` run; every
+  built-in solver subclasses :class:`Solver` explicitly to inherit it;
 * ``iterate(train, test=None, *, x0=None, theta0=None)`` — the
   generator the :class:`~repro.core.solver.session.TrainingSession`
   harness actually drives.  The first yield is **iteration zero**: the
@@ -34,6 +37,7 @@ from typing import Iterator, Protocol, runtime_checkable
 import numpy as np
 
 from repro.core.config import FitResult
+from repro.core.solver.session import TrainingSession
 from repro.sparse.csr import CSRMatrix
 
 __all__ = ["Solver", "SolverStep", "StashedBreakdown", "apply_warm_start"]
@@ -126,9 +130,16 @@ class Solver(Protocol):
         *,
         x0: np.ndarray | None = None,
         theta0: np.ndarray | None = None,
+        compute_objective: bool = False,
     ) -> FitResult:
-        """Run the solver to completion and return factors + history."""
-        ...
+        """Run the solver to completion through a callback-less :class:`TrainingSession`.
+
+        ``x0`` / ``theta0`` override the random initialisation (the
+        checkpoint-restart path, and tests that need identical starting
+        points across solvers); ``compute_objective`` adds the eq.-(1)
+        objective column to every history entry.
+        """
+        return TrainingSession(self).run(train, test, x0=x0, theta0=theta0, compute_objective=compute_objective)
 
     def iterate(
         self,

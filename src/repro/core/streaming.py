@@ -34,11 +34,10 @@ from typing import Iterator
 import numpy as np
 
 from repro.comm.reduction import ReductionScheme
-from repro.core.als_base import starting_factors
+from repro.core.als_base import GPUSolver, starting_factors
 from repro.core.als_su import ScaleUpALS
-from repro.core.config import ALSConfig, FitResult
+from repro.core.config import ALSConfig
 from repro.core.solver.protocol import SolverStep
-from repro.core.solver.session import TrainingSession
 from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.specs import TITAN_X, DeviceSpec
 from repro.sparse.csr import CSRMatrix
@@ -47,7 +46,7 @@ from repro.sparse.partition import partition_bounds
 __all__ = ["StreamingALS"]
 
 
-class StreamingALS:
+class StreamingALS(GPUSolver):
     """Minibatch ALS over rating chunks arriving as task-graph waves."""
 
     name = "streaming-als"
@@ -84,10 +83,6 @@ class StreamingALS:
     def traces(self):
         """Execution traces of every wave run so far (via the inner solver)."""
         return self._inner.traces
-
-    def export_trace(self, path: str | None = None):
-        """Merge the wave traces; write chrome-tracing JSON when ``path``."""
-        return self._inner.export_trace(path)
 
     # ------------------------------------------------------------------ #
     def iterate(
@@ -129,22 +124,3 @@ class StreamingALS:
             elapsed = self.machine.elapsed_seconds()
             yield SolverStep(x, theta, seconds=elapsed - mark)
             mark = elapsed
-
-    def finalize_result(self, result: FitResult) -> FitResult:
-        """Attach the machine's per-kernel/transfer breakdown."""
-        result.breakdown = self.machine.clock.breakdown()
-        return result
-
-    def fit(
-        self,
-        train: CSRMatrix,
-        test: CSRMatrix | None = None,
-        *,
-        x0: np.ndarray | None = None,
-        theta0: np.ndarray | None = None,
-        compute_objective: bool = False,
-    ) -> FitResult:
-        """Run streaming ALS; the history carries simulated seconds."""
-        return TrainingSession(self).run(
-            train, test, x0=x0, theta0=theta0, compute_objective=compute_objective
-        )

@@ -1,4 +1,4 @@
-"""One shared vocabulary for hyper-parameter validation.
+"""One shared vocabulary for hyper-parameter and registry validation.
 
 Every solver config used to police its own constructor with home-grown
 ``ValueError`` strings, so the same mistake — ``f=0``, a negative epoch
@@ -8,18 +8,23 @@ gate: each config passes the fields it has, only those are checked, and
 a given violation raises the *identical* message everywhere (the
 conformance suite regression-tests this across ``ALSConfig``,
 ``SGDConfig``, CCD++ and PALS).
+
+:class:`Registry` is the one declarative registry design — names in,
+instances out.  The solver (:mod:`repro.core.solver.registry`),
+scheduler (:mod:`repro.core.schedule`) and router
+(:mod:`repro.serving.routing`) registries are three instances of it, so
+they raise identical errors by construction.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable
 
 __all__ = [
-    "duplicate_name_error",
-    "factory_arguments_error",
-    "prebuilt_override_error",
+    "Registry",
+    "Spec",
     "require",
-    "spec_needs_name_error",
     "unknown_name_error",
     "validate_hyperparameters",
 ]
@@ -73,24 +78,92 @@ def require(condition: object, message: str) -> None:
         raise ValueError(message)
 
 
-def duplicate_name_error(kind: str, label: object) -> ValueError:
-    """The one duplicate-registration error, identical for every registry."""
-    return ValueError(f"{kind} name already registered: {label!r}")
+@dataclass(frozen=True)
+class Spec:
+    """One registry entry: a canonical name, a factory, and metadata."""
+
+    name: str
+    factory: Callable[..., Any]
+    description: str = ""
+    aliases: tuple[str, ...] = ()
 
 
-def spec_needs_name_error(kind: str) -> ValueError:
-    """The one missing-'name'-key error for declarative spec dicts."""
-    return ValueError(f"a {kind} spec dict needs a 'name' key")
+class Registry:
+    """Declarative construction: a registered name in, a built instance out.
 
+    Parameters
+    ----------
+    kind:
+        The noun every error names (``"solver"``, ``"router"``, ...).
+    spec_type:
+        The :class:`Spec` subclass this registry's entries are; a spec of
+        another registry's type is refused by :meth:`make`.
+    protocol:
+        The runtime-checkable protocol a prebuilt instance satisfies;
+        :meth:`make` returns such an instance as-is.
+    """
 
-def prebuilt_override_error(kind: str) -> ValueError:
-    """The one overrides-refused error for already-built instances."""
-    return ValueError(f"cannot apply overrides to an already-built {kind}")
+    def __init__(self, kind: str, spec_type: type[Spec], protocol: type) -> None:
+        self.kind = kind
+        self.spec_type = spec_type
+        self.protocol = protocol
+        self._specs: dict[str, Spec] = {}
+        self._aliases: dict[str, str] = {}
 
+    def register(self, name: str, factory: Callable[..., Any], *, description: str = "", aliases: tuple[str, ...] = (), **metadata) -> Spec:
+        """Add ``factory`` under ``name`` (plus ``aliases``); returns the spec.
 
-def factory_arguments_error(kind: str, name: str, exc: Exception) -> ValueError:
-    """The one bad-factory-keywords error, wrapping the factory's TypeError."""
-    return ValueError(f"invalid arguments for {kind} {name!r}: {exc}")
+        ``factory(**kwargs)`` builds a fresh instance per call; names and
+        aliases share one namespace and must be unique.  A refused
+        registration leaves the registry unchanged.
+        """
+        spec = self.spec_type(name=name, factory=factory, description=description, aliases=tuple(aliases), **metadata)
+        for label in (name, *spec.aliases):
+            if label in self._specs or label in self._aliases:
+                raise ValueError(f"{self.kind} name already registered: {label!r}")
+        self._specs[name] = spec
+        for alias in spec.aliases:
+            self._aliases[alias] = name
+        return spec
+
+    def names(self) -> tuple[str, ...]:
+        """Canonical names of every registered entry (aliases excluded)."""
+        return tuple(self._specs)
+
+    def get(self, name: str) -> Spec:
+        """Resolve a name or alias to its spec (ValueError if unknown)."""
+        try:
+            return self._specs[self._aliases.get(name, name)]
+        except KeyError:
+            raise unknown_name_error(self.kind, name, set(self._specs) | set(self._aliases)) from None
+
+    def make(self, spec, /, **kwargs):
+        """Build an instance from a declarative spec.
+
+        ``spec`` is a registered name or alias, a ``{"name": ..., **kwargs}``
+        dict (explicit keywords override the dict's), a spec of this
+        registry, or an already-built instance of its protocol (returned
+        as-is; overrides are refused because its configuration is fixed).
+        Keywords the factory does not accept raise ``ValueError``.
+        """
+        if isinstance(spec, str):
+            spec = self.get(spec)
+        elif isinstance(spec, dict):
+            merged = dict(spec)
+            if "name" not in merged:
+                raise ValueError(f"a {self.kind} spec dict needs a 'name' key")
+            spec = self.get(merged.pop("name"))
+            kwargs = {**merged, **kwargs}
+        elif not isinstance(spec, self.spec_type):
+            if not isinstance(spec, self.protocol):
+                raise TypeError(f"cannot build a {self.kind} from {type(spec).__name__}")
+            if kwargs:
+                raise ValueError(f"cannot apply overrides to an already-built {self.kind}")
+            return spec
+        try:
+            return spec.factory(**kwargs)
+        except TypeError as exc:
+            raise ValueError(f"invalid arguments for {self.kind} {spec.name!r}: {exc}") from None
 
 
 def validate_hyperparameters(

@@ -44,8 +44,9 @@ package is that missing online half:
 * :mod:`~repro.serving.routing` — routing policies as a registry: the
   runtime-checkable :class:`Router` protocol, the built-in policies
   (round-robin / least-loaded / power-of-two-choices), and
-  :func:`register_router` / :func:`make_router` mirroring the solver
-  registry, so custom policies work everywhere a name is accepted.
+  :func:`register_router` / :func:`make_router` — the same
+  :class:`~repro.core.validation.Registry` as the solver registry — so
+  custom policies work everywhere a name is accepted.
 * :mod:`~repro.serving.tenancy` — multi-tenant SLO serving: per-tenant
   :class:`TenantPolicy` (weight, priority, rate cap, ``deadline_ms``,
   reduced-``k`` degrade), a token-bucket + weighted-fair-queueing

@@ -287,20 +287,19 @@ class ServingCluster:
         """Top-``k`` for one user, routed to one replica.
 
         ``k`` is validated before the routing decision, so a rejected
-        request does not consume a routing slot; the error is identical
-        to the single-store path's.
+        request does not consume a routing slot; the error is the
+        single-store path's.
         """
         return self.recommend_batch(np.array([user]), k=k, exclude=exclude)[0]
 
     def recommend_batch(self, users: np.ndarray, k: int = 10, exclude=None, user_block: int = 512) -> list[list[tuple[int, float]]]:
         """Top-``k`` for a batch of users, routed to one replica.
 
-        ``k`` is validated before the routing decision (same error as
-        the store path); everything else is delegated to the routed
-        replica.
+        ``k`` and ``user_block`` are validated before the routing
+        decision (the store's own check); everything else is delegated
+        to the routed replica.
         """
-        if k <= 0:
-            raise ValueError("k must be >= 1")
+        FactorStore.check_topk_args(k, user_block)
         return self.replicas[self.route()].recommend_batch(
             users, k=k, exclude=exclude, user_block=user_block
         )

@@ -41,7 +41,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.config import FitResult
-from repro.core.solver.protocol import SolverStep
+from repro.core.solver.protocol import Solver, SolverStep
 from repro.core.solver.session import TrainingSession
 from repro.serving.foldin import fold_in_users
 from repro.serving.lifecycle.log import InteractionLog
@@ -195,7 +195,7 @@ def refresh_factors(
     )
 
 
-class RefreshSolver:
+class RefreshSolver(Solver):
     """A one-iteration solver whose single update is an incremental refresh.
 
     Satisfies the :class:`~repro.core.solver.protocol.Solver` contract so
@@ -232,16 +232,6 @@ class RefreshSolver:
         self.last_refresh = refreshed
         yield SolverStep(refreshed.x, refreshed.theta)
 
-    def fit(
-        self,
-        train: CSRMatrix,
-        test: CSRMatrix | None = None,
-        *,
-        x0: np.ndarray | None = None,
-        theta0: np.ndarray | None = None,
-    ) -> FitResult:
-        """Run the refresh through a plain (callback-less) session."""
-        return TrainingSession(self).run(train, test, x0=x0, theta0=theta0)
 
 
 def run_refresh_session(

@@ -1,8 +1,8 @@
 """Routing policies as a registry: names in, :class:`Router` out.
 
-PR 2 hard-coded three routing policies inside ``cluster.py``; this
-module gives routing the same declarative surface the solver registry
-gave training (:mod:`repro.core.solver.registry`):
+Routing has the same declarative surface as training's solver registry
+(:mod:`repro.core.solver.registry`) — both are instances of the one
+:class:`~repro.core.validation.Registry`:
 
 * :class:`Router` is now a *runtime-checkable protocol* — anything with
   a ``name``, ``select(loads) -> index`` and ``reset()`` routes a
@@ -15,8 +15,7 @@ gave training (:mod:`repro.core.solver.registry`):
   keyword overrides (``make_router("power-of-two", seed=3)``), a
   :class:`RouterSpec`, or passes an instance through; unknown names
   raise the same ``unknown <kind> ...; choose from [...]`` message the
-  solver registry raises (one shared helper in
-  :mod:`repro.core.validation`).
+  solver registry raises.
 
 Registered out of the box: ``round-robin``, ``least-loaded`` (alias
 ``ll``) and ``power-of-two`` (aliases ``p2c``, ``power-of-two-choices``).
@@ -25,18 +24,11 @@ Registered out of the box: ``round-robin``, ``least-loaded`` (alias
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from repro.core.validation import (
-    duplicate_name_error,
-    factory_arguments_error,
-    prebuilt_override_error,
-    require,
-    spec_needs_name_error,
-    unknown_name_error,
-)
+from repro.core.validation import Registry, Spec, require
 
 __all__ = [
     "Router",
@@ -129,92 +121,18 @@ class PowerOfTwoRouter:
 
 
 # ---------------------------------------------------------------------- #
-# registry: mirrors repro.core.solver.registry
+# registry
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class RouterSpec:
-    """One registry entry: a canonical name, a factory, and metadata."""
-
-    name: str
-    factory: Callable[..., Router]
-    description: str = ""
-    aliases: tuple[str, ...] = ()
+class RouterSpec(Spec):
+    """One router registry entry: a canonical name, a factory, and metadata."""
 
 
-_REGISTRY: dict[str, RouterSpec] = {}
-_ALIASES: dict[str, str] = {}
-
-
-def register_router(
-    name: str,
-    factory: Callable[..., Router],
-    *,
-    description: str = "",
-    aliases: tuple[str, ...] = (),
-) -> RouterSpec:
-    """Add a routing policy under ``name`` (plus ``aliases``); returns the spec.
-
-    ``factory(**kwargs) -> Router`` builds a fresh router per call (the
-    policy class itself usually is the factory); names and aliases share
-    one namespace and must be unique.
-    """
-    spec = RouterSpec(name=name, factory=factory, description=description, aliases=tuple(aliases))
-    for label in (name, *spec.aliases):
-        if label in _REGISTRY or label in _ALIASES:
-            raise duplicate_name_error("router", label)
-    _REGISTRY[name] = spec
-    for alias in spec.aliases:
-        _ALIASES[alias] = name
-    return spec
-
-
-def router_names() -> tuple[str, ...]:
-    """Canonical names of every registered router (aliases excluded)."""
-    return tuple(_REGISTRY)
-
-
-def get_router_spec(name: str) -> RouterSpec:
-    """Resolve a name or alias to its :class:`RouterSpec` (ValueError if unknown)."""
-    canonical = _ALIASES.get(name, name)
-    try:
-        return _REGISTRY[canonical]
-    except KeyError:
-        raise unknown_name_error("router", name, set(_REGISTRY) | set(_ALIASES)) from None
-
-
-def _build(spec: RouterSpec, kwargs: dict) -> Router:
-    """Invoke a factory, turning bad keywords into a helpful ValueError."""
-    try:
-        return spec.factory(**kwargs)
-    except TypeError as exc:
-        raise factory_arguments_error("router", spec.name, exc) from None
-
-
-def make_router(spec, /, **kwargs) -> Router:
-    """Build a router from a declarative spec.
-
-    ``spec`` is a registered name or alias, a ``{"name": ..., **kwargs}``
-    dict (explicit keywords override the dict's), a :class:`RouterSpec`,
-    or an already-built :class:`Router` (returned as-is; overrides are
-    refused because a built router's configuration is fixed).
-    """
-    if isinstance(spec, str):
-        return _build(get_router_spec(spec), kwargs)
-    if isinstance(spec, dict):
-        merged = dict(spec)
-        try:
-            name = merged.pop("name")
-        except KeyError:
-            raise spec_needs_name_error("router") from None
-        merged.update(kwargs)
-        return _build(get_router_spec(name), merged)
-    if isinstance(spec, RouterSpec):
-        return _build(spec, kwargs)
-    if isinstance(spec, Router):  # reprolint: ignore[REP006] — structural duck-check, not an implementation fork
-        if kwargs:
-            raise prebuilt_override_error("router")
-        return spec
-    raise TypeError(f"cannot build a router from {type(spec).__name__}")
+_ROUTERS = Registry("router", RouterSpec, Router)
+register_router = _ROUTERS.register
+make_router = _ROUTERS.make
+get_router_spec = _ROUTERS.get
+router_names = _ROUTERS.names
 
 
 def select_replica(router: Router, loads: Sequence[float]) -> int:

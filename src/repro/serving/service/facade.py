@@ -41,6 +41,7 @@ from repro.serving.service.envelopes import (
     RecommendRequest,
     ServeResponse,
 )
+from repro.serving.store import FactorStore
 from repro.serving.tenancy import TenantPolicyTable, TenantScheduler
 from repro.sparse.csr import CSRMatrix
 
@@ -305,9 +306,11 @@ class RecommenderService:
             request = RecommendRequest(users, k=k, user_block=user_block, exclude=exclude, tenant=tenant)
         mask = self.ratings if request.exclude is SERVICE_DEFAULT else request.exclude
         # Same invariant as the cluster path: a request rejected for a bad
-        # k never consumes a routing slot (identical message included).
-        if request.k <= 0:
-            return self._error("recommend", ValueError("k must be >= 1"), tenant=request.tenant)
+        # k or user_block never consumes a routing slot (the store's check).
+        try:
+            FactorStore.check_topk_args(request.k, request.user_block)
+        except ValueError as exc:
+            return self._error("recommend", exc, tenant=request.tenant)
         k_eff = request.k
         status = "ok"
         if self._scheduler is not None:

@@ -581,6 +581,22 @@ class FactorStore:
         """Top-``k`` items for one user (single-query path = batch of 1)."""
         return self.recommend_batch(np.array([user]), k=k, exclude=exclude)[0]
 
+    @staticmethod
+    def check_topk_args(k: int, user_block: int = 512) -> None:
+        """The one top-k argument check: ``ValueError`` for a bad ``k`` or ``user_block``.
+
+        ``k`` must be an integer (not a bool) >= 1 and ``user_block`` an
+        integer >= 1.  Routing front ends call it before they pick a
+        replica, so a rejected request takes no routing slot and no
+        clock charge.
+        """
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ValueError(f"k must be an integer, got {k!r}")
+        if k <= 0:
+            raise ValueError("k must be >= 1")
+        if isinstance(user_block, bool) or not isinstance(user_block, (int, np.integer)) or user_block < 1:
+            raise ValueError(f"user_block must be an integer >= 1, got {user_block!r}")
+
     def recommend_batch(
         self,
         users: np.ndarray,
@@ -599,8 +615,7 @@ class FactorStore:
         buffer.  This is the one top-k entry point: the traffic simulator
         and every serving front end go through it.
         """
-        if k <= 0:
-            raise ValueError("k must be >= 1")
+        self.check_topk_args(k, user_block)
         users = self._validate_users(users)
         if exclude is not None:
             if exclude.shape[1] != self.n_items:

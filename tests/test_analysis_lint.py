@@ -5,12 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.analysis.lint import LINT_RULES, lint_paths, lint_source, main
-from repro.core.schedule import make_scheduler, register_scheduler
-from repro.core.solver.registry import make_solver, register_solver
-from repro.serving.routing import make_router, register_router
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -203,31 +198,3 @@ class TestCLI:
 class TestProjectIsClean:
     def test_src_tree_lints_clean(self):
         assert lint_paths([SRC]) == []
-
-
-class TestRegistryErrorParity:
-    """The three registries share one validation vocabulary (REP003's point)."""
-
-    def test_duplicate_name_messages_match(self):
-        with pytest.raises(ValueError, match="solver name already registered: 'su'"):
-            register_solver("su", lambda **kw: None)
-        with pytest.raises(ValueError, match="router name already registered: 'round-robin'"):
-            register_router("round-robin", lambda **kw: None)
-        with pytest.raises(ValueError, match="scheduler name already registered: 'serial'"):
-            register_scheduler("serial", lambda **kw: None)
-
-    def test_spec_dict_needs_name_messages_match(self):
-        for maker, kind in ((make_solver, "solver"), (make_router, "router"), (make_scheduler, "scheduler")):
-            with pytest.raises(ValueError, match=f"a {kind} spec dict needs a 'name' key"):
-                maker({"f": 8})
-
-    def test_prebuilt_override_messages_match(self):
-        solver = make_solver("base", f=4, iterations=1)
-        with pytest.raises(ValueError, match="already-built solver"):
-            make_solver(solver, f=8)
-        router = make_router("round-robin")
-        with pytest.raises(ValueError, match="already-built router"):
-            make_router(router, seed=1)
-        scheduler = make_scheduler("serial")
-        with pytest.raises(ValueError, match="already-built scheduler"):
-            make_scheduler(scheduler, window=2)

@@ -8,6 +8,8 @@ identical error messages, identical drain/rollout semantics — on every
 backend the protocol admits.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,14 @@ class TestEnvelopes:
 # k <= 0 regression: identical ValueError on the store and cluster paths
 # ---------------------------------------------------------------------- #
 class TestTopKValidation:
+    #: Hostile top-k arguments that must be a ValueError, never an empty or internal-error answer.
+    HOSTILE = [
+        ({"k": 2.5}, r"^k must be an integer, got 2\.5$"),
+        ({"k": True}, r"^k must be an integer, got True$"),
+        ({"k": 3, "user_block": 0}, r"^user_block must be an integer >= 1, got 0$"),
+        ({"k": 3, "user_block": -1}, r"^user_block must be an integer >= 1, got -1$"),
+    ]
+
     @pytest.mark.parametrize("k", [0, -3])
     def test_backend_recommend_batch(self, backend, k):
         with pytest.raises(ValueError, match=r"^k must be >= 1$"):
@@ -220,6 +230,29 @@ class TestTopKValidation:
     def test_backend_recommend(self, backend, k):
         with pytest.raises(ValueError, match=r"^k must be >= 1$"):
             backend.recommend(0, k=k)
+
+    @pytest.mark.parametrize("kwargs, message", HOSTILE)
+    def test_hostile_arguments_rejected_before_any_charge(self, backend, kwargs, message):
+        units = backend.serving_units()
+        before = [unit.stats.simulated_seconds for unit in units]
+        with pytest.raises(ValueError, match=message):
+            backend.recommend_batch(np.array([0, 1]), **kwargs)
+        assert [unit.stats.simulated_seconds for unit in units] == before
+
+    @pytest.mark.parametrize("kwargs, message", HOSTILE + [({"k": 0}, r"^k must be >= 1$")])
+    def test_hostile_arguments_take_no_routing_slot(self, fitted, data, kwargs, message):
+        store = FactorStore.from_result(fitted.result, n_shards=2)
+        cluster = ServingCluster.from_store(store, n_replicas=2, router="round-robin")
+        with pytest.raises(ValueError, match=message):
+            cluster.recommend_batch(np.array([0]), **kwargs)
+        cluster.recommend_batch(np.array([0]), k=3)
+        assert [unit.stats.simulated_seconds > 0 for unit in cluster.serving_units()] == [True, False]
+
+        service = RecommenderService(ServingCluster.from_store(store, n_replicas=2, router="round-robin"), ratings=data.train)
+        response = service.recommend(np.array([0]), **kwargs)
+        assert (response.status, response.error_type, response.payload, response.replica) == ("error", "ValueError", None, -1)
+        assert re.match(message, response.error)
+        assert service.recommend(np.array([0]), k=3).replica == 0
 
     def test_cluster_rejects_before_routing(self, fitted):
         cluster = _build_backend("cluster", fitted)

@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import ALSConfig
-from repro.core.solver import get_solver_spec
 from repro.core.trainer import CuMF
 from repro.datasets import NETFLIX, generate_ratings
 from repro.serving import (
@@ -39,7 +38,6 @@ from repro.serving import (
     TrafficReport,
     make_router,
     register_router,
-    router_names,
 )
 from repro.serving.routing import Router, get_router_spec
 from repro.serving.store import FactorStore
@@ -620,36 +618,19 @@ class TestServiceTenancy:
 # router registry satellites
 # ---------------------------------------------------------------------- #
 class TestRouterRegistry:
-    def test_builtin_names_and_aliases(self):
-        names = router_names()
-        assert {"round-robin", "least-loaded", "power-of-two"} <= set(names)
-        assert make_router("ll").name == "least-loaded"
-        assert make_router("p2c").name == "power-of-two"
-
     def test_make_router_dict_spec_with_overrides(self):
         router = make_router({"name": "power-of-two", "seed": 5})
         assert router.seed == 5
         router = make_router({"name": "power-of-two", "seed": 5}, seed=9)
         assert router.seed == 9  # explicit keyword wins
 
-    def test_make_router_rejects_bad_kwargs(self):
-        with pytest.raises(ValueError, match="invalid arguments for router 'round-robin'"):
-            make_router("round-robin", temperature=3)
+    def test_register_custom_router_end_to_end(self, fitted, data, monkeypatch):
+        from repro.serving import routing
 
-    def test_make_router_instance_passthrough(self):
-        router = make_router("round-robin")
-        assert make_router(router) is router
-        with pytest.raises(ValueError, match="already-built router"):
-            make_router(router, seed=1)
+        # Register into copies of the registry's tables; monkeypatch restores the originals.
+        monkeypatch.setattr(routing._ROUTERS, "_specs", dict(routing._ROUTERS._specs))
+        monkeypatch.setattr(routing._ROUTERS, "_aliases", dict(routing._ROUTERS._aliases))
 
-    def test_unknown_names_share_solver_registry_style(self):
-        """Satellite bugfix: both registries use the one shared error shape."""
-        with pytest.raises(ValueError, match=r"unknown router 'zigzag'; choose from \["):
-            make_router("zigzag")
-        with pytest.raises(ValueError, match=r"unknown solver 'zigzag'; choose from \["):
-            get_solver_spec("zigzag")
-
-    def test_register_custom_router_end_to_end(self, fitted, data):
         class StickyRouter:
             """Always replica 0 — checks protocol structural typing."""
 
@@ -663,22 +644,14 @@ class TestRouterRegistry:
 
         assert isinstance(StickyRouter(), Router)  # runtime-checkable protocol
         register_router("sticky", StickyRouter, description="always unit 0", aliases=("pin",))
-        try:
-            assert get_router_spec("pin").name == "sticky"
-            # A registered name works in ServingConfig and on the live cluster.
-            service = fitted.serve(
-                ServingConfig(replicas=2, router="sticky", ratings=data.train)
-            )
-            assert service.backend.routing_label() == "sticky"
-            for _ in range(4):
-                assert service.recommend(3, k=5).replica == 0
-            with pytest.raises(ValueError, match="router name already registered"):
-                register_router("sticky", StickyRouter)
-        finally:
-            from repro.serving import routing
-
-            routing._REGISTRY.pop("sticky", None)
-            routing._ALIASES.pop("pin", None)
+        assert get_router_spec("pin").name == "sticky"
+        # A registered name works in ServingConfig and on the live cluster.
+        service = fitted.serve(ServingConfig(replicas=2, router="sticky", ratings=data.train))
+        assert service.backend.routing_label() == "sticky"
+        for _ in range(4):
+            assert service.recommend(3, k=5).replica == 0
+        with pytest.raises(ValueError, match="router name already registered"):
+            register_router("sticky", StickyRouter)
 
     def test_config_rejects_unknown_router_at_config_time(self):
         with pytest.raises(ValueError, match="unknown router"):

@@ -1,4 +1,4 @@
-"""Task-graph IR, the scheduler registry, and the graph executor."""
+"""Task-graph IR and the graph executor under every registered scheduler."""
 
 from __future__ import annotations
 
@@ -7,24 +7,11 @@ import json
 import pytest
 
 from repro.core.als_su import ScaleUpALS
-from repro.core.schedule import (
-    EagerScheduler,
-    ExecutionTrace,
-    RoundRobinScheduler,
-    SchedulerSpec,
-    SerialScheduler,
-    execute_graph,
-    get_scheduler_spec,
-    make_scheduler,
-    scheduler_names,
-)
-from repro.core.solver.registry import make_solver
+from repro.core.schedule import ExecutionTrace, execute_graph, scheduler_names
 from repro.core.taskgraph import TaskGraph
-from repro.core.validation import unknown_name_error
 from repro.gpu.kernel import KernelProfile
 from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.memory import MemoryKind
-from repro.serving.routing import make_router
 
 
 def small_profile(name: str = "k", mb: float = 64.0) -> KernelProfile:
@@ -115,66 +102,6 @@ class TestTaskGraphIR:
         g.new_task("t", "transfer", transfer=machine.h2d(0, 1000.0))
         g.new_task("k", "kernel", profile=small_profile())
         assert g.total_bytes() == 1000.0
-
-
-class TestSchedulerRegistry:
-    def test_names_and_specs(self):
-        names = scheduler_names()
-        assert {"serial", "eager", "round-robin"} <= set(names)
-        assert "heft" in get_scheduler_spec("eager").aliases
-        assert get_scheduler_spec("serial").description
-
-    def test_aliases_resolve_to_canonical(self):
-        assert isinstance(make_scheduler("heft"), EagerScheduler)
-        assert isinstance(make_scheduler("eager-greedy"), EagerScheduler)
-        assert isinstance(make_scheduler("rr"), RoundRobinScheduler)
-
-    def test_dict_spec_and_spec_object(self):
-        assert isinstance(make_scheduler({"name": "serial"}), SerialScheduler)
-        assert isinstance(make_scheduler(get_scheduler_spec("eager")), EagerScheduler)
-        with pytest.raises(ValueError, match="needs a 'name' key"):
-            make_scheduler({})
-
-    def test_instance_passthrough_refuses_overrides(self):
-        sched = SerialScheduler()
-        assert make_scheduler(sched) is sched
-        with pytest.raises(ValueError, match="already-built scheduler"):
-            make_scheduler(sched, mode="events")
-
-    def test_spec_is_frozen_metadata(self):
-        spec = get_scheduler_spec("round-robin")
-        assert isinstance(spec, SchedulerSpec)
-        assert spec.aliases == ("rr",)
-
-
-class TestUnknownNameAcrossRegistries:
-    """All three registries speak the one unknown-name vocabulary."""
-
-    def test_solver_registry(self):
-        with pytest.raises(ValueError, match=r"unknown solver 'mos'; choose from \["):
-            make_solver("mos")
-
-    def test_router_registry(self):
-        with pytest.raises(ValueError, match=r"unknown router 'rand'; choose from \["):
-            make_router("rand")
-
-    def test_scheduler_registry(self):
-        with pytest.raises(ValueError, match=r"unknown scheduler 'hefty'; choose from \["):
-            make_scheduler("hefty")
-
-    @pytest.mark.parametrize(
-        "build, name",
-        [(make_solver, "solver"), (make_router, "router"), (make_scheduler, "scheduler")],
-        ids=["solver", "router", "scheduler"],
-    )
-    def test_message_shape_is_identical(self, build, name):
-        with pytest.raises(ValueError) as excinfo:
-            build("no-such-thing")
-        assert str(excinfo.value).startswith(f"unknown {name} 'no-such-thing'; choose from [")
-
-    def test_helper_sorts_known_names(self):
-        err = unknown_name_error("scheduler", "x", {"b", "a"})
-        assert str(err) == "unknown scheduler 'x'; choose from ['a', 'b']"
 
 
 def _machine_stats(machine: MultiGPUMachine) -> dict:
