@@ -58,14 +58,10 @@ def per_query(result):
     return report.service_seconds / report.n_requests
 
 
-def _capacity(store, per_query):
-    return len(store.serving_units()) / per_query
-
-
 def test_bench_overload_slo(result, per_query, report):
     """2x overload, three tenants: the SLO tenant is untouchable."""
     store = _store(result)
-    capacity = _capacity(store, per_query)
+    capacity = 1.0 / per_query  # one store: one query per per_query seconds
     slo_ms = 20 * MAX_BATCH * per_query * 1e3  # ~20 batch-times of queueing
     cap = 0.05 * capacity
     policies = [
@@ -106,7 +102,7 @@ def test_bench_overload_slo(result, per_query, report):
 def test_bench_weighted_shares(result, per_query, report):
     """Two saturated tenants split capacity by WFQ weight within 10%."""
     store = _store(result)
-    capacity = _capacity(store, per_query)
+    capacity = 1.0 / per_query  # one store: one query per per_query seconds
     policies = [
         TenantPolicy("gold", weight=2.0, queue_limit=64),
         TenantPolicy("bronze", weight=1.0, queue_limit=64),

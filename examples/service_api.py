@@ -10,8 +10,8 @@ The whole deployment is one declarative config and one call::
     response = service.recommend(user, k=10)
     print(response.payload)
 
-``service`` fronts any :class:`ServingBackend` (here a 3-replica
-cluster) with a typed data plane — every predict / recommend / rate
+``service`` fronts one :class:`ServingCluster` (here 3 replicas; a
+single replica is a 1-replica cluster) with a typed data plane — every predict / recommend / rate
 returns a :class:`ServeResponse` carrying status, simulated latency,
 the model version that answered and the replica that served — and an
 admin plane for the lifecycle verbs (fold-in, refresh, snapshot,

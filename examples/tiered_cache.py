@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -31,7 +32,7 @@ from repro.datasets import DatasetSpec, generate_ratings
 from repro.serving import CacheConfig, QueryTrace, ServingConfig
 
 
-def main() -> None:
+def run(registry_dir: str) -> None:
     # A wide item axis (4k items) so the tier split is visible: the hot
     # tier holds a real fraction of Θ, not a rounding error.
     spec = DatasetSpec("tiered-demo", 1200, 4000, 40_000, 16, 0.05, kind="synthetic")
@@ -48,7 +49,7 @@ def main() -> None:
             replicas=2,
             n_shards=2,
             ratings=data.train,
-            registry_dir="/tmp/repro-tiered-cache-registry",
+            registry_dir=registry_dir,
             cache=CacheConfig(
                 hot_fraction=0.15,
                 warm_bytes=int(0.5 * spec.n * 16 * 4),
@@ -93,6 +94,12 @@ def main() -> None:
     print()
     print(rewarm.summary())
     print(f"stale hits after re-warm: {unit.cache_stats.stale_hits}")
+
+
+def main() -> None:
+    # A fresh registry per run, so the rolled-out version label is the same every time.
+    with tempfile.TemporaryDirectory(prefix="repro-tiered-cache-") as registry_dir:
+        run(registry_dir)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ REP005  registry-mutation      registry dicts (``_REGISTRY`` / ``_ALIASES``)
                                are only mutated by ``register_*`` functions in
                                their own module
 REP006  protocol-isinstance    no ``isinstance`` forks against the
-                               ``ServingBackend`` / ``Router`` protocols
+                               ``Router`` protocol
 REP007  global-seed            no global ``np.random.seed`` / ``random.seed``
                                seeding — solvers and traces take ``seed=``
 REP008  sleep                  no ``time.sleep`` anywhere — waiting is either
@@ -56,7 +56,7 @@ LINT_RULES = {
     "REP003": "bare ValueError in a config/registry module; raise through repro.core.validation",
     "REP004": "module-level observability capture; call obs.get_registry()/get_tracer() at use time",
     "REP005": "registry dict mutated outside its module's register_* functions",
-    "REP006": "isinstance fork against a runtime protocol (ServingBackend/Router)",
+    "REP006": "isinstance fork against a runtime protocol (Router)",
     "REP007": "global RNG seeding (np.random.seed / random.seed); pass seed= explicitly",
     "REP008": "time.sleep call; wait on the simulated clock or an event, never the host",
 }
@@ -75,7 +75,7 @@ _WALL_CLOCK_NAMES = ("perf_counter", "monotonic", "process_time", "monotonic_ns"
 _OBS_CAPTURES = ("get_registry", "get_tracer")
 _REGISTRY_DICTS = ("_REGISTRY", "_ALIASES")
 _REGISTRY_MUTATORS = ("update", "pop", "clear", "setdefault", "popitem")
-_PROTOCOL_TYPES = ("ServingBackend", "Router")
+_PROTOCOL_TYPES = ("Router",)
 _REGISTER_FN = re.compile(r"^_?(un)?register")
 _IGNORE_RE = re.compile(r"#\s*reprolint:\s*ignore(?:\[([A-Za-z0-9_,\s]+)\])?")
 

@@ -3,8 +3,8 @@
 The training plane grew the same way serving did: three ALS levels plus
 five baselines, each with its own constructor and ``fit`` shape, each
 reimplementing the per-iteration bookkeeping.  :class:`Solver` is the
-protocol that unifies them — the training-side twin of
-:class:`~repro.serving.service.protocol.ServingBackend`:
+protocol that unifies them — the training-side twin of serving's one
+backend, :class:`~repro.serving.cluster.ServingCluster`:
 
 * ``name`` — the label stamped on :attr:`FitResult.solver`;
 * ``fit(train, test=None, *, x0=None, theta0=None, compute_objective=False)

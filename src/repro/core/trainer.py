@@ -151,17 +151,13 @@ class CuMF:
         if self.checkpoints is not None and not any(isinstance(cb, CheckpointCallback) for cb in pipeline):
             pipeline.append(CheckpointCallback(self.checkpoints, every=self.checkpoint_every))
         session = TrainingSession(solver, callbacks=pipeline)
-        with obs.get_tracer().span(
-            f"fit:{self.backend}", category="fit", process="host", track="cumf"
-        ):
+        with obs.get_tracer().span(f"fit:{self.backend}", category="fit", process="host", track="cumf"):
             result = session.run(train, test, x0=x0, theta0=theta0, start_iteration=start_iteration)
         if obs.enabled():
             registry = obs.get_registry()
             registry.counter("train.fits", solver=self.backend).inc()
             if result.history:
-                registry.gauge("train.final_rmse", solver=self.backend).set(
-                    result.history[-1].train_rmse
-                )
+                registry.gauge("train.final_rmse", solver=self.backend).set(result.history[-1].train_rmse)
         self.result = result
         self._store = None  # invalidate the serving snapshot of a previous fit
         return result
@@ -188,11 +184,11 @@ class CuMF:
         With a ``registry_dir`` the fitted factors are published as the
         next registry version and the serving units are stamped with its
         label, enabling the service's refresh / rollout / rollback
-        plane.  One replica builds a single
-        :class:`~repro.serving.store.FactorStore`; more build a
-        :class:`~repro.serving.cluster.ServingCluster` behind the
-        configured router; ``service.backend`` is that store or cluster
-        and ``service.registry`` the registry.
+        plane.  ``service.backend`` is a
+        :class:`~repro.serving.cluster.ServingCluster` of
+        ``config.replicas`` replicas behind the configured router (one
+        replica is simply a one-replica cluster) and
+        ``service.registry`` the registry.
         """
         from dataclasses import replace
 
@@ -213,26 +209,14 @@ class CuMF:
             version = registry.publish_result(result, tag=config.tag)
             version_label = f"v{version}"
         log = config.make_log()
-        store_kwargs = dict(
-            n_shards=config.n_shards, score_dtype=config.score_dtype, version=version_label
-        )
+        store_kwargs = dict(n_shards=config.n_shards, score_dtype=config.score_dtype, version=version_label)
         store_cls = FactorStore
         if config.cache is not None:
             from repro.serving.cache import TieredFactorStore
 
             store_cls = TieredFactorStore
             store_kwargs["cache"] = config.cache
-        if config.replicas == 1:
-            backend = store_cls.from_result(result, log=log, **store_kwargs)
-        else:
-            backend = ServingCluster.from_result(
-                result,
-                config.replicas,
-                router=config.router,
-                store_cls=store_cls,
-                log=log,
-                **store_kwargs,
-            )
+        backend = ServingCluster.from_result(result, config.replicas, router=config.router, store_cls=store_cls, log=log, **store_kwargs)
         return RecommenderService(
             backend,
             registry=registry,

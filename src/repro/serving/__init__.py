@@ -14,27 +14,26 @@ package is that missing online half:
   factor is solved against the frozen Θ with the same Hermitian/solve
   kernels the trainer uses, so a fold-in is numerically one Base-ALS
   user update;
+* :class:`~repro.serving.cluster.ServingCluster` — the one serving
+  backend: R replicas of one snapshot on independent simulated machines
+  behind a pluggable routing policy (round-robin / least-loaded /
+  power-of-two-choices), with write-through fold-in so every replica
+  serves a cold-start user under the same id.  A lone store is served
+  as a one-replica cluster (:meth:`ServingCluster.of`);
 * :class:`~repro.serving.simulator.RequestSimulator` — Poisson/bursty
-  query traffic driven through the store in batched windows, reporting
-  throughput and latency percentiles;
-* :class:`~repro.serving.cluster.ServingCluster` — R replicas of one
-  snapshot on independent simulated machines behind a pluggable routing
-  policy (round-robin / least-loaded / power-of-two-choices), with
-  write-through fold-in so every replica serves a cold-start user under
-  the same id; the simulator drives a cluster with per-replica
-  timelines and reports per-replica utilization.
+  query traffic driven through a cluster in batched windows, with one
+  timeline per replica, reporting throughput, latency percentiles and
+  per-replica utilization;
 * :mod:`~repro.serving.lifecycle` — the train → serve → retrain loop:
   an :class:`InteractionLog` of serving-time ratings (with windowed
   retention via :meth:`InteractionLog.compact`), an incremental refresh
   (affected user rows + new-item fold-in) solved with the training
   kernels, a versioned :class:`SnapshotRegistry` (with monotonic
   :meth:`~SnapshotRegistry.rollback`), and a :class:`RolloutController`
-  that swaps any backend v1 → v2 one drained unit at a time while
+  that swaps a cluster v1 → v2 one drained replica at a time while
   traffic keeps flowing.
-* :mod:`~repro.serving.service` — the unified front door: the
-  :class:`ServingBackend` protocol every backend satisfies (store and
-  cluster alike, so the simulator and rollout controller never fork on
-  concrete types), typed data-plane envelopes (:class:`PredictRequest` /
+* :mod:`~repro.serving.service` — the unified front door: typed
+  data-plane envelopes (:class:`PredictRequest` /
   :class:`RecommendRequest` / :class:`RateRequest` →
   :class:`ServeResponse`), the declarative :class:`ServingConfig`, and
   the :class:`RecommenderService` facade splitting the data plane
@@ -105,7 +104,6 @@ from repro.serving.service import (
     RecommendRequest,
     RecommenderService,
     ServeResponse,
-    ServingBackend,
     ServingConfig,
     ShedError,
 )
@@ -127,7 +125,6 @@ __all__ = [
     "RecommendRequest",
     "RecommenderService",
     "ServeResponse",
-    "ServingBackend",
     "ServingConfig",
     "ShedError",
     "CacheConfig",

@@ -46,9 +46,7 @@ class HeatSketch:
         if items.size == 0:
             return
         touched, counts = np.unique(items, return_counts=True)
-        self._heat[touched] = (
-            self._heat[touched] * self._decay_factor(now - self._last[touched]) + counts
-        )
+        self._heat[touched] = self._heat[touched] * self._decay_factor(now - self._last[touched]) + counts
         self._last[touched] = now
 
     def scores(self, now: float) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Tiered factor store: FactorStore fronted by the heat-aware cache.
 
 :class:`TieredFactorStore` is a drop-in :class:`~repro.serving.store.FactorStore`
-(it satisfies the same ``ServingBackend`` protocol surface and returns
-bit-identical top-k results) that models *where item-factor pages live*.
+(any :class:`~repro.serving.cluster.ServingCluster` can hold it as a
+replica, and it returns bit-identical top-k results) that models *where
+item-factor pages live*.
 The exact batched scan stays untouched; what changes is the
 materialization cost of the answers: every returned item's factor page
 is demanded from the tier hierarchy, and
@@ -201,9 +202,7 @@ class TieredFactorStore(FactorStore):
         super().swap_snapshot(x, theta, **kwargs)
         if self.n_items != old_items:
             self._heat = HeatSketch(self.n_items, self.cache_config.half_life_s)
-        self._pages = PageTable(
-            self.n_items, self.cache_config.page_items, self.f * FLOAT_BYTES, self.version
-        )
+        self._pages = PageTable(self.n_items, self.cache_config.page_items, self.f * FLOAT_BYTES, self.version)
         self._rebuild_planner()
         self.cache_stats.invalidations += 1
         self._last_plan = self.machine.elapsed_seconds()
@@ -231,9 +230,7 @@ class TieredFactorStore(FactorStore):
     # ------------------------------------------------------------------ #
     # the demand path: classify returned items' pages, charge the misses
     # ------------------------------------------------------------------ #
-    def _topk_block(
-        self, block: np.ndarray, kk: int, exclude: CSRMatrix | None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _topk_block(self, block: np.ndarray, kk: int, exclude: CSRMatrix | None) -> tuple[np.ndarray, np.ndarray]:
         ids, vals = super()._topk_block(block, kk, exclude)
         self._touch(ids[np.isfinite(vals)])
         return ids, vals
@@ -299,9 +296,7 @@ class TieredFactorStore(FactorStore):
                 if misses:
                     registry.counter("cache.misses", subsystem="serving").inc(misses)
                 if hot_stale.size:
-                    registry.counter("cache.stale_hits", subsystem="serving").inc(
-                        int(hot_stale.size)
-                    )
+                    registry.counter("cache.stale_hits", subsystem="serving").inc(int(hot_stale.size))
         if now - self._last_plan >= self.cache_config.plan_window_s:
             self._run_plan()
 
@@ -371,9 +366,7 @@ class TieredFactorStore(FactorStore):
             if obs_on:
                 registry.counter("cache.promotions", subsystem="serving").inc(int(promoted.size))
                 if demoted.size:
-                    registry.counter("cache.demotions", subsystem="serving").inc(
-                        int(demoted.size)
-                    )
+                    registry.counter("cache.demotions", subsystem="serving").inc(int(demoted.size))
                 tracer.add_span(
                     f"cache wave[+{promoted.size}/-{demoted.size}]",
                     start=before,
@@ -395,9 +388,7 @@ class TieredFactorStore(FactorStore):
             return
         registry = obs.get_registry()
         for tier, name in enumerate(TIER_NAMES):
-            registry.gauge("cache.resident_bytes", subsystem="serving", tier=name).set(
-                float(self._pages.resident_bytes(tier))
-            )
+            registry.gauge("cache.resident_bytes", subsystem="serving", tier=name).set(float(self._pages.resident_bytes(tier)))
 
     # ------------------------------------------------------------------ #
     # reporting
@@ -405,9 +396,3 @@ class TieredFactorStore(FactorStore):
     def resident_bytes(self) -> dict:
         """Bytes resident per tier, keyed by tier name."""
         return {name: self._pages.resident_bytes(t) for t, name in enumerate(TIER_NAMES)}
-
-    def stats_dict(self) -> dict:
-        """Serving counters plus the cache block."""
-        out = super().stats_dict()
-        out["cache"] = {**self.cache_stats.as_dict(), "resident_bytes": self.resident_bytes()}
-        return out

@@ -11,6 +11,11 @@ least-loaded / power-of-two out of the box) and new ones join via
 :func:`~repro.serving.routing.register_router` without touching this
 module; the classes are re-exported here for compatibility.
 
+The cluster is the one serving backend: a lone store is served as a
+one-replica cluster (:meth:`ServingCluster.of`), so the traffic
+simulator, the rollout controller and the service facade drive every
+deployment through this class.
+
 Writes do not scale by replication, so cold-start fold-ins are
 *write-through*: :meth:`ServingCluster.fold_in` applies the same solve
 to every replica and checks they all assign the same user id — any
@@ -85,20 +90,14 @@ class ServingCluster:
             if rep._n_trained_users != head._n_trained_users:
                 raise ValueError(f"replica {i} disagrees on the trained-user count")
             if (rep.lam, rep.weighted) != (head.lam, head.weighted):
-                raise ValueError(
-                    f"replica {i} has different fold-in hyper-parameters "
-                    f"(lam={rep.lam}, weighted={rep.weighted})"
-                )
+                raise ValueError(f"replica {i} has different fold-in hyper-parameters (lam={rep.lam}, weighted={rep.weighted})")
             # Same model everywhere, or routed answers are inconsistent.
             # The comparison is O(snapshot), i.e. no more than building the
             # replica was.
             if not (
                 np.array_equal(rep.x, head.x)
                 and np.array_equal(rep.theta, head.theta)
-                and all(
-                    np.array_equal(rep._folded_items[u], seg)
-                    for u, seg in head._folded_items.items()
-                )
+                and all(np.array_equal(rep._folded_items[u], seg) for u, seg in head._folded_items.items())
             ):
                 raise ValueError(f"replica {i} serves different factors or fold-ins")
         self.replicas = replicas
@@ -144,12 +143,23 @@ class ServingCluster:
         if n_replicas < 1:
             raise ValueError("n_replicas must be at least 1")
         if "machine" in store_kwargs:
-            raise ValueError(
-                "replicas own independent machines; configure n_shards/score_dtype instead"
-            )
+            raise ValueError("replicas own independent machines; configure n_shards/score_dtype instead")
         log = store_kwargs.pop("log", None)
         replicas = [store_cls.from_result(result, **store_kwargs) for _ in range(n_replicas)]
         return cls(replicas, router=router, log=log)
+
+    @classmethod
+    def of(cls, backend: "ServingCluster | FactorStore") -> "ServingCluster":
+        """The cluster that serves ``backend``: a cluster as is, a store as its one replica.
+
+        The store is wrapped, not copied, so it keeps advancing its own
+        stats and clock.  Anything else raises :class:`TypeError`.
+        """
+        if isinstance(backend, ServingCluster):
+            return backend
+        if isinstance(backend, FactorStore):
+            return cls([backend])
+        raise TypeError(f"cannot serve a {type(backend).__name__}: expected a FactorStore or ServingCluster")
 
     # ------------------------------------------------------------------ #
     # basic properties
@@ -175,10 +185,7 @@ class ServingCluster:
         return self.replicas[0].f
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ServingCluster({self.n_replicas} x {self.replicas[0]!r}, "
-            f"router={self.router.name!r})"
-        )
+        return f"ServingCluster({self.n_replicas} x {self.replicas[0]!r}, router={self.router.name!r})"
 
     # ------------------------------------------------------------------ #
     # lifecycle: drain / restore for rolling snapshot swaps
@@ -237,28 +244,11 @@ class ServingCluster:
         )
 
     # ------------------------------------------------------------------ #
-    # ServingBackend protocol: routing surface
+    # topology
     # ------------------------------------------------------------------ #
     def serving_units(self) -> list[FactorStore]:
-        """The independently-clocked stores behind this backend."""
+        """The independently-clocked stores behind this cluster."""
         return list(self.replicas)
-
-    def route_among(self, loads: Sequence[float]) -> int:
-        """One routing decision over the active replicas' load figures.
-
-        ``loads`` is aligned with :meth:`active_indices`; the returned
-        index points into that list (callers map it back to a global
-        replica index).
-        """
-        return select_replica(self.router, loads)
-
-    def routing_label(self) -> str:
-        """The routing policy's name, for traffic reports."""
-        return self.router.name
-
-    def reset_routing(self) -> None:
-        """Return the router to its initial state (for deterministic replays)."""
-        self.router.reset()
 
     def loads(self) -> list[float]:
         """Cumulative simulated serving seconds, one entry per replica."""
@@ -277,7 +267,7 @@ class ServingCluster:
         """
         active = self.active_indices()
         all_loads = self.loads()
-        return active[self.route_among([all_loads[i] for i in active])]
+        return active[select_replica(self.router, [all_loads[i] for i in active])]
 
     def predict(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Predicted ratings (replica-independent; first active replica)."""
@@ -288,7 +278,7 @@ class ServingCluster:
 
         ``k`` is validated before the routing decision, so a rejected
         request does not consume a routing slot; the error is the
-        single-store path's.
+        store's own.
         """
         return self.recommend_batch(np.array([user]), k=k, exclude=exclude)[0]
 
@@ -300,9 +290,7 @@ class ServingCluster:
         to the routed replica.
         """
         FactorStore.check_topk_args(k, user_block)
-        return self.replicas[self.route()].recommend_batch(
-            users, k=k, exclude=exclude, user_block=user_block
-        )
+        return self.replicas[self.route()].recommend_batch(users, k=k, exclude=exclude, user_block=user_block)
 
     # ------------------------------------------------------------------ #
     # writes: applied everywhere
@@ -355,25 +343,23 @@ class ServingCluster:
         version: str | None = None,
         solver: str | None = None,
     ) -> None:
-        """Swap every replica to a new model, one at a time.
+        """Swap every replica to a new model, one at a time — the rolling swap.
 
-        The cluster-level rollout hook of the ``ServingBackend``
-        protocol: each active replica is rotated out (drained) while its
-        store swaps, then restored, so concurrent direct traffic always
-        finds ``R - 1`` replicas serving; an already-draining replica is
-        swapped in place and left out of rotation.  For a scheduled
-        rolling swap against a registry (mid-trace, per-version query
-        accounting) use a
-        :class:`~repro.serving.lifecycle.rollout.RolloutController`.
+        Each active replica is rotated out (drained) while its store
+        swaps, then restored, so concurrent direct traffic always finds
+        ``R - 1`` replicas serving; a lone replica is swapped directly
+        (there is nobody to rotate behind), and an already-draining
+        replica is swapped in place and left out of rotation.  For a
+        scheduled rolling swap against a registry (mid-trace,
+        per-version query accounting) use
+        :meth:`~repro.serving.lifecycle.rollout.RolloutController.plan_events`.
         """
         for i in range(self.n_replicas):
             rotate = self._active[i] and self.n_active > 1
             if rotate:
                 self.drain(i)
             try:
-                self.replicas[i].swap_snapshot(
-                    x, theta, lam=lam, weighted=weighted, version=version, solver=solver
-                )
+                self.replicas[i].swap_snapshot(x, theta, lam=lam, weighted=weighted, version=version, solver=solver)
             finally:
                 if rotate:
                     self.restore(i)
@@ -402,11 +388,7 @@ class ServingCluster:
             "versions": [rep.version for rep in self.replicas],
             "per_replica": [rep.stats.as_dict() for rep in self.replicas],
         }
-        caches = [
-            rep.cache_stats.as_dict()
-            for rep in self.replicas
-            if getattr(rep, "cache_stats", None) is not None
-        ]
+        caches = [rep.cache_stats.as_dict() for rep in self.replicas if getattr(rep, "cache_stats", None) is not None]
         if caches:
             agg: dict = {}
             for block in caches:

@@ -22,9 +22,7 @@ from repro.sparse.csr import CSRMatrix
 __all__ = ["fold_in_user", "fold_in_users", "validate_ratings"]
 
 
-def validate_ratings(
-    items: np.ndarray, ratings: np.ndarray, n_items: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def validate_ratings(items: np.ndarray, ratings: np.ndarray, n_items: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Coerce aligned ``(items, ratings)`` event arrays to ``(int64, float64)``.
 
     This is the one validation gate every rating-ingest path shares —
@@ -53,9 +51,7 @@ def validate_ratings(
     return items, ratings
 
 
-def fold_in_users(
-    rows: CSRMatrix, theta: np.ndarray, lam: float, weighted: bool = True
-) -> np.ndarray:
+def fold_in_users(rows: CSRMatrix, theta: np.ndarray, lam: float, weighted: bool = True) -> np.ndarray:
     """Solve one factor per row of ``rows`` against the frozen ``theta``.
 
     ``rows`` is a ``(b, n_items)`` CSR matrix holding the new users'
@@ -64,9 +60,7 @@ def fold_in_users(
     """
     theta = np.asarray(theta, dtype=np.float64)
     if rows.shape[1] != theta.shape[0]:
-        raise ValueError(
-            f"ratings have {rows.shape[1]} items but theta has {theta.shape[0]} rows"
-        )
+        raise ValueError(f"ratings have {rows.shape[1]} items but theta has {theta.shape[0]} rows")
     a, b = compute_hermitians(rows, theta, lam, weighted=weighted)
     return batch_solve(a, b)
 

@@ -151,9 +151,7 @@ def refresh_factors(
     if x.shape[0] < base.shape[0]:
         raise ValueError(f"x has {x.shape[0]} rows but the base ratings have {base.shape[0]}")
     if theta.shape[0] != base.shape[1]:
-        raise ValueError(
-            f"theta has {theta.shape[0]} rows but the base ratings have {base.shape[1]} columns"
-        )
+        raise ValueError(f"theta has {theta.shape[0]} rows but the base ratings have {base.shape[1]} columns")
     if lam < 0:
         raise ValueError("lam must be non-negative")
     f = x.shape[1]
@@ -181,9 +179,7 @@ def refresh_factors(
     affected = log.affected_users()
     x_out = x_frozen.copy()
     if affected.size:
-        x_out[affected] = fold_in_users(
-            _gather_rows(merged, affected), theta_out, lam, weighted=weighted
-        )
+        x_out[affected] = fold_in_users(_gather_rows(merged, affected), theta_out, lam, weighted=weighted)
     return RefreshResult(
         x=x_out,
         theta=theta_out,

@@ -132,9 +132,7 @@ class SnapshotRegistry:
 
     def publish_store(self, store, tag: str = "") -> int:
         """Publish a live store's factors (fold-in rows become trained rows)."""
-        return self.publish(
-            store.x, store.theta, lam=store.lam, weighted=store.weighted, tag=tag
-        )
+        return self.publish(store.x, store.theta, lam=store.lam, weighted=store.weighted, tag=tag)
 
     def rollback(self, version: int) -> int:
         """Re-publish an older version as the new head; returns its number.

@@ -1,58 +1,57 @@
-"""Zero-downtime snapshot rollout across any serving backend.
+"""Zero-downtime snapshot rollout across a serving cluster.
 
 Shipping a refreshed model must not drop traffic.
-:class:`RolloutController` performs the classic rolling swap against any
-:class:`~repro.serving.service.protocol.ServingBackend`: one serving
-unit at a time is drained (the routing policy stops sending it batches),
-its :class:`~repro.serving.store.FactorStore` is swapped to the target
+:class:`RolloutController` performs the classic rolling swap on a
+:class:`~repro.serving.cluster.ServingCluster`: one replica at a time is
+drained (the routing policy stops sending it batches), its
+:class:`~repro.serving.store.FactorStore` is swapped to the target
 :class:`~repro.serving.lifecycle.registry.SnapshotRegistry` version, and
-it returns to rotation — so at every instant at least ``R - 1`` units
-serve, and a mid-rollout backend intentionally runs mixed v1/v2 for a
-while (top-k answers may differ per unit until the swap completes, the
-standard rollout trade-off).  A single-store backend is the degenerate
-one-unit case: its lone unit is swapped directly, since there is nobody
-to rotate behind.
+it returns to rotation — so at every instant at least ``R - 1`` replicas
+serve, and a mid-rollout cluster intentionally runs mixed v1/v2 for a
+while (top-k answers may differ per replica until the swap completes,
+the standard rollout trade-off).  A lone store is served as a
+one-replica cluster, whose replica is swapped directly, since there is
+nobody to rotate behind.
 
 Rollbacks are the same choreography run at an older version:
 :meth:`SnapshotRegistry.rollback` re-publishes the old factors as the
 new head (version numbers stay monotonic) and the controller rolls the
-backend to it — see :meth:`RecommenderService.rollback`.
+cluster to it — see :meth:`RecommenderService.rollback`.
 
 Two driving modes:
 
-* :meth:`rollout` — immediate, for offline swaps with no traffic;
+* :meth:`rollout` — immediate, for offline swaps with no traffic: the
+  cluster's own rolling :meth:`~ServingCluster.swap_snapshot`;
 * :meth:`plan_events` — a list of
   :class:`~repro.serving.simulator.LifecycleEvent` s for
   :meth:`RequestSimulator.run`, which executes the drain/swap/restore
   choreography *mid-trace* on the simulated timeline while queries keep
-  flowing around the drained unit.
+  flowing around the drained replica.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING
 
+from repro.serving.cluster import ServingCluster
 from repro.serving.lifecycle.registry import Snapshot, SnapshotRegistry
 from repro.serving.simulator import LifecycleEvent
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, hints only
-    from repro.serving.service.protocol import ServingBackend
+from repro.serving.store import FactorStore
 
 __all__ = ["RolloutController"]
 
 
 class RolloutController:
-    """Rolls a serving backend from its current snapshot to a registry version."""
+    """Rolls a serving cluster from its current snapshot to a registry version.
 
-    def __init__(self, backend: "ServingBackend", registry: SnapshotRegistry):
-        self.backend = backend
+    ``backend`` is a :class:`~repro.serving.cluster.ServingCluster`, or a
+    :class:`~repro.serving.store.FactorStore` served as a one-replica
+    cluster (:meth:`ServingCluster.of`).
+    """
+
+    def __init__(self, backend: ServingCluster | FactorStore, registry: SnapshotRegistry):
+        self.backend = ServingCluster.of(backend)
         self.registry = registry
-
-    @property
-    def cluster(self) -> "ServingBackend":
-        """Deprecated alias for :attr:`backend` (pre-protocol name)."""
-        return self.backend
 
     # ------------------------------------------------------------------ #
     def _checked_snapshot(self, version: int | None) -> Snapshot:
@@ -64,15 +63,9 @@ class RolloutController:
         """
         snap = self.registry.load(version)
         if snap.x.shape[0] < self.backend.n_users:
-            raise ValueError(
-                f"snapshot v{snap.version} serves {snap.x.shape[0]} users "
-                f"but the backend serves {self.backend.n_users}"
-            )
+            raise ValueError(f"snapshot v{snap.version} serves {snap.x.shape[0]} users but the backend serves {self.backend.n_users}")
         if snap.theta.shape[0] < self.backend.n_items:
-            raise ValueError(
-                f"snapshot v{snap.version} serves {snap.theta.shape[0]} items "
-                f"but the backend serves {self.backend.n_items}"
-            )
+            raise ValueError(f"snapshot v{snap.version} serves {snap.theta.shape[0]} items but the backend serves {self.backend.n_items}")
         return snap
 
     def validate_target(self, version: int | None = None) -> Snapshot:
@@ -84,34 +77,23 @@ class RolloutController:
         """
         return self._checked_snapshot(version)
 
-    def _swap(self, unit: int, snap: Snapshot) -> None:
-        self.backend.serving_units()[unit].swap_snapshot(
-            snap.x, snap.theta, lam=snap.lam, weighted=snap.weighted, version=snap.label
-        )
-
-    def _swap_and_restore(self, unit: int, snap: Snapshot) -> None:
-        self._swap(unit, snap)
-        self.backend.restore(unit)
+    def _swap_and_restore(self, replica: int, snap: Snapshot) -> None:
+        self.backend.replicas[replica].swap_snapshot(snap.x, snap.theta, lam=snap.lam, weighted=snap.weighted, version=snap.label)
+        self.backend.restore(replica)
 
     # ------------------------------------------------------------------ #
     def rollout(self, version: int | None = None) -> Snapshot:
-        """Swap every serving unit to ``version`` right now, one at a time.
+        """Swap every replica to ``version`` right now, one at a time.
 
-        Each unit is drained, swapped and restored before the next one
-        starts, so a backend serving direct (non-simulator) traffic
-        concurrently never sees fewer than ``R - 1`` active units.
-        Returns the snapshot that was rolled out.
+        This is the cluster's rolling :meth:`~ServingCluster.swap_snapshot`:
+        each replica in rotation is drained, swapped and restored before
+        the next one starts, so direct (non-simulator) traffic never sees
+        fewer than ``R - 1`` active replicas; a drained replica is swapped
+        in place and stays drained.  Returns the snapshot that was rolled
+        out.
         """
         snap = self._checked_snapshot(version)
-        n_units = len(self.backend.serving_units())
-        if n_units == 1:
-            # Nothing to rotate behind: swap the lone unit directly
-            # (drain would refuse to take the last active unit out).
-            self._swap(0, snap)
-            return snap
-        for unit in range(n_units):
-            self.backend.drain(unit)
-            self._swap_and_restore(unit, snap)
+        self.backend.swap_snapshot(snap.x, snap.theta, lam=snap.lam, weighted=snap.weighted, version=snap.label)
         return snap
 
     def plan_events(
@@ -122,22 +104,25 @@ class RolloutController:
         step_s: float,
         swap_s: float | None = None,
     ) -> list[LifecycleEvent]:
-        """The rolling swap as simulator events, one unit per step.
+        """The rolling swap as simulator events, one replica per step.
 
-        Unit ``i`` is drained at ``start_s + i * step_s`` and comes
+        Replica ``i`` is drained at ``start_s + i * step_s`` and comes
         back — swapped to the new version — ``swap_s`` (simulated)
         seconds later, modelling the time a real replica spends loading
         the new factors.  ``swap_s`` defaults to half a step and must not
-        exceed ``step_s``, so at most one unit is out at a time.  Needs
-        at least two units (someone must serve while one drains); use
-        :meth:`rollout` for a single-store backend.
+        exceed ``step_s``, so at most one replica is out at a time.
+        Needs at least two replicas (someone must serve while one
+        drains; use :meth:`rollout` for a single-replica cluster), all
+        in rotation: a replica already drained would break the
+        one-out-at-a-time rule, so the plan is refused before any event
+        is built.
         """
-        n_units = len(self.backend.serving_units())
-        if n_units < 2:
-            raise ValueError(
-                "a rolling swap under traffic needs at least 2 replicas; "
-                "use rollout() for a single-replica cluster"
-            )
+        n_replicas = self.backend.n_replicas
+        if n_replicas < 2:
+            raise ValueError("a rolling swap under traffic needs at least 2 replicas; use rollout() for a single-replica cluster")
+        draining = [i for i in range(n_replicas) if not self.backend.is_active(i)]
+        if draining:
+            raise ValueError(f"cannot plan a rolling swap while replicas {draining} are draining; restore them first")
         if start_s < 0:
             raise ValueError("start_s must be non-negative")
         if step_s <= 0:
@@ -148,29 +133,19 @@ class RolloutController:
             raise ValueError("need 0 < swap_s <= step_s (one replica out at a time)")
         snap = self._checked_snapshot(version)
         events: list[LifecycleEvent] = []
-        for unit in range(n_units):
-            drain_at = start_s + unit * step_s
+        for replica in range(n_replicas):
+            drain_at = start_s + replica * step_s
+            events.append(LifecycleEvent(time=drain_at, action=partial(self.backend.drain, replica), label=f"drain r{replica}"))
             events.append(
-                LifecycleEvent(
-                    time=drain_at,
-                    action=partial(self.backend.drain, unit),
-                    label=f"drain r{unit}",
-                )
-            )
-            events.append(
-                LifecycleEvent(
-                    time=drain_at + swap_s,
-                    action=partial(self._swap_and_restore, unit, snap),
-                    label=f"swap r{unit} -> {snap.label}",
-                )
+                LifecycleEvent(time=drain_at + swap_s, action=partial(self._swap_and_restore, replica, snap), label=f"swap r{replica} -> {snap.label}")
             )
         return events
 
     # ------------------------------------------------------------------ #
     def status(self) -> dict:
-        """Per-unit version/rotation view (for prints and asserts)."""
+        """Per-replica version/rotation view (for prints and asserts)."""
         return {
-            "versions": [unit.version for unit in self.backend.serving_units()],
+            "versions": [rep.version for rep in self.backend.replicas],
             "active": self.backend.active_indices(),
             "registry": self.registry.versions(),
         }

@@ -1,8 +1,5 @@
-"""Unified serving API: protocol, typed envelopes, config, and facade.
+"""Unified serving API: typed envelopes, config, and facade.
 
-* :class:`~repro.serving.service.protocol.ServingBackend` — the protocol
-  every serving backend satisfies (store, cluster, and whatever comes
-  next), so drivers never fork on concrete types;
 * :mod:`~repro.serving.service.envelopes` — typed data-plane requests
   (:class:`PredictRequest` / :class:`RecommendRequest` /
   :class:`RateRequest`) and the one auditable response shape,
@@ -11,7 +8,9 @@
   deployment description :meth:`CuMF.serve` consumes;
 * :class:`~repro.serving.service.facade.RecommenderService` — the facade
   splitting a data plane (predict / recommend / rate) from an admin
-  plane (fold-in, refresh, snapshot, rollout, rollback, drain/restore).
+  plane (fold-in, refresh, snapshot, rollout, rollback, drain/restore)
+  over one :class:`~repro.serving.cluster.ServingCluster` (a lone store
+  is served as a one-replica cluster).
 """
 
 from repro.serving.service.config import ServingConfig
@@ -25,7 +24,6 @@ from repro.serving.service.envelopes import (
     ShedError,
 )
 from repro.serving.service.facade import RecommenderService
-from repro.serving.service.protocol import ServingBackend
 
 __all__ = [
     "SERVICE_DEFAULT",
@@ -35,7 +33,6 @@ __all__ = [
     "RecommendRequest",
     "RecommenderService",
     "ServeResponse",
-    "ServingBackend",
     "ServingConfig",
     "ShedError",
 ]

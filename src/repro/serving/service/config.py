@@ -35,10 +35,10 @@ class ServingConfig:
     Parameters
     ----------
     replicas:
-        Number of serving units.  ``1`` stands up a single
-        :class:`~repro.serving.store.FactorStore`; more builds a
-        :class:`~repro.serving.cluster.ServingCluster` of independent
-        replicas behind ``router``.
+        Number of replicas: :meth:`CuMF.serve` builds a
+        :class:`~repro.serving.cluster.ServingCluster` of this many
+        independent :class:`~repro.serving.store.FactorStore` replicas
+        behind ``router`` (``1`` is a one-replica cluster).
     router:
         Routing policy for a replicated deployment — a registered policy
         name or alias (see :func:`~repro.serving.routing.router_names`),

@@ -1,4 +1,4 @@
-"""The serving front door: one facade over any :class:`ServingBackend`.
+"""The serving front door: one facade over a :class:`~repro.serving.cluster.ServingCluster`.
 
 :class:`RecommenderService` splits serving into the two planes a
 production recommender actually has:
@@ -15,11 +15,10 @@ production recommender actually has:
   :meth:`restore` — the operator verbs that mutate the deployment, which
   raise on misuse like any other operator tool.
 
-The facade never asks what kind of backend it drives: a single
-:class:`~repro.serving.store.FactorStore` and an R-replica
-:class:`~repro.serving.cluster.ServingCluster` behave identically
-through the :class:`~repro.serving.service.protocol.ServingBackend`
-protocol.  Build one declaratively with
+The facade drives one cluster: a lone
+:class:`~repro.serving.store.FactorStore` is served as a one-replica
+cluster (:meth:`ServingCluster.of`), so it behaves exactly like an
+R-replica deployment.  Build one declaratively with
 :meth:`CuMF.serve(ServingConfig(...)) <repro.core.trainer.CuMF.serve>`.
 """
 
@@ -31,6 +30,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 import repro.obs as obs
+from repro.serving.cluster import ServingCluster
 from repro.serving.lifecycle.refresh import RefreshResult, run_refresh_session
 from repro.serving.lifecycle.registry import Snapshot, SnapshotRegistry
 from repro.serving.lifecycle.rollout import RolloutController
@@ -47,31 +47,30 @@ from repro.sparse.csr import CSRMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, hints only
     from repro.serving.lifecycle.log import InteractionLog
-    from repro.serving.service.protocol import ServingBackend
     from repro.serving.simulator import LifecycleEvent, QueryTrace, TrafficReport
 
 __all__ = ["RecommenderService"]
 
 
 class RecommenderService:
-    """Data-plane envelopes and admin-plane lifecycle over one backend.
+    """Data-plane envelopes and admin-plane lifecycle over one cluster.
 
     Parameters
     ----------
     backend:
-        Any :class:`~repro.serving.service.protocol.ServingBackend` —
-        a :class:`~repro.serving.store.FactorStore`, a
-        :class:`~repro.serving.cluster.ServingCluster`, or something
-        new that satisfies the protocol.
+        A :class:`~repro.serving.cluster.ServingCluster`, or a
+        :class:`~repro.serving.store.FactorStore` served as a one-replica
+        cluster (:meth:`ServingCluster.of`); :attr:`backend` is the
+        cluster either way.
     registry:
         Optional :class:`~repro.serving.lifecycle.SnapshotRegistry`;
         required for the versioned admin verbs (refresh-to-version,
         rollout, rollback, snapshot).
     log:
         Optional :class:`~repro.serving.lifecycle.InteractionLog` that
-        :meth:`rate` and the backend's fold-ins record into.  Defaults
-        to the backend's attached log; when given and the backend has
-        none, it is wired onto the backend.
+        :meth:`rate` and the cluster's fold-ins record into.  Defaults
+        to the cluster's attached log; when given and the cluster has
+        none, it is wired onto the cluster.
     ratings:
         The ratings matrix the served model was trained on — the default
         seen-item exclusion for :meth:`recommend` and the base matrix of
@@ -92,19 +91,19 @@ class RecommenderService:
 
     def __init__(
         self,
-        backend: "ServingBackend",
+        backend: ServingCluster | FactorStore,
         *,
         registry: SnapshotRegistry | None = None,
         log: "InteractionLog | None" = None,
         ratings: CSRMatrix | None = None,
         policies: TenantPolicyTable | None = None,
     ):
-        self.backend = backend
+        self.backend = backend = ServingCluster.of(backend)
         self.registry = registry
         if log is None:
-            log = getattr(backend, "log", None)
-        elif getattr(backend, "log", None) is None:
-            backend.log = log  # wire fold-in recording through the backend
+            log = backend.log
+        elif backend.log is None:
+            backend.log = log  # wire fold-in recording through the cluster
         self.log = log
         self.ratings = ratings
         # A refresh published to the registry but not yet rolled out:
@@ -119,11 +118,7 @@ class RecommenderService:
         self._tenant_counters: dict[str, dict[str, int]] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"RecommenderService({self.backend!r}, "
-            f"registry={'yes' if self.registry is not None else 'no'}, "
-            f"log={'yes' if self.log is not None else 'no'})"
-        )
+        return f"RecommenderService({self.backend!r}, registry={'yes' if self.registry is not None else 'no'}, log={'yes' if self.log is not None else 'no'})"
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -162,9 +157,7 @@ class RecommenderService:
     def _count_tenant(self, tenant: str, outcome: str) -> None:
         if self._scheduler is None:
             return
-        counters = self._tenant_counters.setdefault(
-            tenant, {"ok": 0, "degraded": 0, "shed": 0, "error": 0}
-        )
+        counters = self._tenant_counters.setdefault(tenant, {"ok": 0, "degraded": 0, "shed": 0, "error": 0})
         counters[outcome] += 1
 
     def _observe(self, response: ServeResponse, start_s: float | None = None) -> ServeResponse:
@@ -179,9 +172,7 @@ class RecommenderService:
             return response
         tenant = response.tenant or "default"
         registry = obs.get_registry()
-        registry.counter(
-            "serve.requests", kind=response.kind, status=response.status, tenant=tenant
-        ).inc()
+        registry.counter("serve.requests", kind=response.kind, status=response.status, tenant=tenant).inc()
         if response.status in ("ok", "degraded") and start_s is not None:
             registry.histogram("serve.latency_s", tenant=tenant).observe(response.latency_s)
             obs.get_tracer().add_span(
@@ -242,9 +233,7 @@ class RecommenderService:
         loads = self.backend.loads()
         return max(loads) if loads else 0.0
 
-    def predict(
-        self, users: Any, items: np.ndarray | None = None, *, tenant: str = "default"
-    ) -> ServeResponse:
+    def predict(self, users: Any, items: np.ndarray | None = None, *, tenant: str = "default") -> ServeResponse:
         """Score (user, item) pairs; replica-independent, so no routing.
 
         Accepts a :class:`PredictRequest` or plain aligned index arrays.
@@ -326,9 +315,7 @@ class RecommenderService:
         before = unit.stats.simulated_seconds
         try:
             batch = np.atleast_1d(np.asarray(request.users))
-            payload = unit.recommend_batch(
-                batch, k=k_eff, exclude=mask, user_block=request.user_block
-            )
+            payload = unit.recommend_batch(batch, k=k_eff, exclude=mask, user_block=request.user_block)
         except (ValueError, RuntimeError) as exc:
             return self._error("recommend", exc, replica=replica, tenant=request.tenant)
         self._counters["recommend"] += 1
@@ -370,19 +357,14 @@ class RecommenderService:
             user_arr = np.asarray(request.user)
             if user_arr.ndim == 0 and np.issubdtype(user_arr.dtype, np.integer):
                 if not 0 <= int(user_arr) < self.backend.n_users:
-                    raise ValueError(
-                        f"user index out of range: service serves users [0, {self.backend.n_users}); "
-                        f"cold-start users go through fold_in"
-                    )
+                    raise ValueError(f"user index out of range: service serves users [0, {self.backend.n_users}); cold-start users go through fold_in")
             n_events = self.log.record(request.user, request.items, request.ratings)
         except (ValueError, RuntimeError) as exc:
             return self._error("rate", exc, tenant=request.tenant)
         self._counters["rate"] += 1
         self._count_tenant(request.tenant, "ok")
         version = self.backend.serving_units()[0].version
-        return self._observe(
-            ServeResponse(kind="rate", status="ok", payload=n_events, version=version, tenant=request.tenant)
-        )
+        return self._observe(ServeResponse(kind="rate", status="ok", payload=n_events, version=version, tenant=request.tenant))
 
     # ------------------------------------------------------------------ #
     # admin plane: operator verbs, which raise on misuse
@@ -428,9 +410,7 @@ class RecommenderService:
         if self.log is None:
             raise RuntimeError("refresh needs an interaction log; serve with ServingConfig(log=True)")
         unit = self.backend.serving_units()[0]
-        refreshed, _ = run_refresh_session(
-            unit.x, unit.theta, base, self.log, unit.lam, weighted=unit.weighted, callbacks=callbacks
-        )
+        refreshed, _ = run_refresh_session(unit.x, unit.theta, base, self.log, unit.lam, weighted=unit.weighted, callbacks=callbacks)
         if self.registry is not None:
             version = self.registry.publish(
                 refreshed.x,
@@ -533,9 +513,7 @@ class RecommenderService:
         registry = self._require_registry()
         controller = self._controller()
         controller.plan_events(version, start_s=start_s, step_s=step_s, swap_s=swap_s)
-        return self.plan_rollout(
-            registry.rollback(version), start_s=start_s, step_s=step_s, swap_s=swap_s
-        )
+        return self.plan_rollout(registry.rollback(version), start_s=start_s, step_s=step_s, swap_s=swap_s)
 
     def drain(self, unit: int) -> None:
         """Take one serving unit out of rotation."""
@@ -586,9 +564,7 @@ class RecommenderService:
     # ------------------------------------------------------------------ #
     def _require_registry(self) -> SnapshotRegistry:
         if self.registry is None:
-            raise RuntimeError(
-                "no snapshot registry attached; serve with ServingConfig(registry_dir=...)"
-            )
+            raise RuntimeError("no snapshot registry attached; serve with ServingConfig(registry_dir=...)")
         return self.registry
 
     def _controller(self) -> RolloutController:

@@ -1,13 +1,14 @@
-"""Query-traffic simulation against a :class:`~repro.serving.store.FactorStore`.
+"""Query-traffic simulation against a :class:`~repro.serving.cluster.ServingCluster`.
 
 The serving tier is driven the way an online recommender actually sees
 load: requests arrive as a Poisson process (optionally with bursts), are
 coalesced into batched windows — a window dispatches when it is full or
 when its collection deadline passes, whichever comes first, the same
 policy a batched-window cache/ANN scheduler uses — and each batch is
-served by one :meth:`FactorStore.recommend_batch` call.  Time is the
-simulated-seconds timeline: arrivals come from the trace, service times
-from the store's per-device kernel estimates, so the report shows the
+routed to one replica and served by one
+:meth:`~repro.serving.store.FactorStore.recommend_batch` call.  Time is
+the simulated-seconds timeline: arrivals come from the trace, service
+times from the replicas' per-device kernel estimates, so the report shows the
 throughput/latency trade-off of the batching window on the simulated
 hardware.
 
@@ -34,13 +35,16 @@ import heapq
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 import repro.obs as obs
 from repro.datasets.synthetic import powerlaw_weights
 from repro.obs.stats import event_window_p95, percentile_summary, utilization
+from repro.serving.cluster import ServingCluster
+from repro.serving.routing import select_replica
+from repro.serving.store import FactorStore
 from repro.serving.tenancy import (
     DEFAULT_TENANT,
     STATUS_DEGRADED,
@@ -54,9 +58,6 @@ from repro.serving.tenancy import (
     build_tenant_reports,
 )
 from repro.sparse.csr import CSRMatrix
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, hints only
-    from repro.serving.service.protocol import ServingBackend
 
 __all__ = ["LifecycleEvent", "QueryTrace", "RequestSimulator", "TrafficReport"]
 
@@ -129,9 +130,7 @@ class QueryTrace:
 
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _sample_users(
-        n_requests: int, n_users: int, rng: np.random.Generator, user_exponent: float
-    ) -> np.ndarray:
+    def _sample_users(n_requests: int, n_users: int, rng: np.random.Generator, user_exponent: float) -> np.ndarray:
         weights = powerlaw_weights(n_users, user_exponent, rng)
         return rng.choice(n_users, size=n_requests, p=weights).astype(np.int64)
 
@@ -216,12 +215,7 @@ class QueryTrace:
             raise ValueError("merge needs at least one trace")
         arrivals = np.concatenate([t.arrivals for t in traces])
         users = np.concatenate([t.users for t in traces])
-        tenants = np.concatenate(
-            [
-                t.tenants if t.tenants is not None else np.full(t.n_requests, DEFAULT_TENANT)
-                for t in traces
-            ]
-        )
+        tenants = np.concatenate([t.tenants if t.tenants is not None else np.full(t.n_requests, DEFAULT_TENANT) for t in traces])
         order = np.argsort(arrivals, kind="stable")
         return cls(arrivals[order], users[order], label=label, tenants=tenants[order])
 
@@ -262,12 +256,11 @@ class QueryTrace:
 
 @dataclass(frozen=True)
 class TrafficReport:
-    """Outcome of replaying one trace through a store or a cluster.
+    """Outcome of replaying one trace through a :class:`~repro.serving.cluster.ServingCluster`.
 
-    Against a single store the per-replica fields describe one replica;
-    against a :class:`~repro.serving.cluster.ServingCluster` they merge
-    the replicas' timelines: one query count, busy time and utilization
-    (busy / makespan) per replica, plus the routing policy used.
+    The per-replica fields merge the replicas' timelines: one query
+    count, busy time and utilization (busy / makespan) per replica, plus
+    the routing policy used (a lone store is one replica).
 
     When the replay carried :class:`LifecycleEvent` s (e.g. a rolling
     snapshot swap), ``per_version_queries`` counts the queries each model
@@ -330,16 +323,11 @@ class TrafficReport:
         if self.n_replicas > 1:
             per_replica = ", ".join(
                 f"r{idx}: {queries}q/{util:.0%}"
-                for idx, (queries, util) in enumerate(
-                    zip(self.per_replica_queries, self.per_replica_utilization)
-                )
+                for idx, (queries, util) in enumerate(zip(self.per_replica_queries, self.per_replica_utilization))
             )
             text += f"\n  {self.n_replicas} replicas via {self.router}: {per_replica}"
         if self.n_events:
-            versions = ", ".join(
-                f"{name or 'unversioned'}: {count}q"
-                for name, count in sorted(self.per_version_queries.items())
-            )
+            versions = ", ".join(f"{name or 'unversioned'}: {count}q" for name, count in sorted(self.per_version_queries.items()))
             text += (
                 f"\n  {self.n_events} lifecycle events: {versions}; "
                 f"dropped {self.n_dropped}; "
@@ -347,16 +335,9 @@ class TrafficReport:
             )
         for name in sorted(self.per_tenant):
             tenant = self.per_tenant[name]
-            line = (
-                f"\n  tenant {name}: {tenant.n_served}/{tenant.n_requests} served "
-                f"(share {tenant.share:.0%}), p95 {tenant.latency_p95_s * 1e3:.2f} ms"
-            )
+            line = f"\n  tenant {name}: {tenant.n_served}/{tenant.n_requests} served (share {tenant.share:.0%}), p95 {tenant.latency_p95_s * 1e3:.2f} ms"
             if tenant.n_shed:
-                line += (
-                    f", shed {tenant.n_shed} "
-                    f"(cap {tenant.n_shed_cap}, deadline {tenant.n_shed_deadline}, "
-                    f"queue {tenant.n_shed_queue})"
-                )
+                line += f", shed {tenant.n_shed} (cap {tenant.n_shed_cap}, deadline {tenant.n_shed_deadline}, queue {tenant.n_shed_queue})"
             if tenant.n_degraded:
                 line += f", degraded {tenant.n_degraded}"
             if tenant.deadline_ms is not None:
@@ -374,10 +355,7 @@ class TrafficReport:
 
 def _cache_snapshot(replicas: Sequence) -> list:
     """Per-unit cache counters before a replay (``None`` for plain stores)."""
-    return [
-        rep.cache_stats.as_dict() if getattr(rep, "cache_stats", None) is not None else None
-        for rep in replicas
-    ]
+    return [rep.cache_stats.as_dict() if getattr(rep, "cache_stats", None) is not None else None for rep in replicas]
 
 
 def _cache_delta(replicas: Sequence, before: list) -> dict:
@@ -420,9 +398,7 @@ def _publish_report(report: TrafficReport, served: np.ndarray, tenants: np.ndarr
         registry.histogram("serve.latency_s", tenant="default").observe_many(served)
     else:
         for tenant in np.unique(tenants):
-            registry.histogram("serve.latency_s", tenant=str(tenant)).observe_many(
-                served[tenants == tenant]
-            )
+            registry.histogram("serve.latency_s", tenant=str(tenant)).observe_many(served[tenants == tenant])
     registry.counter("serve.replayed").inc(report.n_requests)
     if report.n_shed:
         registry.counter("serve.shed").inc(report.n_shed)
@@ -595,20 +571,17 @@ class _Wfq:
 
 
 class RequestSimulator:
-    """Replays a :class:`QueryTrace` through a store in batched windows.
+    """Replays a :class:`QueryTrace` through a cluster in batched windows.
 
     Parameters
     ----------
     store:
-        Any :class:`~repro.serving.service.protocol.ServingBackend` — a
-        single :class:`~repro.serving.store.FactorStore`, a
-        :class:`~repro.serving.cluster.ServingCluster`, or something new
-        that satisfies the protocol.  The simulator only speaks the
-        protocol: it keeps one server-free timeline per serving unit
-        (``serving_units``), offers the backend's routing policy the
-        outstanding work of the units in rotation (``active_indices`` /
-        ``route_among``), and reports per-unit query counts and
-        utilization; a lone store is simply a one-unit backend.
+        A :class:`~repro.serving.cluster.ServingCluster`, or a
+        :class:`~repro.serving.store.FactorStore` served as a one-replica
+        cluster (:meth:`ServingCluster.of`).  The simulator keeps one
+        server-free timeline per replica, offers the cluster's router the
+        outstanding work of the replicas in rotation, and reports
+        per-replica query counts and utilization.
     k:
         Top-k size of every query (an integer >= 1).
     exclude:
@@ -634,7 +607,7 @@ class RequestSimulator:
 
     def __init__(
         self,
-        store: "ServingBackend",
+        store: ServingCluster | FactorStore,
         k: int = 10,
         exclude: CSRMatrix | None = None,
         max_batch: int = 256,
@@ -650,7 +623,7 @@ class RequestSimulator:
             raise ValueError("window_s must be non-negative")
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be at least 1")
-        self.store = store
+        self.store = ServingCluster.of(store)
         self.k = k
         self.exclude = exclude
         self.max_batch = max_batch
@@ -679,8 +652,8 @@ class RequestSimulator:
         Events scheduled past the last arrival fire when the trace ends.
         """
         backend = self.store
-        replicas = list(backend.serving_units())
-        backend.reset_routing()
+        replicas = backend.replicas
+        backend.router.reset()
         n_replicas = len(replicas)
         cache_before = _cache_snapshot(replicas)
         arrivals, users = trace.arrivals, trace.users
@@ -732,7 +705,7 @@ class RequestSimulator:
             # the batch queues behind it (that queueing delay is exactly
             # what separates the routing policies).
             loads = [max(0.0, server_free[r] - dispatch) for r in active]
-            choice = active[backend.route_among(loads)]
+            choice = active[select_replica(backend.router, loads)]
             replica = replicas[choice]
             version = replica.version
             done = max(dispatch, server_free[choice])
@@ -792,7 +765,7 @@ class RequestSimulator:
             latency_max_s=lat_max,
             wall_seconds=wall,
             n_replicas=n_replicas,
-            router=backend.routing_label(),
+            router=backend.router.name,
             per_replica_queries=tuple(replica_queries),
             per_replica_busy_s=tuple(replica_busy),
             per_replica_utilization=utilization(replica_busy, makespan),

@@ -111,10 +111,6 @@ class FactorStore:
         :class:`~repro.serving.lifecycle.SnapshotRegistry`); updated by
         :meth:`swap_snapshot` and reported per-version by the traffic
         simulator during rollouts.
-    log:
-        Optional :class:`~repro.serving.lifecycle.InteractionLog`; when
-        set, every :meth:`fold_in` records its ratings there so an
-        incremental refresh can later fold them back into training.
     """
 
     def __init__(
@@ -129,7 +125,6 @@ class FactorStore:
         score_dtype: type = np.float32,
         solver: str = "",
         version: str = "",
-        log=None,
     ):
         # Snapshot semantics: the store owns private, immutable copies, so
         # later training runs cannot mutate what is being served.
@@ -137,9 +132,7 @@ class FactorStore:
         if lam < 0:
             raise ValueError("lam must be non-negative")
         if machine is not None and n_shards is not None and n_shards != machine.n_gpus:
-            raise ValueError(
-                f"asked for {n_shards} shards on a machine with {machine.n_gpus} GPUs"
-            )
+            raise ValueError(f"asked for {n_shards} shards on a machine with {machine.n_gpus} GPUs")
         if n_shards is None:
             n_shards = machine.n_gpus if machine is not None else 1
         if not 1 <= n_shards <= max(1, theta.shape[0]):
@@ -152,7 +145,6 @@ class FactorStore:
         self.weighted = weighted
         self.solver = solver
         self.version = str(version)
-        self.log = log
         self.machine = machine or MultiGPUMachine(n_gpus=n_shards)
         self.score_dtype = score_dtype
         self.stats = ServingStats()
@@ -211,10 +203,7 @@ class FactorStore:
         theta.setflags(write=False)
         self.theta = theta
         self.partition = Partition1D(theta.shape[0], n_shards)
-        self._shards = [
-            np.ascontiguousarray(theta[lo:hi], dtype=self.score_dtype)
-            for lo, hi in (self.partition.range_of(i) for i in range(n_shards))
-        ]
+        self._shards = [np.ascontiguousarray(theta[lo:hi], dtype=self.score_dtype) for lo, hi in (self.partition.range_of(i) for i in range(n_shards))]
 
     # ------------------------------------------------------------------ #
     # construction / persistence
@@ -253,10 +242,7 @@ class FactorStore:
             n_trained = int(restored.extras["n_trained_users"])
             indptr = np.asarray(restored.extras["foldin_indptr"], dtype=np.int64)
             items = np.asarray(restored.extras["foldin_items"], dtype=np.int64)
-            folded = {
-                n_trained + j: items[indptr[j] : indptr[j + 1]].copy()
-                for j in range(indptr.size - 1)
-            }
+            folded = {n_trained + j: items[indptr[j] : indptr[j + 1]].copy() for j in range(indptr.size - 1)}
             store._restore_fold_state(n_trained, folded)
         return store
 
@@ -335,15 +321,11 @@ class FactorStore:
     def _restore_fold_state(self, n_trained_users: int, folded_items: dict) -> None:
         """Adopt fold-in bookkeeping from a saved or replicated store."""
         if not 0 <= n_trained_users <= self.n_users:
-            raise ValueError(
-                f"n_trained_users must be in [0, {self.n_users}], got {n_trained_users}"
-            )
+            raise ValueError(f"n_trained_users must be in [0, {self.n_users}], got {n_trained_users}")
         if set(folded_items) != set(range(n_trained_users, self.n_users)):
             raise ValueError("folded-items map must cover exactly the rows above n_trained_users")
         self._n_trained_users = int(n_trained_users)
-        self._folded_items = {
-            int(u): np.asarray(seg, dtype=np.int64) for u, seg in folded_items.items()
-        }
+        self._folded_items = {int(u): np.asarray(seg, dtype=np.int64) for u, seg in folded_items.items()}
 
     def replicate(self, *, machine: MultiGPUMachine | None = None, n_shards: int | None = None) -> "FactorStore":
         """An independent copy of this snapshot on a fresh simulated machine.
@@ -353,9 +335,6 @@ class FactorStore:
         copies, its own machine/clock and zeroed stats, so replicas
         accumulate simulated time independently.  This is the building
         block :class:`~repro.serving.cluster.ServingCluster` replicates.
-        The interaction log is deliberately *not* carried over: a cluster
-        records each write-through fold-in once at the cluster level, not
-        once per replica.
         """
         if machine is None and n_shards is None:
             n_shards = self.n_shards
@@ -403,9 +382,7 @@ class FactorStore:
         """
         x, theta = self._checked_factors({"x": x, "theta": theta})
         if theta.shape[0] < self.n_shards:
-            raise ValueError(
-                f"new snapshot has {theta.shape[0]} items but the store keeps {self.n_shards} shards"
-            )
+            raise ValueError(f"new snapshot has {theta.shape[0]} items but the store keeps {self.n_shards} shards")
         if lam is not None:
             if lam < 0:
                 raise ValueError("lam must be non-negative")
@@ -421,10 +398,7 @@ class FactorStore:
         self._folded_items = {}
         before = self.machine.elapsed_seconds()
         self.machine.run_transfers(
-            [
-                self.machine.h2d(i, self.partition.size_of(i) * self.f * FLOAT_BYTES, tag="swap-shard")
-                for i in range(self.n_shards)
-            ],
+            [self.machine.h2d(i, self.partition.size_of(i) * self.f * FLOAT_BYTES, tag="swap-shard") for i in range(self.n_shards)],
             label="swap-h2d",
         )
         self.stats.simulated_seconds += self.machine.elapsed_seconds() - before
@@ -448,10 +422,7 @@ class FactorStore:
         self._install_theta(theta, self.n_shards)
         before = self.machine.elapsed_seconds()
         self.machine.run_transfers(
-            [
-                self.machine.h2d(i, new_theta.shape[0] * self.f * FLOAT_BYTES, tag="grow-items")
-                for i in range(self.n_shards)
-            ],
+            [self.machine.h2d(i, new_theta.shape[0] * self.f * FLOAT_BYTES, tag="grow-items") for i in range(self.n_shards)],
             label="grow-h2d",
         )
         self.stats.simulated_seconds += self.machine.elapsed_seconds() - before
@@ -481,66 +452,7 @@ class FactorStore:
         return len(self._shards)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"{type(self).__name__}({self.n_users} users x {self.n_items} items, "
-            f"f={self.f}, {self.n_shards} shards)"
-        )
-
-    # ------------------------------------------------------------------ #
-    # ServingBackend protocol: a lone store is a one-unit backend
-    # ------------------------------------------------------------------ #
-    def serving_units(self) -> list["FactorStore"]:
-        """The independently-clocked units behind this backend: just us."""
-        return [self]
-
-    def active_indices(self) -> list[int]:
-        """A single store is always in rotation."""
-        return [0]
-
-    def route(self) -> int:
-        """All traffic lands on the only unit."""
-        return 0
-
-    def route_among(self, loads) -> int:
-        """One unit, one choice (``loads`` has exactly one entry)."""
-        return 0
-
-    def routing_label(self) -> str:
-        """No routing policy to name for a single unit."""
-        return ""
-
-    def reset_routing(self) -> None:
-        """Nothing to reset: a single store routes trivially."""
-
-    def drain(self, unit: int) -> None:
-        """Refused: draining the only unit would leave nobody serving.
-
-        Identical semantics (and message) to draining the last active
-        replica of a :class:`~repro.serving.cluster.ServingCluster`.
-        """
-        if unit != 0:
-            raise ValueError(f"no replica {unit} in a 1-replica cluster")
-        raise RuntimeError("cannot drain the last active replica")
-
-    def restore(self, unit: int) -> None:
-        """Refused: the only unit is never draining."""
-        if unit != 0:
-            raise ValueError(f"no replica {unit} in a 1-replica cluster")
-        raise ValueError("replica 0 is not draining")
-
-    def loads(self) -> list[float]:
-        """Cumulative simulated serving seconds, one entry per unit."""
-        return [self.stats.simulated_seconds]
-
-    def stats_dict(self) -> dict:
-        """Serving counters plus identity, mirroring the cluster's shape."""
-        return {
-            "n_replicas": 1,
-            "n_active": 1,
-            "router": self.routing_label(),
-            "versions": [self.version],
-            **self.stats.as_dict(),
-        }
+        return f"{type(self).__name__}({self.n_users} users x {self.n_items} items, f={self.f}, {self.n_shards} shards)"
 
     # ------------------------------------------------------------------ #
     # queries
@@ -558,9 +470,7 @@ class FactorStore:
     def _validate_users(self, users: np.ndarray) -> np.ndarray:
         users = self._as_index_array(users, "users")
         if users.size and (users.min() < 0 or users.max() >= self.n_users):
-            raise ValueError(
-                f"user index out of range: store serves users [0, {self.n_users})"
-            )
+            raise ValueError(f"user index out of range: store serves users [0, {self.n_users})")
         return users
 
     def predict(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
@@ -570,14 +480,10 @@ class FactorStore:
         if users.shape != items.shape:
             raise ValueError("users and items must have the same shape")
         if items.size and (items.min() < 0 or items.max() >= self.n_items):
-            raise ValueError(
-                f"item index out of range: store serves items [0, {self.n_items})"
-            )
+            raise ValueError(f"item index out of range: store serves items [0, {self.n_items})")
         return np.einsum("ij,ij->i", self.x[users], self.theta[items])
 
-    def recommend(
-        self, user: int, k: int = 10, exclude: CSRMatrix | None = None
-    ) -> list[tuple[int, float]]:
+    def recommend(self, user: int, k: int = 10, exclude: CSRMatrix | None = None) -> list[tuple[int, float]]:
         """Top-``k`` items for one user (single-query path = batch of 1)."""
         return self.recommend_batch(np.array([user]), k=k, exclude=exclude)[0]
 
@@ -621,10 +527,7 @@ class FactorStore:
             if exclude.shape[1] != self.n_items:
                 raise ValueError("exclude matrix must have one column per item")
             if exclude.shape[0] < self._n_trained_users:
-                raise ValueError(
-                    f"exclude matrix has {exclude.shape[0]} rows but the store "
-                    f"was trained on {self._n_trained_users} users"
-                )
+                raise ValueError(f"exclude matrix has {exclude.shape[0]} rows but the store was trained on {self._n_trained_users} users")
         kk = min(k, self.n_items)
         out: list[list[tuple[int, float]]] = []
         for start in range(0, users.size, user_block):
@@ -656,9 +559,7 @@ class FactorStore:
             if seen is not None:
                 scores[r, seen] = -np.inf
 
-    def _topk_block(
-        self, block: np.ndarray, kk: int, exclude: CSRMatrix | None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _topk_block(self, block: np.ndarray, kk: int, exclude: CSRMatrix | None) -> tuple[np.ndarray, np.ndarray]:
         """Exact top-``kk`` ids/scores for one block of users.
 
         Each Θ shard is scored with one GEMM into a shared ``(b, n_items)``
@@ -719,10 +620,7 @@ class FactorStore:
         busy_before = self._device_busy()
         f = self.f
         self.machine.run_transfers(
-            [
-                self.machine.h2d(i, b * f * FLOAT_BYTES, tag="serve-users")
-                for i in range(self.n_shards)
-            ],
+            [self.machine.h2d(i, b * f * FLOAT_BYTES, tag="serve-users") for i in range(self.n_shards)],
             label="serve-h2d",
         )
         profiles = {}
@@ -731,28 +629,19 @@ class FactorStore:
             score = KernelProfile(
                 name="serve_score",
                 flops=2.0 * b * width * f,
-                traffic={
-                    MemoryKind.GLOBAL: float(
-                        (b * f + width * f + b * width) * FLOAT_BYTES
-                    )
-                },
+                traffic={MemoryKind.GLOBAL: float((b * f + width * f + b * width) * FLOAT_BYTES)},
                 blocks=b,
             )
             select = KernelProfile(
                 name="serve_topk",
                 flops=float(b * width),
-                traffic={
-                    MemoryKind.GLOBAL: float((b * width + 2 * b * kk) * FLOAT_BYTES)
-                },
+                traffic={MemoryKind.GLOBAL: float((b * width + 2 * b * kk) * FLOAT_BYTES)},
                 blocks=b,
             )
             profiles[i] = score.merged(select, name="serve_score+topk")
         self.machine.run_parallel_kernels(profiles)
         self.machine.run_transfers(
-            [
-                self.machine.d2h(i, 2 * b * kk * FLOAT_BYTES, tag="serve-candidates")
-                for i in range(self.n_shards)
-            ],
+            [self.machine.d2h(i, 2 * b * kk * FLOAT_BYTES, tag="serve-candidates") for i in range(self.n_shards)],
             label="serve-d2h",
         )
         elapsed = self.machine.elapsed_seconds() - before
@@ -776,9 +665,7 @@ class FactorStore:
         for i, already_busy in enumerate(busy_before):
             delta = self.machine.device(i).busy_seconds() - already_busy
             if delta:
-                self.stats.per_device_seconds[i] = (
-                    self.stats.per_device_seconds.get(i, 0.0) + delta
-                )
+                self.stats.per_device_seconds[i] = self.stats.per_device_seconds.get(i, 0.0) + delta
 
     # ------------------------------------------------------------------ #
     # cold start
@@ -793,9 +680,10 @@ class FactorStore:
         factor is then solved against the frozen Θ with the training
         kernels (one Base-ALS user update).  The new row is appended to
         both the float64 master and the scoring copy, so the user is
-        immediately servable; their fold-in items count as "seen" for
-        exclusion purposes, and the ratings are recorded in the attached
-        interaction log (when there is one) for a later refresh.
+        immediately servable, and their fold-in items count as "seen"
+        for exclusion purposes.  Recording the ratings for a later
+        refresh is the serving cluster's job
+        (:meth:`~repro.serving.cluster.ServingCluster.fold_in`).
         """
         items, ratings = validate_ratings(items, ratings, self.n_items)
         factor = fold_in_user(items, ratings, self.theta, self.lam, weighted=self.weighted)
@@ -804,8 +692,6 @@ class FactorStore:
         self.x.setflags(write=False)
         self._x_score = np.vstack([self._x_score, factor[None, :].astype(self.score_dtype)])
         self._folded_items[user] = np.unique(items)
-        if self.log is not None:
-            self.log.record(user, items, ratings)
 
         # Simulated cost: one Hermitian assembly + one 1-row batched solve
         # on device 0, plus shipping the ratings up and the factor back.
@@ -816,9 +702,7 @@ class FactorStore:
             [self.machine.h2d(0, 2 * nnz * FLOAT_BYTES, tag="foldin-ratings")],
             label="serve-h2d",
         )
-        herm = get_hermitian_profile(
-            self.machine.spec, 1, nnz, self.n_items, self._profile_config, name="foldin_hermitian"
-        )
+        herm = get_hermitian_profile(self.machine.spec, 1, nnz, self.n_items, self._profile_config, name="foldin_hermitian")
         solve = batch_solve_profile(1, self.f, name="foldin_solve")
         self.machine.run_parallel_kernels({0: herm.merged(solve, name="foldin")})
         self.machine.run_transfers(

@@ -89,7 +89,7 @@ class TestRuleTriggers:
         assert rules_of(lint_as(source, "src/repro/serving/d.py")) == {"REP006"}
 
     def test_rep006_tuple_classinfo(self):
-        source = "def dispatch(x):\n    return isinstance(x, (str, ServingBackend))\n"
+        source = "def dispatch(x):\n    return isinstance(x, (str, Router))\n"
         assert rules_of(lint_as(source, "src/repro/serving/d.py")) == {"REP006"}
 
     def test_rep007_global_numpy_seed(self):

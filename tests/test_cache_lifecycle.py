@@ -16,8 +16,8 @@ from repro.serving import CacheConfig, QueryTrace, ServingConfig, TieredFactorSt
 
 CFG = dict(hot_fraction=0.25, page_items=8, plan_window_s=1e-6, half_life_s=0.5)
 
-#: ``replicas=1`` serves straight off one ``TieredFactorStore``;
-#: ``replicas=3`` puts a ``ServingCluster`` behind the same facade.
+#: ``replicas=1`` serves one ``TieredFactorStore`` as a 1-replica
+#: ``ServingCluster``; ``replicas=3`` replicates it behind the same facade.
 BACKENDS = [pytest.param(1, id="store"), pytest.param(3, id="cluster")]
 
 

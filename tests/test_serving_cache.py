@@ -7,7 +7,6 @@ import pytest
 
 import repro.obs as obs
 from repro.core import ALSConfig, CuMF
-from repro.core.kernels import FLOAT_BYTES
 from repro.serving import (
     CacheConfig,
     FactorStore,
@@ -15,7 +14,6 @@ from repro.serving import (
     PageTable,
     QueryTrace,
     RequestSimulator,
-    ServingBackend,
     ServingCluster,
     ServingConfig,
     TenantPolicy,
@@ -231,7 +229,7 @@ class TestTieredStore:
         users = np.arange(0, 200, 3)
         expected = plain.recommend_batch(users, k=7, exclude=tiny_ratings.train)
         assert tiered.recommend_batch(users, k=7, exclude=tiny_ratings.train) == expected
-        assert isinstance(tiered, ServingBackend)
+        assert ServingCluster.of(tiered).replicas == [tiered]
 
     def test_first_touch_misses_then_hits_after_promotion(self, fitted):
         tiered = tiered_store(fitted)
@@ -275,16 +273,6 @@ class TestTieredStore:
         assert tiered.resident_bytes()["host-warm"] <= total // 4
         # Each cold batch paid at least the seek latency.
         assert stats.miss_seconds >= 1e-3
-
-    def test_stats_dict_gains_cache_block(self, fitted):
-        tiered = tiered_store(fitted)
-        tiered.recommend_batch(np.arange(32), k=5)
-        stats = tiered.stats_dict()
-        assert "cache" in stats
-        assert stats["cache"]["misses"] > 0
-        assert set(stats["cache"]["resident_bytes"]) == {"gpu-hot", "host-warm", "disk-cold"}
-        # Plain stores are untouched.
-        assert "cache" not in FactorStore.from_result(fitted.result).stats_dict()
 
 
 # ---------------------------------------------------------------------- #
@@ -346,6 +334,7 @@ class TestClusterAndServeWiring:
         assert stats["cache"]["hits"] == sum(
             rep.cache_stats.hits for rep in cluster.replicas
         )
+        assert set(stats["cache"]["resident_bytes"]) == {"gpu-hot", "host-warm", "disk-cold"}
         assert stats["cache"]["resident_bytes"]["host-warm"] > 0
 
     def test_plain_cluster_has_no_cache_block(self, fitted):
@@ -372,7 +361,7 @@ class TestClusterAndServeWiring:
 
     def test_serve_without_cache_builds_plain_stores(self, fitted):
         service = fitted.serve(ServingConfig(replicas=1))
-        assert type(service.backend) is FactorStore
+        assert type(service.backend.replicas[0]) is FactorStore
 
 
 # ---------------------------------------------------------------------- #

@@ -29,7 +29,7 @@ def fitted(tiny_ratings):
 
 @pytest.fixture()
 def store(fitted):
-    return fitted.serve(ServingConfig(n_shards=2, log=False)).backend
+    return fitted.serve(ServingConfig(n_shards=2, log=False)).backend.replicas[0]
 
 
 @pytest.fixture(scope="module")

@@ -64,7 +64,7 @@ class TestFoldIn:
             fold_in_users(CSRMatrix.from_dense(np.ones((2, theta.shape[0] + 1))), theta, 0.05)
 
     def test_store_fold_in_is_servable(self, fitted, tiny_ratings):
-        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend
+        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend.replicas[0]
         items, ratings = tiny_ratings.train.row(5)
         before = store.n_users
         user = store.fold_in(items, ratings)
@@ -104,7 +104,7 @@ class TestUnifiedValidation:
 
     @pytest.mark.parametrize("items,ratings", BAD_INPUTS)
     def test_both_paths_fail_identically(self, fitted, items, ratings):
-        store = fitted.serve(ServingConfig(log=False)).backend
+        store = fitted.serve(ServingConfig(log=False)).backend.replicas[0]
         theta = fitted.result.theta
         with pytest.raises(ValueError) as direct:
             fold_in_user(items, ratings, theta, store.lam)
@@ -118,7 +118,7 @@ class TestUnifiedValidation:
     def test_duplicate_items_sum_on_both_paths(self, fitted):
         """Duplicates follow the trainer's CSR summing on store fold-ins too."""
         theta = fitted.result.theta
-        store = fitted.serve(ServingConfig(log=False)).backend
+        store = fitted.serve(ServingConfig(log=False)).backend.replicas[0]
         dup = store.fold_in(np.array([2, 2, 5]), np.array([1.0, 3.0, 2.0]))
         summed = store.fold_in(np.array([2, 5]), np.array([4.0, 2.0]))
         np.testing.assert_array_equal(store.x[dup], store.x[summed])
@@ -208,7 +208,7 @@ class TestQueryTrace:
 
 class TestRequestSimulator:
     def test_all_requests_served(self, fitted, tiny_ratings):
-        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend
+        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend.replicas[0]
         sim = RequestSimulator(store, k=5, exclude=tiny_ratings.train, max_batch=32, window_s=0.01)
         trace = QueryTrace.poisson(300, 1500.0, store.n_users, seed=4)
         report = sim.run(trace)
@@ -222,8 +222,8 @@ class TestRequestSimulator:
         assert report.latency_max_s < report.makespan_s + report.service_seconds
 
     def test_window_knob_trades_latency_for_batching(self, fitted):
-        store_small = fitted.serve(ServingConfig(n_shards=2, log=False)).backend
-        store_large = fitted.serve(ServingConfig(n_shards=2, log=False)).backend
+        store_small = fitted.serve(ServingConfig(n_shards=2, log=False)).backend.replicas[0]
+        store_large = fitted.serve(ServingConfig(n_shards=2, log=False)).backend.replicas[0]
         trace = QueryTrace.poisson(300, 2000.0, store_small.n_users, seed=6)
         eager = RequestSimulator(store_small, max_batch=256, window_s=0.0).run(trace)
         patient = RequestSimulator(store_large, max_batch=256, window_s=0.05).run(trace)
@@ -231,14 +231,14 @@ class TestRequestSimulator:
         assert patient.latency_p50_s >= eager.latency_p50_s
 
     def test_max_batch_respected(self, fitted):
-        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend
+        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend.replicas[0]
         # all requests arrive at once: windows must split them at max_batch
         trace = QueryTrace(np.zeros(100), np.arange(100) % store.n_users)
         report = RequestSimulator(store, max_batch=16, window_s=0.01).run(trace)
         assert report.n_batches == int(np.ceil(100 / 16))
 
     def test_validation(self, fitted):
-        store = fitted.serve(ServingConfig(log=False)).backend
+        store = fitted.serve(ServingConfig(log=False)).backend.replicas[0]
         with pytest.raises(ValueError):
             RequestSimulator(store, max_batch=0)
         with pytest.raises(ValueError):

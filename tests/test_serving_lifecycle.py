@@ -34,7 +34,7 @@ def fitted(tiny_ratings):
 
 @pytest.fixture()
 def store(fitted):
-    return fitted.serve(ServingConfig(n_shards=2, log=False)).backend
+    return fitted.serve(ServingConfig(n_shards=2, log=False)).backend.replicas[0]
 
 
 def _feedback_log(train, n_new_items: int = 2):
@@ -332,9 +332,8 @@ class TestStoreLifecycleHooks:
 
     def test_fold_in_records_into_attached_log(self, fitted):
         log = InteractionLog()
-        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend
-        store.log = log
-        user = store.fold_in(np.array([2, 7]), np.array([5.0, 3.0]))
+        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend.replicas[0]
+        user = ServingCluster([store], log=log).fold_in(np.array([2, 7]), np.array([5.0, 3.0]))
         assert log.affected_users().tolist() == [user]
         users, items, ratings = log.arrays()
         assert items.tolist() == [2, 7] and ratings.tolist() == [5.0, 3.0]
@@ -406,7 +405,7 @@ class TestClusterLifecycle:
         log = InteractionLog()
         cluster = ServingCluster.from_result(fitted.result, 3, log=log)
         assert cluster.log is log
-        assert all(rep.log is None for rep in cluster.replicas)
+        assert not any(hasattr(rep, "log") for rep in cluster.replicas)
         cluster.fold_in(np.array([2]), np.array([4.0]))
         assert log.n_events == 1
 
@@ -501,7 +500,7 @@ class TestRollout:
 
     def test_all_replicas_drained_drops_the_tail(self, fitted):
         """Without a restore event left, the remaining queries are dropped."""
-        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend
+        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend.replicas[0]
         cluster = ServingCluster.from_store(store, 2)
         trace = QueryTrace.poisson(100, 10_000.0, store.n_users, seed=4)
         cutoff = trace.arrivals[49]

@@ -1,11 +1,11 @@
-"""Unified serving API: protocol conformance, envelopes, rollback, compaction.
+"""Unified serving API: backend contract, envelopes, rollback, compaction.
 
 The heart of this file is the parametrized backend suite: every test
 that takes the ``backend`` / ``service`` fixture runs against *both* a
-single :class:`FactorStore` and a 2-replica :class:`ServingCluster`,
-pinning the ``ServingBackend`` contract — identical envelope fields,
-identical error messages, identical drain/rollout semantics — on every
-backend the protocol admits.
+lone :class:`FactorStore` served as a 1-replica :class:`ServingCluster`
+and a 2-replica cluster, pinning one contract — identical envelope
+fields, identical error messages, identical drain/rollout semantics —
+whatever the replica count.
 """
 
 import re
@@ -26,7 +26,6 @@ from repro.serving import (
     RequestSimulator,
     RolloutController,
     ServeResponse,
-    ServingBackend,
     ServingCluster,
     ServingConfig,
     SnapshotRegistry,
@@ -53,11 +52,11 @@ def fitted(data):
 BACKENDS = ["store", "cluster"]
 
 
-def _build_backend(kind: str, fitted, log=None):
-    if kind == "store":
-        return FactorStore.from_result(fitted.result, n_shards=2, log=log)
+def _build_backend(kind: str, fitted):
     store = FactorStore.from_result(fitted.result, n_shards=2)
-    return ServingCluster.from_store(store, n_replicas=2, log=log)
+    if kind == "store":
+        return ServingCluster.of(store)
+    return ServingCluster.from_store(store, n_replicas=2)
 
 
 @pytest.fixture(params=BACKENDS)
@@ -71,12 +70,22 @@ def service(backend, data):
 
 
 # ---------------------------------------------------------------------- #
-# protocol conformance
+# backend contract
 # ---------------------------------------------------------------------- #
-class TestServingBackendProtocol:
-    def test_satisfies_protocol(self, backend):
-        assert isinstance(backend, ServingBackend)
+def test_of_returns_clusters_and_wraps_stores_without_copying(fitted):
+    cluster = _build_backend("cluster", fitted)
+    assert ServingCluster.of(cluster) is cluster
+    store = FactorStore.from_result(fitted.result, n_shards=2)
+    wrapped = ServingCluster.of(store)
+    assert wrapped.replicas == [store] and wrapped.replicas[0] is store
+    wrapped.recommend_batch(np.array([0, 1, 2]), k=3)
+    assert store.stats.queries == 3  # the caller's store served the routed call
+    for other in (None, "store", [store], fitted.result):
+        with pytest.raises(TypeError, match="expected a FactorStore or ServingCluster"):
+            ServingCluster.of(other)
 
+
+class TestBackendContract:
     def test_units_and_rotation(self, backend):
         units = backend.serving_units()
         assert len(units) >= 1
@@ -125,7 +134,7 @@ class TestServingBackendProtocol:
         report = sim.run(trace)
         assert report.n_requests == 200 and report.n_dropped == 0
         assert report.n_replicas == len(backend.serving_units())
-        assert report.router == backend.routing_label()
+        assert report.router == backend.router.name == "least-loaded"
 
     def test_rollout_controller_drives_any_backend(self, backend, fitted, tmp_path):
         registry = SnapshotRegistry(str(tmp_path))
@@ -270,21 +279,32 @@ class TestTopKValidation:
 class TestServeConstruction:
     def test_single_replica_builds_store(self, fitted, data):
         service = fitted.serve(ServingConfig(n_shards=2, ratings=data.train))
-        assert isinstance(service.backend, FactorStore)
-        assert service.backend.n_shards == 2
+        assert isinstance(service.backend, ServingCluster) and service.backend.n_replicas == 1
+        assert type(service.backend.replicas[0]) is FactorStore
+        assert service.backend.replicas[0].n_shards == 2
         assert isinstance(service.log, InteractionLog)
         assert service.backend.log is service.log
+
+    def test_single_replica_stats_have_the_cluster_shape(self, fitted):
+        service = fitted.serve(ServingConfig(n_shards=2, log=False))
+        service.recommend(np.array([0, 1, 2]), k=3).raise_for_status()
+        stats = service.stats()
+        assert (stats["router"], stats["n_replicas"], stats["n_active"]) == ("least-loaded", 1, 1)
+        assert stats["queries"] == 3 and len(stats["per_replica"]) == 1
+        assert stats["per_replica"][0] == service.backend.replicas[0].stats.as_dict()
+        assert "cache" not in stats
 
     def test_replicated_builds_cluster(self, fitted):
         service = fitted.serve(ServingConfig(replicas=3, router="round-robin"))
         assert isinstance(service.backend, ServingCluster)
         assert service.backend.n_replicas == 3
-        assert service.backend.routing_label() == "round-robin"
+        assert service.backend.router.name == "round-robin"
         assert service.backend.log is service.log
 
     def test_overrides_patch_config(self, fitted):
         service = fitted.serve(ServingConfig(replicas=2), replicas=1, log=False)
-        assert isinstance(service.backend, FactorStore)
+        assert service.backend.n_replicas == 1
+        assert type(service.backend.replicas[0]) is FactorStore
         assert service.log is None
 
     def test_registry_dir_publishes_and_stamps(self, fitted, tmp_path):
@@ -459,6 +479,26 @@ class TestServiceLifecycle:
         with pytest.raises(ValueError, match="at least 2 replicas"):
             service.plan_rollback(0, start_s=0.0, step_s=1.0)
         assert service.registry.versions() == [0, 1]  # nothing published
+
+    def test_rollout_swaps_a_drained_replica_in_place(self, fitted, data, tmp_path):
+        service = self._service(fitted, data, tmp_path, replicas=3)
+        service.rate(0, np.array([1]), np.array([5.0]))
+        service.refresh()
+        service.drain(1)
+        assert service.rollout().version == 1
+        assert service.versions() == ["v1", "v1", "v1"]
+        assert service.backend.active_indices() == [0, 2]  # rotation unchanged
+
+    def test_plan_rollout_refused_while_a_replica_drains(self, fitted, data, tmp_path):
+        service = self._service(fitted, data, tmp_path, replicas=3)
+        service.rate(0, np.array([1]), np.array([5.0]))
+        service.refresh()
+        service.drain(1)
+        with pytest.raises(ValueError, match=r"replicas \[1\] are draining"):
+            service.plan_rollout(start_s=0.0, step_s=1.0)
+        assert service.versions() == ["v0", "v0", "v0"]
+        service.restore(1)
+        assert len(service.plan_rollout(start_s=0.0, step_s=1.0)) == 7  # 3 drain + 3 swap + adopt
 
     def test_facade_bad_k_consumes_no_routing_slot(self, fitted, data):
         service = fitted.serve(

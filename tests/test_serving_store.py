@@ -25,7 +25,7 @@ def fitted(tiny_ratings):
 
 @pytest.fixture()
 def store(fitted):
-    return fitted.serve(ServingConfig(n_shards=3, log=False)).backend
+    return fitted.serve(ServingConfig(n_shards=3, log=False)).backend.replicas[0]
 
 
 class TestConstruction:
@@ -37,7 +37,7 @@ class TestConstruction:
         assert store.n_items == fitted.result.theta.shape[0]
 
     def test_shards_cover_theta(self, fitted):
-        store = fitted.serve(ServingConfig(n_shards=4, log=False)).backend
+        store = fitted.serve(ServingConfig(n_shards=4, log=False)).backend.replicas[0]
         rebuilt = np.concatenate(store._shards, axis=0)
         np.testing.assert_array_equal(rebuilt, store.theta.astype(store.score_dtype))
         assert store.partition.bounds[-1] == store.n_items
@@ -77,7 +77,7 @@ class TestConstruction:
 
     def test_store_is_a_snapshot(self, fitted):
         x_before = fitted.result.x.copy()
-        store = fitted.serve(ServingConfig(log=False)).backend
+        store = fitted.serve(ServingConfig(log=False)).backend.replicas[0]
         try:
             fitted.result.x += 1.0  # training-side mutation must not leak into serving
             np.testing.assert_array_equal(store.x, x_before)
@@ -214,7 +214,7 @@ class TestTopKTieRule:
 
 class TestSimulatedTime:
     def test_batches_advance_the_clock(self, fitted):
-        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend
+        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend.replicas[0]
         assert store.stats.simulated_seconds == 0.0
         store.recommend_batch(np.arange(32), k=5)
         assert store.stats.queries == 32
@@ -364,7 +364,7 @@ class TestPerDeviceAccounting:
         assert store.stats.per_device_seconds == pytest.approx(tenant.stats.per_device_seconds)
 
     def test_fold_in_charges_device_zero(self, fitted, tiny_ratings):
-        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend
+        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend.replicas[0]
         store.recommend_batch(np.arange(8), k=3)
         before = dict(store.stats.per_device_seconds)
         store.fold_in(*tiny_ratings.train.row(2))
@@ -372,7 +372,7 @@ class TestPerDeviceAccounting:
         assert store.stats.per_device_seconds[1] == before[1]  # solve runs on device 0
 
     def test_deltas_accumulate_batch_over_batch(self, fitted):
-        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend
+        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend.replicas[0]
         store.recommend_batch(np.arange(8), k=3)
         one_batch = dict(store.stats.per_device_seconds)
         store.recommend_batch(np.arange(8), k=3)

@@ -68,11 +68,11 @@ def fitted(data):
 BACKENDS = ["store", "cluster"]
 
 
-def _build_backend(kind: str, fitted, log=None):
-    if kind == "store":
-        return FactorStore.from_result(fitted.result, n_shards=2, log=log)
+def _build_backend(kind: str, fitted):
     store = FactorStore.from_result(fitted.result, n_shards=2)
-    return ServingCluster.from_store(store, n_replicas=2, log=log)
+    if kind == "store":
+        return ServingCluster.of(store)
+    return ServingCluster.from_store(store, n_replicas=2)
 
 
 @pytest.fixture(params=BACKENDS)
@@ -286,15 +286,15 @@ class TestTraces:
 # ---------------------------------------------------------------------- #
 def _fresh_backend(fitted, replicas: int):
     store = FactorStore.from_result(fitted.result, n_shards=2)
-    return store if replicas == 1 else ServingCluster.from_store(store, n_replicas=replicas)
+    return ServingCluster.of(store) if replicas == 1 else ServingCluster.from_store(store, n_replicas=replicas)
 
 
 def _events(backend, specs, duration: float) -> list:
     """Materialise ``(fraction of duration, kind, unit)`` specs on ``backend``.
 
     ``drain`` / ``restore`` go through the guarded public calls and are
-    skipped where the guard would refuse them (a lone store has nothing
-    to drain); ``drain-all`` bypasses the last-replica guard on purpose
+    skipped where the guard would refuse them (a 1-replica cluster has
+    nothing to drain); ``drain-all`` bypasses the last-replica guard on purpose
     to empty the rotation.
     """
 
@@ -647,7 +647,7 @@ class TestRouterRegistry:
         assert get_router_spec("pin").name == "sticky"
         # A registered name works in ServingConfig and on the live cluster.
         service = fitted.serve(ServingConfig(replicas=2, router="sticky", ratings=data.train))
-        assert service.backend.routing_label() == "sticky"
+        assert service.backend.router.name == "sticky"
         for _ in range(4):
             assert service.recommend(3, k=5).replica == 0
         with pytest.raises(ValueError, match="router name already registered"):
@@ -660,4 +660,4 @@ class TestRouterRegistry:
     def test_config_accepts_dict_router(self, fitted, data):
         config = ServingConfig(replicas=2, router={"name": "power-of-two", "seed": 7}, ratings=data.train)
         service = fitted.serve(config)
-        assert service.backend.routing_label() == "power-of-two"
+        assert service.backend.router.name == "power-of-two"
