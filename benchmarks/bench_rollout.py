@@ -20,7 +20,6 @@ import pytest
 
 from repro.core.hermitian import update_factor
 from repro.serving import (
-    FactorStore,
     InteractionLog,
     QueryTrace,
     RequestSimulator,
@@ -109,9 +108,7 @@ def _cluster(registry, version=0):
 def _rolling_replay(registry, trace):
     cluster = _cluster(registry)
     controller = RolloutController(cluster, registry)
-    events = controller.plan_events(
-        1, start_s=0.25 * trace.duration, step_s=0.18 * trace.duration
-    )
+    events = controller.plan_events(1, start_s=0.25 * trace.duration, step_s=0.18 * trace.duration)
     sim = RequestSimulator(cluster, k=TOPK, max_batch=MAX_BATCH, window_s=0.0)
     return sim.run(trace, events=events), controller
 
@@ -154,9 +151,7 @@ def test_rollout_zero_drops_under_traffic(registry, capacity_qps, report):
     """The rolling swap must answer every query while both versions serve."""
     rate = 0.8 * REPLICAS * capacity_qps  # sustained, near-saturating
     trace = QueryTrace.poisson(9_000, rate, M_USERS, seed=3)
-    steady = RequestSimulator(
-        _cluster(registry), k=TOPK, max_batch=MAX_BATCH, window_s=0.0
-    ).run(trace)
+    steady = RequestSimulator(_cluster(registry), k=TOPK, max_batch=MAX_BATCH, window_s=0.0).run(trace)
     rolled, controller = _rolling_replay(registry, trace)
     degradation = rolled.window_p95_s / steady.latency_p95_s if steady.latency_p95_s else 1.0
     report(
@@ -191,9 +186,7 @@ def test_bench_rolling_swap(benchmark, registry, capacity_qps):
 
 def test_bench_refresh(benchmark, base, serving_log):
     ratings, x, theta = base
-    res = benchmark.pedantic(
-        refresh_factors, args=(x, theta, ratings, serving_log, LAM), rounds=1, iterations=1
-    )
+    res = benchmark.pedantic(refresh_factors, args=(x, theta, ratings, serving_log, LAM), rounds=1, iterations=1)
     assert res.affected_users.size > 0
 
 

@@ -26,7 +26,7 @@ from repro.core.solver.protocol import Solver, SolverStep, apply_warm_start
 from repro.core.validation import validate_hyperparameters
 from repro.datasets.registry import DatasetSpec
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.partition import Partition1D
+from repro.sparse.partition import grid_partition
 
 from repro.baselines.sgd_hogwild import SGDConfig
 
@@ -54,9 +54,7 @@ class NomadSGD(Solver):
     def _epoch_seconds(self, train: CSRMatrix) -> float | None:
         if self.cluster is None:
             return None
-        spec = self.full_scale or DatasetSpec(
-            "run", train.shape[0], train.shape[1], train.nnz, self.config.f, self.config.lam
-        )
+        spec = self.full_scale or DatasetSpec("run", train.shape[0], train.shape[1], train.nnz, self.config.f, self.config.lam)
         return distributed_sgd_epoch_time(spec, self.cluster, self.config.f)
 
     def iterate(
@@ -76,18 +74,12 @@ class NomadSGD(Solver):
         m, n = train.shape
         rng_init = np.random.default_rng(cfg.seed)
         scale = cfg.init_scale / np.sqrt(cfg.f)
-        x, theta = apply_warm_start(
-            rng_init.random((m, cfg.f)) * scale, rng_init.random((n, cfg.f)) * scale, x0, theta0
-        )
+        x, theta = apply_warm_start(rng_init.random((m, cfg.f)) * scale, rng_init.random((n, cfg.f)) * scale, x0, theta0)
 
         workers = min(self.workers, m, n)
-        row_part = Partition1D(m, workers)
-        col_part = Partition1D(n, workers)
         # Worker w owns row slice w; column group g visits worker (g + r) % W in round r.
-        worker_rows = [train.row_slice(*row_part.range_of(w)) for w in range(workers)]
-        worker_blocks = [
-            [worker_rows[w].col_slice(*col_part.range_of(g)) for g in range(workers)] for w in range(workers)
-        ]
+        grid = grid_partition(train, workers, workers)
+        row_part, col_part = grid.row_partition, grid.col_partition
         yield SolverStep(x, theta)
 
         rng = np.random.default_rng(cfg.seed + 17)
@@ -97,7 +89,7 @@ class NomadSGD(Solver):
             for round_idx in range(workers):
                 for w in range(workers):
                     g = (w + round_idx) % workers  # the column token currently at worker w
-                    block = worker_blocks[w][g]
+                    block = grid.block(g, w)
                     if block.nnz == 0:
                         continue
                     r_lo, r_hi = row_part.range_of(w)

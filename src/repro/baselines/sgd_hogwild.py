@@ -26,7 +26,7 @@ from repro.core.solver.protocol import Solver, SolverStep, apply_warm_start
 from repro.core.validation import validate_hyperparameters
 from repro.datasets.registry import DatasetSpec
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.partition import Partition1D
+from repro.sparse.partition import grid_partition
 
 __all__ = ["SGDConfig", "ParallelSGD"]
 
@@ -118,14 +118,9 @@ class ParallelSGD(Solver):
         x, theta = apply_warm_start(*self._init(m, n), x0, theta0)
 
         grid_dim = min(self.cores, m, n)
-        row_part = Partition1D(m, grid_dim)
-        col_part = Partition1D(n, grid_dim)
-
         # Pre-slice the blocks once; each is a small CSR with re-based indices.
-        blocks: list[list[CSRMatrix]] = []
-        for bi in range(grid_dim):
-            row_block = train.row_slice(*row_part.range_of(bi))
-            blocks.append([row_block.col_slice(*col_part.range_of(bj)) for bj in range(grid_dim)])
+        grid = grid_partition(train, grid_dim, grid_dim)
+        row_part, col_part = grid.row_partition, grid.col_partition
         yield SolverStep(x, theta)
 
         rng = np.random.default_rng(cfg.seed + 1)
@@ -136,7 +131,7 @@ class ParallelSGD(Solver):
                 # Latin-square round: core c works on block (c, (c+round) mod d).
                 for c in range(grid_dim):
                     bi, bj = c, (c + round_idx) % grid_dim
-                    block = blocks[bi][bj]
+                    block = grid.block(bj, bi)
                     if block.nnz == 0:
                         continue
                     r_lo, r_hi = row_part.range_of(bi)

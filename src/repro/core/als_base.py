@@ -104,9 +104,11 @@ class GPUSolver(Solver):
     around that: the alternating loop with simulated seconds per
     iteration, the merged trace export, the per-label breakdown on the
     :class:`~repro.core.config.FitResult` and the full-scale
-    :meth:`iteration_time`.  :class:`~repro.core.streaming.StreamingALS`
-    replaces :meth:`iterate` with its chunk waves and uses only the trace
-    export and the breakdown.
+    :meth:`iteration_time`.  Per-fit set-up that outlives one pass (SU-ALS's
+    grid partitions of R and Rᵀ) is made in ``_prepare`` and dropped in
+    ``_release`` when the fit ends, so a finished solver holds none of it.
+    :class:`~repro.core.streaming.StreamingALS` replaces :meth:`iterate`
+    with its chunk waves and uses only the trace export and the breakdown.
     """
 
     config: ALSConfig
@@ -115,8 +117,11 @@ class GPUSolver(Solver):
     verify: bool
     traces: list[ExecutionTrace]
 
-    def _prepare(self, train: CSRMatrix) -> None:
-        """Hook run once per ``iterate``, after the clock mark and before the first pass."""
+    def _prepare(self, train: CSRMatrix, train_t: CSRMatrix) -> None:
+        """Hook run once per ``iterate`` on R and Rᵀ, after the clock mark and before the first pass."""
+
+    def _release(self) -> None:
+        """Hook run once per ``iterate`` when the fit ends or is abandoned: drop what ``_prepare`` kept."""
 
     def iterate(
         self,
@@ -133,14 +138,17 @@ class GPUSolver(Solver):
         yield SolverStep(x, theta)
 
         mark = self.machine.elapsed_seconds()
-        self._prepare(train)
         train_t = train.to_csc().transpose_csr()
-        for _ in range(cfg.iterations):
-            x = self._update_pass(train, theta, label="x")
-            theta = self._update_pass(train_t, x, label="theta")
-            elapsed = self.machine.elapsed_seconds()
-            yield SolverStep(x, theta, seconds=elapsed - mark)
-            mark = elapsed
+        self._prepare(train, train_t)
+        try:
+            for _ in range(cfg.iterations):
+                x = self._update_pass(train, theta, label="x")
+                theta = self._update_pass(train_t, x, label="theta")
+                elapsed = self.machine.elapsed_seconds()
+                yield SolverStep(x, theta, seconds=elapsed - mark)
+                mark = elapsed
+        finally:
+            self._release()
 
     def export_trace(self, path: str | None = None):
         """Merge the per-pass traces; write chrome-tracing JSON when ``path``.

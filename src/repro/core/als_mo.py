@@ -182,7 +182,7 @@ class MemoryOptimizedALS(GPUSolver):
         self.traces.append(execute_graph(graph, self.machine, self.scheduler, verify=self.verify))
         return out
 
-    def _prepare(self, train: CSRMatrix) -> None:
+    def _prepare(self, train: CSRMatrix, train_t: CSRMatrix) -> None:
         """Reserve device memory, then charge the initial host→device load of Θ, X and R.
 
         The load lands on the first iteration's clock; further

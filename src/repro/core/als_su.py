@@ -5,7 +5,8 @@ SU-ALS adds **data parallelism** to the model parallelism of MO-ALS:
 * Θᵀ is split vertically into ``p`` partitions, one resident on each GPU
   (lines 2, 5-7);
 * X is split horizontally into ``q`` batches solved in sequence (line 8);
-* R is grid partitioned into ``p × q`` blocks (line 4);
+* R is grid partitioned into ``p × q`` blocks (line 4) once per fit, as
+  is Rᵀ for the update-Θ pass; the grids are dropped when the fit ends;
 * for batch ``j``, GPU ``i`` computes *local* Hermitians from only its
   Θ partition and R block (line 11, eq. 5-7), the partials are combined
   with a parallel reduction (lines 13-16, Figure 5), and each GPU solves
@@ -53,7 +54,7 @@ from repro.core.taskgraph import TaskGraph
 from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.specs import TITAN_X, DeviceSpec
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.partition import Partition1D, grid_partition, partition_bounds
+from repro.sparse.partition import GridPartition, Partition1D, grid_partition, partition_bounds
 
 __all__ = ["ScaleUpALS"]
 
@@ -90,6 +91,8 @@ class ScaleUpALS(GPUSolver):
         # repro.analysis (hazard analyzer + schedule verifier).
         self.verify = verify
         self.traces: list[ExecutionTrace] = []
+        # The grids of R and Rᵀ, by id of the partitioned matrix; they live only while a fit runs.
+        self._grids: dict[int, GridPartition] = {}
 
     @property
     def p(self) -> int:
@@ -107,6 +110,13 @@ class ScaleUpALS(GPUSolver):
         """
         fits = fixed_rows * self.config.f * FLOAT_BYTES <= 0.45 * self.machine.spec.global_bytes
         return self.p > 1 and not self.force_data_parallel and fits
+
+    def _prepare(self, train: CSRMatrix, train_t: CSRMatrix) -> None:
+        """Grid-partition R and Rᵀ once per fit (Algorithm 3 lines 2-4), for each pass that runs data-parallel."""
+        self._grids = {id(r): grid_partition(r, self.p, self.plan_batches(r)) for r in (train, train_t) if not self._model_parallel(r.shape[1])}
+
+    def _release(self) -> None:
+        self._grids = {}
 
     def plan_batches(self, source) -> int:
         """Number of row batches q (eq. 8) for one update pass over ``source``.
@@ -234,7 +244,7 @@ class ScaleUpALS(GPUSolver):
         q = self.plan_batches(source)
         row_part = Partition1D(rows, q)
         col_part = Partition1D(other, p)
-        grid = grid_partition(source, p, q) if isinstance(source, CSRMatrix) else None
+        grid = (self._grids.get(id(source)) or grid_partition(source, p, q)) if isinstance(source, CSRMatrix) else None
 
         def block_nnz(i: int, j: int) -> float:
             """Ratings in R^(ij): exact from the grid, else batch j's share by Θ partition width."""

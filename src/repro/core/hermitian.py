@@ -9,11 +9,14 @@ the λ term appears ``n_{x_u}`` times, i.e. ``A_u`` gets ``λ n_{x_u} I``.
 
 Two implementations are provided:
 
-* :func:`compute_hermitians` — the vectorised production path: gathers all
-  θ_v of a row block once, groups the rows by rating count and forms each
-  group's ``Θᵀ_u Θ_u`` with one batched ``matmul`` over a ``(rows, n_{x_u}, f)``
-  stack, so no per-rating ``f × f`` outer product is ever stored (the host
-  analogue of ``get_hermitian`` staging θ columns through shared memory).
+* :func:`compute_hermitians` — the vectorised production path: gathers
+  ``[θ_v | r_uv]`` for every rating of a row block once, as one
+  ``(nnz, f + 1)`` array ``[G | r]``, groups the rows by rating count and
+  forms each group's ``Gᵀ_u [G_u | r_u]`` with one batched ``matmul`` over a
+  ``(rows, n_{x_u}, f + 1)`` stack: the first ``f`` columns are ``A_u``'s
+  Gram, the last is ``B_u``.  No per-rating ``f × f`` outer product is ever
+  stored (the host analogue of ``get_hermitian`` staging θ columns through
+  shared memory), and λ is added to the diagonal only.
 * :func:`compute_hermitians_loop` — a straight transliteration of
   Algorithm 1 used as the ground truth in tests.
 """
@@ -25,33 +28,11 @@ import numpy as np
 from repro.sparse.csr import CSRMatrix
 
 __all__ = [
-    "segment_sum",
     "compute_hermitians",
     "compute_hermitians_loop",
     "batch_solve",
     "update_factor",
 ]
-
-
-def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Sum ``values`` over the contiguous segments described by ``indptr``.
-
-    ``values`` has shape ``(nnz, ...)``; the result has shape
-    ``(len(indptr) - 1, ...)`` where segment ``i`` covers
-    ``values[indptr[i]:indptr[i+1]]``.  Empty segments sum to zero.
-    """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    m = indptr.shape[0] - 1
-    out = np.zeros((m,) + values.shape[1:], dtype=np.float64)
-    if values.shape[0] == 0 or m == 0:
-        return out
-    counts = np.diff(indptr)
-    nonempty = counts > 0
-    if not nonempty.any():
-        return out
-    starts = indptr[:-1][nonempty]
-    out[nonempty] = np.add.reduceat(values, starts, axis=0)
-    return out
 
 
 def compute_hermitians(
@@ -67,7 +48,9 @@ def compute_hermitians(
     Returns ``(A, B)`` with shapes ``(rows, f, f)`` and ``(rows, f)``.
     ``weighted=True`` applies the weighted-λ-regularization
     (``λ n_{x_u} I``); ``False`` applies plain ``λ I`` (useful for
-    comparisons against non-weighted formulations).
+    comparisons against non-weighted formulations).  Both come from one
+    gathered ``[G | r]`` and one ``Gᵀ[G | r]`` product per row length; λ is
+    added to ``A``'s diagonal in place.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape[0] != r.shape[1]:
@@ -83,26 +66,29 @@ def compute_hermitians(
     vals = r.data[lo:hi]
     indptr = r.indptr[row_start : row_stop + 1] - lo
 
-    gathered = theta[cols]  # (nnz_block, f)
+    # One gather of [θ_v | r_uv] per rating: A and B both come from it.
+    gathered = np.empty((hi - lo, f + 1), dtype=np.float64)
+    gathered[:, :f] = theta[cols]
+    gathered[:, f] = vals
     counts = np.diff(indptr)
     a = np.zeros((rows, f, f), dtype=np.float64)
-    # Rows of equal length L stack into a dense (k, L, f) block whose gram
-    # matrices are one batched matmul; only one block exists at a time.
+    b = np.zeros((rows, f), dtype=np.float64)
+    # Rows of equal length L stack into a dense (k, L, f + 1) block G; one
+    # batched Gᵀ[G | r] gives their A (first f columns) and B (last column).
+    # Only one block exists at a time.
     order = np.argsort(counts, kind="stable")
     lengths = counts[order]
-    starts = np.flatnonzero(np.diff(lengths, prepend=0))  # rows with no ratings keep A = 0
+    starts = np.flatnonzero(np.diff(lengths, prepend=0))  # rows with no ratings keep A = 0, B = 0
     for lo_k, hi_k in zip(starts, np.append(starts[1:], rows)):
         sel = order[lo_k:hi_k]
         g = gathered[indptr[sel, None] + np.arange(lengths[lo_k])]
-        a[sel] = np.matmul(g.transpose(0, 2, 1), g)
-    b = segment_sum(vals[:, None] * gathered, indptr)
+        ab = np.matmul(g[:, :, :f].transpose(0, 2, 1), g)
+        a[sel] = ab[:, :, :f]
+        b[sel] = ab[:, :, f]
 
-    eye = np.eye(f, dtype=np.float64)
-    if weighted:
-        a += lam * counts[:, None, None] * eye
-    else:
-        a += lam * eye
-    assert a.shape == (rows, f, f) and b.shape == (rows, f)
+    # λ goes on the diagonal only, through a strided view of A.
+    diagonal = a.reshape(rows, f * f)[:, :: f + 1]
+    diagonal += lam * counts[:, None] if weighted else lam
     return a, b
 
 
@@ -134,30 +120,40 @@ def batch_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Rows whose ``A_u`` is singular (no ratings and λ weighting of zero)
     get a zero solution rather than raising, matching what a regularized
-    production system does with cold users/items.
+    production system does with cold users/items.  The whole stack goes to
+    one ``np.linalg.solve`` call: as given when every system is solvable,
+    else on copies whose singular rows are replaced by ``I x = 0``.  The
+    caller's arrays are never modified, and each solvable row's result is
+    bitwise the one a lone per-row solve gives.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 3 or b.ndim != 2 or a.shape[0] != b.shape[0] or a.shape[1] != a.shape[2] or a.shape[2] != b.shape[1]:
         raise ValueError(f"incompatible shapes for batch solve: {a.shape} vs {b.shape}")
-    out = np.zeros_like(b)
     # Identify well-posed systems cheaply via the diagonal (A_u is PSD + λnI,
     # so a zero diagonal row happens only for rows with no ratings and no reg).
     diag = np.einsum("kii->ki", a)
     solvable = np.all(diag > 0, axis=1)
-    if solvable.any():
-        try:
-            # Keep an explicit trailing axis so the stacked solve treats b as
-            # a batch of column vectors on every NumPy version.
-            out[solvable] = np.linalg.solve(a[solvable], b[solvable][:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            # Extremely rare fallback: solve one by one, pinv for the bad ones.
-            for idx in np.nonzero(solvable)[0]:
-                try:
-                    out[idx] = np.linalg.solve(a[idx], b[idx])
-                except np.linalg.LinAlgError:
-                    out[idx] = np.linalg.pinv(a[idx]) @ b[idx]
-    return out
+    if not solvable.any():
+        return np.zeros_like(b)
+    if not solvable.all():
+        singular = ~solvable
+        a, b = a.copy(), b.copy()
+        a[singular] = np.eye(a.shape[1])
+        b[singular] = 0.0
+    try:
+        # Keep an explicit trailing axis so the stacked solve treats b as
+        # a batch of column vectors on every NumPy version.
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        # Extremely rare fallback: solve one by one, pinv for the bad ones.
+        out = np.zeros_like(b)
+        for idx in np.nonzero(solvable)[0]:
+            try:
+                out[idx] = np.linalg.solve(a[idx], b[idx])
+            except np.linalg.LinAlgError:
+                out[idx] = np.linalg.pinv(a[idx]) @ b[idx]
+        return out
 
 
 def update_factor(
@@ -171,7 +167,8 @@ def update_factor(
 
     The pass runs in row blocks of ``row_batch``, which is exactly the
     batching structure cuMF uses on the GPU; a block's temporaries are its
-    ``(rows, f, f)`` Hermitians and ``block_nnz × f`` gathered θ_v.
+    ``(rows, f, f)`` Hermitians and ``block_nnz × (f + 1)`` gathered
+    ``[θ_v | r_uv]``.
     """
     m = r.shape[0]
     f = np.asarray(theta).shape[1]

@@ -126,34 +126,13 @@ class CSRMatrix:
         """Extract rows ``[start_row, stop_row)`` as a new CSR matrix.
 
         The result keeps the original column dimension; row indices are
-        re-based to zero.  This is the horizontal partition primitive of
-        Algorithm 3.
+        re-based to zero.
         """
         if not 0 <= start_row <= stop_row <= self.shape[0]:
             raise ValueError("invalid row slice bounds")
         lo, hi = self.indptr[start_row], self.indptr[stop_row]
         indptr = self.indptr[start_row : stop_row + 1] - lo
         return CSRMatrix((stop_row - start_row, self.shape[1]), indptr, self.indices[lo:hi].copy(), self.data[lo:hi].copy())
-
-    def col_slice(self, start_col: int, stop_col: int) -> "CSRMatrix":
-        """Extract columns ``[start_col, stop_col)`` as a new CSR matrix.
-
-        Column indices are re-based to zero.  Combined with
-        :meth:`row_slice` this yields the grid partition R^(ij).
-        """
-        if not 0 <= start_col <= stop_col <= self.shape[1]:
-            raise ValueError("invalid column slice bounds")
-        mask = (self.indices >= start_col) & (self.indices < stop_col)
-        m = self.shape[0]
-        row_ids = np.repeat(np.arange(m, dtype=np.int64), np.diff(self.indptr))
-        rows = row_ids[mask]
-        cols = self.indices[mask] - start_col
-        data = self.data[mask]
-        counts = np.bincount(rows, minlength=m)
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        order = np.lexsort((cols, rows))
-        return CSRMatrix((m, stop_col - start_col), indptr, cols[order], data[order])
 
     def row_ids(self) -> np.ndarray:
         """Expanded row index of every stored entry (COO row vector)."""

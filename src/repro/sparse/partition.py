@@ -119,15 +119,32 @@ class GridPartition:
 def grid_partition(r: CSRMatrix, p: int, q: int) -> GridPartition:
     """Grid-partition R into ``p`` column blocks × ``q`` row batches.
 
-    This is ``GridPartition(R, p, q)`` of Algorithm 3 line 4.  The row split
-    is applied first (cheap contiguous slices), then each row batch is split
-    by columns.
+    This is ``GridPartition(R, p, q)`` of Algorithm 3 line 4.  Each row
+    batch is a contiguous range of R's entries; one ``searchsorted`` finds
+    every entry's column owner and one stable ``argsort`` on the owners
+    lays the batch out block after block.  Stability keeps the entries of
+    each block in R's row-major order, so column indices stay sorted
+    within rows whenever they are in R (every constructor but the raw one
+    sorts them).
     """
     row_part = Partition1D(r.shape[0], q)
     col_part = Partition1D(r.shape[1], p)
-    row_blocks = [r.row_slice(*row_part.range_of(j)) for j in range(q)]
-    blocks: list[list[CSRMatrix]] = []
-    for i in range(p):
-        lo, hi = col_part.range_of(i)
-        blocks.append([rb.col_slice(lo, hi) for rb in row_blocks])
+    blocks: list[list[CSRMatrix]] = [[] for _ in range(p)]
+    for j in range(q):
+        lo, hi = row_part.range_of(j)
+        rows = hi - lo
+        start, stop = r.indptr[lo], r.indptr[hi]
+        cols = r.indices[start:stop]
+        owner = np.searchsorted(col_part.bounds, cols, side="right") - 1
+        order = np.argsort(owner, kind="stable")
+        # Entries per (owner, row): row u of block i spans indptrs[i, u:u + 2].
+        row_ids = np.repeat(np.arange(rows, dtype=np.int64), np.diff(r.indptr[lo : hi + 1]))
+        indptrs = np.zeros((p, rows + 1), dtype=np.int64)
+        np.cumsum(np.bincount(owner * rows + row_ids, minlength=p * rows).reshape(p, rows), axis=1, out=indptrs[:, 1:])
+        block_cols = cols[order] - col_part.bounds[owner[order]]
+        block_data = r.data[start:stop][order]
+        offsets = np.concatenate(([0], np.cumsum(indptrs[:, -1])))
+        for i in range(p):
+            seg = slice(offsets[i], offsets[i + 1])
+            blocks[i].append(CSRMatrix((rows, col_part.size_of(i)), indptrs[i], block_cols[seg], block_data[seg]))
     return GridPartition(row_part, col_part, blocks)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines import nomad, sgd_hogwild
 from repro.baselines.ccd import CCDPlusPlus
 from repro.baselines.cost_model import CostEntry, cost_of_run, table1_entries
 from repro.baselines.nomad import NomadSGD
@@ -14,6 +15,8 @@ from repro.baselines.spark_als import SparkALS, theta_shipping_volume
 from repro.cluster.nodes import AWS_M3_XLARGE, HPC_NODE, ClusterSpec
 from repro.core.als_base import BaseALS
 from repro.core.config import ALSConfig
+from repro.sparse.csr import CSRMatrix
+from repro.sparse.partition import GridPartition, Partition1D
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +58,47 @@ class TestParallelSGD:
         a = ParallelSGD(sgd_config, cores=3).fit(tiny_ratings.train)
         b = ParallelSGD(sgd_config, cores=3).fit(tiny_ratings.train)
         np.testing.assert_allclose(a.x, b.x)
+
+
+def hand_sliced_grid(r: CSRMatrix, w: int) -> GridPartition:
+    """The W×W grid both SGD baselines once built by hand: a row slice, then a column mask per block."""
+    row_part, col_part = Partition1D(r.shape[0], w), Partition1D(r.shape[1], w)
+    blocks = [[None] * w for _ in range(w)]
+    for j in range(w):
+        rows = r.row_slice(*row_part.range_of(j))
+        for i in range(w):
+            lo, hi = col_part.range_of(i)
+            keep = (rows.indices >= lo) & (rows.indices < hi)
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(rows.row_ids()[keep], minlength=rows.shape[0]))))
+            blocks[i][j] = CSRMatrix((rows.shape[0], hi - lo), indptr, rows.indices[keep] - lo, rows.data[keep])
+    return GridPartition(row_part, col_part, blocks)
+
+
+@pytest.mark.parametrize(
+    "module, make",
+    [(nomad, lambda cfg: NomadSGD(cfg, workers=4)), (sgd_hogwild, lambda cfg: ParallelSGD(cfg, cores=3))],
+    ids=["nomad", "hogwild"],
+)
+def test_sgd_factors_bitwise_equal_on_the_hand_sliced_grid(tiny_ratings, sgd_config, monkeypatch, module, make):
+    train = tiny_ratings.train
+    fitted = make(sgd_config).fit(train)
+    grids = []
+    partition = module.grid_partition
+
+    def hand_sliced(r, p, q):
+        assert r is train and p == q
+        grids.append((partition(r, p, q), hand_sliced_grid(r, p)))
+        return grids[-1][1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "grid_partition", hand_sliced)
+        reference = make(sgd_config).fit(train)
+    np.testing.assert_array_equal(fitted.x, reference.x)
+    np.testing.assert_array_equal(fitted.theta, reference.theta)
+    [(grid, hand)] = grids
+    for got, want in zip(sum(grid.blocks, []), sum(hand.blocks, [])):
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestNomadSGD:

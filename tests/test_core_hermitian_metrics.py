@@ -13,7 +13,6 @@ from repro.core.hermitian import (
     batch_solve,
     compute_hermitians,
     compute_hermitians_loop,
-    segment_sum,
     update_factor,
 )
 from repro.core.metrics import objective_value, rmse
@@ -51,35 +50,6 @@ def hermitian_cases(draw):
     return r, theta, row_start, row_stop, draw(st.booleans())
 
 
-class TestSegmentSum:
-    def test_basic_segments(self):
-        values = np.arange(6, dtype=float).reshape(6, 1)
-        indptr = np.array([0, 2, 2, 6])
-        out = segment_sum(values, indptr)
-        np.testing.assert_allclose(out[:, 0], [1.0, 0.0, 14.0])
-
-    def test_empty_values(self):
-        out = segment_sum(np.zeros((0, 3)), np.array([0, 0, 0]))
-        np.testing.assert_allclose(out, np.zeros((2, 3)))
-
-    def test_trailing_empty_segments(self):
-        values = np.ones((3, 2))
-        indptr = np.array([0, 3, 3, 3])
-        out = segment_sum(values, indptr)
-        np.testing.assert_allclose(out, [[3, 3], [0, 0], [0, 0]])
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 500), m=st.integers(1, 15))
-    def test_property_matches_python_loop(self, seed, m):
-        gen = np.random.default_rng(seed)
-        counts = gen.integers(0, 4, size=m)
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        values = gen.normal(size=(int(indptr[-1]), 3))
-        out = segment_sum(values, indptr)
-        for i in range(m):
-            np.testing.assert_allclose(out[i], values[indptr[i] : indptr[i + 1]].sum(axis=0), atol=1e-12)
-
-
 class TestHermitians:
     def _setup(self, seed=0, m=20, n=12, nnz=80, f=5):
         r = random_coo(m, n, nnz, seed=seed).to_csr()
@@ -109,6 +79,16 @@ class TestHermitians:
         for u in range(r.shape[0]):
             cols, _ = r.row(u)
             np.testing.assert_allclose(gram_free[u], theta[cols].T @ theta[cols], atol=1e-10)
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_lambda_lands_on_the_diagonal_bitwise(self, weighted):
+        r, theta = self._setup(seed=6)
+        lam = 0.37
+        a, _ = compute_hermitians(r, theta, lam=lam, weighted=weighted)
+        a0, _ = compute_hermitians(r, theta, lam=0.0, weighted=weighted)
+        eye = np.eye(theta.shape[1])
+        expected = a0 + (lam * r.nnz_per_row()[:, None, None] * eye if weighted else lam * eye)
+        np.testing.assert_array_equal(a, expected)
 
     def test_row_range_slicing(self):
         r, theta = self._setup(seed=7)
@@ -171,6 +151,22 @@ class TestBatchSolve:
         out = batch_solve(a, b)
         np.testing.assert_allclose(out[0], 0.0)
         np.testing.assert_allclose(out[1], 1.0)
+
+    def test_mixed_stack_matches_per_row_solves_and_leaves_inputs_alone(self, rng):
+        f, k = 5, 9
+        mats = rng.normal(size=(k, f, f))
+        a = np.einsum("kij,klj->kil", mats, mats) + 0.5 * np.eye(f)
+        b = rng.normal(size=(k, f))
+        singular = np.array([1, 4, 8])
+        a[singular] = 0.0
+        a[4, 0, 0] = 1.0  # a positive entry on the diagonal does not make it solvable
+        a_in, b_in = a.copy(), b.copy()
+        out = batch_solve(a, b)
+        np.testing.assert_array_equal(a, a_in)
+        np.testing.assert_array_equal(b, b_in)
+        np.testing.assert_array_equal(out[singular], 0.0)
+        for u in sorted(set(range(k)) - set(singular.tolist())):
+            np.testing.assert_array_equal(out[u], np.linalg.solve(a[u], b[u]))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.comm.reduction import OnePhaseParallelReduction, ReduceToOne, TwoPhaseTopologyReduction
+from repro.core import als_su
 from repro.core.als_base import BaseALS, init_factors
 from repro.core.als_mo import MemoryOptimizedALS
 from repro.core.als_su import ScaleUpALS
@@ -32,9 +36,7 @@ class TestBaseALS:
         assert result.final_test_rmse < 2.5 * medium_ratings.rmse_floor() + 0.25
 
     def test_objective_decreases_when_tracked(self, tiny_ratings, als_config):
-        result = BaseALS(als_config.with_(iterations=4)).fit(
-            tiny_ratings.train, tiny_ratings.test, compute_objective=True
-        )
+        result = BaseALS(als_config.with_(iterations=4)).fit(tiny_ratings.train, tiny_ratings.test, compute_objective=True)
         objectives = [h.objective for h in result.history]
         assert all(b <= a + 1e-6 for a, b in zip(objectives, objectives[1:]))
 
@@ -105,9 +107,7 @@ class TestScaleUpALS:
     @pytest.mark.parametrize("scheme", [ReduceToOne(), OnePhaseParallelReduction(), TwoPhaseTopologyReduction()])
     def test_data_parallel_matches_base_for_every_reduction(self, tiny_ratings, als_config, scheme):
         base = BaseALS(als_config).fit(tiny_ratings.train)
-        su = ScaleUpALS(
-            als_config, n_gpus=4, reduction=scheme, force_data_parallel=True, q_override=2
-        ).fit(tiny_ratings.train)
+        su = ScaleUpALS(als_config, n_gpus=4, reduction=scheme, force_data_parallel=True, q_override=2).fit(tiny_ratings.train)
         np.testing.assert_allclose(su.x, base.x, atol=1e-8)
 
     def test_more_gpus_are_faster_in_simulated_time(self, medium_ratings):
@@ -120,6 +120,30 @@ class TestScaleUpALS:
         a = ScaleUpALS(als_config, n_gpus=2, force_data_parallel=True, q_override=1).fit(tiny_ratings.train)
         b = ScaleUpALS(als_config, n_gpus=2, force_data_parallel=True, q_override=3).fit(tiny_ratings.train)
         np.testing.assert_allclose(a.x, b.x, atol=1e-8)
+
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_data_parallel_fit_partitions_r_and_rt_once(self, tiny_ratings, als_config, monkeypatch, iterations):
+        grids = []
+        partition = als_su.grid_partition
+
+        def counting(r, p, q):
+            grids.append(partition(r, p, q))
+            return grids[-1]
+
+        monkeypatch.setattr(als_su, "grid_partition", counting)
+        solver = ScaleUpALS(als_config.with_(iterations=iterations), n_gpus=4, force_data_parallel=True, q_override=2)
+        solver.fit(tiny_ratings.train)
+        assert [grid.row_partition.extent for grid in grids] == list(tiny_ratings.train.shape)
+        refs = [weakref.ref(grids[0]), weakref.ref(grids[1].block(0, 0).indices)]
+        grids.clear()
+        gc.collect()
+        assert all(ref() is None for ref in refs), "the solver holds a grid after its fit"
+
+    def test_model_parallel_fit_never_partitions(self, tiny_ratings, als_config, monkeypatch):
+        calls = []
+        monkeypatch.setattr(als_su, "grid_partition", lambda *args: calls.append(args))
+        ScaleUpALS(als_config, n_gpus=4).fit(tiny_ratings.train)
+        assert calls == []
 
     def test_breakdown_contains_reduction_transfers(self, tiny_ratings, als_config):
         su = ScaleUpALS(als_config, n_gpus=4, force_data_parallel=True)

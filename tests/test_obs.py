@@ -15,7 +15,7 @@ from repro.core.trainer import CuMF
 from repro.gpu.kernel import KernelProfile
 from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.memory import MemoryKind
-from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.perf.counters import OpCounter
 from repro.serving.service import ServingConfig
@@ -439,9 +439,7 @@ class TestEndToEnd:
                     tenants=[TenantPolicy("free", weight=1.0), TenantPolicy("pro", weight=2.0)],
                 )
             )
-            trace = QueryTrace.multi_tenant(
-                {"free": 150.0, "pro": 150.0}, duration_s=0.4, n_users=100, seed=6
-            )
+            trace = QueryTrace.multi_tenant({"free": 150.0, "pro": 150.0}, duration_s=0.4, n_users=100, seed=6)
             report = service.simulate(trace)
             assert report.n_requests > 0
             text = obs.to_prometheus(reg)

@@ -92,9 +92,7 @@ class TestBatchedTopK:
         for u, got in zip(users, batch):
             want = fitted.recommend(int(u), k=7, exclude=tiny_ratings.train)
             assert [i for i, _ in got] == [i for i, _ in want]
-            np.testing.assert_allclose(
-                [s for _, s in got], [s for _, s in want], rtol=0, atol=1e-5
-            )
+            np.testing.assert_allclose([s for _, s in got], [s for _, s in want], rtol=0, atol=1e-5)
 
     def test_single_and_batch_share_one_path(self, store):
         users = np.array([3, 3, 11])
@@ -106,9 +104,7 @@ class TestBatchedTopK:
         # rounding (BLAS picks different kernels for different batch sizes).
         single = store.recommend(3, k=5)
         assert [i for i, _ in batch[0]] == [i for i, _ in single]
-        np.testing.assert_allclose(
-            [s for _, s in batch[0]], [s for _, s in single], rtol=0, atol=1e-5
-        )
+        np.testing.assert_allclose([s for _, s in batch[0]], [s for _, s in single], rtol=0, atol=1e-5)
 
     def test_exclusion_masks_seen_items(self, store, tiny_ratings):
         for u, recs in enumerate(store.recommend_batch(np.arange(20), k=10, exclude=tiny_ratings.train)):
@@ -128,7 +124,7 @@ class TestBatchedTopK:
             store.recommend(-1)
         with pytest.raises(ValueError):
             store.recommend_batch(np.array([0]), k=0)
-        bad_exclude = tiny_ratings.train.col_slice(0, 10)
+        bad_exclude = CSRMatrix.from_arrays((tiny_ratings.train.shape[0], 10), [0], [3], [1.0])
         with pytest.raises(ValueError, match="one column per item"):
             store.recommend_batch(np.array([0]), exclude=bad_exclude)
         short_exclude = tiny_ratings.train.row_slice(0, 5)

@@ -88,15 +88,9 @@ class TestCSR:
         sliced = small_csr.row_slice(1, 3)
         np.testing.assert_allclose(sliced.to_dense(), small_dense[1:3])
 
-    def test_col_slice(self, small_csr, small_dense):
-        sliced = small_csr.col_slice(1, 4)
-        np.testing.assert_allclose(sliced.to_dense(), small_dense[:, 1:4])
-
     def test_slice_bounds_validation(self, small_csr):
         with pytest.raises(ValueError):
             small_csr.row_slice(3, 1)
-        with pytest.raises(ValueError):
-            small_csr.col_slice(0, 99)
 
     def test_transpose(self, small_csr, small_dense):
         np.testing.assert_allclose(small_csr.transpose().to_dense(), small_dense.T)

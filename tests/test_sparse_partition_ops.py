@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sparse.csr import CSRMatrix
@@ -73,6 +73,38 @@ class TestMatrixPartitioning:
         grid = grid_partition(csr, p, q)
         total = sum(b.data.sum() for row in grid.blocks for b in row)
         assert total == pytest.approx(csr.data.sum())
+
+
+@st.composite
+def sparse_grids(draw):
+    """A CSR matrix with empty rows and columns, and a grid that may have more parts than rows or columns."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 12))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = gen.normal(size=(m, n)) * (gen.random((m, n)) < draw(st.sampled_from([0.0, 0.2, 0.6, 1.0])))
+    dense[:, gen.random(n) < 0.2] = 0.0  # empty columns
+    return CSRMatrix.from_dense(dense), draw(st.integers(1, 15)), draw(st.integers(1, 15))
+
+
+class TestGridPartitionProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(case=sparse_grids())
+    @example(case=(CSRMatrix.from_dense(np.arange(12.0).reshape(3, 4)), 1, 1))
+    @example(case=(CSRMatrix.from_dense(np.eye(3)), 5, 7))
+    def test_every_block_is_the_dense_slice_with_sorted_columns(self, case):
+        r, p, q = case
+        grid = grid_partition(r, p, q)
+        dense = r.to_dense()
+        for i in range(p):
+            cols = slice(*grid.col_partition.range_of(i))
+            for j in range(q):
+                rows = slice(*grid.row_partition.range_of(j))
+                block = grid.block(i, j)
+                np.testing.assert_array_equal(block.to_dense(), dense[rows][:, cols])
+                assert block.nnz == np.count_nonzero(dense[rows][:, cols])
+                for u in range(block.shape[0]):
+                    assert np.all(np.diff(block.row(u)[0]) > 0)
+        assert sum(block.nnz for column in grid.blocks for block in column) == r.nnz
 
 
 class TestSparseOps:
