@@ -7,6 +7,19 @@ order of magnitude below the looped path (the same economics that make
 batching mandatory on real GPU serving tiers).  Host wall-clock gains
 are smaller — a laptop has no device to amortise — but must stay
 measurable, so both ratios are asserted.
+
+Host wall of one 256-user ``recommend_batch`` (median of three
+pytest-benchmark medians, one thread of a 2-vCPU x86_64 VM, NumPy 2.4,
+``OPENBLAS_NUM_THREADS=1``), before and after selection scanned only the
+candidate groups, sorted on one int64 key and scored each shard in place:
+
+=========================================  ========  ========
+case                                       before    after
+=========================================  ========  ========
+uniform [0, 1), 20k items                  12.8 ms   9.6 ms
+uniform [0, 1), 20k items, masked          12.9 ms   9.7 ms
+N(0, 1), 10k items, masked (replay shape)  7.7 ms    5.9 ms
+=========================================  ========  ========
 """
 
 import time
@@ -25,6 +38,7 @@ BATCH = 256
 TOPK = 10
 N_SHARDS = 4
 SEEN_PER_USER = 25
+REPLAY_ITEMS = 10_000  # the e2e serve-replay catalogue
 
 
 def _factors() -> FitResult:
@@ -46,13 +60,17 @@ def users():
     return np.random.default_rng(11).integers(0, M_USERS, size=BATCH)
 
 
-@pytest.fixture(scope="module")
-def seen():
+def _seen(n_items: int) -> CSRMatrix:
     """A seen-item matrix of ~SEEN_PER_USER ratings per user (duplicates merge)."""
     rng = np.random.default_rng(13)
     nnz = SEEN_PER_USER * M_USERS
-    rows, cols = rng.integers(0, M_USERS, nnz), rng.integers(0, N_ITEMS, nnz)
-    return CSRMatrix.from_arrays((M_USERS, N_ITEMS), rows, cols, np.ones(nnz))
+    rows, cols = rng.integers(0, M_USERS, nnz), rng.integers(0, n_items, nnz)
+    return CSRMatrix.from_arrays((M_USERS, n_items), rows, cols, np.ones(nnz))
+
+
+@pytest.fixture(scope="module")
+def seen():
+    return _seen(N_ITEMS)
 
 
 @pytest.fixture()
@@ -66,6 +84,17 @@ def test_bench_recommend_batch(benchmark, store, users):
 
 
 def test_bench_recommend_batch_masked(benchmark, store, users, seen):
+    recs = benchmark(store.recommend_batch, users, TOPK, seen)
+    assert len(recs) == BATCH and all(len(row) == TOPK for row in recs)
+    for user, row in zip(users, recs):
+        assert not set(seen.row(int(user))[0].tolist()) & {item for item, _ in row}
+
+
+def test_bench_recommend_batch_replay_shape(benchmark, users):
+    """The e2e serve-replay batch: N(0, 1) factors, 10k items, every query masked."""
+    rng = np.random.default_rng(17)
+    store = FactorStore(rng.standard_normal((M_USERS, F)), rng.standard_normal((REPLAY_ITEMS, F)), n_shards=N_SHARDS)
+    seen = _seen(REPLAY_ITEMS)
     recs = benchmark(store.recommend_batch, users, TOPK, seen)
     assert len(recs) == BATCH and all(len(row) == TOPK for row in recs)
     for user, row in zip(users, recs):

@@ -209,7 +209,7 @@ class CuMF:
             version = registry.publish_result(result, tag=config.tag)
             version_label = f"v{version}"
         log = config.make_log()
-        store_kwargs = dict(n_shards=config.n_shards, score_dtype=config.score_dtype, version=version_label)
+        store_kwargs = dict(n_shards=config.n_shards, version=version_label)
         store_cls = FactorStore
         if config.cache is not None:
             from repro.serving.cache import TieredFactorStore

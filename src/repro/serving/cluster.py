@@ -143,7 +143,7 @@ class ServingCluster:
         if n_replicas < 1:
             raise ValueError("n_replicas must be at least 1")
         if "machine" in store_kwargs:
-            raise ValueError("replicas own independent machines; configure n_shards/score_dtype instead")
+            raise ValueError("replicas own independent machines; configure n_shards instead")
         log = store_kwargs.pop("log", None)
         replicas = [store_cls.from_result(result, **store_kwargs) for _ in range(n_replicas)]
         return cls(replicas, router=router, log=log)

@@ -16,8 +16,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.validation import require
 from repro.serving.cache.config import CacheConfig
 from repro.serving.cluster import Router, make_router
@@ -49,9 +47,6 @@ class ServingConfig:
     n_shards:
         Θ shards (simulated devices) per serving unit; ``None`` keeps
         the store default of one.
-    score_dtype:
-        Precision of the top-k scoring copies (float32, like the cuMF
-        kernels).
     log:
         ``True`` (default) attaches a fresh
         :class:`~repro.serving.lifecycle.InteractionLog` so fold-ins and
@@ -92,7 +87,6 @@ class ServingConfig:
     replicas: int = 1
     router: Router | str | dict = "least-loaded"
     n_shards: int | None = None
-    score_dtype: type = np.float32
     log: InteractionLog | bool = True
     registry_dir: str | os.PathLike | None = None
     registry_keep: int | None = None

@@ -13,7 +13,8 @@ training, and answers top-k queries in batches:
 * items a user has already rated are masked out from a CSR matrix
   (typically the training matrix) with one gather over its ``indptr``;
 * the host selects each user's exact top-k from the whole score block
-  in one threshold pass (descending score, ties by ascending item id);
+  (descending score, ties by ascending item id), scanning only the
+  column groups that can hold a winner;
 * the simulated clock charges the classic scatter/gather top-k of a
   sharded recommender tier instead — a score+select kernel per shard,
   then a D2H copy of each shard's k candidates for a host merge.  Both
@@ -48,6 +49,9 @@ from repro.sparse.csr import CSRMatrix
 from repro.sparse.partition import Partition1D
 
 __all__ = ["FactorStore", "ServingStats"]
+
+# Largest factor entry the float32 scoring copies hold without overflowing to inf.
+_SCORE_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -102,8 +106,6 @@ class FactorStore:
     n_shards:
         Number of row-wise Θ shards; defaults to the machine's GPU
         count (or 1 when neither is given).
-    score_dtype:
-        Precision of the scoring copy (float32, like the cuMF kernels).
     solver:
         Name of the solver that produced the factors (informational).
     version:
@@ -122,7 +124,6 @@ class FactorStore:
         weighted: bool = True,
         machine: MultiGPUMachine | None = None,
         n_shards: int | None = None,
-        score_dtype: type = np.float32,
         solver: str = "",
         version: str = "",
     ):
@@ -146,7 +147,6 @@ class FactorStore:
         self.solver = solver
         self.version = str(version)
         self.machine = machine or MultiGPUMachine(n_gpus=n_shards)
-        self.score_dtype = score_dtype
         self.stats = ServingStats()
         self._install_factors(x, theta, n_shards)
         self._folded_items: dict[int, np.ndarray] = {}
@@ -159,9 +159,10 @@ class FactorStore:
         (construction, and so :meth:`load`; :meth:`swap_snapshot`;
         :meth:`grow_items`).  Every matrix must be 2-D, all must share
         one latent dimension (``f`` when given), and every entry must be
-        finite: a diverged fit's NaN row would otherwise rank first in
-        selection and be dropped at boxing, so its users would silently
-        get fewer than ``k`` items.
+        finite and within the float32 range of the scoring copies: a
+        diverged fit's NaN row, or an entry that overflows to ``inf`` in
+        float32, would otherwise rank first in selection and be dropped
+        at boxing, so its users would silently get fewer than ``k`` items.
         """
         copies = [np.array(v, dtype=np.float64, order="C", copy=True) for v in factors.values()]
         names = list(factors)
@@ -176,6 +177,8 @@ class FactorStore:
         for name, m in zip(names, copies):
             if not np.isfinite(m).all():
                 raise ValueError(f"{name} has non-finite entries (NaN or inf); refusing to serve it")
+            if m.size and np.abs(m).max() > _SCORE_MAX:
+                raise ValueError(f"{name} has entries beyond the float32 range (±{_SCORE_MAX:.4g}); refusing to serve it")
         return copies
 
     def _install_factors(self, x: np.ndarray, theta: np.ndarray, n_shards: int) -> None:
@@ -188,7 +191,7 @@ class FactorStore:
         """
         x.setflags(write=False)
         self.x = x
-        self._x_score = np.ascontiguousarray(x, dtype=self.score_dtype)
+        self._x_score = np.ascontiguousarray(x, dtype=np.float32)
         self._install_theta(theta, n_shards)
         # Profile construction reuses the training kernel models, which
         # are parameterised by an ALSConfig.
@@ -203,7 +206,7 @@ class FactorStore:
         theta.setflags(write=False)
         self.theta = theta
         self.partition = Partition1D(theta.shape[0], n_shards)
-        self._shards = [np.ascontiguousarray(theta[lo:hi], dtype=self.score_dtype) for lo, hi in (self.partition.range_of(i) for i in range(n_shards))]
+        self._shards = [np.ascontiguousarray(theta[lo:hi], dtype=np.float32) for lo, hi in (self.partition.range_of(i) for i in range(n_shards))]
 
     # ------------------------------------------------------------------ #
     # construction / persistence
@@ -345,7 +348,6 @@ class FactorStore:
             weighted=self.weighted,
             machine=machine,
             n_shards=n_shards,
-            score_dtype=self.score_dtype,
             solver=self.solver,
             version=self.version,
             **self._clone_kwargs(),
@@ -518,8 +520,10 @@ class FactorStore:
         single-user :meth:`recommend` (the tie order used to depend on
         ``np.argpartition``).  Scoring runs in blocks of
         ``user_block`` users to bound the ``block × n_items`` score
-        buffer.  This is the one top-k entry point: the traffic simulator
-        and every serving front end go through it.
+        buffer; each block's pairs are boxed into Python ints and floats
+        with one ``zip`` and then sliced into rows.  This is the one top-k
+        entry point: the traffic simulator and every serving front end go
+        through it.
         """
         self.check_topk_args(k, user_block)
         users = self._validate_users(users)
@@ -532,7 +536,8 @@ class FactorStore:
         out: list[list[tuple[int, float]]] = []
         for start in range(0, users.size, user_block):
             ids, vals = self._topk_block(users[start : start + user_block], kk, exclude)
-            rows = [list(zip(i, v)) for i, v in zip(ids.tolist(), vals.astype(np.float64).tolist())]
+            pairs = list(zip(ids.ravel().tolist(), vals.ravel().tolist()))
+            rows = [pairs[r : r + kk] for r in range(0, len(pairs), kk)]
             for r in np.flatnonzero(~np.isfinite(vals).all(axis=1)):
                 rows[r] = [(i, v) for i, v in rows[r] if math.isfinite(v)]
             out.extend(rows)
@@ -562,44 +567,72 @@ class FactorStore:
     def _topk_block(self, block: np.ndarray, kk: int, exclude: CSRMatrix | None) -> tuple[np.ndarray, np.ndarray]:
         """Exact top-``kk`` ids/scores for one block of users.
 
-        Each Θ shard is scored with one GEMM into a shared ``(b, n_items)``
-        block, then the host selects from the whole block in one pass:
-        the row is cut into ``g = min(4·kk, n_items)`` column groups and
-        the kk-th largest group maximum ``t`` is a lower bound on the
-        row's kk-th largest score (kk groups each hold an entry >= t), so
-        the exact top-kk lies among the few entries >= t.  Those are
-        ordered by descending score, then ascending item id.  Rows hold
-        ``-inf`` past their last candidate.  The simulated per-device time
-        of the sharded dataflow is charged to the machine clock afterwards.
+        Scores the block (:meth:`_score_block`), selects each row's top-kk
+        (:meth:`_select_topk`), then charges the simulated per-device time
+        of the sharded dataflow to the machine clock.
         """
-        b, n = block.size, self.n_items
-        xb = np.ascontiguousarray(self._x_score[block])
-        scores = np.empty((b, n), dtype=self.score_dtype)
+        ids, top = self._select_topk(self._score_block(block, exclude), kk)
+        self._account_topk(block.size, kk)
+        return ids, top
+
+    def _score_block(self, block: np.ndarray, exclude: CSRMatrix | None) -> np.ndarray:
+        """The float32 ``(b, n_items)`` scores of one block of users, seen items at ``-inf``.
+
+        Each Θ shard is scored with one GEMM written in place into its
+        columns of the block (the per-device GEMM the clock charges).
+        """
+        xb = self._x_score[block]
+        scores = np.empty((block.size, self.n_items), dtype=np.float32)
         for i, shard in enumerate(self._shards):
             lo, hi = self.partition.range_of(i)
-            scores[:, lo:hi] = xb @ shard.T
+            np.matmul(xb, shard.T, out=scores[:, lo:hi])
         if exclude is not None:
             self._mask_seen(scores, block, exclude)
+        return scores
 
-        # The < g tail columns join no group: they still face the threshold.
+    @staticmethod
+    def _select_topk(scores: np.ndarray, kk: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's top-``kk`` ids and scores: descending score, ties by ascending item id.
+
+        The row is cut into ``g = min(4·kk, n_items)`` contiguous column
+        groups, and the kk-th largest group maximum ``t`` is a lower bound
+        on the row's kk-th largest score (kk groups each hold an entry
+        >= t), so the exact top-kk lies among the entries >= t.  Only the
+        groups whose maximum reaches ``t`` (about kk of the g) are scanned,
+        plus the ``n_items - g·width`` tail columns that join no group.
+        The candidates are ordered by one stable sort on an int64 key of
+        (row, descending score); they arrive in ascending id within each
+        row, so equal scores keep ascending ids.  Rows hold ``-inf`` past
+        their last candidate.
+        """
+        b, n = scores.shape
         g = min(4 * kk, n)
         width = n // g
-        group_max = np.fmax.reduce(scores[:, : g * width].reshape(b, g, width), axis=2)
+        head = scores[:, : g * width].reshape(b, g, width)
+        group_max = np.fmax.reduce(head, axis=2)
         threshold = np.partition(group_max, g - kk, axis=1)[:, g - kk]
-        flat = np.flatnonzero(scores >= threshold[:, None])
-        rows, cols = np.divmod(flat, n)
-        vals = scores.ravel()[flat]
-        order = np.lexsort((cols, -vals, rows))
+        gr, gg = np.divmod(np.flatnonzero(group_max >= threshold[:, None]), g)
+        groups = head[gr, gg]
+        hit = np.flatnonzero(groups >= threshold[gr, None])
+        j, w = np.divmod(hit, width)
+        rows, cols, vals = gr[j], gg[j] * width + w, groups.ravel()[hit]
+        if g * width < n:
+            tail = scores[:, g * width :]
+            tr, tc = np.divmod(np.flatnonzero(tail >= threshold[:, None]), n - g * width)
+            rows, cols, vals = np.concatenate([rows, tr]), np.concatenate([cols, tc + g * width]), np.concatenate([vals, tail[tr, tc]])
+
+        # Float32 bits mapped to an order-preserving int32; +0.0 first so -0.0 ties +0.0.
+        bits = (vals + np.float32(0.0)).view(np.int32)
+        asc = bits ^ ((bits >> 31) & 0x7FFFFFFF)
+        order = np.argsort((rows << 32) - asc, kind="stable")
         counts = np.bincount(rows, minlength=b)
-        rank = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
         first = rank < kk
         keep = order[first]
         ids = np.zeros((b, kk), dtype=np.int64)
-        top = np.full((b, kk), -np.inf, dtype=self.score_dtype)
+        top = np.full((b, kk), -np.inf, dtype=np.float32)
         ids[rows[keep], rank[first]] = cols[keep]
         top[rows[keep], rank[first]] = vals[keep]
-
-        self._account_topk(b, kk)
         return ids, top
 
     # ------------------------------------------------------------------ #
@@ -690,7 +723,7 @@ class FactorStore:
         user = self.n_users
         self.x = np.vstack([self.x, factor[None, :]])
         self.x.setflags(write=False)
-        self._x_score = np.vstack([self._x_score, factor[None, :].astype(self.score_dtype)])
+        self._x_score = np.vstack([self._x_score, factor[None, :].astype(np.float32)])
         self._folded_items[user] = np.unique(items)
 
         # Simulated cost: one Hermitian assembly + one 1-row batched solve

@@ -265,7 +265,7 @@ class TestStoreLifecycleHooks:
         assert store.version == "v2" and store.lam == 0.1
         assert store._n_trained_users == store.n_users and not store._folded_items
         rebuilt = np.concatenate(store._shards, axis=0)
-        np.testing.assert_array_equal(rebuilt, store.theta.astype(store.score_dtype))
+        np.testing.assert_array_equal(rebuilt, store.theta.astype(np.float32))
         recs = store.recommend(store.n_users - 1, k=3)  # a user only v2 has
         assert len(recs) == 3
 
@@ -298,6 +298,20 @@ class TestStoreLifecycleHooks:
         assert store.version == version and store.x is x and store.theta is theta
         assert store.recommend_batch(np.arange(5), k=3) == before
 
+    def test_swap_snapshot_rejects_factors_beyond_float32(self, store):
+        before = store.recommend_batch(np.arange(5), k=3)
+        version, x, theta = store.version, store.x, store.theta
+        theta2 = store.theta.copy()
+        theta2[1, 0] = 1e39
+        with pytest.raises(ValueError, match="theta has entries beyond the float32 range"):
+            store.swap_snapshot(store.x, theta2, version="v-bad")
+        x2 = store.x.copy()
+        x2[-1, -1] = -1e39
+        with pytest.raises(ValueError, match="x has entries beyond the float32 range"):
+            store.swap_snapshot(x2, store.theta, version="v-bad")
+        assert store.version == version and store.x is x and store.theta is theta
+        assert store.recommend_batch(np.arange(5), k=3) == before
+
     def test_grow_items_appends_and_repartitions(self, store):
         rng = np.random.default_rng(6)
         n_before = store.n_items
@@ -306,7 +320,7 @@ class TestStoreLifecycleHooks:
         assert start == n_before and store.n_items == n_before + 5
         np.testing.assert_array_equal(store.theta[n_before:], rows)
         rebuilt = np.concatenate(store._shards, axis=0)
-        np.testing.assert_array_equal(rebuilt, store.theta.astype(store.score_dtype))
+        np.testing.assert_array_equal(rebuilt, store.theta.astype(np.float32))
         assert store.partition.bounds[-1] == store.n_items
         # new items are scorable (give one a huge factor so it must win)
         store.grow_items(np.full((1, store.f), 50.0))
@@ -328,6 +342,14 @@ class TestStoreLifecycleHooks:
             rows[2, 0] = bad
             with pytest.raises(ValueError, match="new item rows has non-finite"):
                 store.grow_items(rows)
+        assert store.n_items == n_before and store.partition.bounds[-1] == n_before
+
+    def test_grow_items_rejects_rows_beyond_float32(self, store):
+        n_before = store.n_items
+        rows = np.ones((3, store.f))
+        rows[1, 0] = 1e39
+        with pytest.raises(ValueError, match="new item rows has entries beyond the float32 range"):
+            store.grow_items(rows)
         assert store.n_items == n_before and store.partition.bounds[-1] == n_before
 
     def test_fold_in_records_into_attached_log(self, fitted):

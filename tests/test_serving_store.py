@@ -39,7 +39,7 @@ class TestConstruction:
     def test_shards_cover_theta(self, fitted):
         store = fitted.serve(ServingConfig(n_shards=4, log=False)).backend.replicas[0]
         rebuilt = np.concatenate(store._shards, axis=0)
-        np.testing.assert_array_equal(rebuilt, store.theta.astype(store.score_dtype))
+        np.testing.assert_array_equal(rebuilt, store.theta.astype(np.float32))
         assert store.partition.bounds[-1] == store.n_items
 
     def test_machine_defines_shard_count(self, fitted):
@@ -67,6 +67,17 @@ class TestConstruction:
             FactorStore(poisoned, np.ones((6, 3)))
         with pytest.raises(ValueError, match="theta has non-finite"):
             FactorStore(np.ones((4, 3)), poisoned)
+
+    @pytest.mark.parametrize("big", [1e39, -1e39])
+    def test_factors_beyond_float32_rejected(self, big):
+        # 1e39 is finite in float64 but inf in the float32 scoring copy,
+        # where it would drop user 0's answers to fewer than k items.
+        with pytest.raises(ValueError, match="x has entries beyond the float32 range"):
+            FactorStore(np.array([[big, 0.0], [1.0, 1.0]]), np.ones((3, 2)))
+        with pytest.raises(ValueError, match="theta has entries beyond the float32 range"):
+            FactorStore(np.ones((2, 2)), np.array([[1.0, 1.0], [0.0, big], [1.0, 0.0]]))
+        edge = np.finfo(np.float32).max
+        assert FactorStore(np.array([[edge, 0.0], [1.0, 1.0]]), np.ones((3, 2))).n_users == 2
 
     def test_load_rejects_non_finite_checkpoint(self, tmp_path):
         theta = np.ones((6, 3))
@@ -206,6 +217,96 @@ class TestTopKTieRule:
         assert got == _oracle_topk(x, theta, users, k, seen_of)
         if masked:
             assert all(recs == [] for user, recs in zip(users, got) if user == 0)
+
+
+def _reference_select(scores, kk):
+    """The full-scan selection: every entry >= the threshold, then one lexsort by (row, -score, id)."""
+    b, n = scores.shape
+    g = min(4 * kk, n)
+    width = n // g
+    group_max = np.fmax.reduce(scores[:, : g * width].reshape(b, g, width), axis=2)
+    threshold = np.partition(group_max, g - kk, axis=1)[:, g - kk]
+    flat = np.flatnonzero(scores >= threshold[:, None])
+    rows, cols = np.divmod(flat, n)
+    vals = scores.ravel()[flat]
+    order = np.lexsort((cols, -vals, rows))
+    counts = np.bincount(rows, minlength=b)
+    rank = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    first = rank < kk
+    keep = order[first]
+    ids = np.zeros((b, kk), dtype=np.int64)
+    top = np.full((b, kk), -np.inf, dtype=np.float32)
+    ids[rows[keep], rank[first]] = cols[keep]
+    top[rows[keep], rank[first]] = vals[keep]
+    return ids, top
+
+
+def _assert_bitwise_equal(got, want):
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1].view(np.int32), want[1].view(np.int32))
+
+
+class TestSelectionMatchesReference:
+    """``_topk_block`` equals the full-scan ``lexsort`` reference bit for bit on the same score block.
+
+    Unlike :class:`TestTopKTieRule`, the factors are N(0, 1) floats, so
+    the scores are the inexact float32 values real serving selects from.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_shards=st.integers(1, 4),
+        n_items=st.integers(1, 300),
+        f=st.integers(1, 8),
+        n_trained=st.integers(2, 12),
+        n_folded=st.integers(0, 3),
+        kk=st.integers(1, 40),
+        batch=st.integers(1, 40),
+        masked=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_scan_reference(self, n_shards, n_items, f, n_trained, n_folded, kk, batch, masked, seed):
+        # n_items % min(4·kk, n_items) != 0 leaves tail columns; n_items < 4·kk makes every column its own group.
+        n_shards, kk = min(n_shards, n_items), min(kk, n_items)
+        rng = np.random.default_rng(seed)
+        n_users = n_trained + n_folded
+        x = rng.standard_normal((n_users, f), dtype=np.float32)
+        store = FactorStore(x, rng.standard_normal((n_items, f), dtype=np.float32), n_shards=n_shards)
+        store._restore_fold_state(n_trained, {n_trained + j: np.unique(rng.integers(0, n_items, rng.integers(1, 6))) for j in range(n_folded)})
+        # Trained user 0 has rated all but fewer than kk items, so its threshold is -inf.
+        spare = rng.choice(n_items, size=int(rng.integers(0, kk)), replace=False)
+        rated = np.setdiff1d(np.arange(n_items), spare)
+        nnz = int(rng.integers(0, 4 * n_trained))
+        rows = np.concatenate([np.zeros(rated.size, dtype=np.int64), rng.integers(1, n_trained, nnz)])
+        cols = np.concatenate([rated, rng.integers(0, n_items, nnz)])
+        exclude = CSRMatrix.from_arrays((n_trained, n_items), rows, cols, np.ones(rows.size)) if masked else None
+
+        block = rng.integers(0, n_users, batch)
+        block[rng.integers(0, batch)] = 0
+        got = store._topk_block(block, kk, exclude)
+        _assert_bitwise_equal(got, _reference_select(store._score_block(block, exclude), kk))
+        if masked:
+            assert np.isneginf(got[1][block == 0, spare.size :]).all()
+
+    def test_negative_zero_ties_positive_zero(self):
+        # f=1: the scores are the Θ column, so the zeros tie and keep ascending ids.
+        store = FactorStore(np.ones((1, 1)), np.array([[-1.0], [0.0], [-0.0], [0.0], [-0.0], [-2.0]]))
+        assert store._topk_block(np.array([0]), 4, None)[0].tolist() == [[1, 2, 3, 4]]
+        # The same tie on a literal block, whose -0.0 entries no GEMM can turn into +0.0; the last column is a tail column.
+        scores = np.array([[-1.0, -0.0, -3.0, 0.0, -0.0, -2.0, -5.0, -4.0, 0.0]], dtype=np.float32)
+        ids, top = FactorStore._select_topk(scores, 3)
+        assert ids.tolist() == [[1, 3, 4]]
+        assert np.signbit(top).tolist() == [[True, False, True]]
+        _assert_bitwise_equal((ids, top), _reference_select(scores, 3))
+
+    @pytest.mark.parametrize(("m", "n", "f", "n_shards"), [(7, 13, 1, 1), (64, 1000, 32, 4), (256, 999, 16, 3), (5, 4, 8, 4)])
+    def test_in_place_shard_gemm_is_bitwise(self, m, n, f, n_shards):
+        rng = np.random.default_rng(m + n)
+        store = FactorStore(rng.standard_normal((m, f)), rng.standard_normal((n, f)), n_shards=n_shards)
+        block = rng.integers(0, m, 2 * m)
+        xb = store._x_score[block]
+        want = np.concatenate([xb @ shard.T for shard in store._shards], axis=1)
+        np.testing.assert_array_equal(store._score_block(block, None).view(np.int32), want.view(np.int32))
 
 
 class TestSimulatedTime:
