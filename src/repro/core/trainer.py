@@ -25,6 +25,8 @@ snapshot, rollout, rollback).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 import repro.obs as obs
@@ -36,6 +38,9 @@ from repro.core.solver import CheckpointCallback, TrainingSession, get_solver_sp
 from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.specs import TITAN_X, DeviceSpec
 from repro.sparse.csr import CSRMatrix
+
+if TYPE_CHECKING:  # pragma: no cover - hints only
+    from repro.serving.store import TopK
 
 __all__ = ["CuMF"]
 
@@ -310,8 +315,8 @@ class CuMF:
         k: int = 10,
         exclude: CSRMatrix | None = None,
         user_block: int = 512,
-    ) -> list[list[tuple[int, float]]]:
-        """Batched top-``k``: one recommendation list per user in ``users``.
+    ) -> TopK:
+        """Batched top-``k``: one recommendation row per user in ``users`` (a :class:`~repro.serving.store.TopK`).
 
         ``user_block`` bounds the ``block × n_items`` score buffer, exactly
         as on :meth:`FactorStore.recommend_batch`.

@@ -9,7 +9,8 @@ package is that missing online half:
   :class:`~repro.core.config.FitResult` from any backend, shards Θ
   row-wise across the simulated devices of a
   :class:`~repro.gpu.machine.MultiGPUMachine`, and serves batched top-k
-  queries with per-device simulated-time accounting;
+  queries with per-device simulated-time accounting, returning a
+  :class:`~repro.serving.store.TopK` whose rows are boxed on read;
 * :mod:`~repro.serving.foldin` — the cold-start solver: a new user's
   factor is solved against the frozen Θ with the same Hermitian/solve
   kernels the trainer uses, so a fold-in is numerically one Base-ALS
@@ -108,7 +109,7 @@ from repro.serving.service import (
     ShedError,
 )
 from repro.serving.simulator import LifecycleEvent, QueryTrace, RequestSimulator, TrafficReport
-from repro.serving.store import FactorStore, ServingStats
+from repro.serving.store import FactorStore, ServingStats, TopK
 from repro.serving.tenancy import (
     TenantPolicy,
     TenantPolicyTable,
@@ -137,6 +138,7 @@ __all__ = [
     "Wave",
     "FactorStore",
     "ServingStats",
+    "TopK",
     "ServingCluster",
     "Router",
     "RouterSpec",

@@ -44,7 +44,7 @@ from repro.serving.routing import (
     make_router,
     select_replica,
 )
-from repro.serving.store import FactorStore
+from repro.serving.store import FactorStore, TopK
 
 __all__ = [
     "Router",
@@ -282,7 +282,7 @@ class ServingCluster:
         """
         return self.recommend_batch(np.array([user]), k=k, exclude=exclude)[0]
 
-    def recommend_batch(self, users: np.ndarray, k: int = 10, exclude=None, user_block: int = 512) -> list[list[tuple[int, float]]]:
+    def recommend_batch(self, users: np.ndarray, k: int = 10, exclude=None, user_block: int = 512) -> TopK:
         """Top-``k`` for a batch of users, routed to one replica.
 
         ``k`` and ``user_block`` are validated before the routing

@@ -77,7 +77,8 @@ class RecommendRequest:
     """Top-``k`` recommendations for one user or a batch of users.
 
     ``users`` may be a scalar id or a 1-D array; the response payload is
-    always one ``[(item, score), ...]`` list per requested user.
+    a :class:`~repro.serving.store.TopK`, read as one
+    ``[(item, score), ...]`` list per requested user.
     ``exclude`` defaults to the service's configured seen-item matrix;
     pass ``None`` explicitly to disable exclusion for this request.
     """
@@ -112,7 +113,8 @@ class ServeResponse:
 
     ``kind`` names the request type (``"predict"`` / ``"recommend"`` /
     ``"rate"``), ``payload`` carries its result (predictions array,
-    per-user recommendation lists, or the number of events logged) and
+    a :class:`~repro.serving.store.TopK` of per-user recommendation
+    rows, or the number of events logged) and
     is ``None`` on error or shed.  ``latency_s`` is the simulated
     serving time the request consumed, ``version`` the model version
     that answered, ``replica`` the serving unit that took the call

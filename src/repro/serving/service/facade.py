@@ -279,7 +279,8 @@ class RecommenderService:
         """Top-``k`` for one user or a batch, routed through the backend.
 
         Accepts a :class:`RecommendRequest` or plain arguments; the
-        payload is always one ``[(item, score), ...]`` list per user.
+        payload is always the store's :class:`~repro.serving.store.TopK`,
+        read as one ``[(item, score), ...]`` list per user.
         ``exclude`` defaults to the service's ratings matrix; pass
         ``None`` to disable exclusion for this request.
 

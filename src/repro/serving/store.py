@@ -12,14 +12,19 @@ training, and answers top-k queries in batches:
   cuMF kernels;
 * items a user has already rated are masked out from a CSR matrix
   (typically the training matrix) with one gather over its ``indptr``;
+* a user who appears several times in one block is scored and
+  selected once, and the answer is copied to each of their queries;
 * the host selects each user's exact top-k from the whole score block
   (descending score, ties by ascending item id), scanning only the
   column groups that can hold a winner;
+* the answers stay arrays (:class:`TopK`): a row is boxed into
+  ``(item, score)`` pairs only when a caller reads it;
 * the simulated clock charges the classic scatter/gather top-k of a
   sharded recommender tier instead — a score+select kernel per shard,
-  then a D2H copy of each shard's k candidates for a host merge.  Both
-  give the same answer, because the top-k of the union of the shards'
-  top-k lists is the top-k of the whole row;
+  then a D2H copy of each shard's k candidates for a host merge, for
+  every query of the batch, repeated users included.  Both give the
+  same answer, because the top-k of the union of the shards' top-k
+  lists is the top-k of the whole row;
 * every batch advances the machine's simulated clock with per-device
   kernel and transfer estimates via :mod:`repro.gpu.kernel`, so the
   batching advantage (Θ is read once per batch instead of once per
@@ -32,8 +37,9 @@ single-precision scoring copy for the top-k path.
 
 from __future__ import annotations
 
-import math
+import operator
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,10 +54,52 @@ from repro.serving.foldin import fold_in_user, validate_ratings
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.partition import Partition1D
 
-__all__ = ["FactorStore", "ServingStats"]
+__all__ = ["FactorStore", "ServingStats", "TopK"]
 
 # Largest factor entry the float32 scoring copies hold without overflowing to inf.
 _SCORE_MAX = float(np.finfo(np.float32).max)
+
+
+class TopK(Sequence):
+    """One batch's top-k answers, kept as arrays; a row is boxed only when read.
+
+    ``ids`` is ``(b, kk)`` int64 and ``scores`` ``(b, kk)`` float32, each
+    row sorted by descending score with ties by ascending item id.
+    ``valid`` marks the entries that are answers: the finite scores.  A
+    row whose user has fewer than ``kk`` unseen items ends in ``-inf``
+    entries, and a score that overflowed to ``+inf`` sorts first, so the
+    valid entries of a row are not always a prefix and a mask, not a
+    count, says which they are.
+
+    Indexing boxes one row into ``[(item, score), ...]`` of Python ints
+    and floats, a slice is a ``TopK`` over the same rows, and a ``TopK``
+    equals the list of its boxed rows (and prints as it).
+    """
+
+    __slots__ = ("ids", "scores", "valid")
+
+    def __init__(self, ids: np.ndarray, scores: np.ndarray):
+        self.ids = ids
+        self.scores = scores
+        self.valid = np.isfinite(scores)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return TopK(self.ids[index], self.scores[index])
+        row = operator.index(index)
+        keep = self.valid[row]
+        return list(zip(self.ids[row][keep].tolist(), self.scores[row][keep].tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (TopK, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(mine == theirs for mine, theirs in zip(self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 @dataclass
@@ -161,8 +209,8 @@ class FactorStore:
         one latent dimension (``f`` when given), and every entry must be
         finite and within the float32 range of the scoring copies: a
         diverged fit's NaN row, or an entry that overflows to ``inf`` in
-        float32, would otherwise rank first in selection and be dropped
-        at boxing, so its users would silently get fewer than ``k`` items.
+        float32, would otherwise rank first in selection and be left out
+        of the answer, so its users would silently get fewer than ``k`` items.
         """
         copies = [np.array(v, dtype=np.float64, order="C", copy=True) for v in factors.values()]
         names = list(factors)
@@ -486,7 +534,7 @@ class FactorStore:
         return np.einsum("ij,ij->i", self.x[users], self.theta[items])
 
     def recommend(self, user: int, k: int = 10, exclude: CSRMatrix | None = None) -> list[tuple[int, float]]:
-        """Top-``k`` items for one user (single-query path = batch of 1)."""
+        """Top-``k`` ``(item, score)`` pairs for one user (single-query path = batch of 1)."""
         return self.recommend_batch(np.array([user]), k=k, exclude=exclude)[0]
 
     @staticmethod
@@ -511,19 +559,19 @@ class FactorStore:
         k: int = 10,
         exclude: CSRMatrix | None = None,
         user_block: int = 512,
-    ) -> list[list[tuple[int, float]]]:
+    ) -> TopK:
         """Top-``k`` items for every user in ``users``.
 
-        Returns one ``[(item, score), ...]`` list per query, sorted by
+        Returns a :class:`TopK` with one row per query: read as a
+        sequence, each row is an ``[(item, score), ...]`` list sorted by
         descending score with ties broken by ascending item id, and
         excluded/invalid items filtered out — the same contract as the
-        single-user :meth:`recommend` (the tie order used to depend on
-        ``np.argpartition``).  Scoring runs in blocks of
+        single-user :meth:`recommend`.  Rows are boxed only when read, so
+        a caller that only needs the answers served (the traffic
+        simulator) never boxes.  Scoring runs in blocks of
         ``user_block`` users to bound the ``block × n_items`` score
-        buffer; each block's pairs are boxed into Python ints and floats
-        with one ``zip`` and then sliced into rows.  This is the one top-k
-        entry point: the traffic simulator and every serving front end go
-        through it.
+        buffer.  This is the one top-k entry point: the traffic simulator
+        and every serving front end go through it.
         """
         self.check_topk_args(k, user_block)
         users = self._validate_users(users)
@@ -533,15 +581,12 @@ class FactorStore:
             if exclude.shape[0] < self._n_trained_users:
                 raise ValueError(f"exclude matrix has {exclude.shape[0]} rows but the store was trained on {self._n_trained_users} users")
         kk = min(k, self.n_items)
-        out: list[list[tuple[int, float]]] = []
+        ids = np.empty((users.size, kk), dtype=np.int64)
+        scores = np.empty((users.size, kk), dtype=np.float32)
         for start in range(0, users.size, user_block):
-            ids, vals = self._topk_block(users[start : start + user_block], kk, exclude)
-            pairs = list(zip(ids.ravel().tolist(), vals.ravel().tolist()))
-            rows = [pairs[r : r + kk] for r in range(0, len(pairs), kk)]
-            for r in np.flatnonzero(~np.isfinite(vals).all(axis=1)):
-                rows[r] = [(i, v) for i, v in rows[r] if math.isfinite(v)]
-            out.extend(rows)
-        return out
+            stop = start + user_block
+            ids[start:stop], scores[start:stop] = self._topk_block(users[start:stop], kk, exclude)
+        return TopK(ids, scores)
 
     def _mask_seen(self, scores: np.ndarray, block: np.ndarray, exclude: CSRMatrix) -> None:
         """Set every item each user of ``block`` has already rated to ``-inf``.
@@ -565,15 +610,18 @@ class FactorStore:
                 scores[r, seen] = -np.inf
 
     def _topk_block(self, block: np.ndarray, kk: int, exclude: CSRMatrix | None) -> tuple[np.ndarray, np.ndarray]:
-        """Exact top-``kk`` ids/scores for one block of users.
+        """Exact top-``kk`` ids/scores for one block of users, one row per query.
 
-        Scores the block (:meth:`_score_block`), selects each row's top-kk
-        (:meth:`_select_topk`), then charges the simulated per-device time
-        of the sharded dataflow to the machine clock.
+        Scores the block's distinct users (:meth:`_score_block`), selects
+        each one's top-kk (:meth:`_select_topk`) and copies the answer to
+        every query of that user, then charges the simulated per-device
+        time of the sharded dataflow for all ``block.size`` queries to the
+        machine clock.
         """
-        ids, top = self._select_topk(self._score_block(block, exclude), kk)
+        unique, inverse = np.unique(block, return_inverse=True)
+        ids, top = self._select_topk(self._score_block(unique, exclude), kk)
         self._account_topk(block.size, kk)
-        return ids, top
+        return ids[inverse], top[inverse]
 
     def _score_block(self, block: np.ndarray, exclude: CSRMatrix | None) -> np.ndarray:
         """The float32 ``(b, n_items)`` scores of one block of users, seen items at ``-inf``.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from repro.core import ALSConfig, CuMF
 from repro.core.checkpoint import CheckpointManager
 from repro.gpu.machine import MultiGPUMachine
-from repro.serving import FactorStore, ServingConfig, TieredFactorStore
+from repro.serving import CacheConfig, FactorStore, ServingConfig, TieredFactorStore, TopK
 from repro.sparse.csr import CSRMatrix
 
 
@@ -246,47 +247,88 @@ def _assert_bitwise_equal(got, want):
     np.testing.assert_array_equal(got[1].view(np.int32), want[1].view(np.int32))
 
 
+def _generated_store(n_shards, n_items, f, n_trained, n_folded, kk, batch, masked, seed, huge=False):
+    """An N(0, 1) float32 store with fold-in users, an exclude matrix (or ``None``) and a block of queries.
+
+    Trained user 0 has rated all but ``spare.size < kk`` items and is in
+    the block, so its masked row holds fewer than kk answers; repeated
+    users in the block are likely.  With ``huge``, about a fifth of the
+    factor entries are ±1e20: in range for float32, but their products
+    overflow, so rows hold ±inf scores, and NaN where a GEMM sums
+    inf - inf (whether it does depends on the GEMM's row count).
+    """
+    rng = np.random.default_rng(seed)
+    n_users = n_trained + n_folded
+    x = rng.standard_normal((n_users, f), dtype=np.float32)
+    theta = rng.standard_normal((n_items, f), dtype=np.float32)
+    if huge:
+        for factor in (x, theta):
+            big = rng.random(factor.shape) < 0.2
+            factor[big] = rng.choice([-1e20, 1e20], size=int(big.sum()))
+    store = FactorStore(x, theta, n_shards=n_shards)
+    store._restore_fold_state(n_trained, {n_trained + j: np.unique(rng.integers(0, n_items, rng.integers(1, 6))) for j in range(n_folded)})
+    spare = rng.choice(n_items, size=int(rng.integers(0, kk)), replace=False)
+    rated = np.setdiff1d(np.arange(n_items), spare)
+    nnz = int(rng.integers(0, 4 * n_trained))
+    rows = np.concatenate([np.zeros(rated.size, dtype=np.int64), rng.integers(1, n_trained, nnz)])
+    cols = np.concatenate([rated, rng.integers(0, n_items, nnz)])
+    exclude = CSRMatrix.from_arrays((n_trained, n_items), rows, cols, np.ones(rows.size)) if masked else None
+    block = rng.integers(0, n_users, batch)
+    block[rng.integers(0, batch)] = 0
+    return store, exclude, block, spare
+
+
+_GENERATED = dict(
+    n_shards=st.integers(1, 4),
+    n_items=st.integers(1, 300),
+    f=st.integers(1, 8),
+    n_trained=st.integers(2, 12),
+    n_folded=st.integers(0, 3),
+    kk=st.integers(1, 40),
+    batch=st.integers(1, 40),
+    masked=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
 class TestSelectionMatchesReference:
     """``_topk_block`` equals the full-scan ``lexsort`` reference bit for bit on the same score block.
 
     Unlike :class:`TestTopKTieRule`, the factors are N(0, 1) floats, so
     the scores are the inexact float32 values real serving selects from.
+    ``_topk_block`` scores each distinct user of a block once, in sorted
+    order, so the reference selects from the score block of the distinct
+    users and is expanded back to the block's queries: a BLAS row result
+    can depend on the GEMM's row count, so the block's own score matrix
+    is not always bitwise the same.
     """
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        n_shards=st.integers(1, 4),
-        n_items=st.integers(1, 300),
-        f=st.integers(1, 8),
-        n_trained=st.integers(2, 12),
-        n_folded=st.integers(0, 3),
-        kk=st.integers(1, 40),
-        batch=st.integers(1, 40),
-        masked=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @given(**_GENERATED)
     def test_matches_full_scan_reference(self, n_shards, n_items, f, n_trained, n_folded, kk, batch, masked, seed):
         # n_items % min(4·kk, n_items) != 0 leaves tail columns; n_items < 4·kk makes every column its own group.
         n_shards, kk = min(n_shards, n_items), min(kk, n_items)
-        rng = np.random.default_rng(seed)
-        n_users = n_trained + n_folded
-        x = rng.standard_normal((n_users, f), dtype=np.float32)
-        store = FactorStore(x, rng.standard_normal((n_items, f), dtype=np.float32), n_shards=n_shards)
-        store._restore_fold_state(n_trained, {n_trained + j: np.unique(rng.integers(0, n_items, rng.integers(1, 6))) for j in range(n_folded)})
-        # Trained user 0 has rated all but fewer than kk items, so its threshold is -inf.
-        spare = rng.choice(n_items, size=int(rng.integers(0, kk)), replace=False)
-        rated = np.setdiff1d(np.arange(n_items), spare)
-        nnz = int(rng.integers(0, 4 * n_trained))
-        rows = np.concatenate([np.zeros(rated.size, dtype=np.int64), rng.integers(1, n_trained, nnz)])
-        cols = np.concatenate([rated, rng.integers(0, n_items, nnz)])
-        exclude = CSRMatrix.from_arrays((n_trained, n_items), rows, cols, np.ones(rows.size)) if masked else None
-
-        block = rng.integers(0, n_users, batch)
-        block[rng.integers(0, batch)] = 0
+        store, exclude, block, spare = _generated_store(n_shards, n_items, f, n_trained, n_folded, kk, batch, masked, seed)
         got = store._topk_block(block, kk, exclude)
-        _assert_bitwise_equal(got, _reference_select(store._score_block(block, exclude), kk))
+        unique, inverse = np.unique(block, return_inverse=True)
+        ids, top = _reference_select(store._score_block(unique, exclude), kk)
+        _assert_bitwise_equal(got, (ids[inverse], top[inverse]))
         if masked:
+            # User 0's threshold is -inf: it keeps only its spare items.
             assert np.isneginf(got[1][block == 0, spare.size :]).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(**_GENERATED, distinct=st.integers(1, 5))
+    def test_repeated_users_get_bitwise_identical_rows(self, n_shards, n_items, f, n_trained, n_folded, kk, batch, masked, seed, distinct):
+        n_shards, kk = min(n_shards, n_items), min(kk, n_items)
+        store, exclude, block, _ = _generated_store(n_shards, n_items, f, n_trained, n_folded, kk, batch, masked, seed)
+        # At most `distinct` users fill the whole block, so most queries repeat one.
+        block = np.random.default_rng(seed).choice(np.unique(block)[:distinct], size=batch)
+        ids, top = store._topk_block(block, kk, exclude)
+        bits = top.view(np.int32)
+        for user in np.unique(block):
+            rows = block == user
+            assert (ids[rows] == ids[rows][0]).all() and (bits[rows] == bits[rows][0]).all()
 
     def test_negative_zero_ties_positive_zero(self):
         # f=1: the scores are the Θ column, so the zeros tie and keep ascending ids.
@@ -309,6 +351,76 @@ class TestSelectionMatchesReference:
         np.testing.assert_array_equal(store._score_block(block, None).view(np.int32), want.view(np.int32))
 
 
+def _reference_box(ids, vals, kk):
+    """The eager boxing ``recommend_batch`` did before :class:`TopK`: one ``zip`` over a block, sliced into rows, non-finite scores dropped."""
+    pairs = list(zip(ids.ravel().tolist(), vals.ravel().tolist()))
+    rows = [pairs[r : r + kk] for r in range(0, len(pairs), kk)]
+    for r in np.flatnonzero(~np.isfinite(vals).all(axis=1)):
+        rows[r] = [(i, v) for i, v in rows[r] if math.isfinite(v)]
+    return rows
+
+
+def _exact(rows):
+    """Rows with each pair's types and float bits spelled out (``==`` would tie 0.0 with -0.0)."""
+    return [[(type(i), i, type(v), v.hex()) for i, v in row] for row in rows]
+
+
+class TestTopKBoxing:
+    """A :class:`TopK` reads exactly as the lists ``recommend_batch`` used to box eagerly."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        **_GENERATED,
+        huge=st.booleans(),
+        user_block=st.integers(1, 16),
+        cut=st.tuples(st.none() | st.integers(-45, 45), st.none() | st.integers(-45, 45), st.none() | st.sampled_from([-3, -1, 1, 2])),
+    )
+    def test_rows_box_to_the_reference_pairs(self, n_shards, n_items, f, n_trained, n_folded, kk, batch, masked, seed, huge, user_block, cut):
+        n_shards, kk = min(n_shards, n_items), min(kk, n_items)
+        store, exclude, block, _ = _generated_store(n_shards, n_items, f, n_trained, n_folded, kk, batch, masked, seed, huge=huge)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = store.recommend_batch(block, k=kk, exclude=exclude, user_block=user_block)
+            want = []
+            for start in range(0, block.size, user_block):
+                want += _reference_box(*store._topk_block(block[start : start + user_block], kk, exclude), kk)
+
+        assert isinstance(got, TopK) and len(got) == len(want) == block.size
+        assert _exact(got) == _exact(want)
+        assert _exact(got[r] for r in range(-len(want), 0)) == _exact(want)
+        window = slice(*cut)
+        assert isinstance(got[window], TopK) and _exact(got[window]) == _exact(want[window])
+        assert got == want and want == got and got == TopK(got.ids.copy(), got.scores.copy())
+        assert got != want[:-1] and got != [*want[:-1], [*want[-1], (-1, 0.0)]]
+        assert repr(got) == repr(want)
+        with pytest.raises(IndexError):
+            got[len(want)]
+
+    def test_overflowed_scores_are_not_answers(self):
+        # User 0 scores item 0 at +inf and item 2 at -inf in float32; +inf
+        # sorts first, so the valid entries of its row are not a prefix.
+        x = np.array([[1e20, 1.0], [1.0, 1.0]])
+        theta = np.array([[1e20, 0.0], [1.0, 1.0], [-1e20, 0.0], [0.0, 1.0]])
+        with np.errstate(over="ignore"):
+            recs = FactorStore(x, theta).recommend_batch(np.array([0, 1]), k=4)
+        assert recs.ids[0].tolist() == [0, 1, 3, 2] and recs.valid[0].tolist() == [False, True, True, False]
+        want = _reference_box(recs.ids, recs.scores, 4)
+        assert _exact(recs) == _exact(want) and [i for i, _ in recs[0]] == [1, 3]
+        assert recs[-1] == want[1] and len(want[1]) == 4
+        # A NaN score (inf - inf; whether a GEMM yields it depends on its row count) is no answer either.
+        literal = TopK(np.array([[4, 1, 0, 2]]), np.array([[np.inf, np.nan, 1.5, -np.inf]], dtype=np.float32))
+        assert literal == [[(0, 1.5)]] and _exact(literal) == _exact(_reference_box(literal.ids, literal.scores, 4))
+
+    def test_empty_batch(self, store):
+        recs = store.recommend_batch(np.array([], dtype=np.int64), k=3)
+        assert len(recs) == 0 and recs == [] and list(recs) == [] and repr(recs) == "[]"
+
+    def test_not_equal_to_other_types(self, store):
+        recs = store.recommend_batch(np.array([1, 2]), k=3)
+        assert recs != tuple(recs) and recs != None  # noqa: E711
+        with pytest.raises(TypeError):
+            recs["0"]
+
+
 class TestSimulatedTime:
     def test_batches_advance_the_clock(self, fitted):
         store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend.replicas[0]
@@ -318,6 +430,35 @@ class TestSimulatedTime:
         assert store.stats.batches == 1
         assert store.stats.simulated_seconds > 0.0
         assert store.machine.elapsed_seconds() == pytest.approx(store.stats.simulated_seconds)
+
+    def test_repeated_users_are_charged_per_query(self):
+        # A repeated user is scored once but charged like a distinct query.
+        rng = np.random.default_rng(3)
+        x, theta = rng.standard_normal((40, 8)), rng.standard_normal((300, 8))
+        repeated = np.array([3, 7, 3, 3, 11, 7, 0, 3])
+        coalesced, distinct = FactorStore(x, theta, n_shards=2), FactorStore(x, theta, n_shards=2)
+        coalesced.recommend_batch(repeated, k=5)
+        distinct.recommend_batch(np.arange(20, 20 + repeated.size), k=5)
+        assert coalesced.stats.queries == distinct.stats.queries == repeated.size
+        assert coalesced.stats.batches == 1
+        assert coalesced.stats.simulated_seconds == distinct.stats.simulated_seconds
+        assert coalesced.stats.per_device_seconds == distinct.stats.per_device_seconds
+
+    def test_tiered_store_touches_every_query_answer(self):
+        rng = np.random.default_rng(4)
+        n_items = 30
+        x, theta = rng.standard_normal((40, 8)), rng.standard_normal((n_items, 8))
+        # User 3 has rated all but items 0 and 1, so each of its rows holds two answers.
+        rows = np.concatenate([np.full(n_items - 2, 3), [5, 5]])
+        cols = np.concatenate([np.arange(2, n_items), [0, 1]])
+        seen = CSRMatrix.from_arrays((40, n_items), rows, cols, np.ones(rows.size))
+        tiered = TieredFactorStore(x, theta, n_shards=2, cache=CacheConfig(page_items=1))
+        recs = tiered.recommend_batch(np.array([3, 7, 3, 3, 5, 7]), k=5, exclude=seen)
+        assert tiered.stats.queries == 6 and int(recs.valid.sum()) == 3 * 2 + 2 * 5 + 5
+        # Each page a batch touches is classified once; the heat sketch counts every query's answers.
+        cache = tiered.cache_stats
+        assert cache.hits + cache.stale_hits + cache.warm_misses + cache.cold_misses == np.unique(recs.ids[recs.valid]).size
+        assert tiered._heat._heat.sum() == recs.valid.sum()
 
     def test_batching_amortizes_theta_reads(self):
         """Per-query simulated time at B=256 must be >=10x cheaper than B=1.
