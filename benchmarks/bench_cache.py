@@ -12,6 +12,14 @@ Two families of acceptance pins for :mod:`repro.serving.cache`:
   and the dormant wiring costs <5% wall.  And with the cache *enabled*,
   the recommendations themselves are bitwise identical to the plain
   store — tiering only re-prices page residency, never the numerics.
+* **Host cost of the demand path** — at serve-lifecycle's shape
+  (4000×3000, f=16, 2 shards, ``page_items=64``, 64-query blocks) one
+  block's missed pages go as at most one fill transfer per shard.  The
+  report gives the host wall of a block and of its ``_touch``.  Best of
+  5 rounds of 200 blocks, 3 alternating runs, 2-vCPU VM, one BLAS
+  thread: one transfer per page took 1186–1306 µs/block, of which
+  ``_touch`` 405–446 µs; one transfer per device takes 927–993 µs/block,
+  of which ``_touch`` 166–194 µs.
 """
 
 import time
@@ -185,3 +193,44 @@ def test_disabled_cache_overhead_under_5_percent(result, trace, report):
         f"disabled cache path costs {overhead:.1%} wall over the raw store "
         f"(threshold {MAX_OVERHEAD:.0%})"
     )
+
+
+def test_lifecycle_shape_touch_cost(report):
+    """Pin: one block's page fills go as at most one transfer per shard."""
+    rng = np.random.default_rng(29)
+    users, items, f, shards = 4000, 3000, 16, 2
+    shaped = FitResult(x=rng.standard_normal((users, f)), theta=rng.standard_normal((items, f)), solver="bench-random")
+    blocks = [rng.integers(0, users, size=64) for _ in range(200)]
+    cache = CacheConfig(hot_fraction=0.2, page_items=64, plan_window_s=5e-4)
+
+    def one_round():
+        """Per-block wall of the whole block and of its ``_touch``, plus each fill's transfer count."""
+        store = TieredFactorStore.from_result(shaped, cache=cache, n_shards=shards)
+        spent, fills = [0.0], []
+        touch, run_transfers = store._touch, store.machine.run_transfers
+
+        def timed_touch(touched):
+            wall0 = time.perf_counter()
+            touch(touched)
+            spent[0] += time.perf_counter() - wall0
+
+        def counted(transfers, label="transfer"):
+            if label == "cache-fill-h2d":
+                fills.append(len(transfers))
+            return run_transfers(transfers, label=label)
+
+        store._touch, store.machine.run_transfers = timed_touch, counted
+        wall0 = time.perf_counter()
+        for block in blocks:
+            store.recommend_batch(block, k=10)
+        return (time.perf_counter() - wall0) / len(blocks), spent[0] / len(blocks), store.cache_stats.misses, fills
+
+    rounds = [one_round() for _ in range(5)]
+    _, _, misses, fills = rounds[0]
+    report(
+        "tiered cache demand path at the lifecycle shape (%d blocks of 64)" % len(blocks),
+        "recommend_batch: %7.1f us/block\n_touch:          %7.1f us/block\n%d page misses, %d fill transfers"
+        % (min(r[0] for r in rounds) * 1e6, min(r[1] for r in rounds) * 1e6, misses, sum(fills)),
+    )
+    assert fills and max(fills) <= shards
+    assert misses > sum(fills)

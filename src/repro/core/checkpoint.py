@@ -59,6 +59,9 @@ class CheckpointManager:
         pruning: the serving tier and the snapshot registry park their
         snapshots in (possibly shared) checkpoint directories and a
         trainer's ``keep=N`` rotation must never evict them.
+
+        Stored uncompressed (zlib saves ~5% on float factors at ~30× the
+        write time); :meth:`load` reads compressed files as well.
         """
         if iteration < 0:
             raise ValueError("iteration must be non-negative")
@@ -67,7 +70,7 @@ class CheckpointManager:
             raise ValueError(f"reserved checkpoint keys: {sorted(reserved)}")
         path = self._path(iteration)
         tmp = path + ".tmp"
-        np.savez_compressed(tmp, iteration=np.int64(iteration), x=np.asarray(x), theta=np.asarray(theta), **extras)
+        np.savez(tmp, iteration=np.int64(iteration), x=np.asarray(x), theta=np.asarray(theta), **extras)
         tmp_real = tmp if os.path.exists(tmp) else tmp + ".npz"
         os.replace(tmp_real, path)
         self._prune()

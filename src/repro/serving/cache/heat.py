@@ -10,7 +10,8 @@ granularity — to decide which pages deserve the GPU-hot tier.
 Decay is applied lazily: observing an item first folds in the decay
 since its last touch, and read-side views decay on the fly without
 mutating state.  That keeps ``observe`` O(unique items in the batch)
-and avoids a full-catalogue sweep per query batch.
+and avoids a full-catalogue sweep per query batch; the caller passes
+the batch's distinct ids and counts.
 """
 
 from __future__ import annotations
@@ -40,12 +41,13 @@ class HeatSketch:
     def _decay_factor(self, age_s: np.ndarray) -> np.ndarray:
         return np.power(0.5, np.maximum(age_s, 0.0) / self.half_life_s)
 
-    def observe(self, items: np.ndarray, now: float) -> None:
-        """Fold one batch of served item ids into the sketch at time ``now``."""
-        items = np.asarray(items, dtype=np.int64)
-        if items.size == 0:
-            return
-        touched, counts = np.unique(items, return_counts=True)
+    def observe(self, touched: np.ndarray, counts: np.ndarray, now: float) -> None:
+        """Fold one batch into the sketch at time ``now``.
+
+        ``touched`` holds the batch's distinct item ids and ``counts`` how
+        often each was served, as ``np.unique(items, return_counts=True)``
+        returns them.
+        """
         self._heat[touched] = self._heat[touched] * self._decay_factor(now - self._last[touched]) + counts
         self._last[touched] = now
 

@@ -46,7 +46,7 @@ class PageTable:
         # All pages start host-warm: a fresh snapshot is resident on the
         # host and the planner earns the hot tier from observed heat.
         self.tier = np.full(n_pages, TIER_WARM, dtype=np.int8)
-        self.stamps = [str(version)] * n_pages
+        self.stamps = np.full(n_pages, str(version), dtype=object)
         sizes = np.full(n_pages, page_items, dtype=np.int64)
         if n_pages and n_items % page_items:
             sizes[-1] = n_items % page_items
@@ -65,52 +65,41 @@ class PageTable:
         return int(self.page_bytes.sum())
 
     def pages_of(self, items: np.ndarray) -> np.ndarray:
-        """Unique page ids backing the given item ids."""
-        items = np.asarray(items, dtype=np.int64)
-        if items.size == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(items // self.page_items)
+        """Distinct page ids backing ``items``, which must be sorted ascending.
 
-    def first_item_of(self, page: int) -> int:
-        """First item row of ``page`` (its shard owner decides placement)."""
-        return int(page) * self.page_items
-
-    def tier_of(self, pages: np.ndarray) -> np.ndarray:
-        """Tier of each page id."""
-        return self.tier[np.asarray(pages, dtype=np.int64)]
+        Sorted items map to non-decreasing page ids, so the distinct pages
+        are the run starts; no second sort is needed after ``np.unique``.
+        """
+        pages = np.asarray(items, dtype=np.int64) // self.page_items
+        if pages.size == 0:
+            return pages
+        return pages[np.concatenate(([True], pages[1:] != pages[:-1]))]
 
     def pages_in(self, tier: int) -> np.ndarray:
         """All page ids currently resident in ``tier``."""
         return np.flatnonzero(self.tier == tier)
 
     def move(self, pages: np.ndarray, tier: int) -> int:
-        """Re-tier pages; returns the bytes moved into ``tier``."""
+        """Re-tier pages; returns the bytes moved into ``tier``.
+
+        A page id given twice moves (and counts its bytes) once.
+        """
         pages = np.asarray(pages, dtype=np.int64)
-        if pages.size == 0:
-            return 0
-        moved = 0
-        for p in pages:
-            src = int(self.tier[p])
-            if src == tier:
-                continue
-            nbytes = int(self.page_bytes[p])
-            self._resident[src] -= nbytes
-            self._resident[tier] += nbytes
-            self.tier[p] = tier
-            moved += nbytes
+        pages = np.unique(pages[self.tier[pages] != tier])
+        nbytes = self.page_bytes[pages]
+        np.subtract.at(self._resident, self.tier[pages], nbytes)
+        moved = int(nbytes.sum())
+        self._resident[tier] += moved
+        self.tier[pages] = tier
         return moved
 
     def stamp_pages(self, pages: np.ndarray, version: str) -> None:
         """Re-stamp pages with a snapshot version."""
-        version = str(version)
-        for p in np.asarray(pages, dtype=np.int64):
-            self.stamps[int(p)] = version
+        self.stamps[np.asarray(pages, dtype=np.int64)] = str(version)
 
     def stale_mask(self, pages: np.ndarray, version: str) -> np.ndarray:
         """Which of ``pages`` carry a stamp other than ``version``."""
-        version = str(version)
-        pages = np.asarray(pages, dtype=np.int64)
-        return np.array([self.stamps[int(p)] != version for p in pages], dtype=bool)
+        return self.stamps[np.asarray(pages, dtype=np.int64)] != str(version)
 
     def resident_bytes(self, tier: int) -> int:
         """Bytes currently resident in ``tier``."""
@@ -124,7 +113,7 @@ class PageTable:
         come back as warm pages of the new version.
         """
         self.tier.fill(TIER_WARM)
-        self.stamps = [str(version)] * self.n_pages
+        self.stamps = np.full(self.n_pages, str(version), dtype=object)
         self._resident[:] = 0
         self._resident[TIER_WARM] = self.total_bytes
 
@@ -152,5 +141,5 @@ class PageTable:
         extra = n_pages - old_pages
         if extra:
             self.tier = np.concatenate([self.tier, np.full(extra, TIER_WARM, dtype=np.int8)])
-            self.stamps = self.stamps + [str(version)] * extra
+            self.stamps = np.concatenate([self.stamps, np.full(extra, str(version), dtype=object)])
             self._resident[TIER_WARM] += int(new_bytes[old_pages:].sum())

@@ -10,7 +10,7 @@ is demanded from the tier hierarchy, and
 
 * a **hot** page stamped with the current snapshot version is a hit —
   the factors were already on-device, no extra cost;
-* a **warm** page pays one H2D hop for its bytes (and demand-fills stay
+* a **warm** page pays an H2D hop for its bytes (and demand-fills stay
   warm — only the planner earns pages the hot tier);
 * a **cold** page pays disk seek + streaming read before the H2D hop
   and is demand-filled into the warm tier;
@@ -20,10 +20,17 @@ is demanded from the tier hierarchy, and
   invalidate/re-stamp the page table before any query can demand a
   stale page.
 
+A batch's missed pages go as **one H2D per owning device** (the shard
+holding the page's first item), as cuMF moves data in a few large
+copies.  The charge equals one transfer per page: a batch costs its most
+loaded directed link's bytes over bandwidth plus one latency for the
+longest path, and merging same-path pages changes neither the per-link
+byte sums (integer-valued, so exact in float64) nor the set of paths.
+
 Once per planning window the :class:`~repro.serving.cache.planner.CachePlanner`
 turns decayed heat into promotion/demotion waves, executed here as
-coalesced H2D/D2H transfers on the store's simulated machine and
-published through :mod:`repro.obs` (``cache.*`` counters,
+one H2D and one D2H per device per wave on the store's simulated
+machine and published through :mod:`repro.obs` (``cache.*`` counters,
 ``cache.resident_bytes{tier=...}`` gauges, one span per wave).
 """
 
@@ -240,9 +247,10 @@ class TieredFactorStore(FactorStore):
         now = self.machine.elapsed_seconds()
         stats = self.cache_stats
         if items.size:
-            self._heat.observe(items, now)
-            pages = self._pages.pages_of(items)
-            tiers = self._pages.tier_of(pages)
+            touched, counts = np.unique(items, return_counts=True)
+            self._heat.observe(touched, counts, now)
+            pages = self._pages.pages_of(touched)
+            tiers = self._pages.tier[pages]
             stale = self._pages.stale_mask(pages, self.version)
 
             hot_fresh = pages[(tiers == TIER_HOT) & ~stale]
@@ -259,22 +267,11 @@ class TieredFactorStore(FactorStore):
             if cold.size:
                 cold_bytes = int(self._pages.page_bytes[cold].sum())
                 self.machine.clock.advance(
-                    self.cache_config.cold_latency_s
-                    + cold_bytes / (self.cache_config.cold_bandwidth_gbs * 1e9),
+                    self.cache_config.cold_latency_s + cold_bytes / (self.cache_config.cold_bandwidth_gbs * 1e9),
                     label="cache-cold-read",
                 )
             if fetch.size:
-                self.machine.run_transfers(
-                    [
-                        self.machine.h2d(
-                            self.partition.owner_of(self._pages.first_item_of(p)),
-                            int(self._pages.page_bytes[p]),
-                            tag="cache-fill",
-                        )
-                        for p in fetch
-                    ],
-                    label="cache-fill-h2d",
-                )
+                self.machine.run_transfers(self._page_transfers(fetch, self.machine.h2d, "cache-fill"), label="cache-fill-h2d")
             delta = self.machine.elapsed_seconds() - before
             if delta:
                 self.stats.simulated_seconds += delta
@@ -300,6 +297,12 @@ class TieredFactorStore(FactorStore):
         if now - self._last_plan >= self.cache_config.plan_window_s:
             self._run_plan()
 
+    def _page_transfers(self, pages: np.ndarray, make, tag: str) -> list:
+        """One ``make`` (``machine.h2d``/``d2h``) transfer per device owning any of ``pages`` (repeats count)."""
+        owners = np.searchsorted(self.partition.bounds, pages * self._pages.page_items, side="right") - 1
+        nbytes = np.bincount(owners, weights=self._pages.page_bytes[pages])
+        return [make(int(d), int(nbytes[d]), tag=tag) for d in np.flatnonzero(nbytes)]
+
     def _enforce_warm_capacity(self, now: float) -> None:
         """Spill coldest warm pages to disk when host capacity is bounded."""
         limit = self.cache_config.warm_bytes
@@ -307,13 +310,14 @@ class TieredFactorStore(FactorStore):
             return
         warm = self._pages.pages_in(TIER_WARM)
         heat = self._heat.page_scores(now, self.cache_config.page_items)[warm]
-        for p in warm[np.argsort(heat, kind="stable")]:
-            # Host-side bookkeeping only: dropping a host page to disk is
-            # a free()+writeback the simulator does not charge.
-            self._pages.move(np.array([p]), TIER_COLD)
-            self.cache_stats.spills += 1
-            if self._pages.resident_bytes(TIER_WARM) <= limit:
-                break
+        coldest = warm[np.argsort(heat, kind="stable")]
+        # The shortest coldest-first prefix whose bytes bring warm back
+        # under the limit.  Host-side bookkeeping only: dropping a host
+        # page to disk is a free()+writeback the simulator does not charge.
+        excess = self._pages.resident_bytes(TIER_WARM) - limit
+        spill = coldest[: int(np.searchsorted(np.cumsum(self._pages.page_bytes[coldest]), excess)) + 1]
+        self._pages.move(spill, TIER_COLD)
+        self.cache_stats.spills += int(spill.size)
 
     # ------------------------------------------------------------------ #
     # plan-then-execute: promotion/demotion waves on the simulated machine
@@ -337,24 +341,12 @@ class TieredFactorStore(FactorStore):
         before_all = self.machine.elapsed_seconds()
         for wave in plan.waves:
             before = self.machine.elapsed_seconds()
-            transfers = [
-                self.machine.h2d(
-                    self.partition.owner_of(self._pages.first_item_of(p)),
-                    int(self._pages.page_bytes[p]),
-                    tag="cache-promote",
-                )
-                for p in wave.promotions
-            ] + [
-                self.machine.d2h(
-                    self.partition.owner_of(self._pages.first_item_of(p)),
-                    int(self._pages.page_bytes[p]),
-                    tag="cache-demote",
-                )
-                for p in wave.demotions
-            ]
-            self.machine.run_transfers(transfers, label="cache-wave")
             promoted = np.array(wave.promotions, dtype=np.int64)
             demoted = np.array(wave.demotions, dtype=np.int64)
+            self.machine.run_transfers(
+                self._page_transfers(promoted, self.machine.h2d, "cache-promote") + self._page_transfers(demoted, self.machine.d2h, "cache-demote"),
+                label="cache-wave",
+            )
             self._pages.move(promoted, TIER_HOT)
             self._pages.stamp_pages(promoted, self.version)
             self._pages.move(demoted, TIER_WARM)

@@ -28,7 +28,6 @@ production recommender:
 from repro.serving.lifecycle.log import InteractionLog
 from repro.serving.lifecycle.refresh import (
     RefreshResult,
-    RefreshSolver,
     merged_ratings,
     refresh_factors,
     run_refresh_session,
@@ -39,7 +38,6 @@ from repro.serving.lifecycle.rollout import RolloutController
 __all__ = [
     "InteractionLog",
     "RefreshResult",
-    "RefreshSolver",
     "merged_ratings",
     "refresh_factors",
     "run_refresh_session",

@@ -26,7 +26,7 @@ full retrains still happen.
 
 A refresh is also runnable *as a training session*:
 :func:`run_refresh_session` wraps the refresh step in a one-iteration
-:class:`RefreshSolver` and drives it through
+solver and drives it through
 :class:`~repro.core.solver.session.TrainingSession`, so log-driven
 refreshes emit the same callback hooks (``on_fit_start`` /
 ``on_iteration_end`` / ``on_fit_end``), RMSE-bearing history rows and
@@ -49,7 +49,6 @@ from repro.sparse.csr import CSRMatrix
 
 __all__ = [
     "RefreshResult",
-    "RefreshSolver",
     "merged_ratings",
     "refresh_factors",
     "run_refresh_session",
@@ -119,11 +118,7 @@ def _gather_rows(r: CSRMatrix, rows: np.ndarray) -> CSRMatrix:
     counts = np.diff(r.indptr)[rows]
     indptr = np.zeros(rows.size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    if rows.size:
-        spans = [np.arange(r.indptr[u], r.indptr[u + 1]) for u in rows]
-        take = np.concatenate(spans) if spans else np.empty(0, dtype=np.int64)
-    else:
-        take = np.empty(0, dtype=np.int64)
+    take = np.arange(indptr[-1]) + np.repeat(r.indptr[rows] - indptr[:-1], counts)
     return CSRMatrix((rows.size, r.shape[1]), indptr, r.indices[take], r.data[take])
 
 
@@ -144,6 +139,12 @@ def refresh_factors(
     solved against the frozen X), affected user rows re-solved against
     the frozen extended Θ, everything else untouched.
     """
+    x, theta = _checked_factors(x, theta, base, lam)
+    return _refresh_merged(x, theta, merged_ratings(base, log, n_users=x.shape[0], n_items=theta.shape[0]), log, lam, weighted)
+
+
+def _checked_factors(x, theta, base: CSRMatrix, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(x, theta)`` as float64, checked against the base ratings' axes."""
     x = np.asarray(x, dtype=np.float64)
     theta = np.asarray(theta, dtype=np.float64)
     if x.ndim != 2 or theta.ndim != 2 or x.shape[1] != theta.shape[1]:
@@ -154,10 +155,13 @@ def refresh_factors(
         raise ValueError(f"theta has {theta.shape[0]} rows but the base ratings have {base.shape[1]} columns")
     if lam < 0:
         raise ValueError("lam must be non-negative")
+    return x, theta
+
+
+def _refresh_merged(x: np.ndarray, theta: np.ndarray, merged: CSRMatrix, log: InteractionLog, lam: float, weighted: bool) -> RefreshResult:
+    """The refresh of checked ``(x, theta)`` against the already merged base+log matrix."""
     f = x.shape[1]
     n_base_users, n_base_items = x.shape[0], theta.shape[0]
-
-    merged = merged_ratings(base, log, n_users=n_base_users, n_items=n_base_items)
     m_new, n_new = merged.shape
 
     # Item side first: new items get θ rows solved against the frozen X.
@@ -191,7 +195,7 @@ def refresh_factors(
     )
 
 
-class RefreshSolver(Solver):
+class _RefreshSolver(Solver):
     """A one-iteration solver whose single update is an incremental refresh.
 
     Satisfies the :class:`~repro.core.solver.protocol.Solver` contract so
@@ -201,12 +205,14 @@ class RefreshSolver(Solver):
     never scores the initial yield), the one iteration yields the
     refreshed factors sized to the merged matrix.  The full
     :class:`RefreshResult` is stashed on :attr:`last_refresh`.
+
+    Private to :func:`run_refresh_session`: ``iterate`` takes ``train``
+    to be the merged base+log matrix and does not merge the log again.
     """
 
     name = "refresh"
 
-    def __init__(self, base: CSRMatrix, log: InteractionLog, lam: float, weighted: bool = True):
-        self.base = base
+    def __init__(self, log: InteractionLog, lam: float, weighted: bool = True):
         self.log = log
         self.lam = float(lam)
         self.weighted = weighted
@@ -220,14 +226,18 @@ class RefreshSolver(Solver):
         x0: np.ndarray | None = None,
         theta0: np.ndarray | None = None,
     ) -> Iterator[SolverStep]:
-        """Yield the pre-refresh factors, then the refreshed ones."""
+        """Yield the pre-refresh factors, then the refreshed ones.
+
+        ``train`` is the merged base+log matrix
+        (:func:`merged_ratings` over ``x0``/``theta0``'s axes), so the
+        refresh solves against it without merging again.
+        """
         if x0 is None or theta0 is None:
-            raise ValueError("RefreshSolver needs the current factors as x0/theta0")
+            raise ValueError("_RefreshSolver needs the current factors as x0/theta0")
         yield SolverStep(x0, theta0)
-        refreshed = refresh_factors(x0, theta0, self.base, self.log, self.lam, weighted=self.weighted)
+        refreshed = _refresh_merged(np.asarray(x0, dtype=np.float64), np.asarray(theta0, dtype=np.float64), train, self.log, self.lam, self.weighted)
         self.last_refresh = refreshed
         yield SolverStep(refreshed.x, refreshed.theta)
-
 
 
 def run_refresh_session(
@@ -250,8 +260,9 @@ def run_refresh_session(
     history's numbering.  Returns the :class:`RefreshResult` plus the
     session's :class:`~repro.core.config.FitResult`.
     """
-    solver = RefreshSolver(base, log, lam, weighted=weighted)
-    merged = merged_ratings(base, log, n_users=int(np.asarray(x).shape[0]), n_items=int(np.asarray(theta).shape[0]))
+    x, theta = _checked_factors(x, theta, base, lam)
+    solver = _RefreshSolver(log, lam, weighted=weighted)
+    merged = merged_ratings(base, log, n_users=x.shape[0], n_items=theta.shape[0])
     session = TrainingSession(solver, callbacks=callbacks)
     fit = session.run(merged, test, x0=x, theta0=theta, start_iteration=start_iteration)
     assert solver.last_refresh is not None

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import copy
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.obs as obs
 from repro.core import ALSConfig, CuMF
+from repro.gpu.machine import MultiGPUMachine
+from repro.gpu.topology import MachineTopology
 from repro.serving import (
     CacheConfig,
     FactorStore,
@@ -19,7 +26,8 @@ from repro.serving import (
     TenantPolicy,
     TieredFactorStore,
 )
-from repro.serving.cache import TIER_COLD, TIER_HOT, TIER_WARM, CachePlanner
+from repro.serving.cache import TIER_COLD, TIER_HOT, TIER_WARM, CachePlanner, CacheStats
+from repro.sparse.partition import Partition1D
 
 
 @pytest.fixture(scope="module")
@@ -80,28 +88,28 @@ class TestCacheConfig:
 class TestHeatSketch:
     def test_observe_counts_and_half_life_decay(self):
         sketch = HeatSketch(4, half_life_s=1.0)
-        sketch.observe(np.array([0, 0, 2]), now=0.0)
+        sketch.observe(np.array([0, 2]), np.array([2, 1]), now=0.0)
         np.testing.assert_allclose(sketch.scores(0.0), [2.0, 0.0, 1.0, 0.0])
         # One half-life later everything halved.
         np.testing.assert_allclose(sketch.scores(1.0), [1.0, 0.0, 0.5, 0.0])
         # Touching an item folds decay in before adding the new count.
-        sketch.observe(np.array([0]), now=1.0)
+        sketch.observe(np.array([0]), np.array([1]), now=1.0)
         np.testing.assert_allclose(sketch.scores(1.0), [2.0, 0.0, 0.5, 0.0])
 
     def test_reads_do_not_mutate(self):
         sketch = HeatSketch(2, half_life_s=1.0)
-        sketch.observe(np.array([0]), now=0.0)
+        sketch.observe(np.array([0]), np.array([1]), now=0.0)
         sketch.scores(5.0)
         np.testing.assert_allclose(sketch.scores(0.0), [1.0, 0.0])
 
     def test_page_scores_sums_per_page(self):
         sketch = HeatSketch(5, half_life_s=1.0)
-        sketch.observe(np.array([0, 1, 4]), now=0.0)
+        sketch.observe(np.array([0, 1, 4]), np.array([1, 1, 1]), now=0.0)
         np.testing.assert_allclose(sketch.page_scores(0.0, page_items=2), [2.0, 0.0, 1.0])
 
     def test_grow_appends_cold_items(self):
         sketch = HeatSketch(2, half_life_s=1.0)
-        sketch.observe(np.array([1]), now=0.0)
+        sketch.observe(np.array([1]), np.array([1]), now=0.0)
         sketch.grow(4)
         np.testing.assert_allclose(sketch.scores(0.0), [0.0, 1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="shrink"):
@@ -154,6 +162,133 @@ class TestPageTable:
         # The tail page filled up in place, in its current tier.
         assert table.resident_bytes(TIER_HOT) == 32
         assert table.stamps[4] == "v1" and table.stamps[0] == "v0"
+
+
+class _PageOracle:
+    """A plain dict of pages: ``page -> [tier, stamp]``, sizes derived from ``n_items``."""
+
+    def __init__(self, n_items: int, page_items: int, row_bytes: int, version: str):
+        self.page_items, self.row_bytes, self.n_items = page_items, row_bytes, 0
+        self.pages: dict[int, list] = {}
+        self.grow(n_items, version)
+
+    def size(self, page: int) -> int:
+        return min(self.page_items, self.n_items - page * self.page_items) * self.row_bytes
+
+    def move(self, pages, tier: int) -> int:
+        moved = 0
+        for p in pages:
+            if self.pages[p][0] != tier:
+                self.pages[p][0] = tier
+                moved += self.size(p)
+        return moved
+
+    def stamp(self, pages, version: str) -> None:
+        for p in pages:
+            self.pages[p][1] = version
+
+    def invalidate(self, version: str) -> None:
+        self.pages = {p: [TIER_WARM, version] for p in self.pages}
+
+    def grow(self, n_items: int, version: str) -> None:
+        self.n_items = n_items
+        for p in range(len(self.pages), -(-n_items // self.page_items)):
+            self.pages[p] = [TIER_WARM, version]
+
+    def resident(self, tier: int) -> int:
+        return sum(self.size(p) for p, (t, _) in self.pages.items() if t == tier)
+
+
+_VERSIONS = st.sampled_from(["v0", "v1", "v12"])
+_PAGE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("move"), st.lists(st.integers(0, 99), max_size=8), st.sampled_from([TIER_HOT, TIER_WARM, TIER_COLD])),
+        st.tuples(st.just("stamp"), st.lists(st.integers(0, 99), max_size=8), _VERSIONS),
+        st.tuples(st.just("invalidate"), _VERSIONS),
+        st.tuples(st.just("grow"), st.integers(0, 12), _VERSIONS),
+    ),
+    max_size=14,
+)
+
+
+class TestPageTableProperties:
+    @settings(max_examples=120, deadline=None)
+    @given(n_items=st.integers(0, 30), page_items=st.integers(1, 6), row_bytes=st.integers(1, 64), ops=_PAGE_OPS)
+    def test_array_table_matches_a_dict_of_pages(self, n_items, page_items, row_bytes, ops):
+        """Random move/stamp/invalidate/grow sequences; a repeated page id moves its bytes once."""
+        table = PageTable(n_items, page_items, row_bytes, "v0")
+        oracle = _PageOracle(n_items, page_items, row_bytes, "v0")
+        for op, *args in ops:
+            if op in ("move", "stamp"):
+                raw, arg = args
+                if not oracle.pages:
+                    continue
+                pages = [r % len(oracle.pages) for r in raw]
+                if op == "move":
+                    assert table.move(np.array(pages, dtype=np.int64), arg) == oracle.move(pages, arg)
+                else:
+                    table.stamp_pages(np.array(pages, dtype=np.int64), arg)
+                    oracle.stamp(pages, arg)
+            elif op == "invalidate":
+                table.invalidate(args[0])
+                oracle.invalidate(args[0])
+            else:
+                extra, version = args
+                table.grow(oracle.n_items + extra, version)
+                oracle.grow(oracle.n_items + extra, version)
+            assert table.tier.tolist() == [t for t, _ in oracle.pages.values()]
+            assert list(table.stamps) == [v for _, v in oracle.pages.values()]
+            assert table.page_bytes.tolist() == [oracle.size(p) for p in oracle.pages]
+            for tier in (TIER_HOT, TIER_WARM, TIER_COLD):
+                assert table.resident_bytes(tier) == oracle.resident(tier)
+            for version in ("v0", "v1"):
+                expected = [v != version for _, v in oracle.pages.values()]
+                assert table.stale_mask(np.arange(table.n_pages), version).tolist() == expected
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n_items=st.integers(1, 60),
+        page_items=st.integers(1, 6),
+        tiers=st.lists(st.sampled_from([TIER_HOT, TIER_WARM, TIER_COLD]), max_size=60),
+        served=st.lists(st.integers(0, 59), max_size=40),
+        limit_share=st.floats(0.0, 1.0),
+    )
+    def test_vectorised_spill_matches_the_page_loop(self, n_items, page_items, tiers, served, limit_share):
+        """One stable sort and a cumsum cut spill the pages the page-at-a-time loop spilled, in its order."""
+        table = PageTable(n_items, page_items, 8, "v0")
+        for page, tier in enumerate(tiers[: table.n_pages]):
+            table.move(np.array([page]), tier)
+        heat = HeatSketch(n_items, half_life_s=1.0)
+        touched, counts = np.unique(np.array(served, dtype=np.int64) % n_items, return_counts=True)
+        heat.observe(touched, counts, now=0.0)
+        limit = max(1, int(limit_share * table.resident_bytes(TIER_WARM)))
+
+        reference = copy.deepcopy(table)
+        spilled = []
+        if reference.resident_bytes(TIER_WARM) > limit:
+            warm = reference.pages_in(TIER_WARM)
+            for p in warm[np.argsort(heat.page_scores(0.5, page_items)[warm], kind="stable")]:
+                reference.move(np.array([p]), TIER_COLD)
+                spilled.append(int(p))
+                if reference.resident_bytes(TIER_WARM) <= limit:
+                    break
+
+        moves = []
+        move = table.move
+        table.move = lambda pages, tier: moves.append((pages.tolist(), tier)) or move(pages, tier)
+        store = SimpleNamespace(
+            cache_config=CacheConfig(page_items=page_items, warm_bytes=limit),
+            _pages=table,
+            _heat=heat,
+            cache_stats=CacheStats(),
+        )
+        TieredFactorStore._enforce_warm_capacity(store, 0.5)
+        assert [p for pages, tier in moves for p in pages] == spilled
+        assert all(tier == TIER_COLD for _, tier in moves)
+        assert store.cache_stats.spills == len(spilled)
+        assert table.tier.tolist() == reference.tier.tolist()
+        for tier in (TIER_HOT, TIER_WARM, TIER_COLD):
+            assert table.resident_bytes(tier) == reference.resident_bytes(tier)
 
 
 # ---------------------------------------------------------------------- #
@@ -273,6 +408,66 @@ class TestTieredStore:
         assert tiered.resident_bytes()["host-warm"] <= total // 4
         # Each cold batch paid at least the seek latency.
         assert stats.miss_seconds >= 1e-3
+
+
+def _reference_page_transfers(machine, partition, table, promotions, demotions) -> list:
+    """One transfer per page, its owner searched page by page: what the cache issued before coalescing."""
+
+    def per_page(pages, make, tag):
+        return [make(partition.owner_of(int(p) * table.page_items), int(table.page_bytes[p]), tag=tag) for p in pages]
+
+    return per_page(promotions, machine.h2d, "cache-promote") + per_page(demotions, machine.d2h, "cache-demote")
+
+
+@st.composite
+def coalescing_cases(draw):
+    """Page sets with repeats, uneven 1–4 shard bounds, one or two sockets, mixed directions."""
+    n_items = draw(st.integers(1, 90))
+    page_items = draw(st.integers(1, 9))
+    n_shards = draw(st.integers(1, 4))
+    cuts = sorted(draw(st.lists(st.integers(0, n_items), min_size=n_shards - 1, max_size=n_shards - 1)))
+    pages = st.lists(st.integers(0, -(-n_items // page_items) - 1), max_size=16)
+    batches = draw(st.lists(st.tuples(pages, pages), min_size=1, max_size=4))
+    return n_items, page_items, draw(st.integers(1, 512)), [0, *cuts, n_items], draw(st.booleans()), batches
+
+
+class TestCoalescedTransfers:
+    @settings(max_examples=150, deadline=None)
+    @given(case=coalescing_cases())
+    def test_one_transfer_per_device_charges_what_one_per_page_charged(self, case):
+        """Seconds bitwise equal, bytes moved equal, clock labels equal."""
+        n_items, page_items, row_bytes, bounds, dual, batches = case
+        n_shards = len(bounds) - 1
+        partition = Partition1D(n_items, n_shards, bounds=np.array(bounds))
+        table = PageTable(n_items, page_items, row_bytes, "v0")
+        store = SimpleNamespace(partition=partition, _pages=table)
+        topology = MachineTopology.dual_socket if dual else MachineTopology.single_socket
+        reference, coalesced = (MultiGPUMachine(n_shards, topology=topology(n_shards)) for _ in range(2))
+        for promotions, demotions in batches:
+            promoted, demoted = np.array(promotions, dtype=np.int64), np.array(demotions, dtype=np.int64)
+            per_page = _reference_page_transfers(reference, partition, table, promoted, demoted)
+            merged = TieredFactorStore._page_transfers(store, promoted, coalesced.h2d, "cache-promote")
+            merged += TieredFactorStore._page_transfers(store, demoted, coalesced.d2h, "cache-demote")
+            assert len(merged) <= 2 * n_shards
+            expected = reference.run_transfers(per_page, label="cache-wave")
+            assert np.float64(coalesced.run_transfers(merged, label="cache-wave")).tobytes() == np.float64(expected).tobytes()
+        assert coalesced.transfer_engine.total_bytes_moved == reference.transfer_engine.total_bytes_moved
+        assert coalesced.clock.breakdown() == reference.clock.breakdown()
+
+    def test_one_touch_fills_with_at_most_one_transfer_per_shard(self, fitted):
+        tiered = tiered_store(fitted, plan_window_s=1.0)
+        batches = []
+        run_transfers = tiered.machine.run_transfers
+
+        def recording(transfers, label="transfer"):
+            batches.append((label, len(transfers)))
+            return run_transfers(transfers, label=label)
+
+        tiered.machine.run_transfers = recording
+        tiered.recommend_batch(np.arange(64), k=8)
+        fills = [n for label, n in batches if label == "cache-fill-h2d"]
+        assert fills and all(1 <= n <= tiered.n_shards for n in fills)
+        assert tiered.cache_stats.warm_misses > tiered.n_shards  # many pages, few transfers
 
 
 # ---------------------------------------------------------------------- #
@@ -426,3 +621,33 @@ class TestCacheObservability:
         tiered = tiered_store(fitted)
         tiered.recommend_batch(np.arange(32), k=5)
         assert tiered.cache_stats.misses > 0
+
+
+# ---------------------------------------------------------------------- #
+# zero cost when disabled, by counting
+# ---------------------------------------------------------------------- #
+class TestDisabledCacheCounting:
+    def test_disabled_cache_never_builds_or_calls_the_cache(self, fitted, tiny_ratings, tmp_path, monkeypatch):
+        """With ``cache=None`` a replay and a full service round touch no cache code at all."""
+
+        def sentinel(name):
+            def called(*args, **kwargs):
+                raise AssertionError(f"{name} called with the cache disabled")
+
+            return called
+
+        for cls in (PageTable, HeatSketch, CachePlanner):
+            monkeypatch.setattr(cls, "__init__", sentinel(f"{cls.__name__}()"))
+        monkeypatch.setattr(TieredFactorStore, "_touch", sentinel("TieredFactorStore._touch"))
+
+        service = fitted.serve(ServingConfig(replicas=2, n_shards=2, registry_dir=str(tmp_path), ratings=tiny_ratings.train))
+        assert all(type(unit) is FactorStore for unit in service.backend.serving_units())
+        trace = QueryTrace.poisson(300, 20_000.0, service.n_users, seed=4)
+        assert service.simulate(trace, k=5).n_requests == 300
+        service.recommend(0, k=5).raise_for_status()
+        service.rate(0, np.array([1]), np.array([4.0])).raise_for_status()
+        service.fold_in(np.array([2, 3]), np.array([5.0, 4.0]))
+        service.refresh()
+        events = service.plan_rollout(start_s=0.25 * trace.duration, step_s=0.2 * trace.duration)
+        report = service.simulate(trace, events, k=5, exclude=None)
+        assert report.n_dropped == 0 and report.cache == {}

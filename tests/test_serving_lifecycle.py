@@ -239,6 +239,32 @@ class TestSnapshotRegistry:
         with pytest.raises(ValueError, match="not a registry version"):
             registry.load(6)
 
+    def test_compressed_files_still_load_and_list(self, fitted, tmp_path):
+        """Files written with ``np.savez_compressed`` (the earlier format) stay readable."""
+        x, theta = fitted.result.x, fitted.result.theta
+        np.savez_compressed(tmp_path / "cumf_iter0.npz", iteration=np.int64(0), x=x, theta=theta)
+        np.savez_compressed(
+            tmp_path / "cumf_iter1.npz",
+            iteration=np.int64(1),
+            x=x,
+            theta=theta,
+            lam=np.float64(0.07),
+            weighted=np.bool_(True),
+            tag=np.str_("old"),
+            registry_version=np.int64(1),
+            protected=np.bool_(True),
+        )
+        manager = CheckpointManager(str(tmp_path), keep=5)
+        np.testing.assert_array_equal(manager.load(0).theta, theta)
+        registry = SnapshotRegistry(str(tmp_path))
+        assert registry.versions() == [1]
+        snap = registry.load(1)
+        assert (snap.label, snap.lam, snap.tag) == ("v1", 0.07, "old")
+        np.testing.assert_array_equal(snap.x, x)
+        assert registry.publish(x, theta) == 2 and registry.versions() == [1, 2]
+        with np.load(registry.load(2).path) as blob:
+            np.testing.assert_array_equal(blob["theta"], theta)
+
     def test_publish_store_and_empty_load(self, store, tmp_path):
         registry = SnapshotRegistry(str(tmp_path))
         with pytest.raises(ValueError, match="no versions"):
