@@ -37,6 +37,29 @@ uniform [0, 1), 20k items, masked                10.0 ms   8.8 ms
 N(0, 1), 10k items, masked, uniform users        6.2 ms    5.1 ms
 N(0, 1), 10k items, masked, power-law trace      6.0 ms    4.6 ms
 ===============================================  ========  ========
+
+The third was taken before and after each store kept an answer table, so
+that a user is scored once per snapshot instead of once per batch.  Every
+round now runs on a fresh ``replicate()``: on one store, every round
+after the first would time table lookups.  The one-batch cases score
+every distinct user of their batch on both sides, so they should not
+move; they stay within the ~±1 ms spread between runs (allocating and
+filling a fresh 5,000-user table for one batch takes ~55 µs).  The
+replay of 20k uniform queries over 5,000 users scores its 4,897
+distinct users once each instead of ~19,500 rows (median of three
+pytest-benchmark medians; the replay row is the median of three
+5-round medians):
+
+===============================================  ========  ========
+case                                             before    after
+===============================================  ========  ========
+uniform [0, 1), 20k items                        6.9 ms    7.6 ms
+uniform [0, 1), 20k items, masked                6.7 ms    7.5 ms
+N(0, 1), 10k items, masked, uniform users        4.5 ms    4.8 ms
+N(0, 1), 10k items, masked, power-law trace      4.0 ms    4.1 ms
+looped, 32 single-user calls, 20k items          15.3 ms   15.1 ms
+replay, 20k uniform queries, one replica         405 ms    148 ms
+===============================================  ========  ========
 """
 
 import time
@@ -56,6 +79,8 @@ TOPK = 10
 N_SHARDS = 4
 SEEN_PER_USER = 25
 REPLAY_ITEMS = 10_000  # the e2e serve-replay catalogue
+REPLAY_QUERIES = 20_000  # one e2e serve-replay trace
+ROUNDS = 15
 
 
 def _factors() -> FitResult:
@@ -113,37 +138,76 @@ def store(result):
     return FactorStore.from_result(result, n_shards=N_SHARDS)
 
 
+def _on_fresh_replicas(benchmark, store, call, *args):
+    """Time ``call(replica, *args)`` on a fresh replica of ``store`` each round.
+
+    A store answers a user it has scored before from its answer table,
+    so timing rounds on one store would time table lookups after the
+    first; the untimed ``setup`` hands every round an empty table.
+    """
+    return benchmark.pedantic(call, setup=lambda: ((store.replicate(), *args), {}), rounds=ROUNDS, warmup_rounds=1)
+
+
 def test_bench_recommend_batch(benchmark, store, users):
-    recs = benchmark(store.recommend_batch, users, TOPK)
+    recs = _on_fresh_replicas(benchmark, store, FactorStore.recommend_batch, users, TOPK)
     assert len(recs) == BATCH and len(recs[0]) == TOPK
 
 
 def test_bench_recommend_batch_masked(benchmark, store, users, seen):
-    recs = benchmark(store.recommend_batch, users, TOPK, seen)
+    recs = _on_fresh_replicas(benchmark, store, FactorStore.recommend_batch, users, TOPK, seen)
     _assert_masked_topk(users, recs, seen)
 
 
 def test_bench_recommend_batch_replay_shape(benchmark, replay_store, replay_seen, users):
     """The e2e serve-replay batch shape with uniform users (almost no user repeats): every query masked."""
-    recs = benchmark(replay_store.recommend_batch, users, TOPK, replay_seen)
+    recs = _on_fresh_replicas(benchmark, replay_store, FactorStore.recommend_batch, users, TOPK, replay_seen)
     _assert_masked_topk(users, recs, replay_seen)
 
 
 def test_bench_recommend_batch_replay_trace(benchmark, replay_store, replay_seen):
     """A serve-replay batch drawn from a power-law Poisson trace: 48 of its 256 queries repeat a user."""
     users = QueryTrace.poisson(BATCH, 2.0e6, M_USERS, seed=19, user_exponent=0.8).users
-    recs = benchmark(replay_store.recommend_batch, users, TOPK, replay_seen)
+    recs = _on_fresh_replicas(benchmark, replay_store, FactorStore.recommend_batch, users, TOPK, replay_seen)
     _assert_masked_topk(users, recs, replay_seen)
     first = {}
     for user, row in zip(users.tolist(), recs):
         assert first.setdefault(user, row) == row
 
 
-def test_bench_recommend_looped(benchmark, store, users):
-    def looped():
-        return [store.recommend(int(u), k=TOPK) for u in users[:32]]
+def test_bench_replay_one_replica(benchmark, replay_store, replay_seen):
+    """The e2e serve-replay shape end to end: 20k uniform queries through one replica, seen items masked.
 
-    recs = benchmark(looped)
+    Each distinct user of the trace is scored exactly once; every other
+    query reads the replica's answer table.
+    """
+    rng = np.random.default_rng(23)
+    trace = QueryTrace(np.cumsum(rng.exponential(1 / 1.2e6, REPLAY_QUERIES)), rng.integers(0, M_USERS, REPLAY_QUERIES))
+    scored_per_round = []
+
+    def fresh_replica():
+        replica = replay_store.replicate()
+        scored = []
+        score_block = replica._score_block
+
+        def counted(block, exclude):
+            scored.append(block)
+            return score_block(block, exclude)
+
+        replica._score_block = counted
+        scored_per_round.append(scored)
+        return (RequestSimulator(replica, k=TOPK, exclude=replay_seen, max_batch=BATCH, window_s=1e-3), trace), {}
+
+    report = benchmark.pedantic(RequestSimulator.run, setup=fresh_replica, rounds=3)
+    assert report.n_requests == REPLAY_QUERIES
+    for scored in scored_per_round:
+        np.testing.assert_array_equal(np.sort(np.concatenate(scored)), np.unique(trace.users))
+
+
+def test_bench_recommend_looped(benchmark, store, users):
+    def looped(replica):
+        return [replica.recommend(int(u), k=TOPK) for u in users[:32]]
+
+    recs = _on_fresh_replicas(benchmark, store, looped)
     assert len(recs) == 32
 
 
@@ -160,27 +224,29 @@ def test_batched_throughput_beats_looped(result, users, report):
     looped = FactorStore.from_result(result, n_shards=N_SHARDS)
 
     # Warm both paths (BLAS thread pools, allocator) before timing, then
-    # take the best of three rounds; the simulated cost is deterministic,
+    # take the best of three rounds, each on fresh replicas: a store answers
+    # a user it has scored from its answer table, so a second round on the
+    # same store would time lookups.  The simulated cost is deterministic,
     # so one round's clock delta is representative.
     batched.recommend_batch(users, k=TOPK)
     looped.recommend(int(users[0]), k=TOPK)
 
     wall_batched = float("inf")
     for _ in range(3):
-        before = batched.stats.simulated_seconds
+        replica = batched.replicate()
         wall0 = time.perf_counter()
-        batched.recommend_batch(users, k=TOPK)
+        replica.recommend_batch(users, k=TOPK)
         wall_batched = min(wall_batched, time.perf_counter() - wall0)
-        sim_batched = batched.stats.simulated_seconds - before
+        sim_batched = replica.stats.simulated_seconds
 
     wall_looped = float("inf")
     for _ in range(3):
-        before = looped.stats.simulated_seconds
+        replica = looped.replicate()
         wall0 = time.perf_counter()
         for u in users:
-            looped.recommend(int(u), k=TOPK)
+            replica.recommend(int(u), k=TOPK)
         wall_looped = min(wall_looped, time.perf_counter() - wall0)
-        sim_looped = looped.stats.simulated_seconds - before
+        sim_looped = replica.stats.simulated_seconds
 
     sim_ratio = sim_looped / sim_batched
     wall_ratio = wall_looped / wall_batched

@@ -12,8 +12,9 @@ training, and answers top-k queries in batches:
   cuMF kernels;
 * items a user has already rated are masked out from a CSR matrix
   (typically the training matrix) with one gather over its ``indptr``;
-* a user who appears several times in one block is scored and
-  selected once, and the answer is copied to each of their queries;
+* each user is scored and selected once per served snapshot: the
+  store keeps an answer table of every top-k row it has computed, and a
+  later query by the same user reads the stored row;
 * the host selects each user's exact top-k from the whole score block
   (descending score, ties by ascending item id), scanning only the
   column groups that can hold a winner;
@@ -22,9 +23,9 @@ training, and answers top-k queries in batches:
 * the simulated clock charges the classic scatter/gather top-k of a
   sharded recommender tier instead — a score+select kernel per shard,
   then a D2H copy of each shard's k candidates for a host merge, for
-  every query of the batch, repeated users included.  Both give the
-  same answer, because the top-k of the union of the shards' top-k
-  lists is the top-k of the whole row;
+  every query of the batch, whether or not the table answered it.  Both
+  give the same answer, because the top-k of the union of the shards'
+  top-k lists is the top-k of the whole row;
 * every batch advances the machine's simulated clock with per-device
   kernel and transfer estimates via :mod:`repro.gpu.kernel`, so the
   batching advantage (Θ is read once per batch instead of once per
@@ -100,6 +101,27 @@ class TopK(Sequence):
 
     def __repr__(self) -> str:
         return repr(list(self))
+
+
+class _Answers:
+    """The answer table: every top-k row a store has computed in one (snapshot, exclude) epoch.
+
+    Row ``u`` holds user ``u``'s top-``width`` ids and scores once
+    ``known[u]`` is set.  A top-kk answer is the bitwise prefix of the
+    top-width answer (:meth:`FactorStore._select_topk` is exact), so any
+    ``kk <= width`` is read from the first kk columns.  ``exclude`` is the
+    seen-item matrix the rows were masked with, held by reference: the
+    table answers only calls that pass that very object.  The arrays are
+    ``np.zeros``, so the pages of users nobody asks for cost no memory.
+    """
+
+    __slots__ = ("exclude", "ids", "scores", "known")
+
+    def __init__(self, n_users: int, width: int, exclude: CSRMatrix | None):
+        self.exclude = exclude
+        self.ids = np.zeros((n_users, width), dtype=np.int64)
+        self.scores = np.zeros((n_users, width), dtype=np.float32)
+        self.known = np.zeros(n_users, dtype=bool)
 
 
 @dataclass
@@ -250,11 +272,13 @@ class FactorStore:
 
         :meth:`grow_items` comes through here so appending item rows does
         not recopy the (unchanged) X scoring matrix or kernel profiles.
+        Every answer computed so far is dropped with the old Θ.
         """
         theta.setflags(write=False)
         self.theta = theta
         self.partition = Partition1D(theta.shape[0], n_shards)
         self._shards = [np.ascontiguousarray(theta[lo:hi], dtype=np.float32) for lo, hi in (self.partition.range_of(i) for i in range(n_shards))]
+        self._answers: _Answers | None = None
 
     # ------------------------------------------------------------------ #
     # construction / persistence
@@ -370,13 +394,14 @@ class FactorStore:
         return {}
 
     def _restore_fold_state(self, n_trained_users: int, folded_items: dict) -> None:
-        """Adopt fold-in bookkeeping from a saved or replicated store."""
+        """Adopt fold-in bookkeeping from a saved or replicated store (it changes what is masked, so answers drop)."""
         if not 0 <= n_trained_users <= self.n_users:
             raise ValueError(f"n_trained_users must be in [0, {self.n_users}], got {n_trained_users}")
         if set(folded_items) != set(range(n_trained_users, self.n_users)):
             raise ValueError("folded-items map must cover exactly the rows above n_trained_users")
         self._n_trained_users = int(n_trained_users)
         self._folded_items = {int(u): np.asarray(seg, dtype=np.int64) for u, seg in folded_items.items()}
+        self._answers = None
 
     def replicate(self, *, machine: MultiGPUMachine | None = None, n_shards: int | None = None) -> "FactorStore":
         """An independent copy of this snapshot on a fresh simulated machine.
@@ -572,6 +597,21 @@ class FactorStore:
         ``user_block`` users to bound the ``block × n_items`` score
         buffer.  This is the one top-k entry point: the traffic simulator
         and every serving front end go through it.
+
+        Each user is scored once per (snapshot, ``exclude``) epoch: the
+        store's answer table keeps every row it computes, and later
+        queries by that user, in this call or a later one, read the
+        stored row (its first columns for a smaller ``k``).  So a user's
+        answer is the one computed when the user was first scored in the
+        epoch, bit for bit, whatever block or call repeats it.  The
+        epoch ends when the factors, the item axis or the fold-in state
+        change (:meth:`swap_snapshot`, :meth:`grow_items`,
+        :meth:`fold_in`, :meth:`load`, :meth:`replicate`), when ``k``
+        exceeds every ``k`` asked so far, or when ``exclude`` is another
+        object than the last call's.  ``exclude`` is therefore read as a
+        value: do not mutate a matrix in place between calls; pass a new
+        one.  Every query is still charged to the simulated clock and
+        counted in :attr:`stats`, whether the table answered it or not.
         """
         self.check_topk_args(k, user_block)
         users = self._validate_users(users)
@@ -612,16 +652,23 @@ class FactorStore:
     def _topk_block(self, block: np.ndarray, kk: int, exclude: CSRMatrix | None) -> tuple[np.ndarray, np.ndarray]:
         """Exact top-``kk`` ids/scores for one block of users, one row per query.
 
-        Scores the block's distinct users (:meth:`_score_block`), selects
-        each one's top-kk (:meth:`_select_topk`) and copies the answer to
-        every query of that user, then charges the simulated per-device
-        time of the sharded dataflow for all ``block.size`` queries to the
-        machine clock.
+        Scores (:meth:`_score_block`) and selects (:meth:`_select_topk`)
+        only the block's distinct users the answer table lacks, stores
+        their rows, and reads every query's answer from the table.  The
+        table is rebuilt, empty and ``kk`` wide, when ``exclude`` is not
+        the object it was filled under or ``kk`` is wider than it.  The
+        simulated per-device time of the sharded dataflow is charged to
+        the machine clock for all ``block.size`` queries.
         """
-        unique, inverse = np.unique(block, return_inverse=True)
-        ids, top = self._select_topk(self._score_block(unique, exclude), kk)
+        answers = self._answers
+        if answers is None or answers.exclude is not exclude or answers.ids.shape[1] < kk:
+            answers = self._answers = _Answers(self.n_users, kk, exclude)
+        missing = np.unique(block[~answers.known[block]])
+        if missing.size:
+            answers.ids[missing], answers.scores[missing] = self._select_topk(self._score_block(missing, exclude), answers.ids.shape[1])
+            answers.known[missing] = True
         self._account_topk(block.size, kk)
-        return ids[inverse], top[inverse]
+        return answers.ids[block, :kk], answers.scores[block, :kk]
 
     def _score_block(self, block: np.ndarray, exclude: CSRMatrix | None) -> np.ndarray:
         """The float32 ``(b, n_items)`` scores of one block of users, seen items at ``-inf``.
@@ -648,6 +695,11 @@ class FactorStore:
         >= t), so the exact top-kk lies among the entries >= t.  Only the
         groups whose maximum reaches ``t`` (about kk of the g) are scanned,
         plus the ``n_items - g·width`` tail columns that join no group.
+        NaN scores are never answers: a group's maximum ignores them, and
+        an all-NaN group's maximum is ``-inf``, not NaN (which would rank
+        above every real maximum and raise ``t`` past valid scores).  So
+        the selection is exact over the non-NaN entries, and a top-kk
+        answer is the bitwise prefix of any wider one.
         The candidates are ordered by one stable sort on an int64 key of
         (row, descending score); they arrive in ascending id within each
         row, so equal scores keep ascending ids.  Rows hold ``-inf`` past
@@ -657,7 +709,7 @@ class FactorStore:
         g = min(4 * kk, n)
         width = n // g
         head = scores[:, : g * width].reshape(b, g, width)
-        group_max = np.fmax.reduce(head, axis=2)
+        group_max = np.fmax.reduce(head, axis=2, initial=-np.inf)
         threshold = np.partition(group_max, g - kk, axis=1)[:, g - kk]
         gr, gg = np.divmod(np.flatnonzero(group_max >= threshold[:, None]), g)
         groups = head[gr, gg]
@@ -773,6 +825,7 @@ class FactorStore:
         self.x.setflags(write=False)
         self._x_score = np.vstack([self._x_score, factor[None, :].astype(np.float32)])
         self._folded_items[user] = np.unique(items)
+        self._answers = None
 
         # Simulated cost: one Hermitian assembly + one 1-row batched solve
         # on device 0, plus shipping the ratings up and the factor back.

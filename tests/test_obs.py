@@ -15,8 +15,8 @@ from repro.core.trainer import CuMF
 from repro.gpu.kernel import KernelProfile
 from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.memory import MemoryKind
-from repro.obs.registry import MetricsRegistry
-from repro.obs.tracing import Tracer
+from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.tracing import Span, Tracer
 from repro.perf.counters import OpCounter
 from repro.serving.service import ServingConfig
 from repro.serving.simulator import QueryTrace
@@ -491,3 +491,36 @@ class TestEndToEnd:
         assert plain.latency_p95_s == watched.latency_p95_s
         assert plain.makespan_s == watched.makespan_s
         assert plain.per_replica_queries == watched.per_replica_queries
+
+
+# ---------------------------------------------------------------------- #
+# zero cost when disabled, by counting
+# ---------------------------------------------------------------------- #
+class TestDisabledObsCounting:
+    @pytest.fixture()
+    def config(self):
+        return ALSConfig(f=6, iterations=2, lam=0.06, seed=3)
+
+    def test_disabled_obs_builds_no_span_or_histogram(self, tiny_ratings, config, monkeypatch):
+        """With observability off, a fit and a replay construct no span or instrument and call no recorder."""
+
+        def sentinel(name):
+            def called(*args, **kwargs):
+                raise AssertionError(f"{name} called with observability disabled")
+
+            return called
+
+        for cls in (Span, Counter, Gauge, Histogram):
+            monkeypatch.setattr(cls, "__init__", sentinel(f"{cls.__name__}()"))
+        for name in ("counter", "gauge", "histogram", "_get_or_create"):
+            monkeypatch.setattr(MetricsRegistry, name, sentinel(f"MetricsRegistry.{name}"))
+        for name in ("add_span", "instant", "span", "adopt_execution"):
+            monkeypatch.setattr(Tracer, name, sentinel(f"Tracer.{name}"))
+
+        assert not obs.enabled()
+        model = CuMF(config, backend="su", n_gpus=2, scheduler="eager")
+        model.fit(tiny_ratings.train, tiny_ratings.test)
+        service = model.serve(ServingConfig(replicas=2, ratings=tiny_ratings.train))
+        assert service.recommend(1, k=5).ok
+        trace = QueryTrace.poisson(n_requests=300, rate_qps=20_000.0, n_users=100, seed=5)
+        assert service.simulate(trace, k=5).n_requests == 300

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.core import ALSConfig, CuMF
 from repro.core.checkpoint import CheckpointManager
 from repro.gpu.machine import MultiGPUMachine
-from repro.serving import CacheConfig, FactorStore, ServingConfig, TieredFactorStore, TopK
+from repro.serving import CacheConfig, FactorStore, QueryTrace, RequestSimulator, ServingConfig, TieredFactorStore, TopK
 from repro.sparse.csr import CSRMatrix
 
 
@@ -296,11 +296,11 @@ class TestSelectionMatchesReference:
 
     Unlike :class:`TestTopKTieRule`, the factors are N(0, 1) floats, so
     the scores are the inexact float32 values real serving selects from.
-    ``_topk_block`` scores each distinct user of a block once, in sorted
-    order, so the reference selects from the score block of the distinct
-    users and is expanded back to the block's queries: a BLAS row result
-    can depend on the GEMM's row count, so the block's own score matrix
-    is not always bitwise the same.
+    On a fresh store ``_topk_block`` scores each distinct user of a block
+    once, in sorted order, so the reference selects from the score block
+    of the distinct users and is expanded back to the block's queries: a
+    BLAS row result can depend on the GEMM's row count, so the block's
+    own score matrix is not always bitwise the same.
     """
 
     @settings(max_examples=80, deadline=None)
@@ -349,6 +349,74 @@ class TestSelectionMatchesReference:
         xb = store._x_score[block]
         want = np.concatenate([xb @ shard.T for shard in store._shards], axis=1)
         np.testing.assert_array_equal(store._score_block(block, None).view(np.int32), want.view(np.int32))
+
+
+def _full_scan_select(scores, kk):
+    """The grouping-free selection: one ``lexsort`` over every non-NaN entry by (row, -score, id), padded with ``(0, -inf)``."""
+    b = scores.shape[0]
+    rows, cols = np.nonzero(~np.isnan(scores))
+    vals = scores[rows, cols]
+    order = np.lexsort((cols, -vals, rows))
+    counts = np.bincount(rows, minlength=b)
+    rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    first = rank < kk
+    keep = order[first]
+    ids = np.zeros((b, kk), dtype=np.int64)
+    top = np.full((b, kk), -np.inf, dtype=np.float32)
+    ids[rows[keep], rank[first]] = cols[keep]
+    top[rows[keep], rank[first]] = vals[keep]
+    return ids, top
+
+
+class TestNaNScores:
+    """A NaN score is no answer, and it costs its row no other answer.
+
+    A group of columns that holds only NaN has maximum ``-inf``; were it
+    NaN, ``np.partition`` would rank it above every real maximum and the
+    threshold would rise past the row's kk-th valid score.
+    """
+
+    def test_all_nan_group_keeps_every_valid_answer(self):
+        # kk=3 over 9 columns: each column is its own group, and column 0's is all NaN.
+        scores = np.array([[np.nan, 5, 4, 3, 2, 1, 0, -1, -2]], dtype=np.float32)
+        ids, top = FactorStore._select_topk(scores, 3)
+        assert ids.tolist() == [[1, 2, 3]] and top.tolist() == [[5.0, 4.0, 3.0]]
+
+    def test_store_answers_a_user_with_a_nan_score_in_full(self):
+        # User 0 scores item 0 at 1e40 - 1e40: inf - inf = NaN in float32; items 1..8 score 10..80.
+        x = np.array([[1e20, 1e20]])
+        theta = np.vstack([[1e20, -1e20], np.column_stack([np.arange(1, 9) * 1e-19, np.zeros(8)])])
+        store = FactorStore(x, theta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(store._score_block(np.array([0]), None)[0, 0])
+            recs = store.recommend_batch(np.array([0]), k=3)
+        assert [item for item, _ in recs[0]] == [8, 7, 6]
+
+    @settings(max_examples=80, deadline=None)
+    @given(**_GENERATED)
+    def test_matches_grouping_free_reference(self, n_shards, n_items, f, n_trained, n_folded, kk, batch, masked, seed):
+        n_shards, kk = min(n_shards, n_items), min(kk, n_items)
+        store, exclude, block, _ = _generated_store(n_shards, n_items, f, n_trained, n_folded, kk, batch, masked, seed, huge=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = store._score_block(np.unique(block), exclude)
+        _assert_bitwise_equal(FactorStore._select_topk(scores, kk), _full_scan_select(scores, kk))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        b=st.integers(1, 6),
+        n=st.integers(1, 200),
+        kk=st.integers(1, 40),
+        special_rate=st.sampled_from([0.0, 0.05, 0.3, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_literal_blocks_match_grouping_free_reference(self, b, n, kk, special_rate, seed):
+        # GEMMs over ±1e20 factors rarely sum inf - inf, so NaN, ±inf and -0.0 are also written in directly, among integer ties.
+        rng = np.random.default_rng(seed)
+        kk = min(kk, n)
+        scores = rng.integers(-4, 5, size=(b, n)).astype(np.float32)
+        special = rng.random((b, n)) < special_rate
+        scores[special] = rng.choice(np.array([np.nan, np.inf, -np.inf, -0.0], dtype=np.float32), size=int(special.sum()))
+        _assert_bitwise_equal(FactorStore._select_topk(scores, kk), _full_scan_select(scores, kk))
 
 
 def _reference_box(ids, vals, kk):
@@ -478,6 +546,76 @@ class TestSimulatedTime:
         per_query_batched = batched.stats.simulated_seconds / 256
         per_query_looped = looped.stats.simulated_seconds / 256
         assert per_query_looped / per_query_batched >= 10.0
+
+
+def _count_scored(store):
+    """Record the users of every ``_score_block`` call on ``store``; returns the (growing) list of blocks."""
+    scored = []
+    score_block = store._score_block
+
+    def counted(block, exclude):
+        scored.append(block.copy())
+        return score_block(block, exclude)
+
+    store._score_block = counted
+    return scored
+
+
+class TestAnswerTable:
+    """Each user is scored once per (snapshot, exclude) epoch; later queries read the stored row."""
+
+    def test_replay_scores_each_distinct_user_once(self):
+        rng = np.random.default_rng(5)
+        x, theta = rng.standard_normal((300, 8)), rng.standard_normal((400, 8))
+        seen = CSRMatrix.from_arrays((300, 400), rng.integers(0, 300, 3000), rng.integers(0, 400, 3000), np.ones(3000))
+        store = FactorStore(x, theta, n_shards=2)
+        scored = _count_scored(store)
+        trace = QueryTrace.poisson(3000, 50_000.0, 300, seed=6)
+        report = RequestSimulator(store, k=5, exclude=seen, max_batch=64, window_s=1e-3).run(trace)
+        assert report.n_requests == store.stats.queries == 3000
+        np.testing.assert_array_equal(np.sort(np.concatenate(scored)), np.unique(trace.users))
+
+    def test_repeats_across_calls_read_bitwise_identical_rows(self):
+        rng = np.random.default_rng(6)
+        store = FactorStore(rng.standard_normal((50, 16)), rng.standard_normal((500, 16)), n_shards=3)
+        first = store.recommend_batch(np.array([4]), k=7)
+        later = store.recommend_batch(rng.permutation(np.r_[4, 4, np.arange(20, 45)]), k=7)
+        rows = later.ids[:, 0] == first.ids[0, 0]
+        assert (later.ids[rows] == first.ids[0]).all() and (later.scores[rows].view(np.int32) == first.scores[0].view(np.int32)).all()
+        narrow = store.recommend_batch(np.array([4]), k=3)
+        assert narrow.ids.tolist() == [first.ids[0, :3].tolist()] and narrow.scores[0].tobytes() == first.scores[0, :3].tobytes()
+        assert store.stats.queries == 1 + 27 + 1 and store.stats.batches == 3
+
+    def test_every_mutation_rescores_the_next_query(self, tmp_path):
+        rng = np.random.default_rng(7)
+        x, theta = rng.integers(-3, 4, size=(6, 3)), rng.integers(-3, 4, size=(20, 3))
+        seen = CSRMatrix.from_arrays((6, 20), rng.integers(0, 6, 30), rng.integers(0, 20, 30), np.ones(30))
+        store = FactorStore(x, theta, n_shards=2)
+        users = np.array([0, 2, 2, 5])
+
+        def rescored(store, k=4, exclude=seen):
+            scored = _count_scored(store)
+            store.recommend_batch(users, k=k, exclude=exclude)
+            del store._score_block
+            return sorted(np.concatenate(scored).tolist()) if scored else []
+
+        assert rescored(store) == [0, 2, 5]
+        assert rescored(store) == rescored(store, k=2) == []
+        assert rescored(store, k=5) == [0, 2, 5]  # a wider k than the table holds
+        assert rescored(store, exclude=CSRMatrix(seen.shape, seen.indptr, seen.indices, seen.data)) == [0, 2, 5]  # equal, not the same object
+        assert rescored(store) == [0, 2, 5] and rescored(store, exclude=None) == [0, 2, 5]
+        for mutate in (
+            lambda: store.swap_snapshot(x, theta),
+            lambda: store.fold_in(np.array([1, 2]), np.array([4.0, 5.0])),
+            lambda: store._restore_fold_state(6, {6: np.array([3])}),
+            lambda: store.grow_items(np.ones((1, 3))),
+        ):
+            assert rescored(store, exclude=None) == []
+            mutate()
+            assert rescored(store, exclude=None) == [0, 2, 5]
+        store.save(str(tmp_path))
+        for clone in (store.replicate(), FactorStore.load(str(tmp_path), n_shards=2)):
+            assert rescored(clone, exclude=None) == [0, 2, 5]
 
 
 class TestPersistence:

@@ -38,6 +38,7 @@ from repro.serving import (
     TrafficReport,
     make_router,
     register_router,
+    simulator,
 )
 from repro.serving.routing import Router, get_router_spec
 from repro.serving.store import FactorStore
@@ -612,6 +613,33 @@ class TestServiceTenancy:
         trace = QueryTrace.multi_tenant({"capped": 3 * cap}, 0.02, n_users, seed=37)
         report = service.simulate(trace, k=10, max_batch=32, window_s=5e-5, exclude=None)
         assert report.per_tenant["capped"].n_shed_cap > 0
+
+
+# ---------------------------------------------------------------------- #
+# zero cost when unconfigured, by counting
+# ---------------------------------------------------------------------- #
+class TestUnconfiguredTenancyCounting:
+    def test_no_policy_table_never_builds_the_tenant_discipline(self, fitted, data, n_users, monkeypatch):
+        """Without a policy table a tenant-labelled replay and a service round build no ``TenantScheduler`` or ``_Wfq``."""
+
+        def sentinel(name):
+            def called(*args, **kwargs):
+                raise AssertionError(f"{name} built without a policy table")
+
+            return called
+
+        monkeypatch.setattr(TenantScheduler, "__init__", sentinel("TenantScheduler()"))
+        monkeypatch.setattr(simulator._Wfq, "__init__", sentinel("_Wfq()"))
+
+        trace = QueryTrace.multi_tenant({"free": 4e4, "pro": 2e4}, 0.01, n_users, seed=41)
+        assert trace.tenants is not None
+        report = RequestSimulator(_build_backend("cluster", fitted), k=5, max_batch=32, window_s=1e-4).run(trace)
+        assert report.n_requests == trace.n_requests
+        service = fitted.serve(ServingConfig(replicas=2, ratings=data.train))
+        assert service.recommend(3, k=5, tenant="free").status == "ok"
+        assert service.predict(np.array([0, 1]), np.array([2, 3]), tenant="pro").status == "ok"
+        assert service.rate(3, np.array([1]), np.array([4.0]), tenant="free").status == "ok"
+        assert service.simulate(trace, k=5, max_batch=32, window_s=1e-4, exclude=None).n_requests == trace.n_requests
 
 
 # ---------------------------------------------------------------------- #
