@@ -22,6 +22,7 @@ from repro.core.hermitian import update_factor
 from repro.serving import (
     InteractionLog,
     QueryTrace,
+    RecommenderService,
     RequestSimulator,
     RolloutController,
     ServingCluster,
@@ -196,8 +197,10 @@ def test_grown_items_are_served_after_rollout(registry, refreshed):
     RolloutController(cluster, registry).rollout(1)
     assert cluster.n_items == N_ITEMS + refreshed.n_new_items
     # the merged ratings matrix is the exclude matrix of the new version
-    recs = cluster.recommend(M_USERS + 2, k=5, exclude=refreshed.ratings)
-    assert len(recs) == 5
+    service = RecommenderService(cluster, ratings=refreshed.ratings)
+    for _ in range(REPLICAS):
+        response = service.recommend(M_USERS + 2, k=5).raise_for_status()
+        assert len(response.payload[0]) == 5 and response.version == "v1"
 
 
 def test_store_swap_is_cheaper_than_rebuild(registry):

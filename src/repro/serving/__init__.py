@@ -73,14 +73,7 @@ from repro.serving.cache import (
     TieredFactorStore,
     Wave,
 )
-from repro.serving.cluster import (
-    LeastLoadedRouter,
-    PowerOfTwoRouter,
-    RoundRobinRouter,
-    Router,
-    ServingCluster,
-    make_router,
-)
+from repro.serving.cluster import ServingCluster
 from repro.serving.foldin import fold_in_user, fold_in_users, validate_ratings
 from repro.serving.lifecycle import (
     InteractionLog,
@@ -92,8 +85,13 @@ from repro.serving.lifecycle import (
     refresh_factors,
 )
 from repro.serving.routing import (
+    LeastLoadedRouter,
+    PowerOfTwoRouter,
+    RoundRobinRouter,
+    Router,
     RouterSpec,
     get_router_spec,
+    make_router,
     register_router,
     router_names,
 )

@@ -1,15 +1,16 @@
-"""Replicated serving: R copies of one store behind a load-balancing router.
+"""Replicated serving: R copies of one store in rotation behind a router.
 
 One :class:`~repro.serving.store.FactorStore` is capacity-bound by its
 machine; a production tier scales *reads* by replication.  A
-:class:`ServingCluster` holds R replicas of one snapshot — each produced
-by :meth:`FactorStore.replicate`, i.e. an identical model on its own
-independent simulated machine — and routes every batched top-k call
-through a pluggable :class:`~repro.serving.routing.Router` policy.
-Policies live in :mod:`repro.serving.routing` (round-robin /
-least-loaded / power-of-two out of the box) and new ones join via
-:func:`~repro.serving.routing.register_router` without touching this
-module; the classes are re-exported here for compatibility.
+:class:`ServingCluster` is a replica set: R replicas of one snapshot —
+each produced by :meth:`FactorStore.replicate`, i.e. an identical model
+on its own independent simulated machine — a rotation (drain / restore),
+write-through writes, the rolling snapshot swap and merged stats.  It
+carries the routing policy (a :class:`~repro.serving.routing.Router`,
+see :mod:`repro.serving.routing`) but makes no routing decision itself:
+reads go through the one dispatch step,
+:func:`~repro.serving.simulator.serve_window`, which the traffic
+simulator calls per window and the service facade per request.
 
 The cluster is the one serving backend: a lone store is served as a
 one-replica cluster (:meth:`ServingCluster.of`), so the traffic
@@ -21,12 +22,6 @@ Writes do not scale by replication, so cold-start fold-ins are
 to every replica and checks they all assign the same user id — any
 replica can then serve the new user with identical results and
 exclusion behaviour.
-
-The cluster is driven either directly (:meth:`recommend_batch` routes
-one batch) or by a :class:`~repro.serving.simulator.RequestSimulator`,
-which keeps one server-free timeline per replica and reports per-replica
-utilization, so the routing policies can be compared under the same
-arrival trace.
 """
 
 from __future__ import annotations
@@ -36,29 +31,14 @@ from typing import Sequence
 import numpy as np
 
 import repro.obs as obs
-from repro.serving.routing import (
-    LeastLoadedRouter,
-    PowerOfTwoRouter,
-    RoundRobinRouter,
-    Router,
-    make_router,
-    select_replica,
-)
-from repro.serving.store import FactorStore, TopK
+from repro.serving.routing import Router, make_router
+from repro.serving.store import FactorStore
 
-__all__ = [
-    "Router",
-    "RoundRobinRouter",
-    "LeastLoadedRouter",
-    "PowerOfTwoRouter",
-    "ServingCluster",
-    "make_router",
-    "select_replica",
-]
+__all__ = ["ServingCluster"]
 
 
 class ServingCluster:
-    """R replicas of one factor snapshot behind a routing policy.
+    """R replicas of one factor snapshot, in rotation behind a routing policy.
 
     Parameters
     ----------
@@ -250,48 +230,6 @@ class ServingCluster:
         """The independently-clocked stores behind this cluster."""
         return list(self.replicas)
 
-    def loads(self) -> list[float]:
-        """Cumulative simulated serving seconds, one entry per replica."""
-        return [rep.stats.simulated_seconds for rep in self.replicas]
-
-    # ------------------------------------------------------------------ #
-    # reads: routed to one active replica
-    # ------------------------------------------------------------------ #
-    def route(self) -> int:
-        """Ask the router for the replica that should take the next batch.
-
-        Only active replicas are offered to the router (their cumulative
-        simulated serving seconds stand in for outstanding work outside
-        the traffic simulator); the returned index is a global replica
-        index.
-        """
-        active = self.active_indices()
-        all_loads = self.loads()
-        return active[select_replica(self.router, [all_loads[i] for i in active])]
-
-    def predict(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Predicted ratings (replica-independent; first active replica)."""
-        return self.replicas[self.active_indices()[0]].predict(users, items)
-
-    def recommend(self, user: int, k: int = 10, exclude=None) -> list[tuple[int, float]]:
-        """Top-``k`` for one user, routed to one replica.
-
-        ``k`` is validated before the routing decision, so a rejected
-        request does not consume a routing slot; the error is the
-        store's own.
-        """
-        return self.recommend_batch(np.array([user]), k=k, exclude=exclude)[0]
-
-    def recommend_batch(self, users: np.ndarray, k: int = 10, exclude=None, user_block: int = 512) -> TopK:
-        """Top-``k`` for a batch of users, routed to one replica.
-
-        ``k`` and ``user_block`` are validated before the routing
-        decision (the store's own check); everything else is delegated
-        to the routed replica.
-        """
-        FactorStore.check_topk_args(k, user_block)
-        return self.replicas[self.route()].recommend_batch(users, k=k, exclude=exclude, user_block=user_block)
-
     # ------------------------------------------------------------------ #
     # writes: applied everywhere
     # ------------------------------------------------------------------ #
@@ -346,7 +284,7 @@ class ServingCluster:
         """Swap every replica to a new model, one at a time — the rolling swap.
 
         Each active replica is rotated out (drained) while its store
-        swaps, then restored, so concurrent direct traffic always finds
+        swaps, then restored, so concurrent facade traffic always finds
         ``R - 1`` replicas serving; a lone replica is swapped directly
         (there is nobody to rotate behind), and an already-draining
         replica is swapped in place and left out of rotation.  For a
@@ -367,10 +305,6 @@ class ServingCluster:
     # ------------------------------------------------------------------ #
     # bookkeeping
     # ------------------------------------------------------------------ #
-    def total_queries(self) -> int:
-        """Queries served across all replicas."""
-        return sum(rep.stats.queries for rep in self.replicas)
-
     def stats_dict(self) -> dict:
         """Aggregate + per-replica counters for printing / reports.
 
@@ -383,7 +317,7 @@ class ServingCluster:
             "router": self.router.name,
             "n_replicas": self.n_replicas,
             "n_active": self.n_active,
-            "queries": self.total_queries(),
+            "queries": sum(rep.stats.queries for rep in self.replicas),
             "fold_ins": sum(rep.stats.fold_ins for rep in self.replicas),
             "versions": [rep.version for rep in self.replicas],
             "per_replica": [rep.stats.as_dict() for rep in self.replicas],

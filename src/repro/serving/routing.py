@@ -48,12 +48,13 @@ __all__ = [
 class Router(Protocol):
     """Picks the replica that serves the next batch.
 
-    ``select`` receives one non-negative load figure per replica —
-    outstanding simulated work under the traffic simulator, cumulative
-    serving seconds when routing direct calls — and returns a replica
-    index.  Routers may keep state (round-robin position, RNG); ``reset``
-    returns them to their initial state so a router can be reused across
-    runs deterministically.
+    ``select`` receives one non-negative load figure per replica in
+    rotation — its outstanding simulated work at dispatch time, as the
+    one dispatch step (:func:`~repro.serving.simulator.serve_window`)
+    offers it to the replay and the facade alike — and returns an index
+    into that list.  Routers may keep state (round-robin position, RNG);
+    ``reset`` returns them to their initial state so a router can be
+    reused across runs deterministically.
 
     The protocol is runtime-checkable: any object carrying ``name`` /
     ``select`` / ``reset`` is a router, so custom policies plug into

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 from repro.core.validation import require
 from repro.serving.cache.config import CacheConfig
-from repro.serving.cluster import Router, make_router
 from repro.serving.lifecycle.log import InteractionLog
+from repro.serving.routing import Router, make_router
 from repro.serving.tenancy import TenantPolicy, TenantPolicyTable
 from repro.sparse.csr import CSRMatrix
 

@@ -4,12 +4,14 @@
 production recommender actually has:
 
 * a **data plane** — :meth:`predict`, :meth:`recommend`, :meth:`rate` —
-  where every call takes a typed request, is routed through the
-  backend's policy, and returns a
+  where every call takes a typed request and returns a
   :class:`~repro.serving.service.envelopes.ServeResponse` (status,
   payload, simulated latency, served version, serving unit) instead of
   a bare array; backend errors become error envelopes, so one bad
-  request cannot take down a serving loop;
+  request cannot take down a serving loop.  A recommend call is a
+  one-request window of the replay's dispatch step
+  (:func:`~repro.serving.simulator.serve_window`), so the facade and
+  :meth:`simulate` route, serve and charge by one rule;
 * an **admin plane** — :meth:`fold_in`, :meth:`refresh`,
   :meth:`snapshot`, :meth:`rollout`, :meth:`rollback`, :meth:`drain` /
   :meth:`restore` — the operator verbs that mutate the deployment, which
@@ -41,13 +43,13 @@ from repro.serving.service.envelopes import (
     RecommendRequest,
     ServeResponse,
 )
+from repro.serving.simulator import LifecycleEvent, QueryTrace, RequestSimulator, TrafficReport, serve_window
 from repro.serving.store import FactorStore
 from repro.serving.tenancy import TenantPolicyTable, TenantScheduler
 from repro.sparse.csr import CSRMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, hints only
     from repro.serving.lifecycle.log import InteractionLog
-    from repro.serving.simulator import LifecycleEvent, QueryTrace, TrafficReport
 
 __all__ = ["RecommenderService"]
 
@@ -194,21 +196,20 @@ class RecommenderService:
         obs.get_registry().counter("serve.lifecycle", action=action).inc()
         obs.get_tracer().instant(
             action,
-            ts=self._admission_clock(),
+            ts=self._clock()[2],
             category="lifecycle",
             process="serve",
             track="lifecycle",
             **args,
         )
 
-    def _error(self, kind: str, exc: Exception, replica: int = -1, tenant: str = "") -> ServeResponse:
+    def _error(self, kind: str, exc: Exception, tenant: str = "") -> ServeResponse:
         self._n_errors += 1
         self._count_tenant(tenant or "default", "error")
         return self._observe(
             ServeResponse(
                 kind=kind,
                 status="error",
-                replica=replica,
                 error=str(exc),
                 error_type=type(exc).__name__,
                 tenant=tenant,
@@ -228,25 +229,33 @@ class RecommenderService:
             )
         )
 
-    def _admission_clock(self) -> float:
-        """Admission time on the backend's simulated-seconds timeline."""
-        loads = self.backend.loads()
-        return max(loads) if loads else 0.0
+    def _clock(self) -> tuple[list[int], list[float], float]:
+        """The replicas in rotation, each replica's free time, and now.
+
+        The facade serves one-request windows on the replicas' own
+        timelines: replica ``r`` is free at its ``stats.simulated_seconds``
+        and a request arrives, is admitted and dispatches at the earliest
+        free time of a replica in rotation.
+        """
+        active = self.backend.active_indices()
+        free = [unit.stats.simulated_seconds for unit in self.backend.replicas]
+        return active, free, min(free[r] for r in active)
 
     def predict(self, users: Any, items: np.ndarray | None = None, *, tenant: str = "default") -> ServeResponse:
-        """Score (user, item) pairs; replica-independent, so no routing.
+        """Score (user, item) pairs on the first replica in rotation; replica-independent, so no routing.
 
         Accepts a :class:`PredictRequest` or plain aligned index arrays.
         With tenancy configured, an over-cap tenant is shed — prediction
         has no reduced-``k`` degrade knob, so the cap is hard here.
         """
         request = users if isinstance(users, PredictRequest) else PredictRequest(users, items, tenant=tenant)
+        active, _, now = self._clock()
         if self._scheduler is not None:
-            decision, _ = self._scheduler.admit(request.tenant, self._admission_clock())
+            decision, _ = self._scheduler.admit(request.tenant, now)
             if decision != "ok":
                 return self._shed("predict", request.tenant)
-        replica = self.backend.active_indices()[0]
-        unit = self.backend.serving_units()[replica]
+        replica = active[0]
+        unit = self.backend.replicas[replica]
         before = unit.stats.simulated_seconds
         try:
             payload = unit.predict(request.users, request.items)
@@ -276,13 +285,19 @@ class RecommenderService:
         exclude: Any = SERVICE_DEFAULT,
         tenant: str = "default",
     ) -> ServeResponse:
-        """Top-``k`` for one user or a batch, routed through the backend.
+        """Top-``k`` for one user or a batch, served as a one-request window.
 
         Accepts a :class:`RecommendRequest` or plain arguments; the
         payload is always the store's :class:`~repro.serving.store.TopK`,
         read as one ``[(item, score), ...]`` list per user.
         ``exclude`` defaults to the service's ratings matrix; pass
         ``None`` to disable exclusion for this request.
+
+        The request arrives when the first replica in rotation frees up
+        (see :meth:`_clock`) and is routed, served and charged by the
+        replay's dispatch step.  ``latency_s`` is its finish minus that
+        arrival: the service time on a load-aware pick, plus the wait
+        behind the chosen replica's backlog on a load-blind one.
 
         With tenancy configured, admission runs first: an over-cap
         tenant whose policy has a ``degrade_k`` is served at that
@@ -295,30 +310,25 @@ class RecommenderService:
         else:
             request = RecommendRequest(users, k=k, user_block=user_block, exclude=exclude, tenant=tenant)
         mask = self.ratings if request.exclude is SERVICE_DEFAULT else request.exclude
-        # Same invariant as the cluster path: a request rejected for a bad
-        # k or user_block never consumes a routing slot (the store's check).
+        # A request rejected for a bad k or user_block never consumes a
+        # routing slot (the store's own check).
         try:
             FactorStore.check_topk_args(request.k, request.user_block)
         except ValueError as exc:
             return self._error("recommend", exc, tenant=request.tenant)
-        k_eff = request.k
-        status = "ok"
+        active, free, now = self._clock()
+        k_eff, status = request.k, "ok"
         if self._scheduler is not None:
-            decision, policy = self._scheduler.admit(request.tenant, self._admission_clock())
+            decision, policy = self._scheduler.admit(request.tenant, now)
             if decision == "shed":
                 return self._shed("recommend", request.tenant)
-            if decision == "degraded":
-                k_eff = min(request.k, policy.degrade_k or request.k)
-                if k_eff != request.k:
-                    status = "degraded"
-        replica = self.backend.route()
-        unit = self.backend.serving_units()[replica]
-        before = unit.stats.simulated_seconds
+            if decision == "degraded" and policy.degrade_k < request.k:
+                k_eff, status = policy.degrade_k, "degraded"
         try:
             batch = np.atleast_1d(np.asarray(request.users))
-            payload = unit.recommend_batch(batch, k=k_eff, exclude=mask, user_block=request.user_block)
+            replica, [(payload, _, done)] = serve_window(self.backend, active, free, now, [(k_eff, batch)], mask, request.user_block)
         except (ValueError, RuntimeError) as exc:
-            return self._error("recommend", exc, replica=replica, tenant=request.tenant)
+            return self._error("recommend", exc, tenant=request.tenant)
         self._counters["recommend"] += 1
         self._count_tenant(request.tenant, status)
         return self._observe(
@@ -326,12 +336,12 @@ class RecommenderService:
                 kind="recommend",
                 status=status,
                 payload=payload,
-                latency_s=unit.stats.simulated_seconds - before,
-                version=unit.version,
+                latency_s=done - now,
+                version=self.backend.replicas[replica].version,
                 replica=replica,
                 tenant=request.tenant,
             ),
-            start_s=before,
+            start_s=now,
         )
 
     def rate(
@@ -459,7 +469,7 @@ class RecommenderService:
         start_s: float,
         step_s: float,
         swap_s: float | None = None,
-    ) -> "list[LifecycleEvent]":
+    ) -> list[LifecycleEvent]:
         """The rolling swap as simulator events (one unit per step).
 
         When the target is a pending refresh, a final event promotes its
@@ -469,8 +479,6 @@ class RecommenderService:
         events = controller.plan_events(version, start_s=start_s, step_s=step_s, swap_s=swap_s)
         target = controller.validate_target(version)
         if self._pending is not None and self._pending[0] == target.version:
-            from repro.serving.simulator import LifecycleEvent
-
             events.append(
                 LifecycleEvent(
                     time=events[-1].time,
@@ -503,7 +511,7 @@ class RecommenderService:
         start_s: float,
         step_s: float,
         swap_s: float | None = None,
-    ) -> "list[LifecycleEvent]":
+    ) -> list[LifecycleEvent]:
         """A :meth:`rollback` as mid-trace simulator events.
 
         The whole plan is dry-run against the old version first —
@@ -526,15 +534,15 @@ class RecommenderService:
 
     def simulate(
         self,
-        trace: "QueryTrace",
-        events: "list[LifecycleEvent] | tuple" = (),
+        trace: QueryTrace,
+        events: list[LifecycleEvent] | tuple = (),
         *,
         k: int = 10,
         max_batch: int = 256,
         window_s: float = 0.02,
         exclude: Any = SERVICE_DEFAULT,
         max_pending: int | None = None,
-    ) -> "TrafficReport":
+    ) -> TrafficReport:
         """Replay a query trace through the backend.
 
         ``exclude`` defaults to the service's ratings matrix; pass
@@ -548,8 +556,6 @@ class RecommenderService:
         bounded by ``max_pending`` queued requests (see
         :class:`~repro.serving.simulator.RequestSimulator`).
         """
-        from repro.serving.simulator import RequestSimulator
-
         mask = self.ratings if exclude is SERVICE_DEFAULT else exclude
         sim = RequestSimulator(
             self.backend,

@@ -44,7 +44,7 @@ from repro.datasets.synthetic import powerlaw_weights
 from repro.obs.stats import event_window_p95, percentile_summary, utilization
 from repro.serving.cluster import ServingCluster
 from repro.serving.routing import select_replica
-from repro.serving.store import FactorStore
+from repro.serving.store import FactorStore, TopK
 from repro.serving.tenancy import (
     DEFAULT_TENANT,
     STATUS_DEGRADED,
@@ -59,7 +59,7 @@ from repro.serving.tenancy import (
 )
 from repro.sparse.csr import CSRMatrix
 
-__all__ = ["LifecycleEvent", "QueryTrace", "RequestSimulator", "TrafficReport"]
+__all__ = ["LifecycleEvent", "QueryTrace", "RequestSimulator", "TrafficReport", "serve_window"]
 
 
 @dataclass(frozen=True)
@@ -411,6 +411,43 @@ def _publish_report(report: TrafficReport, served: np.ndarray, tenants: np.ndarr
         registry.gauge("serve.utilization", replica=f"replica:{r}").set(util)
 
 
+def serve_window(
+    cluster: ServingCluster,
+    active: Sequence[int],
+    free: list[float],
+    dispatch: float,
+    batches: Sequence[tuple[int, np.ndarray]],
+    exclude: CSRMatrix | None = None,
+    user_block: int = 512,
+) -> tuple[int, list[tuple[TopK, float, float]]]:
+    """The serving tier's one dispatch step: route a window, serve it, charge the replica.
+
+    ``free[r]`` is when replica ``r`` frees up on the caller's clock (the
+    replay's timelines, or each replica's ``stats.simulated_seconds`` for
+    the facade's one-request windows).  The router sees the outstanding
+    work ``max(0, free[r] - dispatch)`` of each replica in ``active``, so
+    a load-blind pick may wait behind a busy replica's backlog.  The
+    chosen replica serves each ``(k, users)`` batch with one
+    ``recommend_batch`` call, back to back from ``max(dispatch,
+    free[choice])``, and ``free[choice]`` moves to the last finish.
+    Returns the chosen replica index and one ``(answer, service seconds,
+    finish time)`` per batch.
+    """
+    loads = [max(0.0, free[r] - dispatch) for r in active]
+    choice = active[select_replica(cluster.router, loads)]
+    replica = cluster.replicas[choice]
+    done = max(dispatch, free[choice])
+    served = []
+    for k, users in batches:
+        before = replica.stats.simulated_seconds
+        answer = replica.recommend_batch(users, k=k, exclude=exclude, user_block=user_block)
+        service = replica.stats.simulated_seconds - before
+        done += service
+        served.append((answer, service, done))
+    free[choice] = done
+    return choice, served
+
+
 def _fire(due: deque, until: float) -> bool:
     """Run every queued lifecycle event due by ``until``; True if any ran."""
     fired = False
@@ -544,10 +581,11 @@ class _Wfq:
             if policy.queue_limit is not None and self.backlog.get(tenant, 0) >= policy.queue_limit:
                 status[idx] = STATUS_SHED_QUEUE
                 continue
-            if not scheduler.try_acquire(tenant, float(arrivals[idx])):
-                if policy.degrade_k is None:
-                    status[idx] = STATUS_SHED_CAP
-                    continue
+            decision, _ = scheduler.admit(tenant, float(arrivals[idx]))
+            if decision == "shed":
+                status[idx] = STATUS_SHED_CAP
+                continue
+            if decision == "degraded":
                 self.k_of[idx] = min(self.k, policy.degrade_k)
             heapq.heappush(self.heap, (scheduler.stamp(tenant), idx))
             self.queued.append(idx)
@@ -700,20 +738,9 @@ class RequestSimulator:
                 if not active:
                     queue.put_back()
                     continue
-            # Route on outstanding work at dispatch time; a load-blind
-            # policy may pick a replica that is still busy, in which case
-            # the batch queues behind it (that queueing delay is exactly
-            # what separates the routing policies).
-            loads = [max(0.0, server_free[r] - dispatch) for r in active]
-            choice = active[select_replica(backend.router, loads)]
-            replica = replicas[choice]
-            version = replica.version
-            done = max(dispatch, server_free[choice])
-            for k_eff, members, count in groups:
-                before = replica.stats.simulated_seconds
-                replica.recommend_batch(users[members], k=k_eff, exclude=self.exclude)
-                service = replica.stats.simulated_seconds - before
-                done += service
+            choice, served = serve_window(backend, active, server_free, dispatch, [(k, users[members]) for k, members, _ in groups], self.exclude)
+            version = replicas[choice].version
+            for (k_eff, members, count), (_, service, done) in zip(groups, served):
                 latencies[members] = done - arrivals[members]
                 status[members] = STATUS_OK if k_eff == self.k else STATUS_DEGRADED
                 replica_busy[choice] += service
@@ -733,7 +760,6 @@ class RequestSimulator:
                         k=k_eff,
                         version=version,
                     )
-            server_free[choice] = done
         # Late events (scheduled past the last arrival) still apply, so a
         # rollout that outlives the trace completes instead of wedging the
         # cluster half-drained.

@@ -42,6 +42,7 @@ import operator
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +60,13 @@ __all__ = ["FactorStore", "ServingStats", "TopK"]
 
 # Largest factor entry the float32 scoring copies hold without overflowing to inf.
 _SCORE_MAX = float(np.finfo(np.float32).max)
+
+
+class _Gated(NamedTuple):
+    """Factor masters that already passed :meth:`FactorStore._checked_factors` (read-only)."""
+
+    x: np.ndarray
+    theta: np.ndarray
 
 
 class TopK(Sequence):
@@ -198,8 +206,9 @@ class FactorStore:
         version: str = "",
     ):
         # Snapshot semantics: the store owns private, immutable copies, so
-        # later training runs cannot mutate what is being served.
-        x, theta = self._checked_factors({"x": x, "theta": theta})
+        # later training runs cannot mutate what is being served.  A
+        # replicate() clone shares its source's gated read-only arrays.
+        x, theta = x if isinstance(x, _Gated) else self._checked_factors({"x": x, "theta": theta})
         if lam < 0:
             raise ValueError("lam must be non-negative")
         if machine is not None and n_shards is not None and n_shards != machine.n_gpus:
@@ -407,16 +416,19 @@ class FactorStore:
         """An independent copy of this snapshot on a fresh simulated machine.
 
         The clone serves the same users — trained and folded-in alike,
-        with identical exclusion behaviour — but owns private factor
-        copies, its own machine/clock and zeroed stats, so replicas
-        accumulate simulated time independently.  This is the building
+        with identical exclusion behaviour — on its own machine/clock
+        with zeroed stats, so replicas accumulate simulated time
+        independently.  It shares the source's factor masters: they
+        passed the gate already and are read-only, and every write
+        (fold-in, swap, item growth) installs new arrays rather than
+        touching them.  This is the building
         block :class:`~repro.serving.cluster.ServingCluster` replicates.
         """
         if machine is None and n_shards is None:
             n_shards = self.n_shards
         clone = type(self)(
-            self.x,
-            self.theta,
+            _Gated(self.x, self.theta),
+            None,
             lam=self.lam,
             weighted=self.weighted,
             machine=machine,

@@ -22,11 +22,11 @@ deployment never did:
   violations, throughput share), surfaced on
   :class:`~repro.serving.simulator.TrafficReport.per_tenant`.
 
-:class:`TenantScheduler` is the state machine both entry points share:
-the :class:`~repro.serving.service.facade.RecommenderService` data plane
-uses :meth:`TenantScheduler.admit` for synchronous cap enforcement, and
-the :class:`~repro.serving.simulator.RequestSimulator` drives the full
-bucket + WFQ-stamp + overload machinery on the simulated timeline.
+:class:`TenantScheduler` is the state machine both entry points share,
+and :meth:`TenantScheduler.admit` is their one admission rule: the
+:class:`~repro.serving.service.facade.RecommenderService` data plane
+calls it per request, the :class:`~repro.serving.simulator.RequestSimulator`
+per arrival before the WFQ-stamp and overload machinery.
 Tenancy is strictly opt-in: with no policy table configured, none of
 this code runs and the serving stack behaves exactly as before.
 """
@@ -223,9 +223,9 @@ class TenantScheduler:
 
     The scheduler is deliberately clock-agnostic — callers pass ``now``
     in whatever timeline they live on (trace arrival times under the
-    simulator, the backend's simulated serving seconds on the facade's
-    synchronous path), and :meth:`reset` restores the initial state so
-    one scheduler can replay traces deterministically.
+    simulator, the earliest free replica in rotation on the facade), and
+    :meth:`reset` restores the initial state so one scheduler can replay
+    traces deterministically.
     """
 
     def __init__(self, table: TenantPolicyTable):
@@ -264,11 +264,12 @@ class TenantScheduler:
         return False
 
     def admit(self, tenant: str, now: float) -> tuple[str, TenantPolicy]:
-        """Synchronous admission verdict: ``("ok"|"degraded"|"shed", policy)``.
+        """Admission verdict: ``("ok"|"degraded"|"shed", policy)``.
 
-        This is the facade's data-plane gate: within the cap the request
-        is served normally; past it the tenant is degraded when its
-        policy allows (``degrade_k``) and shed otherwise.
+        The one admission rule of the replay and the facade: within the
+        cap the request is served normally; past it the tenant is
+        degraded when its policy allows (``degrade_k``) and shed
+        otherwise.
         """
         policy = self.table.policy_for(tenant)
         if self.try_acquire(tenant, now):

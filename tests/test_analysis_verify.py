@@ -131,3 +131,30 @@ class TestModeResolution:
 
     def test_rule_catalogue_is_complete(self):
         assert set(TRACE_RULES) == {"DEP-ORDER", "DEVICE-OVERLAP", "LINK-OVERLAP"}
+
+
+class TestVerifyDisabledCounting:
+    """``verify=False`` is zero-cost by counting: a fit never reaches the checkers."""
+
+    @staticmethod
+    def _sentinels(monkeypatch):
+        import repro.analysis.hazards as hazards
+        import repro.analysis.verify as verify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a checker ran")
+
+        for module, name in ((hazards, "analyze_graph"), (hazards, "check_graph"), (verify, "check_trace"), (verify, "verify_trace")):
+            monkeypatch.setattr(module, name, refuse)
+
+    def test_eager_fit_without_verify_never_calls_a_checker(self, monkeypatch, tiny_ratings):
+        self._sentinels(monkeypatch)
+        solver = ScaleUpALS(replace(CONFIG, iterations=2), machine=MultiGPUMachine(n_gpus=2), scheduler="eager", verify=False)
+        result = solver.fit(tiny_ratings.train)
+        assert np.isfinite(result.x).all() and len(solver.traces) > 0
+
+    def test_the_sentinel_fires_with_verify(self, monkeypatch, tiny_ratings):
+        self._sentinels(monkeypatch)
+        solver = ScaleUpALS(CONFIG, machine=MultiGPUMachine(n_gpus=2), scheduler="eager", verify=True)
+        with pytest.raises(AssertionError, match="a checker ran"):
+            solver.fit(tiny_ratings.train)

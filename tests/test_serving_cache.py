@@ -20,6 +20,7 @@ from repro.serving import (
     HeatSketch,
     PageTable,
     QueryTrace,
+    RecommenderService,
     RequestSimulator,
     ServingCluster,
     ServingConfig,
@@ -522,8 +523,9 @@ class TestClusterAndServeWiring:
             n_shards=2,
         )
         assert all(isinstance(rep, TieredFactorStore) for rep in cluster.replicas)
+        service = RecommenderService(cluster)
         for _ in range(4):
-            cluster.recommend_batch(np.arange(48), k=5)
+            service.recommend(np.arange(48), k=5)
         stats = cluster.stats_dict()
         assert stats["cache"]["misses"] > 0
         assert stats["cache"]["hits"] == sum(

@@ -12,6 +12,7 @@ from repro.serving import (
     LeastLoadedRouter,
     PowerOfTwoRouter,
     QueryTrace,
+    RecommenderService,
     RequestSimulator,
     RoundRobinRouter,
     ServingCluster,
@@ -137,17 +138,18 @@ class TestConstruction:
 
 class TestRoutingInvariants:
     def test_routed_batch_matches_single_store(self, store, tiny_ratings):
-        cluster = ServingCluster.from_store(store, 3, router="round-robin")
+        service = RecommenderService(ServingCluster.from_store(store, 3, router="round-robin"), ratings=tiny_ratings.train)
         users = np.arange(30)
         want = store.recommend_batch(users, k=5, exclude=tiny_ratings.train)
-        for _ in range(3):  # every replica gives the single-store answer
-            assert cluster.recommend_batch(users, k=5, exclude=tiny_ratings.train) == want
+        for replica in range(3):  # every replica gives the single-store answer
+            response = service.recommend(users, k=5)
+            assert response.replica == replica and response.payload == want
 
     def test_direct_routing_balances_work(self, traffic_store):
-        cluster = ServingCluster.from_store(traffic_store, 3, router="least-loaded")
+        service = RecommenderService(ServingCluster.from_store(traffic_store, 3, router="least-loaded"))
         for _ in range(9):
-            cluster.recommend_batch(np.arange(64), k=5)
-        batches = [rep.stats.batches for rep in cluster.replicas]
+            service.recommend(np.arange(64), k=5)
+        batches = [rep.stats.batches for rep in service.backend.replicas]
         assert batches == [3, 3, 3]
 
     def test_every_query_served_exactly_once(self, traffic_store):
@@ -156,7 +158,7 @@ class TestRoutingInvariants:
         report = RequestSimulator(cluster, k=5, max_batch=64, window_s=0.001).run(trace)
         assert report.n_requests == 600
         assert sum(report.per_replica_queries) == 600
-        assert cluster.total_queries() == 600
+        assert cluster.stats_dict()["queries"] == 600
         assert sum(rep.stats.batches for rep in cluster.replicas) == report.n_batches
         assert report.n_replicas == 4 and report.router == "power-of-two"
         assert len(report.per_replica_utilization) == 4
@@ -220,11 +222,15 @@ class TestWriteThroughFoldIn:
         assert len(answers) == 1
 
     def test_routed_queries_for_folded_user_are_consistent(self, store, tiny_ratings):
-        cluster = ServingCluster.from_store(store, 3, router="power-of-two")
-        user = cluster.fold_in(*tiny_ratings.train.row(11))
-        want = cluster.replicas[0].recommend(user, k=4, exclude=tiny_ratings.train)
+        service = RecommenderService(ServingCluster.from_store(store, 3, router="power-of-two"), ratings=tiny_ratings.train)
+        user = service.fold_in(*tiny_ratings.train.row(11))
+        want = service.backend.replicas[0].recommend(user, k=4, exclude=tiny_ratings.train)
+        replicas = set()
         for _ in range(6):  # whichever replica the router picks, same answer
-            assert cluster.recommend(user, k=4, exclude=tiny_ratings.train) == want
+            response = service.recommend(user, k=4)
+            assert response.payload[0] == want
+            replicas.add(response.replica)
+        assert len(replicas) > 1
 
     def test_diverged_replicas_detected_without_mutation(self, store):
         cluster = ServingCluster.from_store(store, 2, router="round-robin")
@@ -237,7 +243,7 @@ class TestWriteThroughFoldIn:
 
     def test_stats_dict_merges_replicas(self, store):
         cluster = ServingCluster.from_store(store, 2)
-        cluster.recommend_batch(np.arange(8), k=3)
+        RecommenderService(cluster).recommend(np.arange(8), k=3)
         cluster.fold_in(np.array([2]), np.array([4.0]))
         merged = cluster.stats_dict()
         assert merged["n_replicas"] == 2

@@ -15,6 +15,7 @@ from repro.serving import (
     InteractionLog,
     LifecycleEvent,
     QueryTrace,
+    RecommenderService,
     RequestSimulator,
     RolloutController,
     ServingCluster,
@@ -396,16 +397,16 @@ class TestStoreLifecycleHooks:
 class TestClusterLifecycle:
     def test_drain_restore_masks_routing(self, store):
         cluster = ServingCluster.from_store(store, 3, router="round-robin")
+        service = RecommenderService(cluster)
         assert cluster.active_indices() == [0, 1, 2]
-        cluster.drain(1)
+        service.drain(1)
         assert cluster.n_active == 2 and not cluster.is_active(1)
         for _ in range(6):
-            assert cluster.route() != 1
-        cluster.recommend_batch(np.arange(4), k=2)
+            assert service.recommend(np.arange(4), k=2).replica != 1
         assert cluster.replicas[1].stats.queries == 0
-        cluster.restore(1)
+        service.restore(1)
         assert cluster.active_indices() == [0, 1, 2]
-        assert 1 in {cluster.route() for _ in range(6)}
+        assert 1 in {service.recommend(np.arange(4), k=2).replica for _ in range(6)}
 
     def test_drain_validation(self, store):
         cluster = ServingCluster.from_store(store, 2)
@@ -422,11 +423,11 @@ class TestClusterLifecycle:
 
     def test_predict_skips_drained_head(self, store):
         cluster = ServingCluster.from_store(store, 2)
-        cluster.drain(0)
-        np.testing.assert_allclose(
-            cluster.predict(np.array([0]), np.array([1])),
-            cluster.replicas[1].predict(np.array([0]), np.array([1])),
-        )
+        service = RecommenderService(cluster)
+        service.drain(0)
+        response = service.predict(np.array([0]), np.array([1]))
+        assert response.replica == 1
+        np.testing.assert_allclose(response.payload, cluster.replicas[1].predict(np.array([0]), np.array([1])))
 
     def test_grow_items_writes_through(self, store):
         cluster = ServingCluster.from_store(store, 3)

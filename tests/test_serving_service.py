@@ -78,7 +78,7 @@ def test_of_returns_clusters_and_wraps_stores_without_copying(fitted):
     store = FactorStore.from_result(fitted.result, n_shards=2)
     wrapped = ServingCluster.of(store)
     assert wrapped.replicas == [store] and wrapped.replicas[0] is store
-    wrapped.recommend_batch(np.array([0, 1, 2]), k=3)
+    RecommenderService(wrapped).recommend(np.array([0, 1, 2]), k=3, exclude=None)
     assert store.stats.queries == 3  # the caller's store served the routed call
     for other in (None, "store", [store], fitted.result):
         with pytest.raises(TypeError, match="expected a FactorStore or ServingCluster"):
@@ -91,11 +91,11 @@ class TestBackendContract:
         assert len(units) >= 1
         assert backend.active_indices() == list(range(len(units)))
         assert all(isinstance(unit, FactorStore) for unit in units)
-        assert len(backend.loads()) == len(units)
 
     def test_route_stays_in_range(self, backend):
+        service = RecommenderService(backend)
         for _ in range(5):
-            assert backend.route() in backend.active_indices()
+            assert service.recommend(0, k=3).replica in backend.active_indices()
 
     def test_drain_last_active_refused_identically(self, backend):
         """Both backends refuse to empty the rotation with one message."""
@@ -171,7 +171,7 @@ class TestEnvelopes:
     def test_predict_envelope(self, service):
         response = service.predict(PredictRequest(np.array([0, 1]), np.array([2, 3])))
         assert response.ok and response.kind == "predict"
-        expected = service.backend.predict(np.array([0, 1]), np.array([2, 3]))
+        expected = service.backend.replicas[response.replica].predict(np.array([0, 1]), np.array([2, 3]))
         np.testing.assert_allclose(response.payload, expected)
 
     def test_rate_records_into_log(self, service):
@@ -219,7 +219,7 @@ class TestEnvelopes:
 
 
 # ---------------------------------------------------------------------- #
-# k <= 0 regression: identical ValueError on the store and cluster paths
+# k <= 0 regression: identical ValueError on every backend, through the facade
 # ---------------------------------------------------------------------- #
 class TestTopKValidation:
     #: Hostile top-k arguments that must be a ValueError, never an empty or internal-error answer.
@@ -232,45 +232,37 @@ class TestTopKValidation:
 
     @pytest.mark.parametrize("k", [0, -3])
     def test_backend_recommend_batch(self, backend, k):
-        with pytest.raises(ValueError, match=r"^k must be >= 1$"):
-            backend.recommend_batch(np.array([0]), k=k)
+        response = RecommenderService(backend).recommend(np.array([0]), k=k)
+        assert (response.status, response.error_type, response.error) == ("error", "ValueError", "k must be >= 1")
 
     @pytest.mark.parametrize("k", [0, -3])
     def test_backend_recommend(self, backend, k):
         with pytest.raises(ValueError, match=r"^k must be >= 1$"):
-            backend.recommend(0, k=k)
+            RecommenderService(backend).recommend(0, k=k).raise_for_status()
 
     @pytest.mark.parametrize("kwargs, message", HOSTILE)
     def test_hostile_arguments_rejected_before_any_charge(self, backend, kwargs, message):
         units = backend.serving_units()
         before = [unit.stats.simulated_seconds for unit in units]
-        with pytest.raises(ValueError, match=message):
-            backend.recommend_batch(np.array([0, 1]), **kwargs)
+        response = RecommenderService(backend).recommend(np.array([0, 1]), **kwargs)
+        assert response.error_type == "ValueError" and re.match(message, response.error)
         assert [unit.stats.simulated_seconds for unit in units] == before
 
     @pytest.mark.parametrize("kwargs, message", HOSTILE + [({"k": 0}, r"^k must be >= 1$")])
     def test_hostile_arguments_take_no_routing_slot(self, fitted, data, kwargs, message):
         store = FactorStore.from_result(fitted.result, n_shards=2)
-        cluster = ServingCluster.from_store(store, n_replicas=2, router="round-robin")
-        with pytest.raises(ValueError, match=message):
-            cluster.recommend_batch(np.array([0]), **kwargs)
-        cluster.recommend_batch(np.array([0]), k=3)
-        assert [unit.stats.simulated_seconds > 0 for unit in cluster.serving_units()] == [True, False]
-
         service = RecommenderService(ServingCluster.from_store(store, n_replicas=2, router="round-robin"), ratings=data.train)
         response = service.recommend(np.array([0]), **kwargs)
         assert (response.status, response.error_type, response.payload, response.replica) == ("error", "ValueError", None, -1)
         assert re.match(message, response.error)
         assert service.recommend(np.array([0]), k=3).replica == 0
+        assert [unit.stats.simulated_seconds > 0 for unit in service.backend.serving_units()] == [True, False]
 
     def test_cluster_rejects_before_routing(self, fitted):
-        cluster = _build_backend("cluster", fitted)
-        cluster.router.reset()
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            cluster.recommend_batch(np.array([0]), k=0)
-        # The rejected request consumed no round-robin-style state: the
-        # least-loaded router is stateless, so loads are untouched too.
-        assert all(load == 0.0 for load in cluster.loads())
+        service = RecommenderService(_build_backend("cluster", fitted))
+        assert service.recommend(np.array([0]), k=0).error == "k must be >= 1"
+        # The rejected request charged no replica: every clock is still at zero.
+        assert all(unit.stats.simulated_seconds == 0.0 for unit in service.backend.serving_units())
 
 
 # ---------------------------------------------------------------------- #

@@ -97,6 +97,45 @@ class TestConstruction:
             fitted.result.x -= 1.0
 
 
+class TestReplicate:
+    @pytest.mark.parametrize("cls", [FactorStore, TieredFactorStore])
+    def test_clone_reuses_the_gated_factors(self, fitted, tiny_ratings, monkeypatch, cls):
+        source = cls.from_result(fitted.result, n_shards=2)
+        source.fold_in(*tiny_ratings.train.row(5))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("replicate() sent gated factors through the gate again")
+
+        monkeypatch.setattr(FactorStore, "_checked_factors", staticmethod(refuse))
+        clone = source.replicate()
+        monkeypatch.undo()
+        assert type(clone) is cls and clone.x is source.x and clone.theta is source.theta
+        assert clone.stats.simulated_seconds == 0.0 and clone.machine is not source.machine
+        users = np.arange(source.n_users)
+        want = source.recommend_batch(users, k=5, exclude=tiny_ratings.train)
+        got = clone.recommend_batch(users, k=5, exclude=tiny_ratings.train)
+        _assert_bitwise_equal((got.ids, got.scores), (want.ids, want.scores))
+
+    def test_writes_on_the_clone_leave_the_source_untouched(self, store, tiny_ratings):
+        x, theta = store.x.copy(), store.theta.copy()
+        folded = {u: seg.copy() for u, seg in store._folded_items.items()}
+        users = np.arange(store.n_users)
+        want = store.recommend_batch(users, k=5, exclude=tiny_ratings.train)
+        clone = store.replicate()
+        clone.fold_in(np.array([1, 4]), np.array([5.0, 2.0]))
+        clone.grow_items(np.ones((2, store.f)))
+        clone.swap_snapshot(np.asarray(clone.x) * 2.0, np.asarray(clone.theta) * 2.0)
+        np.testing.assert_array_equal(store.x, x)
+        np.testing.assert_array_equal(store.theta, theta)
+        assert (store.n_users, store.n_items) == (x.shape[0], theta.shape[0])
+        assert store._folded_items.keys() == folded.keys()
+        assert not store.x.flags.writeable and not store.theta.flags.writeable
+        fresh = FactorStore(x, theta, lam=store.lam, n_shards=store.n_shards).recommend_batch(users, k=5, exclude=tiny_ratings.train)
+        _assert_bitwise_equal((fresh.ids, fresh.scores), (want.ids, want.scores))
+        got = store.recommend_batch(users, k=5, exclude=tiny_ratings.train)
+        _assert_bitwise_equal((got.ids, got.scores), (want.ids, want.scores))
+
+
 class TestBatchedTopK:
     def test_batch_matches_looped_recommend(self, fitted, store, tiny_ratings):
         users = np.arange(50)
