@@ -31,7 +31,6 @@ each — tenancy is zero-cost when unconfigured.
 
 from __future__ import annotations
 
-import heapq
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -50,9 +49,9 @@ from repro.serving.tenancy import (
     STATUS_DEGRADED,
     STATUS_DROPPED,
     STATUS_OK,
-    STATUS_SHED_CAP,
     STATUS_SHED_DEADLINE,
     STATUS_SHED_QUEUE,
+    TenantPolicy,
     TenantPolicyTable,
     TenantScheduler,
     build_tenant_reports,
@@ -490,6 +489,36 @@ class _Fifo:
         self.next = self.taken
 
 
+class _Flow:
+    """One tenant's flow: its trace requests and its admitted, undispatched queue.
+
+    ``idx``/``at`` are the tenant's trace indices and arrival times, of
+    which the first ``pos`` went through admission.  The queue is three
+    preallocated arrays (trace index, arrival, virtual tag), live in
+    ``[head, tail)``, oldest first.  Tags never decrease along the flow,
+    so dispatch in ``(tag, index)`` order takes a prefix of every flow,
+    and eviction takes from its tail.
+    """
+
+    def __init__(self, name: str, policy: TenantPolicy, idx: np.ndarray, arrivals: np.ndarray):
+        self.name = name
+        self.policy = policy
+        self.idx = idx
+        self.at = arrivals[idx]
+        self.pos = 0
+        self.q_idx = np.empty(idx.size, dtype=np.int64)
+        self.q_at = np.empty(idx.size)
+        self.q_tag = np.empty(idx.size)
+        self.head = self.tail = 0
+
+    def push(self, idx: np.ndarray, at: np.ndarray, tags: np.ndarray) -> None:
+        end = self.tail + idx.size
+        self.q_idx[self.tail : end] = idx
+        self.q_at[self.tail : end] = at
+        self.q_tag[self.tail : end] = tags
+        self.tail = end
+
+
 class _Wfq:
     """Tenant-scheduled discipline: admission caps, WFQ fill, overload shedding.
 
@@ -506,106 +535,139 @@ class _Wfq:
     light one; at fill time a request whose queueing delay exceeds its
     deadline is shed, and past ``degrade_after`` of the deadline it is
     served at the policy's reduced ``k``.
+
+    The work is done per tenant, not per request: every tenant of the
+    trace has a :class:`_Flow`; a window admits each flow's new arrivals
+    with one :meth:`TenantScheduler.admit_many` and one
+    :meth:`TenantScheduler.stamp_many` call, and fills by merging the
+    flows' heads by ``(tag, trace index)``.
     """
 
     def __init__(self, sim: "RequestSimulator", trace: QueryTrace, status: np.ndarray):
-        self.table = sim.policies
-        self.scheduler = TenantScheduler(self.table)
-        self.k = sim.k
+        table = sim.policies
+        self.scheduler = TenantScheduler(table)
         self.max_batch = sim.max_batch
         self.max_pending = sim.max_pending
         self.arrivals = trace.arrivals
-        self.tenants = trace.tenants
         self.status = status  # shared with the loop; 0 = not resolved yet
-        self.k_of = [sim.k] * trace.n_requests  # effective k; reduced when degraded
-        self.heap: list[tuple[float, int]] = []  # (virtual finish tag, request idx)
-        self.queued: deque[int] = deque()  # admitted, in arrival order, lazily cleaned
-        self.newest: dict[str, list[int]] = {}  # admitted per tenant, newest last
-        self.backlog: dict[str, int] = {}  # live queued count per tenant
-        self.next = 0  # next arrival not yet through admission
-        self.taken: list[tuple[float, int]] = []  # (tag, idx) of the last window
+        self.k_of = np.full(trace.n_requests, sim.k, dtype=np.int64)  # effective k; reduced when degraded
+        names, of = np.unique(trace.tenants, return_inverse=True)
+        members = np.split(np.argsort(of, kind="stable"), np.cumsum(np.bincount(of))[:-1])
+        self.flows = [_Flow(str(name), table.policy_for(str(name)), idx, self.arrivals) for name, idx in zip(names, members)]
+        self.evict_order = sorted(self.flows, key=lambda flow: (flow.policy.priority, flow.name))
+        self.k_degraded = np.array([sim.k if flow.policy.degrade_k is None else min(sim.k, flow.policy.degrade_k) for flow in self.flows])
+        self.k = sim.k
+        self.one_k = bool((self.k_degraded == sim.k).all())  # no tenant can be served at a reduced k
+        self.taken = np.zeros(len(self.flows), dtype=np.int64)  # per flow, entries of the last window
 
     def head(self) -> float | None:
         """Arrival of the oldest backlogged request, else of the next arrival."""
-        queued = self.queued
-        while queued and self.status[queued[0]] != 0:
-            queued.popleft()
-        if queued:
-            return float(self.arrivals[queued[0]])
-        if self.next < self.arrivals.size:
-            return float(self.arrivals[self.next])
-        return None
+        oldest = [flow.q_at[flow.head] for flow in self.flows if flow.head < flow.tail]
+        if not oldest:
+            oldest = [flow.at[flow.pos] for flow in self.flows if flow.pos < flow.at.size]
+        return float(min(oldest)) if oldest else None
 
     def take(self, horizon: float):
         """Admit arrivals up to ``horizon``, then fill a window in tag order."""
         self._admit(horizon)
         self._shed_overflow()
-        scheduler, status = self.scheduler, self.status
-        self.taken = []
-        while self.heap and len(self.taken) < self.max_batch:
-            tag, idx = heapq.heappop(self.heap)
-            if status[idx] != 0:
-                continue
-            tenant = str(self.tenants[idx])
-            policy = self.table.policy_for(tenant)
-            action = scheduler.overload_action(policy, horizon - float(self.arrivals[idx]))
-            scheduler.advance(tag)
-            self.backlog[tenant] -= 1
-            if action == "shed":
-                status[idx] = STATUS_SHED_DEADLINE
-                continue
-            if action == "degraded":
-                self.k_of[idx] = min(self.k, policy.degrade_k)
-            self.taken.append((tag, idx))
-        if not self.taken:
-            return None
-        groups: dict[int, list[int]] = {}
-        for _, idx in self.taken:
-            groups.setdefault(self.k_of[idx], []).append(idx)
-        latest = float(self.arrivals[max(idx for _, idx in self.taken)])
-        window = [(k, np.asarray(groups[k]), len(groups[k])) for k in sorted(groups, reverse=True)]
-        return window, len(self.taken), latest
+        return self._fill(horizon)
 
     def put_back(self) -> None:
-        for tag, idx in self.taken:
-            heapq.heappush(self.heap, (tag, idx))
-            self.backlog[str(self.tenants[idx])] += 1
+        for flow, count in zip(self.flows, self.taken.tolist()):
+            flow.head -= count
 
     def _admit(self, horizon: float) -> None:
-        arrivals, status, scheduler = self.arrivals, self.status, self.scheduler
-        while self.next < arrivals.size and arrivals[self.next] <= horizon:
-            idx = self.next
-            self.next += 1
-            tenant = str(self.tenants[idx])
-            policy = self.table.policy_for(tenant)
-            if policy.queue_limit is not None and self.backlog.get(tenant, 0) >= policy.queue_limit:
-                status[idx] = STATUS_SHED_QUEUE
+        scheduler, status = self.scheduler, self.status
+        for f, flow in enumerate(self.flows):
+            end = int(flow.at.searchsorted(horizon, side="right"))
+            if end <= flow.pos:  # a window may close before an earlier one did
                 continue
-            decision, _ = scheduler.admit(tenant, float(arrivals[idx]))
-            if decision == "shed":
-                status[idx] = STATUS_SHED_CAP
-                continue
-            if decision == "degraded":
-                self.k_of[idx] = min(self.k, policy.degrade_k)
-            heapq.heappush(self.heap, (scheduler.stamp(tenant), idx))
-            self.queued.append(idx)
-            self.newest.setdefault(tenant, []).append(idx)
-            self.backlog[tenant] = self.backlog.get(tenant, 0) + 1
+            new, at = flow.idx[flow.pos : end], flow.at[flow.pos : end]
+            flow.pos = end
+            verdicts = scheduler.admit_many(flow.name, at, flow.tail - flow.head)
+            if verdicts.max() != STATUS_OK:  # some arrival is shed or degraded (STATUS_OK is the lowest code)
+                degraded = verdicts == STATUS_DEGRADED
+                queued = degraded | (verdicts == STATUS_OK)
+                status[new[~queued]] = verdicts[~queued]
+                new, at = new[queued], at[queued]
+                self.k_of[new[degraded[queued]]] = self.k_degraded[f]
+            flow.push(new, at, scheduler.stamp_many(flow.name, new.size))
 
     def _shed_overflow(self) -> None:
         """Past ``max_pending``, evict the lowest-priority tenant's newest requests."""
-        while self.max_pending is not None and sum(self.backlog.values()) > self.max_pending:
-            candidates = []
-            for name, stack in self.newest.items():
-                while stack and self.status[stack[-1]] != 0:
-                    stack.pop()
-                if stack:
-                    candidates.append((self.table.policy_for(name).priority, name))
-            if not candidates:
+        if self.max_pending is None:
+            return
+        excess = sum(flow.tail - flow.head for flow in self.flows) - self.max_pending
+        for flow in self.evict_order:
+            if excess <= 0:
                 break
-            victim = min(candidates)[1]
-            self.status[self.newest[victim].pop()] = STATUS_SHED_QUEUE
-            self.backlog[victim] -= 1
+            evicted = min(excess, flow.tail - flow.head)
+            self.status[flow.q_idx[flow.tail - evicted : flow.tail]] = STATUS_SHED_QUEUE
+            flow.tail -= evicted
+            excess -= evicted
+
+    def _fill(self, horizon: float):
+        """Pop up to ``max_batch`` servable requests in ``(tag, index)`` order.
+
+        A flow contributes its deadline-late prefix plus up to
+        ``max_batch`` further entries; merged, the window ends at the
+        ``max_batch``-th entry that is not shed.  Every popped entry,
+        shed ones included, advances the virtual clock.
+        """
+        scheduler, max_batch, flows = self.scheduler, self.max_batch, self.flows
+        live, sizes, tags, idx, codes, late = [], [], [], [], [], 0
+        for f, flow in enumerate(flows):
+            h, t = flow.head, flow.tail
+            if h == t:
+                continue
+            # Only a deadline makes entries late, and late ones are the flow's oldest.
+            deadline = flow.policy.deadline_s
+            end = t if deadline is not None else min(t, h + max_batch)
+            action = scheduler.overload_many(flow.policy, horizon - flow.q_at[h:end])
+            n_late = 0 if deadline is None else int(np.count_nonzero(action == STATUS_SHED_DEADLINE))
+            size = min(end - h, n_late + max_batch)
+            live.append(f)
+            sizes.append(size)
+            tags.append(flow.q_tag[h : h + size])
+            idx.append(flow.q_idx[h : h + size])
+            codes.append(action[:size])
+            late += n_late
+        if not live:
+            return None
+        tags, idx, codes = np.concatenate(tags), np.concatenate(idx), np.concatenate(codes)
+        owner = np.repeat(live, sizes)
+        order = np.lexsort((idx, tags)) if len(live) > 1 else np.arange(tags.size)
+        if late:
+            servable = np.flatnonzero(codes[order] != STATUS_SHED_DEADLINE)
+            cut = int(servable[max_batch - 1]) + 1 if servable.size >= max_batch else order.size
+        else:
+            cut = min(max_batch, order.size)
+        popped = order[:cut]
+        scheduler.advance(float(tags[popped[-1]]))
+        self.taken = np.bincount(owner[popped], minlength=len(flows))
+        for f, count in zip(live, self.taken[live].tolist()):
+            flows[f].head += count
+        flagged = codes[popped]
+        if flagged.max() != STATUS_OK:  # some popped entry is shed or degraded (STATUS_OK is the lowest code)
+            slow = popped[flagged == STATUS_DEGRADED]
+            self.k_of[idx[slow]] = self.k_degraded[owner[slow]]
+            shed = flagged == STATUS_SHED_DEADLINE
+            self.status[idx[popped[shed]]] = STATUS_SHED_DEADLINE
+            popped = popped[~shed]
+            self.taken = np.bincount(owner[popped], minlength=len(flows))
+            if not popped.size:
+                return None
+        members = idx[popped]
+        latest = float(self.arrivals[members.max()])
+        if self.one_k:
+            return [(self.k, members, members.size)], members.size, latest
+        k_of = self.k_of[members]
+        window = []
+        for group_k in np.unique(k_of)[::-1].tolist():  # one recommend_batch per effective k, largest first
+            group = members[k_of == group_k]
+            window.append((group_k, group, group.size))
+        return window, members.size, latest
 
 
 class RequestSimulator:

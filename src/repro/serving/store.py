@@ -568,6 +568,8 @@ class FactorStore:
             raise ValueError("users and items must have the same shape")
         if items.size and (items.min() < 0 or items.max() >= self.n_items):
             raise ValueError(f"item index out of range: store serves items [0, {self.n_items})")
+        if users.size:
+            self._account_predict(users.size)
         return np.einsum("ij,ij->i", self.x[users], self.theta[items])
 
     def recommend(self, user: int, k: int = 10, exclude: CSRMatrix | None = None) -> list[tuple[int, float]]:
@@ -793,6 +795,28 @@ class FactorStore:
         self.stats.queries += b
         self.stats.batches += 1
         self.stats.simulated_seconds += elapsed
+        self._account_device_deltas(busy_before)
+
+    def _account_predict(self, n: int) -> None:
+        """Advance the simulated clock by one pass scoring ``n`` (user, item) pairs.
+
+        On device 0: the index pairs go up, one gather-dot kernel reads
+        both factor rows of every pair (``2 n f`` floats) and writes
+        ``n`` scores, and the scores come back down.  Top-k counters
+        (``queries``, ``batches``) are left alone.
+        """
+        before = self.machine.elapsed_seconds()
+        busy_before = self._device_busy()
+        self.machine.run_transfers([self.machine.h2d(0, 2 * n * FLOAT_BYTES, tag="predict-pairs")], label="serve-h2d")
+        dot = KernelProfile(
+            name="predict_dot",
+            flops=2.0 * n * self.f,
+            traffic={MemoryKind.GLOBAL: float((2 * n * self.f + n) * FLOAT_BYTES)},
+            blocks=n,
+        )
+        self.machine.run_parallel_kernels({0: dot})
+        self.machine.run_transfers([self.machine.d2h(0, n * FLOAT_BYTES, tag="predict-scores")], label="serve-d2h")
+        self.stats.simulated_seconds += self.machine.elapsed_seconds() - before
         self._account_device_deltas(busy_before)
 
     def _device_busy(self) -> list[float]:

@@ -23,10 +23,12 @@ deployment never did:
   :class:`~repro.serving.simulator.TrafficReport.per_tenant`.
 
 :class:`TenantScheduler` is the state machine both entry points share,
-and :meth:`TenantScheduler.admit` is their one admission rule: the
-:class:`~repro.serving.service.facade.RecommenderService` data plane
-calls it per request, the :class:`~repro.serving.simulator.RequestSimulator`
-per arrival before the WFQ-stamp and overload machinery.
+and :meth:`TenantScheduler.admit_many` is their one admission rule (and
+:meth:`TenantScheduler.stamp_many` their one tag rule): the
+:class:`~repro.serving.simulator.RequestSimulator` decides each tenant's
+arrivals of a window in one call, the
+:class:`~repro.serving.service.facade.RecommenderService` data plane one
+request at a time through the one-element forms ``admit`` and ``stamp``.
 Tenancy is strictly opt-in: with no policy table configured, none of
 this code runs and the serving stack behaves exactly as before.
 """
@@ -54,13 +56,18 @@ DEFAULT_TENANT = "default"
 
 # Per-request outcome codes of a simulator replay.
 # 0 doubles as "still pending": whatever is left unresolved when the
-# replay ends (e.g. every replica drained away) was dropped.
+# replay ends (e.g. every replica drained away) was dropped.  STATUS_OK
+# is the lowest code a verdict or an overload action can take, so a
+# batch of them is all-OK exactly when its maximum is STATUS_OK.
 STATUS_DROPPED = 0
 STATUS_OK = 1
 STATUS_DEGRADED = 2
 STATUS_SHED_CAP = 3
 STATUS_SHED_DEADLINE = 4
 STATUS_SHED_QUEUE = 5
+
+# Admission verdicts as the facade names them.
+_VERDICTS = {STATUS_OK: "ok", STATUS_DEGRADED: "degraded", STATUS_SHED_CAP: "shed"}
 
 
 @dataclass(frozen=True)
@@ -239,61 +246,85 @@ class TenantScheduler:
         self._virtual = 0.0
 
     # ------------------------------------------------------------------ #
-    # token-bucket caps (the BCache t_caps idea, in requests/second)
+    # admission: token-bucket caps (the BCache t_caps idea, in requests/second)
     # ------------------------------------------------------------------ #
-    def try_acquire(self, tenant: str, now: float) -> bool:
-        """Take one token from the tenant's bucket at time ``now``.
+    def admit_many(self, tenant: str, now: np.ndarray, backlog: int = 0) -> np.ndarray:
+        """Admission verdicts for the tenant's arrivals at non-decreasing times ``now``.
 
-        Uncapped tenants always pass.  Buckets start full (``burst``
-        tokens) and refill at ``rate_cap_qps``; a failed acquire costs
-        nothing, so a tenant hammering past its cap is shed request by
-        request without consuming anyone's capacity.
+        The one admission rule of the replay and the facade, as one status
+        code per arrival: ``STATUS_OK`` within the cap; past it
+        ``STATUS_DEGRADED`` when the policy has a ``degrade_k`` and
+        ``STATUS_SHED_CAP`` otherwise; ``STATUS_SHED_QUEUE`` once the
+        tenant's flow buffer (``queue_limit``, already holding ``backlog``
+        requests) is full.  Buckets start full (``burst`` tokens) and
+        refill at ``rate_cap_qps``.  A shed arrival costs nothing, so a
+        tenant hammering past its cap never occupies queue space, and an
+        arrival shed for a full buffer takes no token.  Uncapped tenants
+        are decided in bulk; a capped tenant's bucket is refilled and
+        drawn arrival by arrival.
         """
         policy = self.table.policy_for(tenant)
+        room = now.size if policy.queue_limit is None else min(now.size, max(0, policy.queue_limit - backlog))
         cap = policy.rate_cap_qps
+        if cap is None and room == now.size:
+            return np.full(now.size, STATUS_OK, dtype=np.int8)
+        verdicts = np.full(now.size, STATUS_SHED_QUEUE, dtype=np.int8)
         if cap is None:
-            return True
-        tokens, last = self._buckets.get(tenant, (policy.bucket_burst, now))
-        if now > last:
-            tokens = min(policy.bucket_burst, tokens + (now - last) * cap)
-            last = now
-        if tokens >= 1.0:
-            self._buckets[tenant] = (tokens - 1.0, last)
-            return True
+            verdicts[:room] = STATUS_OK
+            return verdicts
+        if room == 0:
+            return verdicts
+        over = STATUS_DEGRADED if policy.degrade_k is not None else STATUS_SHED_CAP
+        burst = policy.bucket_burst
+        times = now.tolist()
+        tokens, last = self._buckets.get(tenant, (burst, times[0]))
+        decided, queued = [], 0
+        for t in times:
+            if queued == room:
+                break
+            if t > last:
+                tokens = min(burst, tokens + (t - last) * cap)
+                last = t
+            if tokens >= 1.0:
+                tokens -= 1.0
+                decided.append(STATUS_OK)
+                queued += 1
+            else:
+                decided.append(over)
+                queued += over == STATUS_DEGRADED
         self._buckets[tenant] = (tokens, last)
-        return False
+        verdicts[: len(decided)] = decided
+        return verdicts
 
     def admit(self, tenant: str, now: float) -> tuple[str, TenantPolicy]:
-        """Admission verdict: ``("ok"|"degraded"|"shed", policy)``.
-
-        The one admission rule of the replay and the facade: within the
-        cap the request is served normally; past it the tenant is
-        degraded when its policy allows (``degrade_k``) and shed
-        otherwise.
-        """
-        policy = self.table.policy_for(tenant)
-        if self.try_acquire(tenant, now):
-            return "ok", policy
-        if policy.degrade_k is not None:
-            return "degraded", policy
-        return "shed", policy
+        """One request's verdict, ``("ok"|"degraded"|"shed", policy)``: :meth:`admit_many` on one arrival."""
+        verdict = self.admit_many(tenant, np.array([now], dtype=np.float64))[0]
+        return _VERDICTS[verdict], self.table.policy_for(tenant)
 
     # ------------------------------------------------------------------ #
     # weighted fair queueing (start-time fair queueing virtual clock)
     # ------------------------------------------------------------------ #
-    def stamp(self, tenant: str) -> float:
-        """Virtual finish tag for the tenant's next request.
+    def stamp_many(self, tenant: str, n: int) -> np.ndarray:
+        """Virtual finish tags for the tenant's next ``n`` requests.
 
         Requests dispatch in increasing tag order; each request advances
         its tenant's tag by ``1 / weight``, so backlogged tenants are
         served in proportion to their weights while idle tenants rejoin
         at the current virtual time instead of cashing in saved credit.
+        The tags are a running sum from ``max(virtual time, last tag)``,
+        added one step at a time, so they equal ``n`` one-request stamps
+        bit for bit (``start + i / weight`` would not).
         """
-        policy = self.table.policy_for(tenant)
-        start = max(self._virtual, self._finish.get(tenant, 0.0))
-        finish = start + 1.0 / policy.weight
-        self._finish[tenant] = finish
-        return finish
+        tags = np.full(n + 1, 1.0 / self.table.policy_for(tenant).weight)
+        tags[0] = max(self._virtual, self._finish.get(tenant, 0.0))
+        np.add.accumulate(tags, out=tags)
+        if n:
+            self._finish[tenant] = float(tags[-1])
+        return tags[1:]
+
+    def stamp(self, tenant: str) -> float:
+        """Virtual finish tag for the tenant's next request: :meth:`stamp_many` of one."""
+        return float(self.stamp_many(tenant, 1)[0])
 
     def advance(self, tag: float) -> None:
         """Move the virtual clock up to a dispatched request's tag."""
@@ -303,23 +334,23 @@ class TenantScheduler:
     # ------------------------------------------------------------------ #
     # overload actions
     # ------------------------------------------------------------------ #
-    def overload_action(self, policy: TenantPolicy, lateness_s: float) -> str:
-        """What to do with a request ``lateness_s`` past its arrival.
+    def overload_many(self, policy: TenantPolicy, lateness_s: np.ndarray) -> np.ndarray:
+        """What to do with queued requests ``lateness_s`` past their arrival, as status codes.
 
-        ``"shed"`` once the queueing delay alone exceeds the tenant's
-        deadline (serving it would be uselessly late), ``"degraded"``
-        past ``degrade_after`` of the deadline when the policy has a
-        reduced-``k`` path, ``"ok"`` otherwise.  Tenants without a
-        deadline are never shed here.
+        ``STATUS_SHED_DEADLINE`` once the queueing delay alone exceeds the
+        tenant's deadline (serving it would be uselessly late),
+        ``STATUS_DEGRADED`` past ``degrade_after`` of the deadline when
+        the policy has a reduced-``k`` path, ``STATUS_OK`` otherwise.
+        Tenants without a deadline are never shed here.
         """
+        codes = np.full(lateness_s.size, STATUS_OK, dtype=np.int8)
         deadline = policy.deadline_s
         if deadline is None:
-            return "ok"
-        if lateness_s > deadline:
-            return "shed"
-        if policy.degrade_k is not None and lateness_s > policy.degrade_after * deadline:
-            return "degraded"
-        return "ok"
+            return codes
+        if policy.degrade_k is not None:
+            codes[lateness_s > policy.degrade_after * deadline] = STATUS_DEGRADED
+        codes[lateness_s > deadline] = STATUS_SHED_DEADLINE
+        return codes
 
 
 @dataclass(frozen=True)

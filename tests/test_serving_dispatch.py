@@ -33,6 +33,7 @@ from repro.serving import (
     TenantScheduler,
     make_router,
 )
+from repro.serving.tenancy import STATUS_DEGRADED, STATUS_SHED_CAP
 
 N_USERS, N_ITEMS, F = 40, 60, 6
 
@@ -105,19 +106,36 @@ def test_round_robin_waits_behind_the_backlog():
 
 
 def test_replay_admits_through_the_scheduler(monkeypatch):
-    """The replay's tenant discipline decides admission with ``TenantScheduler.admit``, once per arrival."""
+    """The replay's tenant discipline decides admission with ``TenantScheduler.admit_many``, once per arrival."""
     verdicts = []
-    admit = TenantScheduler.admit
+    admit_many = TenantScheduler.admit_many
 
-    def counted(self, tenant, now):
-        verdict = admit(self, tenant, now)
-        verdicts.append(verdict[0])
-        return verdict
+    def counted(self, tenant, now, backlog=0):
+        decided = admit_many(self, tenant, now, backlog)
+        verdicts.extend(decided.tolist())
+        return decided
 
-    monkeypatch.setattr(TenantScheduler, "admit", counted)
+    monkeypatch.setattr(TenantScheduler, "admit_many", counted)
     policies = [TenantPolicy("capped", rate_cap_qps=2_000.0), TenantPolicy("lite", rate_cap_qps=2_000.0, degrade_k=2)]
     trace = QueryTrace.multi_tenant({"capped": 20_000.0, "lite": 20_000.0, "free": 5_000.0}, duration_s=0.01, n_users=N_USERS, seed=3)
     report = RequestSimulator(_BASE.replicate(), k=5, max_batch=16, window_s=1e-4, policies=policies).run(trace)
     assert len(verdicts) == trace.n_requests
-    assert verdicts.count("shed") == report.per_tenant["capped"].n_shed_cap > 0
-    assert verdicts.count("degraded") == report.per_tenant["lite"].n_degraded > 0
+    assert verdicts.count(STATUS_SHED_CAP) == report.per_tenant["capped"].n_shed_cap > 0
+    assert verdicts.count(STATUS_DEGRADED) == report.per_tenant["lite"].n_degraded > 0
+
+
+def test_predict_charges_the_replica_clock():
+    """A facade predict costs one pair-scoring pass on the replica's clock, and its span lasts that long."""
+    service = RecommenderService(ServingCluster.from_store(_BASE, 2))
+    rng = np.random.default_rng(1)
+    users, items = rng.integers(0, N_USERS, 50), rng.integers(0, N_ITEMS, 50)
+    before = [rep.stats.simulated_seconds for rep in service.backend.replicas]
+    with obs.observed() as (_, tracer):
+        response = service.predict(users, items)
+    replica = service.backend.replicas[response.replica]
+    assert response.ok and response.latency_s > 0
+    assert response.latency_s == replica.stats.simulated_seconds - before[response.replica]
+    assert (replica.stats.queries, replica.stats.batches) == (0, 0)  # top-k counters only
+    [span] = tracer.spans_for("serve", "request")
+    assert span.start == before[response.replica]
+    assert span.duration == pytest.approx(response.latency_s, rel=1e-12, abs=0.0)

@@ -42,6 +42,7 @@ from repro.serving import (
 )
 from repro.serving.routing import Router, get_router_spec
 from repro.serving.store import FactorStore
+from repro.serving.tenancy import STATUS_DEGRADED, STATUS_OK, STATUS_SHED_DEADLINE
 
 F = 8
 LAM = 0.05
@@ -169,11 +170,11 @@ class TestTenantScheduler:
     def test_token_bucket_caps_rate(self):
         table = TenantPolicyTable([TenantPolicy("capped", rate_cap_qps=10.0, burst=1)])
         sched = TenantScheduler(table)
-        assert sched.try_acquire("capped", 0.0)
-        assert not sched.try_acquire("capped", 0.0)  # bucket empty
-        assert not sched.try_acquire("capped", 0.05)  # half a token refilled
-        assert sched.try_acquire("capped", 0.11)  # > 1 token again
-        assert sched.try_acquire("uncapped", 0.0)  # default policy: no cap
+        assert sched.admit("capped", 0.0)[0] == "ok"
+        assert sched.admit("capped", 0.0)[0] == "shed"  # bucket empty
+        assert sched.admit("capped", 0.05)[0] == "shed"  # half a token refilled
+        assert sched.admit("capped", 0.11)[0] == "ok"  # > 1 token again
+        assert sched.admit("uncapped", 0.0)[0] == "ok"  # default policy: no cap
 
     def test_wfq_stamps_interleave_by_weight(self):
         table = TenantPolicyTable([TenantPolicy("heavy", weight=2.0), TenantPolicy("light", weight=1.0)])
@@ -201,18 +202,17 @@ class TestTenantScheduler:
         assert sched.admit("soft", 0.0)[0] == "ok"
         assert sched.admit("soft", 0.0)[0] == "degraded"
         slo = table.policy_for("slo")
-        assert sched.overload_action(slo, 0.01) == "ok"
-        assert sched.overload_action(slo, 0.06) == "degraded"
-        assert sched.overload_action(slo, 0.2) == "shed"
-        assert sched.overload_action(table.policy_for("nodeadline"), 999.0) == "ok"
+        actions = sched.overload_many(slo, np.array([0.01, 0.06, 0.2]))
+        assert actions.tolist() == [STATUS_OK, STATUS_DEGRADED, STATUS_SHED_DEADLINE]
+        assert sched.overload_many(table.policy_for("nodeadline"), np.array([999.0])).tolist() == [STATUS_OK]
 
     def test_reset_restores_buckets(self):
         table = TenantPolicyTable([TenantPolicy("t", rate_cap_qps=1.0, burst=1)])
         sched = TenantScheduler(table)
-        assert sched.try_acquire("t", 0.0)
-        assert not sched.try_acquire("t", 0.0)
+        assert sched.admit("t", 0.0)[0] == "ok"
+        assert sched.admit("t", 0.0)[0] == "shed"
         sched.reset()
-        assert sched.try_acquire("t", 0.0)
+        assert sched.admit("t", 0.0)[0] == "ok"
 
 
 # ---------------------------------------------------------------------- #
