@@ -16,13 +16,15 @@ protocol suite pins that), but the service wraps it as
 ``status="error"`` so one request cannot take down a serving loop.
 
 Multi-tenant serving widens the vocabulary without breaking old
-callers: requests carry a ``tenant`` id (``"default"`` when unset) and
-an optional ``priority`` override, and a response's ``status`` is one
-of :data:`STATUSES` — ``"ok"``, ``"error"``, ``"shed"`` (rejected by
-the tenant's rate cap or deadline, carried as a typed envelope rather
-than an unbounded queue), or ``"degraded"`` (served with the policy's
-reduced ``k``).  ``shed`` raises :class:`ShedError` from
-:meth:`~ServeResponse.raise_for_status`; ``degraded`` counts as served.
+callers: requests carry a ``tenant`` id (``"default"`` when unset), and
+a response's ``status`` is one of :data:`STATUSES` — ``"ok"``,
+``"error"``, ``"shed"`` (rejected by the tenant's rate cap or deadline,
+carried as a typed envelope rather than an unbounded queue), or
+``"degraded"`` (served with the policy's reduced ``k``).  ``shed`` raises
+:class:`ShedError` from :meth:`~ServeResponse.raise_for_status`;
+``degraded`` counts as served.  A call's outcome is one of the replay's
+per-request codes (``STATUS_*`` in :mod:`repro.serving.tenancy`), and
+:data:`ENVELOPE_STATUS` names the envelope status of each code.
 """
 
 from __future__ import annotations
@@ -32,7 +34,10 @@ from typing import Any
 
 import numpy as np
 
+from repro.serving.tenancy import DEFAULT_TENANT, STATUS_DEGRADED, STATUS_ERROR, STATUS_OK, STATUS_SHED_CAP, STATUS_SHED_DEADLINE, STATUS_SHED_QUEUE
+
 __all__ = [
+    "ENVELOPE_STATUS",
     "SERVICE_DEFAULT",
     "STATUSES",
     "ShedError",
@@ -47,11 +52,19 @@ __all__ = [
 #: ("no exclusion for this request").
 SERVICE_DEFAULT: Any = "service-default"
 
-#: The full response-status vocabulary.
-STATUSES = ("ok", "error", "shed", "degraded")
+#: The envelope status of each request outcome code.  A replay's
+#: ``STATUS_DROPPED`` request has no envelope, so it has no entry.
+ENVELOPE_STATUS = {
+    STATUS_OK: "ok",
+    STATUS_ERROR: "error",
+    STATUS_SHED_CAP: "shed",
+    STATUS_SHED_DEADLINE: "shed",
+    STATUS_SHED_QUEUE: "shed",
+    STATUS_DEGRADED: "degraded",
+}
 
-#: Tenant id attached to requests that do not name one.
-_DEFAULT_TENANT = "default"
+#: The full response-status vocabulary, in :data:`ENVELOPE_STATUS` order.
+STATUSES = tuple(dict.fromkeys(ENVELOPE_STATUS.values()))
 
 
 class ShedError(RuntimeError):
@@ -68,8 +81,7 @@ class PredictRequest:
 
     users: np.ndarray
     items: np.ndarray
-    tenant: str = _DEFAULT_TENANT
-    priority: int | None = None
+    tenant: str = DEFAULT_TENANT
 
 
 @dataclass(frozen=True)
@@ -87,8 +99,7 @@ class RecommendRequest:
     k: int = 10
     user_block: int = 512
     exclude: Any = SERVICE_DEFAULT
-    tenant: str = _DEFAULT_TENANT
-    priority: int | None = None
+    tenant: str = DEFAULT_TENANT
 
 
 @dataclass(frozen=True)
@@ -103,8 +114,7 @@ class RateRequest:
     user: int
     items: np.ndarray
     ratings: np.ndarray
-    tenant: str = _DEFAULT_TENANT
-    priority: int | None = None
+    tenant: str = DEFAULT_TENANT
 
 
 @dataclass(frozen=True)
@@ -159,7 +169,7 @@ class ServeResponse:
         if self.served:
             return self
         if self.status == "shed":
-            raise ShedError(self.error or f"request shed for tenant {self.tenant or _DEFAULT_TENANT!r}")
+            raise ShedError(self.error or f"request shed for tenant {self.tenant or DEFAULT_TENANT!r}")
         exc_type = _ERROR_TYPES.get(self.error_type, RuntimeError)
         raise exc_type(self.error)
 

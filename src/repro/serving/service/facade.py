@@ -26,9 +26,10 @@ R-replica deployment.  Build one declaratively with
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 from operator import methodcaller
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from repro.serving.lifecycle.refresh import RefreshResult, run_refresh_session
 from repro.serving.lifecycle.registry import Snapshot, SnapshotRegistry
 from repro.serving.lifecycle.rollout import RolloutController
 from repro.serving.service.envelopes import (
+    ENVELOPE_STATUS,
     SERVICE_DEFAULT,
     PredictRequest,
     RateRequest,
@@ -46,7 +48,7 @@ from repro.serving.service.envelopes import (
 )
 from repro.serving.simulator import LifecycleEvent, QueryTrace, RequestSimulator, TrafficReport, serve_window
 from repro.serving.store import FactorStore
-from repro.serving.tenancy import TenantPolicyTable, TenantScheduler
+from repro.serving.tenancy import DEFAULT_TENANT, STATUS_DEGRADED, STATUS_ERROR, STATUS_OK, STATUS_SHED_CAP, TenantPolicyTable, TenantScheduler
 from repro.sparse.csr import CSRMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, hints only
@@ -114,11 +116,10 @@ class RecommenderService:
         # model's axes, so it only becomes the live exclusion once the
         # backend actually serves that version (see _adopt_if_pending).
         self._pending: tuple[int, CSRMatrix] | None = None
-        self._counters = {"predict": 0, "recommend": 0, "rate": 0}
-        self._n_errors = 0
         self.policies = TenantPolicyTable.coerce(policies)
         self._scheduler = TenantScheduler(self.policies) if self.policies is not None else None
-        self._tenant_counters: dict[str, dict[str, int]] = {}
+        # Every data-plane call's outcome: (kind, tenant, code) -> calls, in first-call order.
+        self._tally: Counter[tuple[str, str, int]] = Counter()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RecommenderService({self.backend!r}, registry={'yes' if self.registry is not None else 'no'}, log={'yes' if self.log is not None else 'no'})"
@@ -143,53 +144,31 @@ class RecommenderService:
     def stats(self) -> dict:
         """Service counters merged over the backend's own stats.
 
-        With a policy table configured, ``stats()["tenants"]`` holds one
-        ``{"ok", "degraded", "shed", "error"}`` counter dict per tenant
-        that has called the data plane.
+        ``requests`` (served calls per kind), ``request_errors`` and, with
+        a policy table configured, ``tenants`` (one ``{"ok", "degraded",
+        "shed", "error"}`` counter dict per tenant that has called the
+        data plane) are read off the tally of call outcomes.
         """
         stats = dict(self.backend.stats_dict())
-        stats["requests"] = dict(self._counters)
-        stats["request_errors"] = self._n_errors
-        if self._tenant_counters:
-            stats["tenants"] = {name: dict(c) for name, c in self._tenant_counters.items()}
+        requests, errors, tenants = {"predict": 0, "recommend": 0, "rate": 0}, 0, {}
+        for (kind, tenant, code), n in self._tally.items():
+            status = ENVELOPE_STATUS[code]
+            if status == "error":
+                errors += n
+                tenant = tenant or DEFAULT_TENANT
+            elif status != "shed":
+                requests[kind] += n
+            if self._scheduler is not None:
+                tenants.setdefault(tenant, dict.fromkeys(("ok", "degraded", "shed", "error"), 0))[status] += n
+        stats["requests"] = requests
+        stats["request_errors"] = errors
+        if tenants:
+            stats["tenants"] = tenants
         return stats
 
     # ------------------------------------------------------------------ #
     # data plane: typed envelopes in, ServeResponse out
     # ------------------------------------------------------------------ #
-    def _count_tenant(self, tenant: str, outcome: str) -> None:
-        if self._scheduler is None:
-            return
-        counters = self._tenant_counters.setdefault(tenant, {"ok": 0, "degraded": 0, "shed": 0, "error": 0})
-        counters[outcome] += 1
-
-    def _observe(self, response: ServeResponse, start_s: float | None = None) -> ServeResponse:
-        """Stream one data-plane outcome into the active instruments.
-
-        Every response ticks ``serve.requests`` (labelled by kind /
-        status / tenant); served requests also land in the per-tenant
-        latency histogram and become a request span on the serving
-        timeline, anchored at the replica's simulated clock.
-        """
-        if not obs.enabled():
-            return response
-        tenant = response.tenant or "default"
-        registry = obs.get_registry()
-        registry.counter("serve.requests", kind=response.kind, status=response.status, tenant=tenant).inc()
-        if response.status in ("ok", "degraded") and start_s is not None:
-            registry.histogram("serve.latency_s", tenant=tenant).observe(response.latency_s)
-            obs.get_tracer().add_span(
-                f"{response.kind}:{tenant}",
-                start=start_s,
-                end=start_s + response.latency_s,
-                category="request",
-                process="serve",
-                track=f"replica:{response.replica}",
-                status=response.status,
-                version=response.version,
-            )
-        return response
-
     def _lifecycle(self, action: str, **args) -> None:
         """Mark an admin-plane verb on the serving timeline."""
         if not obs.enabled():
@@ -204,32 +183,6 @@ class RecommenderService:
             **args,
         )
 
-    def _error(self, kind: str, exc: Exception, tenant: str = "") -> ServeResponse:
-        self._n_errors += 1
-        self._count_tenant(tenant or "default", "error")
-        return self._observe(
-            ServeResponse(
-                kind=kind,
-                status="error",
-                error=str(exc),
-                error_type=type(exc).__name__,
-                tenant=tenant,
-            )
-        )
-
-    def _shed(self, kind: str, tenant: str) -> ServeResponse:
-        """The typed rejection: the model never sees an over-cap request."""
-        self._count_tenant(tenant, "shed")
-        return self._observe(
-            ServeResponse(
-                kind=kind,
-                status="shed",
-                error=f"tenant {tenant!r} over rate cap",
-                error_type="ShedError",
-                tenant=tenant,
-            )
-        )
-
     def _clock(self) -> tuple[list[int], list[float], float]:
         """The replicas in rotation, each replica's free time, and now.
 
@@ -242,6 +195,74 @@ class RecommenderService:
         free = [unit.stats.simulated_seconds for unit in self.backend.replicas]
         return active, free, min(free[r] for r in active)
 
+    def _respond(
+        self, kind: str, tenant: str, code: int, payload: Any = None, *, exc: Exception | None = None, start_s: float | None = None, **served
+    ) -> ServeResponse:
+        """The one envelope builder: tally the call as ``(kind, tenant, code)``, build its envelope and observe it.
+
+        ``served`` carries a served read's ``latency_s``/``version``/
+        ``replica`` and ``start_s`` its arrival; an error envelope carries
+        ``exc``, and a shed one is the typed rejection (the model never saw
+        the request).  Every envelope ticks ``serve.requests`` (labelled by
+        kind / status / tenant); a served read also lands in the per-tenant
+        latency histogram and becomes a request span on the serving
+        timeline, anchored at the replica's simulated clock.
+        """
+        self._tally[kind, tenant, code] += 1
+        status = ENVELOPE_STATUS[code]
+        if exc is not None:
+            served.update(error=str(exc), error_type=type(exc).__name__)
+        elif status == "shed":
+            served.update(error=f"tenant {tenant!r} over rate cap", error_type="ShedError")
+        response = ServeResponse(kind=kind, status=status, payload=payload, tenant=tenant, **served)
+        if not obs.enabled():
+            return response
+        label = tenant or DEFAULT_TENANT
+        registry = obs.get_registry()
+        registry.counter("serve.requests", kind=kind, status=status, tenant=label).inc()
+        if start_s is not None:
+            registry.histogram("serve.latency_s", tenant=label).observe(response.latency_s)
+            obs.get_tracer().add_span(
+                f"{kind}:{label}",
+                start=start_s,
+                end=start_s + response.latency_s,
+                category="request",
+                process="serve",
+                track=f"replica:{response.replica}",
+                status=status,
+                version=response.version,
+            )
+        return response
+
+    def _dispatch(self, kind: str, tenant: str, call: Callable[[int | None], Callable], k: int | None = None) -> ServeResponse:
+        """Admit one read as a one-arrival ``admit_many`` and serve it as a one-request window, or shed it.
+
+        ``call(k)`` is the read the replica chosen by the replay's dispatch
+        step serves at top-``k``.  A degrade verdict serves the policy's
+        ``degrade_k`` when it is below ``k`` and the full ``k`` otherwise;
+        a read without a ``k`` (predict) has no reduced path, so it sheds.
+        """
+        active, free, now = self._clock()
+        code = STATUS_OK
+        if self._scheduler is not None:
+            code = int(self._scheduler.admit_many(tenant, np.array([now]))[0])
+            if code == STATUS_DEGRADED:
+                degrade_k = self.policies.policy_for(tenant).degrade_k
+                if k is None:
+                    code = STATUS_SHED_CAP
+                elif degrade_k < k:
+                    k = degrade_k
+                else:
+                    code = STATUS_OK
+            if code == STATUS_SHED_CAP:
+                return self._respond(kind, tenant, code)
+        try:
+            replica, [(payload, _, done)] = serve_window(self.backend, active, free, now, [call(k)])
+        except (ValueError, RuntimeError) as exc:
+            return self._respond(kind, tenant, STATUS_ERROR, exc=exc)
+        version = self.backend.replicas[replica].version
+        return self._respond(kind, tenant, code, payload, latency_s=done - now, version=version, replica=replica, start_s=now)
+
     def predict(self, users: Any, items: np.ndarray | None = None, *, tenant: str = "default") -> ServeResponse:
         """Score aligned (user, item) pairs, served as a one-request window like :meth:`recommend`.
 
@@ -252,29 +273,7 @@ class RecommenderService:
         has no reduced-``k`` degrade knob, so the cap is hard here.
         """
         request = users if isinstance(users, PredictRequest) else PredictRequest(users, items, tenant=tenant)
-        active, free, now = self._clock()
-        if self._scheduler is not None:
-            decision, _ = self._scheduler.admit(request.tenant, now)
-            if decision != "ok":
-                return self._shed("predict", request.tenant)
-        try:
-            replica, [(payload, _, done)] = serve_window(self.backend, active, free, now, [methodcaller("predict", request.users, request.items)])
-        except (ValueError, RuntimeError) as exc:
-            return self._error("predict", exc, tenant=request.tenant)
-        self._counters["predict"] += 1
-        self._count_tenant(request.tenant, "ok")
-        return self._observe(
-            ServeResponse(
-                kind="predict",
-                status="ok",
-                payload=payload,
-                latency_s=done - now,
-                version=self.backend.replicas[replica].version,
-                replica=replica,
-                tenant=request.tenant,
-            ),
-            start_s=now,
-        )
+        return self._dispatch("predict", request.tenant, lambda _: methodcaller("predict", request.users, request.items))
 
     def recommend(
         self,
@@ -315,35 +314,13 @@ class RecommenderService:
         try:
             FactorStore.check_topk_args(request.k, request.user_block)
         except ValueError as exc:
-            return self._error("recommend", exc, tenant=request.tenant)
-        active, free, now = self._clock()
-        k_eff, status = request.k, "ok"
-        if self._scheduler is not None:
-            decision, policy = self._scheduler.admit(request.tenant, now)
-            if decision == "shed":
-                return self._shed("recommend", request.tenant)
-            if decision == "degraded" and policy.degrade_k < request.k:
-                k_eff, status = policy.degrade_k, "degraded"
-        try:
+            return self._respond("recommend", request.tenant, STATUS_ERROR, exc=exc)
+
+        def call(k_eff: int) -> Callable:
             batch = np.atleast_1d(np.asarray(request.users))
-            call = methodcaller("recommend_batch", batch, k=k_eff, exclude=mask, user_block=request.user_block)
-            replica, [(payload, _, done)] = serve_window(self.backend, active, free, now, [call])
-        except (ValueError, RuntimeError) as exc:
-            return self._error("recommend", exc, tenant=request.tenant)
-        self._counters["recommend"] += 1
-        self._count_tenant(request.tenant, status)
-        return self._observe(
-            ServeResponse(
-                kind="recommend",
-                status=status,
-                payload=payload,
-                latency_s=done - now,
-                version=self.backend.replicas[replica].version,
-                replica=replica,
-                tenant=request.tenant,
-            ),
-            start_s=now,
-        )
+            return methodcaller("recommend_batch", batch, k=k_eff, exclude=mask, user_block=request.user_block)
+
+        return self._dispatch("recommend", request.tenant, call, request.k)
 
     def rate(
         self,
@@ -372,11 +349,8 @@ class RecommenderService:
                     raise ValueError(f"user index out of range: service serves users [0, {self.backend.n_users}); cold-start users go through fold_in")
             n_events = self.log.record(request.user, request.items, request.ratings)
         except (ValueError, RuntimeError) as exc:
-            return self._error("rate", exc, tenant=request.tenant)
-        self._counters["rate"] += 1
-        self._count_tenant(request.tenant, "ok")
-        version = self.backend.serving_units()[0].version
-        return self._observe(ServeResponse(kind="rate", status="ok", payload=n_events, version=version, tenant=request.tenant))
+            return self._respond("rate", request.tenant, STATUS_ERROR, exc=exc)
+        return self._respond("rate", request.tenant, STATUS_OK, n_events, version=self.backend.serving_units()[0].version)
 
     # ------------------------------------------------------------------ #
     # admin plane: operator verbs, which raise on misuse

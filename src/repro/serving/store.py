@@ -318,7 +318,7 @@ class FactorStore:
         self.partition = Partition1D(theta.shape[0], n_shards)
         self._shards = [np.ascontiguousarray(theta[lo:hi], dtype=np.float32) for lo, hi in (self.partition.range_of(i) for i in range(n_shards))]
         self._answers: _Answers | None = None
-        # Per-shape charges (see _charge) depend on the partition and f, so they drop here too.
+        # Per-shape charges (see _charge) depend on the partition, n_items and f, so they drop here too.
         self._charges: dict[tuple, _Charge] = {}
 
     # ------------------------------------------------------------------ #
@@ -861,29 +861,16 @@ class FactorStore:
         ``price(*args)`` builds it the first time the shape is seen and
         the record is kept until :meth:`_install_theta` installs a new
         partition.  The stats still difference the clock around the
-        replay, as they do around any pass.
+        replay, as they do around any pass, and each device's cumulative
+        ``busy_seconds()`` around it (see :class:`ServingStats`).
         """
         charge = self._charges.get(shape)
         if charge is None:
             charge = self._charges[shape] = price(*shape[1:])
         before = self.machine.elapsed_seconds()
-        busy_before = self._device_busy()
+        busy_before = [self.machine.device(i).busy_seconds() for i in range(self.n_shards)]
         charge.replay(self.machine)
         self.stats.simulated_seconds += self.machine.elapsed_seconds() - before
-        self._account_device_deltas(busy_before)
-
-    def _device_busy(self) -> list[float]:
-        """Cumulative per-device kernel seconds (serving *and* anything else)."""
-        return [self.machine.device(i).busy_seconds() for i in range(self.n_shards)]
-
-    def _account_device_deltas(self, busy_before: list[float]) -> None:
-        """Credit each device's kernel time since ``busy_before`` to serving.
-
-        ``dev.busy_seconds()`` is cumulative over the device's lifetime —
-        on a machine shared with training it includes training kernels —
-        so the stats accumulate per-operation deltas instead of mirroring
-        the raw counter.
-        """
         for i, already_busy in enumerate(busy_before):
             delta = self.machine.device(i).busy_seconds() - already_busy
             if delta:
@@ -916,23 +903,18 @@ class FactorStore:
         self._folded_items[user] = np.unique(items)
         self._answers = None
 
-        # Simulated cost: one Hermitian assembly + one 1-row batched solve
-        # on device 0, plus shipping the ratings up and the factor back.
-        nnz = int(items.size)
-        before = self.machine.elapsed_seconds()
-        busy_before = self._device_busy()
-        self.machine.run_transfers(
-            [self.machine.h2d(0, 2 * nnz * FLOAT_BYTES, tag="foldin-ratings")],
-            label="serve-h2d",
-        )
-        herm = get_hermitian_profile(self.machine.spec, 1, nnz, self.n_items, self._profile_config, name="foldin_hermitian")
-        solve = batch_solve_profile(1, self.f, name="foldin_solve")
-        self.machine.run_parallel_kernels({0: herm.merged(solve, name="foldin")})
-        self.machine.run_transfers(
-            [self.machine.d2h(0, self.f * FLOAT_BYTES, tag="foldin-factor")],
-            label="serve-d2h",
-        )
+        self._charge(("foldin", int(items.size)), self._foldin_pass)
         self.stats.fold_ins += 1
-        self.stats.simulated_seconds += self.machine.elapsed_seconds() - before
-        self._account_device_deltas(busy_before)
         return user
+
+    def _foldin_pass(self, nnz: int) -> _Charge:
+        """The priced fold-in pass: the ratings up, one Hermitian assembly + 1-row solve on device 0, the factor down."""
+        machine = self.machine
+        herm = get_hermitian_profile(machine.spec, 1, nnz, self.n_items, self._profile_config, name="foldin_hermitian")
+        solve = batch_solve_profile(1, self.f, name="foldin_solve")
+        return _Charge.price(
+            machine,
+            [machine.h2d(0, 2 * nnz * FLOAT_BYTES, tag="foldin-ratings")],
+            {0: herm.merged(solve, name="foldin")},
+            [machine.d2h(0, self.f * FLOAT_BYTES, tag="foldin-factor")],
+        )

@@ -27,8 +27,9 @@ and :meth:`TenantScheduler.admit_many` is their one admission rule (and
 :meth:`TenantScheduler.stamp_many` their one tag rule): the
 :class:`~repro.serving.simulator.RequestSimulator` decides each tenant's
 arrivals of a window in one call, the
-:class:`~repro.serving.service.facade.RecommenderService` data plane one
-request at a time through the one-element forms ``admit`` and ``stamp``.
+:class:`~repro.serving.service.facade.RecommenderService` data plane
+admits each call as a one-arrival ``admit_many``.  Both report outcomes
+as the ``STATUS_*`` codes below.
 Tenancy is strictly opt-in: with no policy table configured, none of
 this code runs and the serving stack behaves exactly as before.
 """
@@ -54,20 +55,19 @@ __all__ = [
 #: Tenant label attached to requests that do not name one.
 DEFAULT_TENANT = "default"
 
-# Per-request outcome codes of a simulator replay.
+# Per-request outcome codes of a simulator replay and of a facade call.
 # 0 doubles as "still pending": whatever is left unresolved when the
 # replay ends (e.g. every replica drained away) was dropped.  STATUS_OK
 # is the lowest code a verdict or an overload action can take, so a
 # batch of them is all-OK exactly when its maximum is STATUS_OK.
+# STATUS_ERROR is a facade call the backend rejected.
 STATUS_DROPPED = 0
 STATUS_OK = 1
 STATUS_DEGRADED = 2
 STATUS_SHED_CAP = 3
 STATUS_SHED_DEADLINE = 4
 STATUS_SHED_QUEUE = 5
-
-# Admission verdicts as the facade names them.
-_VERDICTS = {STATUS_OK: "ok", STATUS_DEGRADED: "degraded", STATUS_SHED_CAP: "shed"}
+STATUS_ERROR = 6
 
 
 @dataclass(frozen=True)
@@ -296,11 +296,6 @@ class TenantScheduler:
         verdicts[: len(decided)] = decided
         return verdicts
 
-    def admit(self, tenant: str, now: float) -> tuple[str, TenantPolicy]:
-        """One request's verdict, ``("ok"|"degraded"|"shed", policy)``: :meth:`admit_many` on one arrival."""
-        verdict = self.admit_many(tenant, np.array([now], dtype=np.float64))[0]
-        return _VERDICTS[verdict], self.table.policy_for(tenant)
-
     # ------------------------------------------------------------------ #
     # weighted fair queueing (start-time fair queueing virtual clock)
     # ------------------------------------------------------------------ #
@@ -321,10 +316,6 @@ class TenantScheduler:
         if n:
             self._finish[tenant] = float(tags[-1])
         return tags[1:]
-
-    def stamp(self, tenant: str) -> float:
-        """Virtual finish tag for the tenant's next request: :meth:`stamp_many` of one."""
-        return float(self.stamp_many(tenant, 1)[0])
 
     def advance(self, tag: float) -> None:
         """Move the virtual clock up to a dispatched request's tag."""

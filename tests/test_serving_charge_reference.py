@@ -1,11 +1,13 @@
 """Reference core of the serving charge: per-shape charge records against per-call accounting.
 
 A :class:`~repro.serving.store.FactorStore` prices each top-k pass once
-per ``(b, kk)`` and each predict pass once per ``n`` (``_Charge``), keeps
-the record until its Θ partition or ``f`` changes, and replays it on every
-call.  The per-call accounting it replaced — build the transfer lists and
-kernel profiles, then run them through the machine — lives on below,
-copied verbatim, as the oracle.  A hypothesis property drives generated
+per ``(b, kk)``, each predict pass once per ``n`` and each fold-in pass
+once per ``nnz`` (``_Charge``), keeps the record until its Θ partition,
+``n_items`` or ``f`` changes, and replays it on every call.  The per-call
+accounting it replaced — build the transfer lists and kernel profiles,
+then run them through the machine — lives on below, copied verbatim, as
+the oracle (fold-in whole, and the per-device credit helpers, so the
+oracle shares none of the store's charging code).  A hypothesis property drives generated
 sequences of recommends, predicts, fold-ins, snapshot swaps (``n_items``
 and ``f`` may change) and item growth through a store and its oracle twin,
 on 1-4 shards of single- and dual-socket machines, plain and tiered, and
@@ -19,12 +21,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kernels import FLOAT_BYTES
+from repro.core.kernels import FLOAT_BYTES, batch_solve_profile, get_hermitian_profile
 from repro.gpu.kernel import KernelProfile
 from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.memory import MemoryKind
 from repro.gpu.topology import MachineTopology
 from repro.serving import CacheConfig, TieredFactorStore
+from repro.serving.foldin import fold_in_user, validate_ratings
 from repro.serving.store import FactorStore
 
 
@@ -32,7 +35,16 @@ from repro.serving.store import FactorStore
 # the oracle: every pass charged by running it through the machine
 # ---------------------------------------------------------------------- #
 class _PerCallCharges:
-    """The per-call ``_account_topk`` / ``_account_predict``, as they were before per-shape records."""
+    """The per-call ``_account_topk`` / ``_account_predict`` / ``fold_in`` and their helpers, as they were before per-shape records."""
+
+    def _device_busy(self) -> list[float]:
+        return [self.machine.device(i).busy_seconds() for i in range(self.n_shards)]
+
+    def _account_device_deltas(self, busy_before: list[float]) -> None:
+        for i, already_busy in enumerate(busy_before):
+            delta = self.machine.device(i).busy_seconds() - already_busy
+            if delta:
+                self.stats.per_device_seconds[i] = self.stats.per_device_seconds.get(i, 0.0) + delta
 
     def _account_topk(self, b: int, kk: int) -> None:
         before = self.machine.elapsed_seconds()
@@ -83,6 +95,38 @@ class _PerCallCharges:
         self.machine.run_transfers([self.machine.d2h(0, n * FLOAT_BYTES, tag="predict-scores")], label="serve-d2h")
         self.stats.simulated_seconds += self.machine.elapsed_seconds() - before
         self._account_device_deltas(busy_before)
+
+
+    def fold_in(self, items: np.ndarray, ratings: np.ndarray) -> int:
+        items, ratings = validate_ratings(items, ratings, self.n_items)
+        factor = fold_in_user(items, ratings, self.theta, self.lam, weighted=self.weighted)
+        user = self.n_users
+        self.x = np.vstack([self.x, factor[None, :]])
+        self.x.setflags(write=False)
+        self._x_score = np.vstack([self._x_score, factor[None, :].astype(np.float32)])
+        self._folded_items[user] = np.unique(items)
+        self._answers = None
+
+        # Simulated cost: one Hermitian assembly + one 1-row batched solve
+        # on device 0, plus shipping the ratings up and the factor back.
+        nnz = int(items.size)
+        before = self.machine.elapsed_seconds()
+        busy_before = self._device_busy()
+        self.machine.run_transfers(
+            [self.machine.h2d(0, 2 * nnz * FLOAT_BYTES, tag="foldin-ratings")],
+            label="serve-h2d",
+        )
+        herm = get_hermitian_profile(self.machine.spec, 1, nnz, self.n_items, self._profile_config, name="foldin_hermitian")
+        solve = batch_solve_profile(1, self.f, name="foldin_solve")
+        self.machine.run_parallel_kernels({0: herm.merged(solve, name="foldin")})
+        self.machine.run_transfers(
+            [self.machine.d2h(0, self.f * FLOAT_BYTES, tag="foldin-factor")],
+            label="serve-d2h",
+        )
+        self.stats.fold_ins += 1
+        self.stats.simulated_seconds += self.machine.elapsed_seconds() - before
+        self._account_device_deltas(busy_before)
+        return user
 
 
 class _ReferenceStore(_PerCallCharges, FactorStore):
@@ -169,6 +213,7 @@ def test_charge_records_replay_the_per_call_accounting(shards, dual, tiered, see
             items = rng.choice(store.n_items, size=min(args[0], store.n_items), replace=False)
             ratings = rng.uniform(1.0, 5.0, items.size)
             assert store.fold_in(items, ratings) == oracle.fold_in(items, ratings)
+            np.testing.assert_array_equal(store.x, oracle.x)
         elif op == "swap":
             extra, new_f = args
             new_x, new_theta = rng.standard_normal((n_users, new_f)), rng.standard_normal((max(shards, n_items - 10 + extra), new_f))

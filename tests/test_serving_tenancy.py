@@ -42,7 +42,7 @@ from repro.serving import (
 )
 from repro.serving.routing import Router, get_router_spec
 from repro.serving.store import FactorStore
-from repro.serving.tenancy import STATUS_DEGRADED, STATUS_OK, STATUS_SHED_DEADLINE
+from repro.serving.tenancy import STATUS_DEGRADED, STATUS_OK, STATUS_SHED_CAP, STATUS_SHED_DEADLINE
 
 F = 8
 LAM = 0.05
@@ -166,22 +166,27 @@ class TestTenantPolicyTable:
             TenantPolicyTable.coerce({"a": TenantPolicy("b")})
 
 
+def _admit(sched: TenantScheduler, tenant: str, now: float) -> int:
+    """One arrival's admission verdict: ``admit_many`` on a one-element array."""
+    return int(sched.admit_many(tenant, np.array([now]))[0])
+
+
 class TestTenantScheduler:
     def test_token_bucket_caps_rate(self):
         table = TenantPolicyTable([TenantPolicy("capped", rate_cap_qps=10.0, burst=1)])
         sched = TenantScheduler(table)
-        assert sched.admit("capped", 0.0)[0] == "ok"
-        assert sched.admit("capped", 0.0)[0] == "shed"  # bucket empty
-        assert sched.admit("capped", 0.05)[0] == "shed"  # half a token refilled
-        assert sched.admit("capped", 0.11)[0] == "ok"  # > 1 token again
-        assert sched.admit("uncapped", 0.0)[0] == "ok"  # default policy: no cap
+        assert _admit(sched, "capped", 0.0) == STATUS_OK
+        assert _admit(sched, "capped", 0.0) == STATUS_SHED_CAP  # bucket empty
+        assert _admit(sched, "capped", 0.05) == STATUS_SHED_CAP  # half a token refilled
+        assert _admit(sched, "capped", 0.11) == STATUS_OK  # > 1 token again
+        assert _admit(sched, "uncapped", 0.0) == STATUS_OK  # default policy: no cap
 
     def test_wfq_stamps_interleave_by_weight(self):
         table = TenantPolicyTable([TenantPolicy("heavy", weight=2.0), TenantPolicy("light", weight=1.0)])
         sched = TenantScheduler(table)
         stamps = sorted(
-            [(sched.stamp("heavy"), "heavy") for _ in range(4)]
-            + [(sched.stamp("light"), "light") for _ in range(4)]
+            [(float(sched.stamp_many("heavy", 1)[0]), "heavy") for _ in range(4)]
+            + [(float(sched.stamp_many("light", 1)[0]), "light") for _ in range(4)]
         )
         # In tag order the first four slots hold twice as many heavy requests.
         first = [name for _, name in stamps[:3]]
@@ -197,10 +202,10 @@ class TestTenantScheduler:
             ]
         )
         sched = TenantScheduler(table)
-        assert sched.admit("hard", 0.0)[0] == "ok"
-        assert sched.admit("hard", 0.0)[0] == "shed"
-        assert sched.admit("soft", 0.0)[0] == "ok"
-        assert sched.admit("soft", 0.0)[0] == "degraded"
+        assert _admit(sched, "hard", 0.0) == STATUS_OK
+        assert _admit(sched, "hard", 0.0) == STATUS_SHED_CAP
+        assert _admit(sched, "soft", 0.0) == STATUS_OK
+        assert _admit(sched, "soft", 0.0) == STATUS_DEGRADED
         slo = table.policy_for("slo")
         actions = sched.overload_many(slo, np.array([0.01, 0.06, 0.2]))
         assert actions.tolist() == [STATUS_OK, STATUS_DEGRADED, STATUS_SHED_DEADLINE]
@@ -209,10 +214,10 @@ class TestTenantScheduler:
     def test_reset_restores_buckets(self):
         table = TenantPolicyTable([TenantPolicy("t", rate_cap_qps=1.0, burst=1)])
         sched = TenantScheduler(table)
-        assert sched.admit("t", 0.0)[0] == "ok"
-        assert sched.admit("t", 0.0)[0] == "shed"
+        assert _admit(sched, "t", 0.0) == STATUS_OK
+        assert _admit(sched, "t", 0.0) == STATUS_SHED_CAP
         sched.reset()
-        assert sched.admit("t", 0.0)[0] == "ok"
+        assert _admit(sched, "t", 0.0) == STATUS_OK
 
 
 # ---------------------------------------------------------------------- #
@@ -222,8 +227,7 @@ class TestEnvelopes:
     def test_requests_default_tenant(self):
         request = RecommendRequest(users=3)
         assert request.tenant == "default"
-        assert request.priority is None
-        assert RecommendRequest(users=3, tenant="acme", priority=2).tenant == "acme"
+        assert RecommendRequest(users=3, tenant="acme").tenant == "acme"
 
     def test_response_rejects_unknown_status(self):
         with pytest.raises(ValueError, match="unknown response status"):
