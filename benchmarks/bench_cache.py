@@ -206,20 +206,25 @@ def test_lifecycle_shape_touch_cost(report):
     def one_round():
         """Per-block wall of the whole block and of its ``_touch``, plus each fill's transfer count."""
         store = TieredFactorStore.from_result(shaped, cache=cache, n_shards=shards)
-        spent, fills = [0.0], []
-        touch, run_transfers = store._touch, store.machine.run_transfers
+        spent, fills, sizes = [0.0], [], {}
+        touch, estimate, charge_transfers = store._touch, store.machine.transfer_engine.estimate, store.machine.charge_transfers
 
         def timed_touch(touched):
             wall0 = time.perf_counter()
             touch(touched)
             spent[0] += time.perf_counter() - wall0
 
-        def counted(transfers, label="transfer"):
-            if label == "cache-fill-h2d":
-                fills.append(len(transfers))
-            return run_transfers(transfers, label=label)
+        def pricing(transfers):
+            report = estimate(transfers)
+            sizes[id(report)] = len(transfers)
+            return report
 
-        store._touch, store.machine.run_transfers = timed_touch, counted
+        def counted(report, label="transfer"):
+            if label == "cache-fill-h2d":
+                fills.append(sizes[id(report)])
+            return charge_transfers(report, label=label)
+
+        store._touch, store.machine.transfer_engine.estimate, store.machine.charge_transfers = timed_touch, pricing, counted
         wall0 = time.perf_counter()
         for block in blocks:
             store.recommend_batch(block, k=10)

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.serving.store import _distinct
+
 __all__ = ["PageTable", "TIER_HOT", "TIER_WARM", "TIER_COLD", "TIER_NAMES"]
 
 TIER_HOT = 0
@@ -68,7 +70,7 @@ class PageTable:
         """Distinct page ids backing ``items``, which must be sorted ascending.
 
         Sorted items map to non-decreasing page ids, so the distinct pages
-        are the run starts; no second sort is needed after ``np.unique``.
+        are the run starts; no second sort is needed after sorting the items.
         """
         pages = np.asarray(items, dtype=np.int64) // self.page_items
         if pages.size == 0:
@@ -85,7 +87,7 @@ class PageTable:
         A page id given twice moves (and counts its bytes) once.
         """
         pages = np.asarray(pages, dtype=np.int64)
-        pages = np.unique(pages[self.tier[pages] != tier])
+        pages = _distinct(pages[self.tier[pages] != tier])[0]
         nbytes = self.page_bytes[pages]
         np.subtract.at(self._resident, self.tier[pages], nbytes)
         moved = int(nbytes.sum())

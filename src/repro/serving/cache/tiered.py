@@ -42,14 +42,19 @@ import numpy as np
 
 import repro.obs as obs
 from repro.core.kernels import FLOAT_BYTES
+from repro.gpu.transfer import TransferReport
 from repro.serving.cache.config import CacheConfig
 from repro.serving.cache.heat import HeatSketch
 from repro.serving.cache.pages import TIER_COLD, TIER_HOT, TIER_NAMES, TIER_WARM, PageTable
 from repro.serving.cache.planner import CachePlanner
-from repro.serving.store import FactorStore
+from repro.serving.store import FactorStore, _distinct
 from repro.sparse.csr import CSRMatrix
 
 __all__ = ["TieredFactorStore", "CacheStats"]
+
+# Priced fill batches a store keeps per (partition, page table); see TieredFactorStore._fill_report.
+_FILL_REPORTS = 4096
+_UNPRICED = object()
 
 
 @dataclass
@@ -138,6 +143,9 @@ class TieredFactorStore(FactorStore):
         self._rebuild_planner()
         self.cache_stats = CacheStats()
         self._last_plan = self.machine.elapsed_seconds()
+        # Each page's owning device and the priced fill batches, for the
+        # (partition, page table) pair they were built on; see _fill_report.
+        self._fill_key: tuple = (None, None)
 
     def _rebuild_planner(self) -> None:
         """Re-resolve capacities (hot_fraction tracks the item axis)."""
@@ -203,10 +211,10 @@ class TieredFactorStore(FactorStore):
     # ------------------------------------------------------------------ #
     # lifecycle: invalidation composes with refresh / rollout
     # ------------------------------------------------------------------ #
-    def swap_snapshot(self, x, theta, **kwargs) -> None:
+    def _swap_to(self, gated, **kwargs) -> None:
         """Swap + invalidate: every cached page drops to warm at the new version."""
         old_items = self.n_items
-        super().swap_snapshot(x, theta, **kwargs)
+        super()._swap_to(gated, **kwargs)
         if self.n_items != old_items:
             self._heat = HeatSketch(self.n_items, self.cache_config.half_life_s)
         self._pages = PageTable(self.n_items, self.cache_config.page_items, self.f * FLOAT_BYTES, self.version)
@@ -225,14 +233,13 @@ class TieredFactorStore(FactorStore):
                 version=self.version,
             )
 
-    def grow_items(self, new_theta) -> int:
+    def _grow_to(self, model) -> None:
         """Append items; the new pages arrive warm, stamped with the current version."""
-        start = super().grow_items(new_theta)
+        super()._grow_to(model)
         self._heat.grow(self.n_items)
         self._pages.grow(self.n_items, self.version)
         self._rebuild_planner()
         self._publish_residency()
-        return start
 
     # ------------------------------------------------------------------ #
     # the demand path: classify returned items' pages, charge the misses
@@ -245,66 +252,89 @@ class TieredFactorStore(FactorStore):
     def _touch(self, items: np.ndarray) -> None:
         """Demand the factor pages backing one batch's returned items.
 
-        The batch's distinct items and their counts are the run starts
-        and run lengths of the sorted items (what ``np.unique`` returns,
-        without its general machinery), and only hot pages are checked
-        for a stale stamp: a warm or cold page is fetched either way.
+        The batch's distinct items and their counts come from one sort
+        (:func:`~repro.serving.store._distinct`), the pages are classified
+        by one ``bincount`` of their tiers, and only hot pages are checked
+        for a stale stamp: a warm or cold page is fetched either way.  The
+        fill is charged from a report priced once per per-device byte
+        vector (:meth:`_fill_report`).
         """
         now = self.machine.elapsed_seconds()
         stats = self.cache_stats
         if items.size:
-            ordered = np.sort(items)
-            runs = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
-            touched = ordered[runs[:-1]]
-            self._heat.observe(touched, runs[1:] - runs[:-1], now)
+            touched, counts = _distinct(items)
+            self._heat.observe(touched, counts, now)
             pages = self._pages.pages_of(touched)
             tiers = self._pages.tier[pages]
-            hot = pages[tiers == TIER_HOT]
-            warm = pages[tiers == TIER_WARM]
-            cold = pages[tiers == TIER_COLD]
-            hot_fresh = hot_stale = hot
-            if hot.size:
-                stale = self._pages.stale_mask(hot, self.version)
-                hot_fresh, hot_stale = hot[~stale], hot[stale]
-            stats.hits += int(hot_fresh.size)
-            stats.stale_hits += int(hot_stale.size)
-            stats.warm_misses += int(warm.size)
-            stats.cold_misses += int(cold.size)
+            n_hot, n_warm, n_cold = np.bincount(tiers, minlength=3).tolist()
+            fetch = tiers != TIER_HOT
+            n_stale = 0
+            if n_hot:
+                hot = np.flatnonzero(~fetch)
+                stale = hot[self._pages.stale_mask(pages[hot], self.version)]
+                n_stale = stale.size
+                fetch[stale] = True
+            stats.hits += n_hot - n_stale
+            stats.stale_hits += n_stale
+            stats.warm_misses += n_warm
+            stats.cold_misses += n_cold
 
-            fetch = np.concatenate([hot_stale, warm, cold])
-            before = self.machine.elapsed_seconds()
-            if cold.size:
+            if n_cold:
+                cold = pages[tiers == TIER_COLD]
                 cold_bytes = int(self._pages.page_bytes[cold].sum())
                 self.machine.clock.advance(
                     self.cache_config.cold_latency_s + cold_bytes / (self.cache_config.cold_bandwidth_gbs * 1e9),
                     label="cache-cold-read",
                 )
-            if fetch.size:
-                self.machine.run_transfers(self._page_transfers(fetch, self.machine.h2d, "cache-fill"), label="cache-fill-h2d")
-            delta = self.machine.elapsed_seconds() - before
+            if n_stale or n_warm or n_cold:
+                self.machine.charge_transfers(self._fill_report(pages[fetch]), label="cache-fill-h2d")
+            delta = self.machine.elapsed_seconds() - now
             if delta:
                 self.stats.simulated_seconds += delta
                 stats.miss_seconds += delta
 
-            if cold.size:
+            if n_cold:
                 self._pages.move(cold, TIER_WARM)
-                stats.demand_fills += int(cold.size)
-            if hot_stale.size:
+                stats.demand_fills += n_cold
+            if n_stale:
                 # Refetched from the (current-version) host copy: the
                 # device page is now fresh again.
-                self._pages.stamp_pages(hot_stale, self.version)
+                self._pages.stamp_pages(pages[stale], self.version)
             self._enforce_warm_capacity(now)
             if obs.enabled():
                 registry = obs.get_registry()
-                if hot_fresh.size:
-                    registry.counter("cache.hits", subsystem="serving").inc(int(hot_fresh.size))
-                misses = int(hot_stale.size + warm.size + cold.size)
-                if misses:
-                    registry.counter("cache.misses", subsystem="serving").inc(misses)
-                if hot_stale.size:
-                    registry.counter("cache.stale_hits", subsystem="serving").inc(int(hot_stale.size))
+                if n_hot - n_stale:
+                    registry.counter("cache.hits", subsystem="serving").inc(n_hot - n_stale)
+                if n_stale + n_warm + n_cold:
+                    registry.counter("cache.misses", subsystem="serving").inc(n_stale + n_warm + n_cold)
+                if n_stale:
+                    registry.counter("cache.stale_hits", subsystem="serving").inc(n_stale)
         if now - self._last_plan >= self.cache_config.plan_window_s:
             self._run_plan()
+
+    def _fill_report(self, pages: np.ndarray) -> TransferReport | None:
+        """The priced :meth:`_page_transfers` batch that demand-fills ``pages`` (one H2D per owning device).
+
+        Each page's owning device is found once per (partition, page
+        table) pair, so a batch's per-device bytes cost one ``bincount``,
+        and a batch is priced once per per-device byte vector.  Charging
+        the report moves the clock and the transfer totals exactly as
+        running the batch would.  The reports are kept until the partition
+        or the page table is rebuilt, and at most ``_FILL_REPORTS`` of
+        them: a long-lived store meets ever new byte vectors.
+        """
+        if self._fill_key[0] is not self.partition or self._fill_key[1] is not self._pages:
+            self._fill_key = (self.partition, self._pages)
+            first_items = np.arange(self._pages.n_pages) * self._pages.page_items
+            self._owners = np.searchsorted(self.partition.bounds, first_items, side="right") - 1
+            self._fill_reports: dict[bytes, TransferReport | None] = {}
+        key = np.bincount(self._owners[pages], weights=self._pages.page_bytes[pages], minlength=self.n_shards).tobytes()
+        report = self._fill_reports.get(key, _UNPRICED)
+        if report is _UNPRICED:
+            if len(self._fill_reports) >= _FILL_REPORTS:
+                self._fill_reports.clear()
+            report = self._fill_reports[key] = self.machine.transfer_engine.estimate(self._page_transfers(pages, self.machine.h2d, "cache-fill"))
+        return report
 
     def _page_transfers(self, pages: np.ndarray, make, tag: str) -> list:
         """One ``make`` (``machine.h2d``/``d2h``) transfer per device owning any of ``pages`` (repeats count)."""

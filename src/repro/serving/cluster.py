@@ -1,11 +1,16 @@
-"""Replicated serving: R copies of one store in rotation behind a router.
+"""Replicated serving: R replicas of one served model in rotation behind a router.
 
 One :class:`~repro.serving.store.FactorStore` is capacity-bound by its
 machine; a production tier scales *reads* by replication.  A
-:class:`ServingCluster` is a replica set: R replicas of one snapshot —
-each produced by :meth:`FactorStore.replicate`, i.e. an identical model
-on its own independent simulated machine — a rotation (drain / restore),
-write-through writes, the rolling snapshot swap and merged stats.  It
+:class:`ServingCluster` is a replica set: R replicas that serve one
+model, each on its own independent simulated machine — a rotation (drain
+/ restore), write-through writes, the rolling snapshot swap and merged
+stats.  The replicas share the model itself, as cuMF replicates Θ and
+has each unit compute its share once: the gated factors, their scoring
+copies and shards, the fold-in state and the answer table, so a user is
+scored once per model, not once per replica.  Each replica keeps only
+what is its own: its machine and clock, its stats, and (tiered) its
+cache tiers, heat and page table.  It
 carries the routing policy (a :class:`~repro.serving.routing.Router`,
 see :mod:`repro.serving.routing`) but makes no routing decision itself:
 reads go through the one dispatch step,
@@ -18,10 +23,14 @@ simulator, the rollout controller and the service facade drive every
 deployment through this class.
 
 Writes do not scale by replication, so cold-start fold-ins are
-*write-through*: :meth:`ServingCluster.fold_in` applies the same solve
-to every replica and checks they all assign the same user id — any
-replica can then serve the new user with identical results and
-exclusion behaviour.
+*write-through*: :meth:`ServingCluster.fold_in` solves the user once per
+distinct model the replicas serve (two mid-rollout), installs the result
+on every replica that served that model, charges each replica its own
+fold-in pass and checks they all assign the same user id — any replica
+can then serve the new user with identical results and exclusion
+behaviour.  Item growth and the rolling swap likewise build each new
+model once.  A write made directly on one replica's store gives that
+store a model of its own.
 """
 
 from __future__ import annotations
@@ -32,20 +41,21 @@ import numpy as np
 
 import repro.obs as obs
 from repro.serving.routing import Router, make_router
-from repro.serving.store import FactorStore
+from repro.serving.store import FactorStore, _Gated
 
 __all__ = ["ServingCluster"]
 
 
 class ServingCluster:
-    """R replicas of one factor snapshot, in rotation behind a routing policy.
+    """R replicas of one served model, in rotation behind a routing policy.
 
     Parameters
     ----------
     replicas:
         Identical :class:`FactorStore` snapshots, each on its own
         simulated machine (build them with :meth:`from_store` /
-        :meth:`from_result` or :meth:`FactorStore.replicate`).
+        :meth:`from_result`, whose replicas share one model, or with
+        :meth:`FactorStore.replicate`, whose copies each own theirs).
     router:
         Routing policy: a :class:`Router` instance or one of
         ``"round-robin"``, ``"least-loaded"``, ``"power-of-two"``.
@@ -73,8 +83,8 @@ class ServingCluster:
                 raise ValueError(f"replica {i} has different fold-in hyper-parameters (lam={rep.lam}, weighted={rep.weighted})")
             # Same model everywhere, or routed answers are inconsistent.
             # The comparison is O(snapshot), i.e. no more than building the
-            # replica was.
-            if not (
+            # replica was; replicas sharing the model object skip it.
+            if rep._model is not head._model and not (
                 np.array_equal(rep.x, head.x)
                 and np.array_equal(rep.theta, head.theta)
                 and all(np.array_equal(rep._folded_items[u], seg) for u, seg in head._folded_items.items())
@@ -89,15 +99,17 @@ class ServingCluster:
 
     @classmethod
     def from_store(cls, store: FactorStore, n_replicas: int, router: Router | str = "least-loaded", log=None) -> "ServingCluster":
-        """Replicate ``store`` onto ``n_replicas`` fresh machines.
+        """Replicate ``store`` onto ``n_replicas`` fresh machines, all serving one copy of its model.
 
         The source store is left untouched (it is not one of the
-        replicas); fold-ins it already absorbed are carried into every
-        replica, ids and exclusion sets included.
+        replicas, and they do not share its answer table); fold-ins it
+        already absorbed are carried into every replica, ids and
+        exclusion sets included.
         """
         if n_replicas < 1:
             raise ValueError("n_replicas must be at least 1")
-        return cls([store.replicate() for _ in range(n_replicas)], router=router, log=log)
+        head = store.replicate()
+        return cls([head, *(head._sibling() for _ in range(n_replicas - 1))], router=router, log=log)
 
     @classmethod
     def from_result(
@@ -110,8 +122,9 @@ class ServingCluster:
     ) -> "ServingCluster":
         """Snapshot a finished training run straight into a cluster.
 
-        Each replica is built directly from the result (no intermediate
-        throwaway store).  ``store_kwargs`` configure the per-replica
+        The result's factors are gated once, and every replica serves the
+        one model built from them (no intermediate throwaway store).
+        ``store_kwargs`` configure the per-replica
         stores; a shared ``machine`` is rejected because every replica
         must own an independent simulated machine, and a ``log`` is
         attached at the cluster level (never per replica, which would
@@ -125,8 +138,8 @@ class ServingCluster:
         if "machine" in store_kwargs:
             raise ValueError("replicas own independent machines; configure n_shards instead")
         log = store_kwargs.pop("log", None)
-        replicas = [store_cls.from_result(result, **store_kwargs) for _ in range(n_replicas)]
-        return cls(replicas, router=router, log=log)
+        head = store_cls.from_result(result, **store_kwargs)
+        return cls([head, *(head._sibling() for _ in range(n_replicas - 1))], router=router, log=log)
 
     @classmethod
     def of(cls, backend: "ServingCluster | FactorStore") -> "ServingCluster":
@@ -236,17 +249,26 @@ class ServingCluster:
     def fold_in(self, items: np.ndarray, ratings: np.ndarray) -> int:
         """Write-through cold-start: fold the user into *every* replica.
 
-        Returns the new user id, which is identical on all replicas (so
-        follow-up queries can be routed anywhere); raises
-        :class:`RuntimeError` — before touching any replica — if the
-        replicas have diverged and would disagree on the id.
+        The user's factor is solved once per distinct model the replicas
+        serve (and fold-in hyper-parameters they hold), and each replica
+        that served that model installs the one new model and is charged
+        its own fold-in pass.  Returns the new user id, which is identical
+        on all replicas (so follow-up queries can be routed anywhere);
+        raises before touching any replica if the replicas have diverged
+        and would disagree on the id (:class:`RuntimeError`) or if any
+        model rejects the ratings (:class:`ValueError`).
         """
         user = self.replicas[0].n_users
         if any(rep.n_users != user for rep in self.replicas):
             counts = [rep.n_users for rep in self.replicas]
             raise RuntimeError(f"replicas diverged: user counts {counts}")
+        folded: dict[tuple, tuple] = {}
         for rep in self.replicas:
-            assigned = rep.fold_in(items, ratings)
+            key = (rep._model, rep.lam, rep.weighted)
+            if key not in folded:
+                folded[key] = rep._model.folded(items, ratings, rep.lam, rep.weighted)
+        for rep in self.replicas:
+            assigned = rep._fold_to(*folded[rep._model, rep.lam, rep.weighted])
             assert assigned == user  # ids are allocated densely per replica
         if self.log is not None:
             self.log.record(user, items, ratings)
@@ -257,18 +279,25 @@ class ServingCluster:
 
         The item-side half of a refresh: new items folded in against the
         frozen X are appended to each replica's Θ, so the item axis grows
-        consistently and any replica can serve the new items.  Returns
-        the id of the first new item (identical everywhere); raises
-        :class:`RuntimeError` — before touching any replica — if the
-        replicas already disagree on the item count.
+        consistently and any replica can serve the new items.  Each
+        distinct model grows once and every replica that served it
+        installs the grown model.  Returns the id of the first new item
+        (identical everywhere); raises :class:`RuntimeError` — before
+        touching any replica — if the replicas already disagree on the
+        item count.
         """
         start = self.replicas[0].n_items
         if any(rep.n_items != start for rep in self.replicas):
             counts = [rep.n_items for rep in self.replicas]
             raise RuntimeError(f"replicas diverged: item counts {counts}")
+        grown: dict = {}
         for rep in self.replicas:
-            appended = rep.grow_items(new_theta)
-            assert appended == start  # item ids are allocated densely per replica
+            if rep._model not in grown:
+                grown[rep._model] = rep._model.grown(new_theta)
+        for rep in self.replicas:
+            model = grown[rep._model]
+            if model is not rep._model:
+                rep._grow_to(model)
         return start
 
     def swap_snapshot(
@@ -283,21 +312,23 @@ class ServingCluster:
     ) -> None:
         """Swap every replica to a new model, one at a time — the rolling swap.
 
-        Each active replica is rotated out (drained) while its store
-        swaps, then restored, so concurrent facade traffic always finds
-        ``R - 1`` replicas serving; a lone replica is swapped directly
+        The snapshot is gated once and every replica installs the same
+        model of it.  Each active replica is rotated out (drained) while
+        its store swaps, then restored, so concurrent facade traffic always
+        finds ``R - 1`` replicas serving; a lone replica is swapped directly
         (there is nobody to rotate behind), and an already-draining
         replica is swapped in place and left out of rotation.  For a
         scheduled rolling swap against a registry (mid-trace,
         per-version query accounting) use
         :meth:`~repro.serving.lifecycle.rollout.RolloutController.plan_events`.
         """
+        gated = _Gated(x, theta)
         for i in range(self.n_replicas):
             rotate = self._active[i] and self.n_active > 1
             if rotate:
                 self.drain(i)
             try:
-                self.replicas[i].swap_snapshot(x, theta, lam=lam, weighted=weighted, version=version, solver=solver)
+                self.replicas[i]._swap_to(gated, lam=lam, weighted=weighted, version=version, solver=solver)
             finally:
                 if rotate:
                     self.restore(i)

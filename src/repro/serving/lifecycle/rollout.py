@@ -36,7 +36,7 @@ from functools import partial
 from repro.serving.cluster import ServingCluster
 from repro.serving.lifecycle.registry import Snapshot, SnapshotRegistry
 from repro.serving.simulator import LifecycleEvent
-from repro.serving.store import FactorStore
+from repro.serving.store import FactorStore, _Gated
 
 __all__ = ["RolloutController"]
 
@@ -77,8 +77,8 @@ class RolloutController:
         """
         return self._checked_snapshot(version)
 
-    def _swap_and_restore(self, replica: int, snap: Snapshot) -> None:
-        self.backend.replicas[replica].swap_snapshot(snap.x, snap.theta, lam=snap.lam, weighted=snap.weighted, version=snap.label)
+    def _swap_and_restore(self, replica: int, snap: Snapshot, gated: _Gated) -> None:
+        self.backend.replicas[replica]._swap_to(gated, lam=snap.lam, weighted=snap.weighted, version=snap.label)
         self.backend.restore(replica)
 
     # ------------------------------------------------------------------ #
@@ -110,7 +110,9 @@ class RolloutController:
         back — swapped to the new version — ``swap_s`` (simulated)
         seconds later, modelling the time a real replica spends loading
         the new factors.  ``swap_s`` defaults to half a step and must not
-        exceed ``step_s``, so at most one replica is out at a time.
+        exceed ``step_s``, so at most one replica is out at a time.  The
+        snapshot is gated once, when the plan is built, and every replica
+        swaps to the same model of it.
         Needs at least two replicas (someone must serve while one
         drains; use :meth:`rollout` for a single-replica cluster), all
         in rotation: a replica already drained would break the
@@ -132,12 +134,14 @@ class RolloutController:
         if not 0 < swap_s <= step_s:
             raise ValueError("need 0 < swap_s <= step_s (one replica out at a time)")
         snap = self._checked_snapshot(version)
+        # Gated once: every replica the plan swaps installs the same model.
+        gated = _Gated(snap.x, snap.theta)
         events: list[LifecycleEvent] = []
         for replica in range(n_replicas):
             drain_at = start_s + replica * step_s
             events.append(LifecycleEvent(time=drain_at, action=partial(self.backend.drain, replica), label=f"drain r{replica}"))
             events.append(
-                LifecycleEvent(time=drain_at + swap_s, action=partial(self._swap_and_restore, replica, snap), label=f"swap r{replica} -> {snap.label}")
+                LifecycleEvent(time=drain_at + swap_s, action=partial(self._swap_and_restore, replica, snap, gated), label=f"swap r{replica} -> {snap.label}")
             )
         return events
 

@@ -16,7 +16,9 @@ protocol suite pins that), but the service wraps it as
 ``status="error"`` so one request cannot take down a serving loop.
 
 Multi-tenant serving widens the vocabulary without breaking old
-callers: requests carry a ``tenant`` id (``"default"`` when unset), and
+callers: requests carry a ``tenant`` id (``"default"`` when unset or
+empty, so an unnamed tenant is counted, labelled and echoed under one
+name), and
 a response's ``status`` is one of :data:`STATUSES` — ``"ok"``,
 ``"error"``, ``"shed"`` (rejected by the tenant's rate cap or deadline,
 carried as a typed envelope rather than an unbounded queue), or
@@ -75,8 +77,16 @@ class ShedError(RuntimeError):
     """
 
 
+class _Tenanted:
+    """The request envelopes' tenant rule: an unnamed tenant (``""``) is :data:`~repro.serving.tenancy.DEFAULT_TENANT`."""
+
+    def __post_init__(self) -> None:
+        if not self.tenant:
+            object.__setattr__(self, "tenant", DEFAULT_TENANT)
+
+
 @dataclass(frozen=True)
-class PredictRequest:
+class PredictRequest(_Tenanted):
     """Score aligned (user, item) pairs."""
 
     users: np.ndarray
@@ -85,7 +95,7 @@ class PredictRequest:
 
 
 @dataclass(frozen=True)
-class RecommendRequest:
+class RecommendRequest(_Tenanted):
     """Top-``k`` recommendations for one user or a batch of users.
 
     ``users`` may be a scalar id or a 1-D array; the response payload is
@@ -103,7 +113,7 @@ class RecommendRequest:
 
 
 @dataclass(frozen=True)
-class RateRequest:
+class RateRequest(_Tenanted):
     """Feedback from a *known* user: ratings to park in the interaction log.
 
     Item ids may exceed the served item count (that is how brand-new

@@ -48,7 +48,7 @@ from repro.serving.service.envelopes import (
 )
 from repro.serving.simulator import LifecycleEvent, QueryTrace, RequestSimulator, TrafficReport, serve_window
 from repro.serving.store import FactorStore
-from repro.serving.tenancy import DEFAULT_TENANT, STATUS_DEGRADED, STATUS_ERROR, STATUS_OK, STATUS_SHED_CAP, TenantPolicyTable, TenantScheduler
+from repro.serving.tenancy import STATUS_DEGRADED, STATUS_ERROR, STATUS_OK, STATUS_SHED_CAP, TenantPolicyTable, TenantScheduler
 from repro.sparse.csr import CSRMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, hints only
@@ -155,7 +155,6 @@ class RecommenderService:
             status = ENVELOPE_STATUS[code]
             if status == "error":
                 errors += n
-                tenant = tenant or DEFAULT_TENANT
             elif status != "shed":
                 requests[kind] += n
             if self._scheduler is not None:
@@ -217,13 +216,12 @@ class RecommenderService:
         response = ServeResponse(kind=kind, status=status, payload=payload, tenant=tenant, **served)
         if not obs.enabled():
             return response
-        label = tenant or DEFAULT_TENANT
         registry = obs.get_registry()
-        registry.counter("serve.requests", kind=kind, status=status, tenant=label).inc()
+        registry.counter("serve.requests", kind=kind, status=status, tenant=tenant).inc()
         if start_s is not None:
-            registry.histogram("serve.latency_s", tenant=label).observe(response.latency_s)
+            registry.histogram("serve.latency_s", tenant=tenant).observe(response.latency_s)
             obs.get_tracer().add_span(
-                f"{kind}:{label}",
+                f"{kind}:{tenant}",
                 start=start_s,
                 end=start_s + response.latency_s,
                 category="request",

@@ -44,7 +44,7 @@ from repro.datasets.synthetic import powerlaw_weights
 from repro.obs.stats import event_window_p95, percentile_summary, utilization
 from repro.serving.cluster import ServingCluster
 from repro.serving.routing import select_replica
-from repro.serving.store import FactorStore
+from repro.serving.store import FactorStore, _distinct
 from repro.serving.tenancy import (
     DEFAULT_TENANT,
     STATUS_DEGRADED,
@@ -665,7 +665,7 @@ class _Wfq:
             return [(self.k, members, members.size)], members.size, latest
         k_of = self.k_of[members]
         window = []
-        for group_k in np.unique(k_of)[::-1].tolist():  # one recommend_batch per effective k, largest first
+        for group_k in _distinct(k_of)[0][::-1].tolist():  # one recommend_batch per effective k, largest first
             group = members[k_of == group_k]
             window.append((group_k, group, group.size))
         return window, members.size, latest

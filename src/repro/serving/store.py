@@ -12,9 +12,13 @@ training, and answers top-k queries in batches:
   cuMF kernels;
 * items a user has already rated are masked out from a CSR matrix
   (typically the training matrix) with one gather over its ``indptr``;
-* each user is scored and selected once per served snapshot: the
-  store keeps an answer table of every top-k row it has computed, and a
-  later query by the same user reads the stored row;
+* each user is scored and selected once per served model: the model
+  keeps an answer table of every top-k row computed on it, and a later
+  query by the same user reads the stored row.  The replicas of a
+  :class:`~repro.serving.cluster.ServingCluster` that serve one model
+  share the model, its table included, while each keeps its own
+  machine, clock, stats (and cache); :meth:`FactorStore.replicate` makes
+  a copy with a table of its own;
 * the host selects each user's exact top-k from the whole score block
   (descending score, ties by ascending item id), scanning only the
   column groups that can hold a winner;
@@ -63,11 +67,18 @@ __all__ = ["FactorStore", "ServingStats", "TopK"]
 _SCORE_MAX = float(np.finfo(np.float32).max)
 
 
-class _Gated(NamedTuple):
-    """Factor masters that already passed :meth:`FactorStore._checked_factors` (read-only)."""
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct ``values`` and how often each occurs, as ``np.unique(values, return_counts=True)``.
 
-    x: np.ndarray
-    theta: np.ndarray
+    The distinct values are the run starts of the sorted values and the
+    counts the run lengths: one sort and one comparison, without the
+    general (hash-based) machinery ``np.unique`` runs first.
+    """
+    ordered = np.sort(values)
+    if not ordered.size:
+        return ordered, np.zeros(0, dtype=np.int64)
+    runs = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
+    return ordered[runs[:-1]], runs[1:] - runs[:-1]
 
 
 class TopK(Sequence):
@@ -113,7 +124,7 @@ class TopK(Sequence):
 
 
 class _Answers:
-    """The answer table: every top-k row a store has computed in one (snapshot, exclude) epoch.
+    """The answer table: every top-k row computed on one model for one ``exclude``.
 
     Row ``u`` holds user ``u``'s top-``width`` ids and scores once
     ``known[u]`` is set.  A top-kk answer is the bitwise prefix of the
@@ -131,6 +142,117 @@ class _Answers:
         self.ids = np.zeros((n_users, width), dtype=np.int64)
         self.scores = np.zeros((n_users, width), dtype=np.float32)
         self.known = np.zeros(n_users, dtype=bool)
+
+
+class _Model:
+    """One served model, shared by every replica that serves it.
+
+    It holds the gated float64 masters ``x`` and ``theta`` (read-only),
+    their float32 scoring copies (``x_score``, and ``shards``: one block
+    of Θ rows per device of ``partition``), the fold-in state
+    (``n_trained_users``, ``folded_items``) and ``answers``, the answer
+    table: the one part that fills as queries arrive.  A write never
+    changes a model; it builds a new one with an empty table
+    (:meth:`folded`, :meth:`grown`, :meth:`derive`) that shares every array
+    the write left alone.  So a table's rows always belong to the model
+    they were computed on, and the replicas that serve one model read one
+    table.
+    """
+
+    __slots__ = ("x", "theta", "x_score", "partition", "shards", "n_trained_users", "folded_items", "answers")
+
+    def __init__(self, x: np.ndarray, theta: np.ndarray, n_shards: int):
+        x.setflags(write=False)
+        theta.setflags(write=False)
+        self.x, self.theta = x, theta
+        self.x_score = np.ascontiguousarray(x, dtype=np.float32)
+        self.partition, self.shards = self._layout(theta, n_shards)
+        # Users [0, n_trained_users) came from training and map 1:1 onto
+        # the rows of an exclude matrix; later fold-ins live above this.
+        self.n_trained_users = x.shape[0]
+        self.folded_items: dict[int, np.ndarray] = {}
+        self.answers: _Answers | None = None
+
+    @staticmethod
+    def _layout(theta: np.ndarray, n_shards: int) -> tuple[Partition1D, list[np.ndarray]]:
+        """The row partition of Θ over ``n_shards`` devices and each device's float32 shard."""
+        partition = Partition1D(theta.shape[0], n_shards)
+        return partition, [np.ascontiguousarray(theta[lo:hi], dtype=np.float32) for lo, hi in (partition.range_of(i) for i in range(n_shards))]
+
+    @property
+    def n_users(self) -> int:
+        return self.x.shape[0]
+
+    @property
+    def n_items(self) -> int:
+        return self.theta.shape[0]
+
+    @property
+    def f(self) -> int:
+        return self.x.shape[1]
+
+    @property
+    def n_shards(self) -> int:
+        return len(self.shards)
+
+    def derive(self, n_shards: int | None = None, **changes) -> "_Model":
+        """A new model with ``changes`` applied, laid out over ``n_shards`` devices (default: as this one), and an empty table."""
+        if n_shards is not None and n_shards != self.n_shards:
+            changes["partition"], changes["shards"] = self._layout(changes.get("theta", self.theta), n_shards)
+        model = _Model.__new__(_Model)
+        for name in _Model.__slots__:
+            setattr(model, name, changes.get(name, getattr(self, name)))
+        model.answers = None
+        return model
+
+    def folded(self, items: np.ndarray, ratings: np.ndarray, lam: float, weighted: bool) -> tuple["_Model", int]:
+        """This model with one cold-start user folded in, and the validated rating count.
+
+        The input passes the same :func:`~repro.serving.foldin.validate_ratings`
+        gate as the standalone fold-in solver, and the factor is solved
+        against the frozen Θ with the training kernels (one Base-ALS user
+        update).  The new row joins both the float64 master and the scoring
+        copy, and the user's items count as seen for exclusion.
+        """
+        items, ratings = validate_ratings(items, ratings, self.n_items)
+        factor = fold_in_user(items, ratings, self.theta, lam, weighted=weighted)
+        x = np.vstack([self.x, factor[None, :]])
+        x.setflags(write=False)
+        x_score = np.vstack([self.x_score, factor[None, :].astype(np.float32)])
+        folded_items = {**self.folded_items, self.n_users: np.unique(items)}
+        return self.derive(x=x, x_score=x_score, folded_items=folded_items), int(items.size)
+
+    def grown(self, new_theta: np.ndarray) -> "_Model":
+        """This model with item rows appended to Θ (itself when there are none); the rows pass the factor gate."""
+        (new_theta,) = FactorStore._checked_factors({"new item rows": new_theta}, f=self.f)
+        if new_theta.shape[0] == 0:
+            return self
+        theta = np.ascontiguousarray(np.vstack([self.theta, new_theta]))
+        theta.setflags(write=False)
+        partition, shards = self._layout(theta, self.n_shards)
+        return self.derive(theta=theta, partition=partition, shards=shards)
+
+
+class _Gated:
+    """A new snapshot's factors, passed through the gate once, and the model of them each shard count serves (built once).
+
+    Every replica that swaps to one ``_Gated`` installs the same model
+    (one per shard count), so the rolling swap gates and lays out a
+    snapshot once however many replicas it swaps.
+    """
+
+    def __init__(self, x: np.ndarray, theta: np.ndarray):
+        self.x, self.theta = FactorStore._checked_factors({"x": x, "theta": theta})
+        self._models: dict[int, _Model] = {}
+
+    def model(self, n_shards: int) -> _Model:
+        """The model of this snapshot over ``n_shards`` devices."""
+        if self.theta.shape[0] < n_shards:
+            raise ValueError(f"new snapshot has {self.theta.shape[0]} items but the store keeps {n_shards} shards")
+        model = self._models.get(n_shards)
+        if model is None:
+            model = self._models[n_shards] = _Model(self.x, self.theta, n_shards)
+        return model
 
 
 class _Charge(NamedTuple):
@@ -236,29 +358,34 @@ class FactorStore:
         version: str = "",
     ):
         # Snapshot semantics: the store owns private, immutable copies, so
-        # later training runs cannot mutate what is being served.  A
-        # replicate() clone shares its source's gated read-only arrays.
-        x, theta = x if isinstance(x, _Gated) else self._checked_factors({"x": x, "theta": theta})
+        # later training runs cannot mutate what is being served.  A model
+        # passed as ``x`` (by replicate() or a cluster) is served as is.
+        model = x if isinstance(x, _Model) else None
+        if model is None:
+            x, theta = self._checked_factors({"x": x, "theta": theta})
+        else:
+            theta = model.theta
         if lam < 0:
             raise ValueError("lam must be non-negative")
         if machine is not None and n_shards is not None and n_shards != machine.n_gpus:
             raise ValueError(f"asked for {n_shards} shards on a machine with {machine.n_gpus} GPUs")
         if n_shards is None:
-            n_shards = machine.n_gpus if machine is not None else 1
+            n_shards = machine.n_gpus if machine is not None else model.n_shards if model is not None else 1
         if not 1 <= n_shards <= max(1, theta.shape[0]):
             raise ValueError(f"n_shards must be in [1, {max(1, theta.shape[0])}]")
 
-        # Users [0, _n_trained_users) came from training and map 1:1 onto
-        # the rows of an exclude matrix; later fold-ins live above this.
-        self._n_trained_users = x.shape[0]
         self.lam = float(lam)
         self.weighted = weighted
         self.solver = solver
         self.version = str(version)
         self.machine = machine or MultiGPUMachine(n_gpus=n_shards)
         self.stats = ServingStats()
-        self._install_factors(x, theta, n_shards)
-        self._folded_items: dict[int, np.ndarray] = {}
+        self._model: _Model | None = None
+        if model is None:
+            model = _Model(x, theta, n_shards)
+        elif model.n_shards != n_shards:
+            model = model.derive(n_shards)
+        self._install(model)
 
     @staticmethod
     def _checked_factors(factors: dict, f: int | None = None) -> list[np.ndarray]:
@@ -290,36 +417,52 @@ class FactorStore:
                 raise ValueError(f"{name} has entries beyond the float32 range (±{_SCORE_MAX:.4g}); refusing to serve it")
         return copies
 
-    def _install_factors(self, x: np.ndarray, theta: np.ndarray, n_shards: int) -> None:
-        """(Re)build the served state from immutable factor matrices.
+    def _install(self, model: _Model) -> None:
+        """Serve ``model`` from now on.
 
-        Shared by construction and :meth:`swap_snapshot`: installs the
-        float64 masters, the single-precision scoring copies, the Θ
-        partition and the per-device shards, and the kernel-profile
-        config.
+        Per-shape charges (see :meth:`_charge`) and the kernel-profile
+        config depend on the Θ partition and ``f``, so they are rebuilt
+        when ``model`` lays Θ out anew; a fold-in's model keeps its
+        parent's partition, and with it the charges.
         """
-        x.setflags(write=False)
-        self.x = x
-        self._x_score = np.ascontiguousarray(x, dtype=np.float32)
-        self._install_theta(theta, n_shards)
-        # Profile construction reuses the training kernel models, which
-        # are parameterised by an ALSConfig.
-        self._profile_config = ALSConfig(f=x.shape[1], lam=self.lam)
+        if self._model is None or model.partition is not self._model.partition:
+            self._charges: dict[tuple, _Charge] = {}
+            # Profile construction reuses the training kernel models, which
+            # are parameterised by an ALSConfig.
+            self._profile_config = ALSConfig(f=model.f, lam=self.lam)
+        self._model = model
 
-    def _install_theta(self, theta: np.ndarray, n_shards: int) -> None:
-        """(Re)build only the Θ side: master, partition and shards.
+    # The served model's state, read through the store.
+    @property
+    def x(self) -> np.ndarray:
+        """The float64 user factors being served, fold-ins included (read-only)."""
+        return self._model.x
 
-        :meth:`grow_items` comes through here so appending item rows does
-        not recopy the (unchanged) X scoring matrix or kernel profiles.
-        Every answer computed so far is dropped with the old Θ.
-        """
-        theta.setflags(write=False)
-        self.theta = theta
-        self.partition = Partition1D(theta.shape[0], n_shards)
-        self._shards = [np.ascontiguousarray(theta[lo:hi], dtype=np.float32) for lo, hi in (self.partition.range_of(i) for i in range(n_shards))]
-        self._answers: _Answers | None = None
-        # Per-shape charges (see _charge) depend on the partition, n_items and f, so they drop here too.
-        self._charges: dict[tuple, _Charge] = {}
+    @property
+    def theta(self) -> np.ndarray:
+        """The float64 item factors being served (read-only)."""
+        return self._model.theta
+
+    @property
+    def partition(self) -> Partition1D:
+        """The row partition of Θ over the devices."""
+        return self._model.partition
+
+    @property
+    def _x_score(self) -> np.ndarray:
+        return self._model.x_score
+
+    @property
+    def _shards(self) -> list[np.ndarray]:
+        return self._model.shards
+
+    @property
+    def _n_trained_users(self) -> int:
+        return self._model.n_trained_users
+
+    @property
+    def _folded_items(self) -> dict[int, np.ndarray]:
+        return self._model.folded_items
 
     # ------------------------------------------------------------------ #
     # construction / persistence
@@ -435,14 +578,13 @@ class FactorStore:
         return {}
 
     def _restore_fold_state(self, n_trained_users: int, folded_items: dict) -> None:
-        """Adopt fold-in bookkeeping from a saved or replicated store (it changes what is masked, so answers drop)."""
+        """Adopt fold-in bookkeeping from a saved store; it changes what is masked, so the store gets a model (and table) of its own."""
         if not 0 <= n_trained_users <= self.n_users:
             raise ValueError(f"n_trained_users must be in [0, {self.n_users}], got {n_trained_users}")
         if set(folded_items) != set(range(n_trained_users, self.n_users)):
             raise ValueError("folded-items map must cover exactly the rows above n_trained_users")
-        self._n_trained_users = int(n_trained_users)
-        self._folded_items = {int(u): np.asarray(seg, dtype=np.int64) for u, seg in folded_items.items()}
-        self._answers = None
+        folded_items = {int(u): np.asarray(seg, dtype=np.int64) for u, seg in folded_items.items()}
+        self._install(self._model.derive(n_trained_users=int(n_trained_users), folded_items=folded_items))
 
     def replicate(self, *, machine: MultiGPUMachine | None = None, n_shards: int | None = None) -> "FactorStore":
         """An independent copy of this snapshot on a fresh simulated machine.
@@ -450,16 +592,25 @@ class FactorStore:
         The clone serves the same users — trained and folded-in alike,
         with identical exclusion behaviour — on its own machine/clock
         with zeroed stats, so replicas accumulate simulated time
-        independently.  It shares the source's factor masters: they
+        independently.  It shares the source's factor arrays: they
         passed the gate already and are read-only, and every write
         (fold-in, swap, item growth) installs new arrays rather than
-        touching them.  This is the building
-        block :class:`~repro.serving.cluster.ServingCluster` replicates.
+        touching them.  It does not share the source's answer table: the
+        clone scores every user afresh.  (The replicas of one
+        :class:`~repro.serving.cluster.ServingCluster` share one model,
+        table included; see :meth:`_sibling`.)
         """
         if machine is None and n_shards is None:
             n_shards = self.n_shards
-        clone = type(self)(
-            _Gated(self.x, self.theta),
+        return self._clone(self._model.derive(), machine, n_shards)
+
+    def _sibling(self) -> "FactorStore":
+        """Another replica of this very model on a fresh machine: the answer table is shared, clock, stats (and cache) are its own."""
+        return self._clone(self._model, None, self.n_shards)
+
+    def _clone(self, model: _Model, machine: MultiGPUMachine | None, n_shards: int | None) -> "FactorStore":
+        return type(self)(
+            model,
             None,
             lam=self.lam,
             weighted=self.weighted,
@@ -469,11 +620,6 @@ class FactorStore:
             version=self.version,
             **self._clone_kwargs(),
         )
-        clone._restore_fold_state(
-            self._n_trained_users,
-            {u: seg.copy() for u, seg in self._folded_items.items()},
-        )
-        return clone
 
     # ------------------------------------------------------------------ #
     # lifecycle hooks: snapshot swap and item growth
@@ -498,10 +644,16 @@ class FactorStore:
         charged for shipping each device its new Θ shard, which is the
         load a real replica pays while drained.  ``lam``/``weighted``/
         ``version``/``solver`` update the serving metadata when given.
+        The store gets a model of its own; a cluster's rolling swap gates
+        the snapshot once and installs one model on every replica.
         """
-        x, theta = self._checked_factors({"x": x, "theta": theta})
-        if theta.shape[0] < self.n_shards:
-            raise ValueError(f"new snapshot has {theta.shape[0]} items but the store keeps {self.n_shards} shards")
+        self._swap_to(_Gated(x, theta), lam=lam, weighted=weighted, version=version, solver=solver)
+
+    def _swap_to(
+        self, gated: _Gated, *, lam: float | None = None, weighted: bool | None = None, version: str | None = None, solver: str | None = None
+    ) -> None:
+        """:meth:`swap_snapshot` to an already gated snapshot: serve its model for this store's shard count."""
+        model = gated.model(self.n_shards)
         if lam is not None:
             if lam < 0:
                 raise ValueError("lam must be non-negative")
@@ -512,9 +664,7 @@ class FactorStore:
             self.version = str(version)
         if solver is not None:
             self.solver = solver
-        self._install_factors(x, theta, self.n_shards)
-        self._n_trained_users = x.shape[0]
-        self._folded_items = {}
+        self._install(model)
         before = self.machine.elapsed_seconds()
         self.machine.run_transfers(
             [self.machine.h2d(i, self.partition.size_of(i) * self.f * FLOAT_BYTES, tag="swap-shard") for i in range(self.n_shards)],
@@ -533,19 +683,22 @@ class FactorStore:
         Exclude matrices built for the old item count no longer match and
         must be regrown by the caller (or omitted).
         """
-        (new_theta,) = self._checked_factors({"new item rows": new_theta}, f=self.f)
         start = self.n_items
-        if new_theta.shape[0] == 0:
-            return start
-        theta = np.ascontiguousarray(np.vstack([self.theta, new_theta]))
-        self._install_theta(theta, self.n_shards)
+        grown = self._model.grown(new_theta)
+        if grown is not self._model:
+            self._grow_to(grown)
+        return start
+
+    def _grow_to(self, model: _Model) -> None:
+        """Serve ``model``, this store's model with item rows appended, and charge broadcasting the new rows."""
+        n_new = model.n_items - self.n_items
+        self._install(model)
         before = self.machine.elapsed_seconds()
         self.machine.run_transfers(
-            [self.machine.h2d(i, new_theta.shape[0] * self.f * FLOAT_BYTES, tag="grow-items") for i in range(self.n_shards)],
+            [self.machine.h2d(i, n_new * self.f * FLOAT_BYTES, tag="grow-items") for i in range(self.n_shards)],
             label="grow-h2d",
         )
         self.stats.simulated_seconds += self.machine.elapsed_seconds() - before
-        return start
 
     # ------------------------------------------------------------------ #
     # basic properties
@@ -553,22 +706,22 @@ class FactorStore:
     @property
     def n_users(self) -> int:
         """Number of user rows currently servable (including fold-ins)."""
-        return self.x.shape[0]
+        return self._model.n_users
 
     @property
     def n_items(self) -> int:
         """Number of items."""
-        return self.theta.shape[0]
+        return self._model.n_items
 
     @property
     def f(self) -> int:
         """Latent-feature dimension."""
-        return self.x.shape[1]
+        return self._model.f
 
     @property
     def n_shards(self) -> int:
         """Number of Θ shards (= serving devices)."""
-        return len(self._shards)
+        return self._model.n_shards
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.n_users} users x {self.n_items} items, f={self.f}, {self.n_shards} shards)"
@@ -645,12 +798,13 @@ class FactorStore:
         buffer.  This is the one top-k entry point: the traffic simulator
         and every serving front end go through it.
 
-        Each user is scored once per (snapshot, ``exclude``) epoch: the
-        store's answer table keeps every row it computes, and later
-        queries by that user, in this call or a later one, read the
-        stored row (its first columns for a smaller ``k``).  So a user's
-        answer is the one computed when the user was first scored in the
-        epoch, bit for bit, whatever block or call repeats it.  The
+        Each user is scored once per (model, ``exclude``) epoch: the
+        served model's answer table keeps every row computed on it, and
+        later queries by that user, in this call or a later one, on this
+        store or on any replica serving the same model, read the stored
+        row (its first columns for a smaller ``k``).  So a user's answer
+        is the one computed when the user was first scored in the epoch,
+        bit for bit, whatever block, call or replica repeats it.  The
         epoch ends when the factors, the item axis or the fold-in state
         change (:meth:`swap_snapshot`, :meth:`grow_items`,
         :meth:`fold_in`, :meth:`load`, :meth:`replicate`), when ``k``
@@ -700,19 +854,20 @@ class FactorStore:
         """Exact top-``kk`` ids/scores for one block of users, one row per query.
 
         Scores (:meth:`_score_block`) and selects (:meth:`_select_topk`)
-        only the block's distinct users the answer table lacks, stores
-        their rows, and reads every query's answer from the table.  The
-        table is rebuilt, empty and ``kk`` wide, when ``exclude`` is not
-        the object it was filled under or ``kk`` is wider than it.  The
-        simulated per-device time of the sharded dataflow is charged to
-        the machine clock for all ``block.size`` queries.
+        only the block's distinct users the model's answer table lacks,
+        stores their rows, and reads every query's answer from the table.
+        The table is rebuilt, empty and ``kk`` wide, when ``exclude`` is
+        not the object it was filled under or ``kk`` is wider than it.
+        The simulated per-device time of the sharded dataflow is charged
+        to this store's machine clock for all ``block.size`` queries.
         """
-        answers = self._answers
+        model = self._model
+        answers = model.answers
         if answers is None or answers.exclude is not exclude or answers.ids.shape[1] < kk:
-            answers = self._answers = _Answers(self.n_users, kk, exclude)
+            answers = model.answers = _Answers(model.n_users, kk, exclude)
         missing = block[~answers.known[block]]
         if missing.size:
-            missing = np.unique(missing)
+            missing = _distinct(missing)[0]
             answers.ids[missing], answers.scores[missing] = self._select_topk(self._score_block(missing, exclude), answers.ids.shape[1])
             answers.known[missing] = True
         self._account_topk(block.size, kk)
@@ -724,10 +879,11 @@ class FactorStore:
         Each Θ shard is scored with one GEMM written in place into its
         columns of the block (the per-device GEMM the clock charges).
         """
-        xb = self._x_score[block]
-        scores = np.empty((block.size, self.n_items), dtype=np.float32)
-        for i, shard in enumerate(self._shards):
-            lo, hi = self.partition.range_of(i)
+        model = self._model
+        xb = model.x_score[block]
+        scores = np.empty((block.size, model.n_items), dtype=np.float32)
+        for i, shard in enumerate(model.shards):
+            lo, hi = model.partition.range_of(i)
             np.matmul(xb, shard.T, out=scores[:, lo:hi])
         if exclude is not None:
             self._mask_seen(scores, block, exclude)
@@ -859,7 +1015,7 @@ class FactorStore:
         ``shape`` is ``(pass name, *args)``.  A pass's charge depends only
         on its args, the Θ partition, ``f`` and the machine, so
         ``price(*args)`` builds it the first time the shape is seen and
-        the record is kept until :meth:`_install_theta` installs a new
+        the record is kept until :meth:`_install` installs a new
         partition.  The stats still difference the clock around the
         replay, as they do around any pass, and each device's cumulative
         ``busy_seconds()`` around it (see :class:`ServingStats`).
@@ -890,20 +1046,18 @@ class FactorStore:
         kernels (one Base-ALS user update).  The new row is appended to
         both the float64 master and the scoring copy, so the user is
         immediately servable, and their fold-in items count as "seen"
-        for exclusion purposes.  Recording the ratings for a later
-        refresh is the serving cluster's job
-        (:meth:`~repro.serving.cluster.ServingCluster.fold_in`).
+        for exclusion purposes.  The store gets a model of its own.
+        Recording the ratings for a later refresh, and solving a fold-in
+        once for every replica that serves one model, is the serving
+        cluster's job (:meth:`~repro.serving.cluster.ServingCluster.fold_in`).
         """
-        items, ratings = validate_ratings(items, ratings, self.n_items)
-        factor = fold_in_user(items, ratings, self.theta, self.lam, weighted=self.weighted)
-        user = self.n_users
-        self.x = np.vstack([self.x, factor[None, :]])
-        self.x.setflags(write=False)
-        self._x_score = np.vstack([self._x_score, factor[None, :].astype(np.float32)])
-        self._folded_items[user] = np.unique(items)
-        self._answers = None
+        return self._fold_to(*self._model.folded(items, ratings, self.lam, self.weighted))
 
-        self._charge(("foldin", int(items.size)), self._foldin_pass)
+    def _fold_to(self, model: _Model, nnz: int) -> int:
+        """Serve ``model``, this store's model with one user folded in from ``nnz`` ratings, and charge the fold-in pass; returns the user's id."""
+        user = self.n_users
+        self._install(model)
+        self._charge(("foldin", nnz), self._foldin_pass)
         self.stats.fold_ins += 1
         return user
 

@@ -457,14 +457,20 @@ class TestCoalescedTransfers:
 
     def test_one_touch_fills_with_at_most_one_transfer_per_shard(self, fitted):
         tiered = tiered_store(fitted, plan_window_s=1.0)
-        batches = []
-        run_transfers = tiered.machine.run_transfers
+        batches, sizes = [], {}
+        estimate, charge_transfers = tiered.machine.transfer_engine.estimate, tiered.machine.charge_transfers
 
-        def recording(transfers, label="transfer"):
-            batches.append((label, len(transfers)))
-            return run_transfers(transfers, label=label)
+        def pricing(transfers):
+            report = estimate(transfers)
+            sizes[id(report)] = len(transfers)
+            return report
 
-        tiered.machine.run_transfers = recording
+        def recording(report, label="transfer"):
+            batches.append((label, sizes.get(id(report), 0)))
+            return charge_transfers(report, label=label)
+
+        tiered.machine.transfer_engine.estimate = pricing
+        tiered.machine.charge_transfers = recording
         tiered.recommend_batch(np.arange(64), k=8)
         fills = [n for label, n in batches if label == "cache-fill-h2d"]
         assert fills and all(1 <= n <= tiered.n_shards for n in fills)

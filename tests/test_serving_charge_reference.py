@@ -7,12 +7,17 @@ once per ``nnz`` (``_Charge``), keeps the record until its Θ partition,
 accounting it replaced — build the transfer lists and kernel profiles,
 then run them through the machine — lives on below, copied verbatim, as
 the oracle (fold-in whole, and the per-device credit helpers, so the
-oracle shares none of the store's charging code).  A hypothesis property drives generated
+oracle shares none of the store's charging code).  The tiered oracle also
+keeps the demand path it replaced, ``_touch`` and ``_page_transfers``
+verbatim: per-tier page arrays and a transfer list run per batch, where
+the store classifies pages with one ``bincount`` and charges a fill
+report priced once per per-device byte vector.  A hypothesis property drives generated
 sequences of recommends, predicts, fold-ins, snapshot swaps (``n_items``
-and ``f`` may change) and item growth through a store and its oracle twin,
-on 1-4 shards of single- and dual-socket machines, plain and tiered, and
-requires the clock, its per-label totals, every device counter, the
-transfer engine's totals and the serving stats to agree bit for bit.
+and ``f`` may change), item growth and stale page stamps through a store
+and its oracle twin, on 1-4 shards of single- and dual-socket machines,
+plain and tiered (with a bounded or unbounded warm tier), and requires the
+clock, its per-label totals, every device counter, the transfer engine's
+totals, the serving stats and the page table to agree bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +31,9 @@ from repro.gpu.kernel import KernelProfile
 from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.memory import MemoryKind
 from repro.gpu.topology import MachineTopology
+import repro.obs as obs
 from repro.serving import CacheConfig, TieredFactorStore
+from repro.serving.cache.pages import TIER_COLD, TIER_HOT, TIER_WARM
 from repro.serving.foldin import fold_in_user, validate_ratings
 from repro.serving.store import FactorStore
 
@@ -101,11 +108,10 @@ class _PerCallCharges:
         items, ratings = validate_ratings(items, ratings, self.n_items)
         factor = fold_in_user(items, ratings, self.theta, self.lam, weighted=self.weighted)
         user = self.n_users
-        self.x = np.vstack([self.x, factor[None, :]])
-        self.x.setflags(write=False)
-        self._x_score = np.vstack([self._x_score, factor[None, :].astype(np.float32)])
-        self._folded_items[user] = np.unique(items)
-        self._answers = None
+        x = np.vstack([self.x, factor[None, :]])
+        x.setflags(write=False)
+        x_score = np.vstack([self._x_score, factor[None, :].astype(np.float32)])
+        self._model = self._model.derive(x=x, x_score=x_score, folded_items={**self._folded_items, user: np.unique(items)})
 
         # Simulated cost: one Hermitian assembly + one 1-row batched solve
         # on device 0, plus shipping the ratings up and the factor back.
@@ -134,7 +140,77 @@ class _ReferenceStore(_PerCallCharges, FactorStore):
 
 
 class _ReferenceTiered(_PerCallCharges, TieredFactorStore):
-    pass
+    """The tiered store with its demand path as it was before the one-bincount ``_touch`` and priced fill reports."""
+
+    def _touch(self, items: np.ndarray) -> None:
+        """Demand the factor pages backing one batch's returned items.
+
+        The batch's distinct items and their counts are the run starts
+        and run lengths of the sorted items (what ``np.unique`` returns,
+        without its general machinery), and only hot pages are checked
+        for a stale stamp: a warm or cold page is fetched either way.
+        """
+        now = self.machine.elapsed_seconds()
+        stats = self.cache_stats
+        if items.size:
+            ordered = np.sort(items)
+            runs = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
+            touched = ordered[runs[:-1]]
+            self._heat.observe(touched, runs[1:] - runs[:-1], now)
+            pages = self._pages.pages_of(touched)
+            tiers = self._pages.tier[pages]
+            hot = pages[tiers == TIER_HOT]
+            warm = pages[tiers == TIER_WARM]
+            cold = pages[tiers == TIER_COLD]
+            hot_fresh = hot_stale = hot
+            if hot.size:
+                stale = self._pages.stale_mask(hot, self.version)
+                hot_fresh, hot_stale = hot[~stale], hot[stale]
+            stats.hits += int(hot_fresh.size)
+            stats.stale_hits += int(hot_stale.size)
+            stats.warm_misses += int(warm.size)
+            stats.cold_misses += int(cold.size)
+
+            fetch = np.concatenate([hot_stale, warm, cold])
+            before = self.machine.elapsed_seconds()
+            if cold.size:
+                cold_bytes = int(self._pages.page_bytes[cold].sum())
+                self.machine.clock.advance(
+                    self.cache_config.cold_latency_s + cold_bytes / (self.cache_config.cold_bandwidth_gbs * 1e9),
+                    label="cache-cold-read",
+                )
+            if fetch.size:
+                self.machine.run_transfers(self._page_transfers(fetch, self.machine.h2d, "cache-fill"), label="cache-fill-h2d")
+            delta = self.machine.elapsed_seconds() - before
+            if delta:
+                self.stats.simulated_seconds += delta
+                stats.miss_seconds += delta
+
+            if cold.size:
+                self._pages.move(cold, TIER_WARM)
+                stats.demand_fills += int(cold.size)
+            if hot_stale.size:
+                # Refetched from the (current-version) host copy: the
+                # device page is now fresh again.
+                self._pages.stamp_pages(hot_stale, self.version)
+            self._enforce_warm_capacity(now)
+            if obs.enabled():
+                registry = obs.get_registry()
+                if hot_fresh.size:
+                    registry.counter("cache.hits", subsystem="serving").inc(int(hot_fresh.size))
+                misses = int(hot_stale.size + warm.size + cold.size)
+                if misses:
+                    registry.counter("cache.misses", subsystem="serving").inc(misses)
+                if hot_stale.size:
+                    registry.counter("cache.stale_hits", subsystem="serving").inc(int(hot_stale.size))
+        if now - self._last_plan >= self.cache_config.plan_window_s:
+            self._run_plan()
+
+    def _page_transfers(self, pages: np.ndarray, make, tag: str) -> list:
+        """One ``make`` (``machine.h2d``/``d2h``) transfer per device owning any of ``pages`` (repeats count)."""
+        owners = np.searchsorted(self.partition.bounds, pages * self._pages.page_items, side="right") - 1
+        nbytes = np.bincount(owners, weights=self._pages.page_bytes[pages]).tolist()
+        return [make(d, int(b), tag=tag) for d, b in enumerate(nbytes) if b]
 
 
 # ---------------------------------------------------------------------- #
@@ -162,6 +238,7 @@ def _state(store) -> dict:
     }
     if isinstance(store, TieredFactorStore):
         state["cache"] = store.cache_stats.as_dict()
+        state["pages"] = (store._pages.tier.tolist(), store._pages.stamps.tolist())
     return _bits(state)
 
 
@@ -172,21 +249,24 @@ _OPS = st.lists(
         st.tuples(st.just("fold_in"), st.integers(1, 6)),
         st.tuples(st.just("swap"), st.integers(0, 30), st.sampled_from([4, 6])),
         st.tuples(st.just("grow"), st.integers(0, 5)),
+        st.tuples(st.just("stale")),
+        st.tuples(st.just("stale")),
     ),
     min_size=1,
     max_size=25,
 )
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     shards=st.integers(1, 4),
     dual=st.booleans(),
     tiered=st.booleans(),
+    warm_pages=st.sampled_from([None, 2, 5]),
     seed=st.integers(0, 2**16),
     ops=_OPS,
 )
-def test_charge_records_replay_the_per_call_accounting(shards, dual, tiered, seed, ops):
+def test_charge_records_replay_the_per_call_accounting(shards, dual, tiered, warm_pages, seed, ops):
     rng = np.random.default_rng(seed)
     n_users, n_items, f = 12, 20 + int(rng.integers(0, 20)), 6
     x, theta = rng.standard_normal((n_users, f)), rng.standard_normal((n_items, f))
@@ -195,7 +275,9 @@ def test_charge_records_replay_the_per_call_accounting(shards, dual, tiered, see
         topology = (MachineTopology.dual_socket if dual else MachineTopology.single_socket)(shards)
         machine = MultiGPUMachine(n_gpus=shards, topology=topology)
         if tiered:
-            return kind[1](x, theta, machine=machine, cache=CacheConfig(hot_fraction=0.3, page_items=4, plan_window_s=2e-5))
+            # A bounded warm tier spills pages to disk, so later batches also pay cold misses.
+            warm_bytes = None if warm_pages is None else warm_pages * 4 * f * 4
+            return kind[1](x, theta, machine=machine, cache=CacheConfig(hot_fraction=0.3, page_items=4, plan_window_s=2e-5, warm_bytes=warm_bytes))
         return kind[0](x, theta, machine=machine)
 
     store, oracle = build((FactorStore, TieredFactorStore)), build((_ReferenceStore, _ReferenceTiered))
@@ -219,7 +301,11 @@ def test_charge_records_replay_the_per_call_accounting(shards, dual, tiered, see
             new_x, new_theta = rng.standard_normal((n_users, new_f)), rng.standard_normal((max(shards, n_items - 10 + extra), new_f))
             store.swap_snapshot(new_x, new_theta, version=f"v{extra}")
             oracle.swap_snapshot(new_x, new_theta, version=f"v{extra}")
-        else:
+        elif op == "grow":
             rows = rng.standard_normal((args[0], store.f))
             assert store.grow_items(rows) == oracle.grow_items(rows)
+        elif tiered:
+            # Stamp every page with an old version, so hot pages are refetched as stale hits.
+            for twin in (store, oracle):
+                twin._pages.stamp_pages(np.arange(twin._pages.n_pages), "stale")
         assert _state(store) == _state(oracle), op

@@ -17,8 +17,10 @@ oracle: recommends (valid and invalid ``k``, out-of-range users, the
 default and no exclusion), predicts, rates (with and without a log),
 fold-ins and drain/restore, under no policy table or one with
 ``burst``-1 rate caps, ``degrade_k`` below, equal to and above ``k``, and
-unlisted and unnamed tenants.  It requires every envelope field, the
-payloads, ``stats()`` and the ``serve.requests`` counters to agree.
+unlisted and unnamed tenants (the oracle is given an unnamed tenant as
+``"default"``, the name the request envelopes give it).  It requires every
+envelope field, the payloads, ``stats()`` and the ``serve.requests``
+counters to agree.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import repro.obs as obs
 from repro.serving import FactorStore, InteractionLog, RecommenderService, ServingCluster, TenantPolicy, TenantScheduler, TopK
 from repro.serving.service.envelopes import ENVELOPE_STATUS, SERVICE_DEFAULT, STATUSES, PredictRequest, RateRequest, RecommendRequest, ServeResponse
 from repro.serving.simulator import serve_window
-from repro.serving.tenancy import STATUS_DEGRADED, STATUS_DROPPED, STATUS_ERROR, STATUS_OK, STATUS_SHED_CAP
+from repro.serving.tenancy import DEFAULT_TENANT, STATUS_DEGRADED, STATUS_DROPPED, STATUS_ERROR, STATUS_OK, STATUS_SHED_CAP
 from repro.sparse.csr import CSRMatrix
 
 N_USERS, N_ITEMS, F = 30, 40, 5
@@ -223,7 +225,9 @@ def _policies(draw):
     return [TenantPolicy(name, rate_cap_qps=draw(caps), burst=1, degrade_k=draw(degrade_k)) for name in ("a", "b")]
 
 
-_RECOMMEND = st.tuples(st.just("recommend"), st.lists(st.integers(0, N_USERS), min_size=1, max_size=6), st.sampled_from([5, 2, 8, 0, 3, 1]), _TENANTS, st.booleans())
+_RECOMMEND = st.tuples(
+    st.just("recommend"), st.lists(st.integers(0, N_USERS), min_size=1, max_size=6), st.sampled_from([5, 2, 8, 0, 3, 1]), _TENANTS, st.booleans()
+)
 _PREDICT = st.tuples(st.just("predict"), st.integers(1, 6), st.booleans(), _TENANTS)
 _OPS = st.lists(
     st.one_of(
@@ -267,6 +271,10 @@ def _call(service: RecommenderService, op: str, args: tuple, rng: np.random.Gene
 
 def _run(service_cls: type, n_replicas: int, router: str, policies, with_log: bool, ops) -> tuple:
     """Drive ``ops`` through a fresh cluster behind ``service_cls``: (responses, stats, serve.requests counters)."""
+    if service_cls is _ReferenceService:
+        # The old facade filed an unnamed tenant under "" and "default"; the
+        # request envelopes now turn "" into "default", so the oracle is given that name.
+        ops = [tuple(DEFAULT_TENANT if arg == "" else arg for arg in op) for op in ops]
     cluster = ServingCluster.from_store(_BASE, n_replicas, router=router)
     service = service_cls(cluster, log=InteractionLog() if with_log else None, ratings=_SEEN, policies=policies)
     rng = np.random.default_rng(11)  # the same draws on both sides

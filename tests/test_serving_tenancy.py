@@ -20,12 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.obs as obs
 from repro.core.config import ALSConfig
 from repro.core.trainer import CuMF
 from repro.datasets import NETFLIX, generate_ratings
 from repro.serving import (
     LifecycleEvent,
+    PredictRequest,
     QueryTrace,
+    RateRequest,
     RecommendRequest,
     RequestSimulator,
     ServeResponse,
@@ -574,6 +577,19 @@ class TestServiceTenancy:
         assert counters["ok"] == 1 and counters["shed"] == 1
         # An unlisted tenant rides the (uncapped) default policy.
         assert service.recommend(3, k=5, tenant="other").status == "ok"
+
+    def test_unnamed_tenant_is_filed_under_the_default_name(self, fitted, data):
+        """An unnamed tenant's ok and error calls share one name in stats, envelopes and counters."""
+        service = self._service(fitted, data, tenants=[TenantPolicy("acme")])
+        with obs.observed() as (registry, _):
+            ok = service.recommend(3, k=5, tenant="")
+            bad = service.recommend(3, k=0, tenant="")
+        assert (ok.status, bad.status) == ("ok", "error")
+        assert ok.tenant == bad.tenant == "default"
+        assert service.stats()["tenants"] == {"default": {"ok": 1, "degraded": 0, "shed": 0, "error": 1}}
+        labels = {dict(metric.labels)["tenant"] for metric in registry.metrics() if metric.name == "serve.requests"}
+        assert labels == {"default"}
+        assert RecommendRequest(users=3, tenant="").tenant == PredictRequest(0, 0, tenant="").tenant == RateRequest(0, 0, 0, tenant="").tenant == "default"
 
     def test_degraded_envelope_reduces_k(self, fitted, data):
         service = self._service(
