@@ -60,6 +60,25 @@ N(0, 1), 10k items, masked, power-law trace      4.0 ms    4.1 ms
 looped, 32 single-user calls, 20k items          15.3 ms   15.1 ms
 replay, 20k uniform queries, one replica         405 ms    148 ms
 ===============================================  ========  ========
+
+The fourth is ``test_bench_score_and_select``, the arithmetic of one
+answer-table miss, before and after the score block became item-major
+and selection grouped items by stride (five alternating runs per side:
+the median of the pytest-benchmark medians, then the lowest minimum).
+A one-user block is call overhead on both sides:
+
+===============================  ===================  ===================
+case                             median               min
+===============================  ===================  ===================
+lifecycle (3k items, f=16), b=1  113 → 112 µs         60 → 65 µs
+lifecycle, b=20                  313 → 233 µs         183 → 127 µs
+lifecycle, b=64                  689 → 470 µs         453 → 285 µs
+lifecycle, b=256                 2.94 → 1.96 ms       2.07 → 1.35 ms
+replay (10k items, masked), b=1  254 → 250 µs         121 → 132 µs
+replay, b=20                     987 → 756 µs         642 → 427 µs
+replay, b=64                     2.19 → 1.75 ms       1.46 → 1.12 ms
+replay, b=256                    8.13 → 6.71 ms       6.40 → 4.98 ms
+===============================  ===================  ===================
 """
 
 import time
@@ -201,6 +220,30 @@ def test_bench_replay_one_replica(benchmark, replay_store, replay_seen):
     assert report.n_requests == REPLAY_QUERIES
     for scored in scored_per_round:
         np.testing.assert_array_equal(np.sort(np.concatenate(scored)), np.unique(trace.users))
+
+
+# The e2e serving stores a table miss scores against: (items, f, shards, seen items masked).
+SCORE_SHAPES = {
+    "replay": (REPLAY_ITEMS, F, N_SHARDS, True),
+    "lifecycle": (3_000, 16, 2, False),
+}
+
+
+@pytest.mark.parametrize("b", [1, 20, 64, 256])
+@pytest.mark.parametrize("shape", list(SCORE_SHAPES))
+def test_bench_score_and_select(benchmark, shape, b):
+    """The arithmetic of one answer-table miss: ``_score_block`` on ``b`` distinct users, then ``_select_topk``."""
+    n_items, f, n_shards, masked = SCORE_SHAPES[shape]
+    rng = np.random.default_rng(29)
+    store = FactorStore(rng.standard_normal((M_USERS, f)), rng.standard_normal((n_items, f)), n_shards=n_shards)
+    exclude = _seen(n_items) if masked else None
+    block = np.sort(rng.choice(M_USERS, b, replace=False))
+
+    def score_and_select():
+        return FactorStore._select_topk(store._score_block(block, exclude), TOPK)
+
+    ids, top = benchmark(score_and_select)
+    assert ids.shape == (b, TOPK) and np.isfinite(top).all()
 
 
 def test_bench_recommend_looped(benchmark, store, users):

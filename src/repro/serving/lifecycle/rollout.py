@@ -36,9 +36,31 @@ from functools import partial
 from repro.serving.cluster import ServingCluster
 from repro.serving.lifecycle.registry import Snapshot, SnapshotRegistry
 from repro.serving.simulator import LifecycleEvent
-from repro.serving.store import FactorStore, _Gated
+from repro.serving.store import FactorStore, _Gated, _Model
 
 __all__ = ["RolloutController"]
+
+
+class _RollingTarget:
+    """What the swaps of one rolling plan install.
+
+    The first swap installs the plan's gated snapshot.  Every later swap
+    installs the model the replica swapped before it serves at that
+    moment, so a write the cluster made mid-rollout (a fold-in, item
+    growth) on the already-swapped replicas reaches the replicas still
+    to swap instead of being lost on them.
+    """
+
+    def __init__(self, gated: _Gated):
+        self.gated = gated
+        self.leader: FactorStore | None = None
+
+    def model(self, n_shards: int) -> _Model:
+        """The model a replica with ``n_shards`` shards swaps to now."""
+        if self.leader is None:
+            return self.gated.model(n_shards)
+        model = self.leader._model
+        return model if model.n_shards == n_shards else model.derive(n_shards)
 
 
 class RolloutController:
@@ -77,8 +99,10 @@ class RolloutController:
         """
         return self._checked_snapshot(version)
 
-    def _swap_and_restore(self, replica: int, snap: Snapshot, gated: _Gated) -> None:
-        self.backend.replicas[replica]._swap_to(gated, lam=snap.lam, weighted=snap.weighted, version=snap.label)
+    def _swap_and_restore(self, replica: int, snap: Snapshot, target: _RollingTarget) -> None:
+        store = self.backend.replicas[replica]
+        store._swap_to(target, lam=snap.lam, weighted=snap.weighted, version=snap.label)
+        target.leader = store
         self.backend.restore(replica)
 
     # ------------------------------------------------------------------ #
@@ -111,8 +135,15 @@ class RolloutController:
         seconds later, modelling the time a real replica spends loading
         the new factors.  ``swap_s`` defaults to half a step and must not
         exceed ``step_s``, so at most one replica is out at a time.  The
-        snapshot is gated once, when the plan is built, and every replica
-        swaps to the same model of it.
+        snapshot is gated once, when the plan is built.  The first replica
+        swaps to its model, and every later one to the model the replica
+        swapped before it serves at that moment, so a cluster fold-in or
+        item growth made between two swaps reaches every replica.  Known
+        limit: a write made after the plan is built but before its first
+        swap is not in the snapshot, so the first swap drops it, the
+        later swaps follow the first, and a dropped fold-in's user id is
+        handed out again; plan the rollout after such writes, or publish
+        a snapshot that holds them.
         Needs at least two replicas (someone must serve while one
         drains; use :meth:`rollout` for a single-replica cluster), all
         in rotation: a replica already drained would break the
@@ -134,14 +165,13 @@ class RolloutController:
         if not 0 < swap_s <= step_s:
             raise ValueError("need 0 < swap_s <= step_s (one replica out at a time)")
         snap = self._checked_snapshot(version)
-        # Gated once: every replica the plan swaps installs the same model.
-        gated = _Gated(snap.x, snap.theta)
+        target = _RollingTarget(_Gated(snap.x, snap.theta))
         events: list[LifecycleEvent] = []
         for replica in range(n_replicas):
             drain_at = start_s + replica * step_s
             events.append(LifecycleEvent(time=drain_at, action=partial(self.backend.drain, replica), label=f"drain r{replica}"))
             events.append(
-                LifecycleEvent(time=drain_at + swap_s, action=partial(self._swap_and_restore, replica, snap, gated), label=f"swap r{replica} -> {snap.label}")
+                LifecycleEvent(time=drain_at + swap_s, action=partial(self._swap_and_restore, replica, snap, target), label=f"swap r{replica} -> {snap.label}")
             )
         return events
 

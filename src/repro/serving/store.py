@@ -9,7 +9,8 @@ training, and answers top-k queries in batches:
 
 * a batch of B users is scored against all N items in blocked matmuls
   (one GEMM per Θ shard, i.e. per device), in single precision like the
-  cuMF kernels;
+  cuMF kernels, into one item-major ``(N, B)`` block: each shard's GEMM
+  fills its own contiguous item rows;
 * items a user has already rated are masked out from a CSR matrix
   (typically the training matrix) with one gather over its ``indptr``;
 * each user is scored and selected once per served model: the model
@@ -20,8 +21,10 @@ training, and answers top-k queries in batches:
   machine, clock, stats (and cache); :meth:`FactorStore.replicate` makes
   a copy with a table of its own;
 * the host selects each user's exact top-k from the whole score block
-  (descending score, ties by ascending item id), scanning only the
-  column groups that can hold a winner;
+  (descending score, ties by ascending item id).  Items are grouped by
+  stride, so the group maxima reduce long contiguous slabs of the
+  item-major block, and only the groups that can hold a winner are
+  scanned;
 * the answers stay arrays (:class:`TopK`): a row is boxed into
   ``(item, score)`` pairs only when a caller reads it;
 * the simulated clock charges the classic scatter/gather top-k of a
@@ -42,6 +45,7 @@ single-precision scoring copy for the top-k path.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 from collections.abc import Sequence
@@ -652,7 +656,7 @@ class FactorStore:
     def _swap_to(
         self, gated: _Gated, *, lam: float | None = None, weighted: bool | None = None, version: str | None = None, solver: str | None = None
     ) -> None:
-        """:meth:`swap_snapshot` to an already gated snapshot: serve its model for this store's shard count."""
+        """:meth:`swap_snapshot` to an already gated snapshot: serve ``gated.model(n_shards)`` for this store's shard count."""
         model = gated.model(self.n_shards)
         if lam is not None:
             if lam < 0:
@@ -830,7 +834,7 @@ class FactorStore:
         return TopK(ids, scores)
 
     def _mask_seen(self, scores: np.ndarray, block: np.ndarray, exclude: CSRMatrix) -> None:
-        """Set every item each user of ``block`` has already rated to ``-inf``.
+        """Set every item each user of ``block`` has already rated to ``-inf`` in the item-major ``(n_items, b)`` ``scores``.
 
         Trained users' rows of ``exclude`` are masked with one CSR gather:
         row ``r`` of the batch repeats over its user's row length, and the
@@ -844,11 +848,11 @@ class FactorStore:
         lens = exclude.indptr[block[rows] + 1] - starts
         offsets = np.cumsum(lens) - lens
         gather = np.arange(lens.sum()) + np.repeat(starts - offsets, lens)
-        scores[np.repeat(rows, lens), exclude.indices[gather]] = -np.inf
+        scores[exclude.indices[gather], np.repeat(rows, lens)] = -np.inf
         for r in np.flatnonzero(~trained):
             seen = self._folded_items.get(int(block[r]))
             if seen is not None:
-                scores[r, seen] = -np.inf
+                scores[seen, r] = -np.inf
 
     def _topk_block(self, block: np.ndarray, kk: int, exclude: CSRMatrix | None) -> tuple[np.ndarray, np.ndarray]:
         """Exact top-``kk`` ids/scores for one block of users, one row per query.
@@ -876,54 +880,70 @@ class FactorStore:
     def _score_block(self, block: np.ndarray, exclude: CSRMatrix | None) -> np.ndarray:
         """The float32 ``(b, n_items)`` scores of one block of users, seen items at ``-inf``.
 
-        Each Θ shard is scored with one GEMM written in place into its
-        columns of the block (the per-device GEMM the clock charges).
+        The block is stored item-major, in one C-contiguous ``(n_items, b)``
+        buffer: each Θ shard's GEMM (the per-device GEMM the clock charges)
+        writes its contiguous rows ``[lo, hi)`` in place, :meth:`_mask_seen`
+        writes into the same buffer, and the returned array is its
+        transposed view, which :meth:`_select_topk` reads without a copy.
         """
         model = self._model
         xb = model.x_score[block]
-        scores = np.empty((block.size, model.n_items), dtype=np.float32)
+        scores = np.empty((model.n_items, block.size), dtype=np.float32)
         for i, shard in enumerate(model.shards):
             lo, hi = model.partition.range_of(i)
-            np.matmul(xb, shard.T, out=scores[:, lo:hi])
+            np.matmul(shard, xb.T, out=scores[lo:hi])
         if exclude is not None:
             self._mask_seen(scores, block, exclude)
-        return scores
+        return scores.T
 
     @staticmethod
     def _select_topk(scores: np.ndarray, kk: int) -> tuple[np.ndarray, np.ndarray]:
         """Each row's top-``kk`` ids and scores: descending score, ties by ascending item id.
 
-        The row is cut into ``g = min(4·kk, n_items)`` contiguous column
-        groups, and the kk-th largest group maximum ``t`` is a lower bound
-        on the row's kk-th largest score (kk groups each hold an entry
-        >= t), so the exact top-kk lies among the entries >= t.  Only the
-        groups whose maximum reaches ``t`` (about kk of the g) are scanned,
-        plus the ``n_items - g·width`` tail columns that join no group.
-        NaN scores are never answers: a group's maximum ignores them, and
-        an all-NaN group's maximum is ``-inf``, not NaN (which would rank
-        above every real maximum and raise ``t`` past valid scores).  So
-        the selection is exact over the non-NaN entries, and a top-kk
-        answer is the bitwise prefix of any wider one.
-        The candidates are ordered by one stable sort on an int64 key of
-        (row, descending score); they arrive in ascending id within each
-        row, so equal scores keep ascending ids.  Rows hold ``-inf`` past
-        their last candidate.
+        ``scores`` is ``(b, n_items)`` and is read item-major, as the
+        ``(n_items, b)`` array of its transpose (no copy for a block of
+        :meth:`_score_block`).  Items are grouped by stride: item ``c``
+        joins coarse group ``c mod gc`` and fine group ``c mod g``, where
+        ``gc = min(4·kk, n_items)`` and each coarse group is split into
+        ``isqrt(n_items // gc)`` fine ones (``g`` of them in all, a
+        multiple of ``gc``).  So the fine maxima are one ``fmax``
+        reduction over the item-major slabs of ``g·b`` contiguous floats,
+        with the items of a partial last slab folded in, and the coarse
+        maxima one reduction of the fine ones.  The kk-th largest coarse
+        maximum ``t`` is a lower bound on the row's kk-th largest score
+        (kk disjoint groups each hold an entry >= t), so the exact top-kk
+        lies among the entries >= t, and only the fine groups whose
+        maximum reaches ``t`` can hold one.  Their members are gathered,
+        one per slab, and compared to ``t``; a partial last slab is no
+        separate pass, its missing members read as NaN.  NaN scores are
+        never answers: a group's maximum ignores them, and an all-NaN
+        group's maximum is ``-inf``, not NaN (which would rank above every
+        real maximum and raise ``t`` past valid scores).  So the selection
+        is exact over the non-NaN entries, whatever the grouping, and a
+        top-kk answer is the bitwise prefix of any wider one.
+        The candidates are scanned in (slab, group, row) order, which is
+        ascending item id within each row, and ordered by one stable sort
+        on an int64 key of (row, descending score), so equal scores keep
+        ascending ids.  Rows hold ``-inf`` past their last candidate.
         """
         b, n = scores.shape
-        g = min(4 * kk, n)
-        width = n // g
-        head = scores[:, : g * width].reshape(b, g, width)
-        group_max = np.fmax.reduce(head, axis=2, initial=-np.inf)
-        threshold = np.partition(group_max, g - kk, axis=1)[:, g - kk]
-        gr, gg = np.divmod(np.flatnonzero(group_max >= threshold[:, None]), g)
-        groups = head[gr, gg]
-        hit = np.flatnonzero(groups >= threshold[gr, None])
-        j, w = np.divmod(hit, width)
-        rows, cols, vals = gr[j], gg[j] * width + w, groups.ravel()[hit]
-        if g * width < n:
-            tail = scores[:, g * width :]
-            tr, tc = np.divmod(np.flatnonzero(tail >= threshold[:, None]), n - g * width)
-            rows, cols, vals = np.concatenate([rows, tr]), np.concatenate([cols, tc + g * width]), np.concatenate([vals, tail[tr, tc]])
+        items = np.ascontiguousarray(scores.T)
+        gc = min(4 * kk, n)
+        g = gc * math.isqrt(n // gc)
+        full = n // g * g
+        group_max = np.fmax.reduce(items[:full].reshape(n // g, g, b), axis=0, initial=-np.inf)
+        np.fmax(group_max[: n - full], items[full:], out=group_max[: n - full])
+        coarse_max = np.fmax.reduce(group_max.reshape(g // gc, gc, b), axis=0)
+        threshold = np.partition(coarse_max, gc - kk, axis=0)[gc - kk]
+        # Candidate (group, row) pairs as group·b + row, and their members' flat offsets: one row per slab.
+        cand = np.flatnonzero(group_max >= threshold)
+        offsets = (np.arange(0, n, g) * b)[:, None] + cand
+        members = items.ravel().take(offsets, mode="clip")
+        # The last slab holds groups [0, (n - 1) % g + 1) only: the pairs of the other groups (a suffix of cand) are no items there.
+        members[-1, np.searchsorted(cand, ((n - 1) % g + 1) * b) :] = np.nan
+        hit = np.flatnonzero(members >= threshold[cand % b])
+        cols, rows = np.divmod(offsets.ravel()[hit], b)
+        vals = members.ravel()[hit]
 
         # Float32 bits mapped to an order-preserving int32; +0.0 first so -0.0 ties +0.0.
         bits = (vals + np.float32(0.0)).view(np.int32)
@@ -933,10 +953,11 @@ class FactorStore:
         rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
         first = rank < kk
         keep = order[first]
+        at = rows[keep], rank[first]
         ids = np.zeros((b, kk), dtype=np.int64)
         top = np.full((b, kk), -np.inf, dtype=np.float32)
-        ids[rows[keep], rank[first]] = cols[keep]
-        top[rows[keep], rank[first]] = vals[keep]
+        ids[at] = cols[keep]
+        top[at] = vals[keep]
         return ids, top
 
     # ------------------------------------------------------------------ #

@@ -21,6 +21,7 @@ from repro.serving import (
     ServingCluster,
     ServingConfig,
     SnapshotRegistry,
+    TieredFactorStore,
     merged_ratings,
     refresh_factors,
 )
@@ -536,6 +537,28 @@ class TestRollout:
         assert controller.status()["versions"] == ["v1", "v1", "v1"]
         assert cluster.active_indices() == [0, 1, 2]
         assert "lifecycle events" in report.summary()
+
+    @pytest.mark.parametrize("cls", [FactorStore, TieredFactorStore])
+    def test_fold_in_mid_rollout_reaches_the_replicas_still_to_swap(self, tmp_path, cls):
+        """A cluster fold-in between two swaps of a planned rollout is installed by the later swaps too."""
+        rng = np.random.default_rng(5)
+        x, theta = rng.random((20, 4)), rng.random((30, 4))
+        service = RecommenderService(ServingCluster.from_store(cls(x, theta, n_shards=2), 3))
+        registry = SnapshotRegistry(str(tmp_path))
+        version = registry.publish(x + 1.0, theta, tag="next")
+        events = RolloutController(service.backend, registry).plan_events(version, start_s=0.0, step_s=1.0)
+        for event in events[:2]:  # drain and swap replica 0
+            event.action()
+        user = service.fold_in(np.array([1, 2]), np.array([4.0, 5.0]))
+        for event in events[2:]:
+            event.action()
+        replicas = service.backend.replicas
+        assert [rep.n_users for rep in replicas] == [21, 21, 21]
+        assert len({id(rep._model) for rep in replicas}) == 1
+        assert [rep.version for rep in replicas] == [registry.load(version).label] * 3
+        answers = [rep.recommend_batch(np.array([user]), k=5) for rep in replicas]
+        assert answers[1] == answers[0] == answers[2]
+        assert service.fold_in(np.array([3]), np.array([2.0])) == user + 1
 
     def test_late_events_fire_at_end_of_trace(self, versioned):
         registry, cluster = versioned

@@ -96,10 +96,21 @@ def _oracle_swap(cluster: ServingCluster, x, theta, version: str) -> None:
 
 
 def _oracle_plan(cluster: ServingCluster, snap) -> list:
-    """The rolling swap's events, each replica swapped through its own store (its own gate)."""
+    """The rolling swap's events, each replica swapped through its own store (its own gate).
+
+    Replica 0 swaps to the snapshot; every later replica to what the
+    replica swapped before it serves then, fold-ins included, so a
+    mid-rollout cluster fold-in reaches the replicas still to swap.
+    """
 
     def swap_and_restore(i):
-        cluster.replicas[i].swap_snapshot(snap.x, snap.theta, lam=snap.lam, weighted=snap.weighted, version=snap.label)
+        rep = cluster.replicas[i]
+        if i == 0:
+            rep.swap_snapshot(snap.x, snap.theta, lam=snap.lam, weighted=snap.weighted, version=snap.label)
+        else:
+            lead = cluster.replicas[i - 1]
+            rep.swap_snapshot(lead.x, lead.theta, lam=snap.lam, weighted=snap.weighted, version=snap.label)
+            rep._restore_fold_state(lead._n_trained_users, lead._folded_items)
         cluster.restore(i)
 
     return [action for i in range(cluster.n_replicas) for action in (partial(cluster.drain, i), partial(swap_and_restore, i))]
