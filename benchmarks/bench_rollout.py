@@ -8,8 +8,8 @@ Two claims are pinned here:
   ``update_factor`` pass over the merged ratings to <= 1e-8, at a
   fraction of the row count;
 * **a rolling v1 -> v2 swap drops nothing** — with sustained Poisson
-  traffic replayed through a 3-replica cluster, the RolloutController
-  drains/swaps/restores one replica at a time and every query in the
+  traffic replayed through a 3-replica cluster, the service's planned
+  rollout drains/swaps/restores one replica at a time and every query in the
   trace is answered (zero dropped), with the p95 inside the rollout
   window reported next to the steady-state p95 as the degradation
   figure.
@@ -24,7 +24,6 @@ from repro.serving import (
     QueryTrace,
     RecommenderService,
     RequestSimulator,
-    RolloutController,
     ServingCluster,
     SnapshotRegistry,
     refresh_factors,
@@ -107,11 +106,10 @@ def _cluster(registry, version=0):
 
 
 def _rolling_replay(registry, trace):
-    cluster = _cluster(registry)
-    controller = RolloutController(cluster, registry)
-    events = controller.plan_events(1, start_s=0.25 * trace.duration, step_s=0.18 * trace.duration)
-    sim = RequestSimulator(cluster, k=TOPK, max_batch=MAX_BATCH, window_s=0.0)
-    return sim.run(trace, events=events), controller
+    service = RecommenderService(_cluster(registry), registry=registry)
+    events = service.plan_rollout(1, start_s=0.25 * trace.duration, step_s=0.18 * trace.duration)
+    sim = RequestSimulator(service.backend, k=TOPK, max_batch=MAX_BATCH, window_s=0.0)
+    return sim.run(trace, events=events), service
 
 
 def test_refresh_matches_full_retrain(base, refreshed, report):
@@ -153,7 +151,7 @@ def test_rollout_zero_drops_under_traffic(registry, capacity_qps, report):
     rate = 0.8 * REPLICAS * capacity_qps  # sustained, near-saturating
     trace = QueryTrace.poisson(9_000, rate, M_USERS, seed=3)
     steady = RequestSimulator(_cluster(registry), k=TOPK, max_batch=MAX_BATCH, window_s=0.0).run(trace)
-    rolled, controller = _rolling_replay(registry, trace)
+    rolled, service = _rolling_replay(registry, trace)
     degradation = rolled.window_p95_s / steady.latency_p95_s if steady.latency_p95_s else 1.0
     report(
         "rolling v0 -> v1 swap, %d replicas, %d queries at %.0f qps offered"
@@ -174,8 +172,8 @@ def test_rollout_zero_drops_under_traffic(registry, capacity_qps, report):
     assert sum(rolled.per_replica_queries) == trace.n_requests
     assert rolled.per_version_queries.get("v0", 0) > 0
     assert rolled.per_version_queries.get("v1", 0) > 0
-    assert controller.status()["versions"] == ["v1"] * REPLICAS
-    assert controller.status()["active"] == list(range(REPLICAS))
+    assert service.versions() == ["v1"] * REPLICAS
+    assert service.backend.active_indices() == list(range(REPLICAS))
     assert rolled.window_queries > 0 and np.isfinite(rolled.window_p95_s)
 
 
@@ -194,7 +192,7 @@ def test_bench_refresh(benchmark, base, serving_log):
 def test_grown_items_are_served_after_rollout(registry, refreshed):
     """Post-rollout, every replica answers queries over the grown item axis."""
     cluster = _cluster(registry)
-    RolloutController(cluster, registry).rollout(1)
+    RecommenderService(cluster, registry=registry).rollout(1)
     assert cluster.n_items == N_ITEMS + refreshed.n_new_items
     # the merged ratings matrix is the exclude matrix of the new version
     service = RecommenderService(cluster, ratings=refreshed.ratings)

@@ -58,7 +58,8 @@ class CheckpointManager:
         ``protected`` (any value) marks the file as exempt from retention
         pruning: the serving tier and the snapshot registry park their
         snapshots in (possibly shared) checkpoint directories and a
-        trainer's ``keep=N`` rotation must never evict them.
+        trainer's ``keep=N`` rotation must never evict them.  A protected
+        save prunes nothing either, so it cannot evict a trainer's files.
 
         Stored uncompressed (zlib saves ~5% on float factors at ~30× the
         write time); :meth:`load` reads compressed files as well.
@@ -73,8 +74,21 @@ class CheckpointManager:
         np.savez(tmp, iteration=np.int64(iteration), x=np.asarray(x), theta=np.asarray(theta), **extras)
         tmp_real = tmp if os.path.exists(tmp) else tmp + ".npz"
         os.replace(tmp_real, path)
-        self._prune()
+        if "protected" not in extras:
+            self._prune()
         return path
+
+    def save_next(self, x: np.ndarray, theta: np.ndarray, **extras) -> int:
+        """:meth:`save` as the iteration after the newest file on disk (0 in an empty directory); returns it.
+
+        Numbering past *every* file keeps a shared directory's trainer
+        iterations and published snapshots from colliding, and makes the
+        new file the one :meth:`latest` restores.
+        """
+        existing = self.list_iterations()
+        iteration = existing[-1] + 1 if existing else 0
+        self.save(iteration, x, theta, **extras)
+        return iteration
 
     def _prune(self) -> None:
         # Retention applies to the trainer's own rotation only: protected

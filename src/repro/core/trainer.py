@@ -276,9 +276,7 @@ class CuMF:
         )
         self._store = None  # the served snapshot is stale now
         if self.checkpoints is not None:
-            existing = self.checkpoints.list_iterations()
-            iteration = existing[-1] + 1 if existing else 0
-            self.checkpoints.save(iteration, refreshed.x, refreshed.theta)
+            self.checkpoints.save_next(refreshed.x, refreshed.theta)
         return refreshed
 
     def _serving_store(self):

@@ -30,9 +30,11 @@ package is that missing online half:
   retention via :meth:`InteractionLog.compact`), an incremental refresh
   (affected user rows + new-item fold-in) solved with the training
   kernels, a versioned :class:`SnapshotRegistry` (with monotonic
-  :meth:`~SnapshotRegistry.rollback`), and a :class:`RolloutController`
-  that swaps a cluster v1 → v2 one drained replica at a time while
-  traffic keeps flowing.
+  :meth:`~SnapshotRegistry.rollback`).  The v1 → v2 swap itself is the
+  cluster's rolling swap, one drained replica at a time while traffic
+  keeps flowing (:meth:`ServingCluster.swap_snapshot`, or
+  :meth:`ServingCluster.plan_swap` mid-trace); the facade's
+  :meth:`~RecommenderService.rollout` runs it to a registry version.
 * :mod:`~repro.serving.service` — the unified front door: typed
   data-plane envelopes (:class:`PredictRequest` /
   :class:`RecommendRequest` / :class:`RateRequest` →
@@ -73,12 +75,11 @@ from repro.serving.cache import (
     TieredFactorStore,
     Wave,
 )
-from repro.serving.cluster import ServingCluster
+from repro.serving.cluster import LifecycleEvent, ServingCluster
 from repro.serving.foldin import fold_in_user, fold_in_users, validate_ratings
 from repro.serving.lifecycle import (
     InteractionLog,
     RefreshResult,
-    RolloutController,
     Snapshot,
     SnapshotRegistry,
     merged_ratings,
@@ -106,7 +107,7 @@ from repro.serving.service import (
     ServingConfig,
     ShedError,
 )
-from repro.serving.simulator import LifecycleEvent, QueryTrace, RequestSimulator, TrafficReport
+from repro.serving.simulator import QueryTrace, RequestSimulator, TrafficReport
 from repro.serving.store import FactorStore, ServingStats, TopK
 from repro.serving.tenancy import (
     TenantPolicy,
@@ -165,5 +166,4 @@ __all__ = [
     "refresh_factors",
     "Snapshot",
     "SnapshotRegistry",
-    "RolloutController",
 ]

@@ -37,6 +37,7 @@ machine and published through :mod:`repro.obs` (``cache.*`` counters,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -113,6 +114,25 @@ class CacheStats:
             "miss_seconds": self.miss_seconds,
             "hit_rate": self.hit_rate(),
         }
+
+    @staticmethod
+    def summed(blocks: Iterable[dict]) -> dict:
+        """Counter blocks (:meth:`as_dict` views, or deltas of them) summed over stores; ``{}`` for none.
+
+        ``hit_rate`` is not summed: it is recomputed from the summed hits
+        and misses.  The cluster's ``stats_dict()["cache"]`` and a replay's
+        :attr:`~repro.serving.simulator.TrafficReport.cache` both come from here.
+        """
+        agg: dict = {}
+        for block in blocks:
+            for key, value in block.items():
+                if key != "hit_rate":
+                    agg[key] = agg.get(key, 0) + value
+        if not agg:
+            return {}
+        total = agg["hits"] + agg["misses"]
+        agg["hit_rate"] = agg["hits"] / total if total else 0.0
+        return agg
 
 
 class TieredFactorStore(FactorStore):

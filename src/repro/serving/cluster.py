@@ -19,8 +19,11 @@ simulator calls per window and the service facade per request.
 
 The cluster is the one serving backend: a lone store is served as a
 one-replica cluster (:meth:`ServingCluster.of`), so the traffic
-simulator, the rollout controller and the service facade drive every
-deployment through this class.
+simulator and the service facade drive every deployment through this
+class.  It defines the rolling snapshot swap once, as a drain step and a
+swap step per replica: :meth:`ServingCluster.swap_snapshot` runs the
+steps back to back, and :meth:`ServingCluster.plan_swap` schedules them
+as :class:`LifecycleEvent` s on a replay's simulated timeline.
 
 Writes do not scale by replication, so cold-start fold-ins are
 *write-through*: :meth:`ServingCluster.fold_in` solves the user once per
@@ -35,15 +38,86 @@ store a model of its own.
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
 import repro.obs as obs
+from repro.serving.cache.tiered import CacheStats
 from repro.serving.routing import Router, make_router
-from repro.serving.store import FactorStore, _Gated
+from repro.serving.store import FactorStore, _Gated, _Model
 
-__all__ = ["ServingCluster"]
+__all__ = ["LifecycleEvent", "ServingCluster"]
+
+
+@dataclass(frozen=True)
+class LifecycleEvent:
+    """A model-lifecycle action scheduled on the simulated timeline.
+
+    ``action`` runs (once) when the replay clock passes ``time`` — e.g.
+    drain a replica, swap its snapshot, return it to rotation.  Events
+    fire between batch dispatches at arrival-time granularity; events
+    scheduled past the last arrival are applied when the trace ends, so
+    a rollout always completes.  Build rolling-swap event lists with
+    :meth:`ServingCluster.plan_swap`, or against a registry version with
+    :meth:`~repro.serving.service.facade.RecommenderService.plan_rollout`.
+    """
+
+    time: float
+    action: Callable[[], None]
+    label: str = ""
+
+    def __post_init__(self) -> None:
+        if self.time < 0:
+            raise ValueError("event time must be non-negative")
+        if not callable(self.action):
+            raise ValueError("event action must be callable")
+
+
+class _RollingSwap:
+    """One rolling swap of a cluster to a snapshot: a drain step and a swap step per replica.
+
+    :meth:`drain` takes a replica out of rotation if it is in rotation
+    and another replica is serving; :meth:`swap` installs the target on
+    it, then restores it if its drain step took it out.  The first swap
+    installs the gated snapshot.  Every later swap installs the model the
+    replica swapped before it serves at that moment (:meth:`model`), so a
+    write the cluster made mid-rollout (a fold-in, item growth) on the
+    already-swapped replicas reaches the replicas still to swap instead
+    of being lost on them.
+    """
+
+    def __init__(self, cluster: "ServingCluster", gated: _Gated, meta: dict):
+        self.cluster = cluster
+        self.gated = gated
+        self.meta = meta
+        self.leader: FactorStore | None = None
+        self.drained: set[int] = set()
+
+    def model(self, n_shards: int) -> _Model:
+        """The model a replica with ``n_shards`` shards swaps to now."""
+        model = None if self.leader is None else self.leader._model
+        if model is None or model in self.gated._models.values():  # no write since the last swap
+            return self.gated.model(n_shards)
+        return model if model.n_shards == n_shards else model.derive(n_shards)
+
+    def drain(self, replica: int) -> None:
+        cluster = self.cluster
+        if cluster.is_active(replica) and cluster.n_active > 1:
+            cluster.drain(replica)
+            self.drained.add(replica)
+
+    def swap(self, replica: int) -> None:
+        store = self.cluster.replicas[replica]
+        try:
+            store._swap_to(self, **self.meta)
+            self.leader = store
+        finally:
+            if replica in self.drained:
+                self.drained.remove(replica)
+                self.cluster.restore(replica)
 
 
 class ServingCluster:
@@ -300,6 +374,15 @@ class ServingCluster:
                 rep._grow_to(model)
         return start
 
+    def _rolling_steps(self, x: np.ndarray, theta: np.ndarray, **meta) -> list[tuple[Callable[[], None], Callable[[], None]]]:
+        """The rolling swap to ``(x, theta)``: one ``(drain, swap)`` pair of steps per replica, in replica order.
+
+        The snapshot is gated here, once; ``meta`` is the serving
+        metadata every swap sets (see :meth:`FactorStore.swap_snapshot`).
+        """
+        roll = _RollingSwap(self, _Gated(x, theta), meta)
+        return [(partial(roll.drain, i), partial(roll.swap, i)) for i in range(self.n_replicas)]
+
     def swap_snapshot(
         self,
         x: np.ndarray,
@@ -310,28 +393,74 @@ class ServingCluster:
         version: str | None = None,
         solver: str | None = None,
     ) -> None:
-        """Swap every replica to a new model, one at a time — the rolling swap.
+        """Swap every replica to a new model, one at a time — the rolling swap, run now.
 
-        The snapshot is gated once and every replica installs the same
-        model of it.  Each active replica is rotated out (drained) while
-        its store swaps, then restored, so concurrent facade traffic always
-        finds ``R - 1`` replicas serving; a lone replica is swapped directly
+        The snapshot is gated once and the replicas install one model of
+        it per shard count.
+        Each active replica is rotated out (drained) while its store
+        swaps, then restored, so concurrent facade traffic always finds
+        ``R - 1`` replicas serving; a lone replica is swapped directly
         (there is nobody to rotate behind), and an already-draining
-        replica is swapped in place and left out of rotation.  For a
-        scheduled rolling swap against a registry (mid-trace,
-        per-version query accounting) use
-        :meth:`~repro.serving.lifecycle.rollout.RolloutController.plan_events`.
+        replica is swapped in place and left out of rotation.  To run the
+        same steps mid-trace under traffic, use :meth:`plan_swap`.
         """
-        gated = _Gated(x, theta)
-        for i in range(self.n_replicas):
-            rotate = self._active[i] and self.n_active > 1
-            if rotate:
-                self.drain(i)
-            try:
-                self.replicas[i]._swap_to(gated, lam=lam, weighted=weighted, version=version, solver=solver)
-            finally:
-                if rotate:
-                    self.restore(i)
+        for drain, swap in self._rolling_steps(x, theta, lam=lam, weighted=weighted, version=version, solver=solver):
+            drain()
+            swap()
+
+    def plan_swap(
+        self,
+        x: np.ndarray,
+        theta: np.ndarray,
+        *,
+        lam: float | None = None,
+        weighted: bool | None = None,
+        version: str | None = None,
+        start_s: float,
+        step_s: float,
+        swap_s: float | None = None,
+    ) -> list[LifecycleEvent]:
+        """The rolling swap as simulator events, one replica per step.
+
+        Replica ``i`` is drained at ``start_s + i * step_s`` and comes
+        back — swapped to the new snapshot — ``swap_s`` (simulated)
+        seconds later, modelling the time a real replica spends loading
+        the new factors.  ``swap_s`` defaults to half a step and must not
+        exceed ``step_s``, so at most one replica is out at a time.  The
+        snapshot is gated once, when the plan is built.  The first replica
+        swaps to its model, and every later one to the model the replica
+        swapped before it serves at that moment, so a cluster fold-in or
+        item growth made between two swaps reaches every replica.  Known
+        limit: a write made after the plan is built but before its first
+        swap is not in the snapshot, so the first swap drops it, the
+        later swaps follow the first, and a dropped fold-in's user id is
+        handed out again; plan the rollout after such writes, or publish
+        a snapshot that holds them.
+        Needs at least two replicas (someone must serve while one
+        drains; use :meth:`swap_snapshot` for a single-replica cluster),
+        all in rotation: a replica already drained would break the
+        one-out-at-a-time rule, so the plan is refused before any event
+        is built.
+        """
+        if self.n_replicas < 2:
+            raise ValueError("a rolling swap under traffic needs at least 2 replicas; swap a single-replica cluster directly (rollout() / swap_snapshot())")
+        draining = [i for i, active in enumerate(self._active) if not active]
+        if draining:
+            raise ValueError(f"cannot plan a rolling swap while replicas {draining} are draining; restore them first")
+        if start_s < 0:
+            raise ValueError("start_s must be non-negative")
+        if step_s <= 0:
+            raise ValueError("step_s must be positive")
+        if swap_s is None:
+            swap_s = 0.5 * step_s
+        if not 0 < swap_s <= step_s:
+            raise ValueError("need 0 < swap_s <= step_s (one replica out at a time)")
+        events: list[LifecycleEvent] = []
+        for replica, (drain, swap) in enumerate(self._rolling_steps(x, theta, lam=lam, weighted=weighted, version=version)):
+            drain_at = start_s + replica * step_s
+            events.append(LifecycleEvent(time=drain_at, action=drain, label=f"drain r{replica}"))
+            events.append(LifecycleEvent(time=drain_at + swap_s, action=swap, label=f"swap r{replica} -> {version}"))
+        return events
 
     # ------------------------------------------------------------------ #
     # bookkeeping
@@ -353,20 +482,12 @@ class ServingCluster:
             "versions": [rep.version for rep in self.replicas],
             "per_replica": [rep.stats.as_dict() for rep in self.replicas],
         }
-        caches = [rep.cache_stats.as_dict() for rep in self.replicas if getattr(rep, "cache_stats", None) is not None]
-        if caches:
-            agg: dict = {}
-            for block in caches:
-                for key, value in block.items():
-                    agg[key] = agg.get(key, 0) + value
-            total = agg.get("hits", 0) + agg.get("misses", 0)
-            agg["hit_rate"] = agg.get("hits", 0) / total if total else 0.0
+        tiered = [rep for rep in self.replicas if getattr(rep, "cache_stats", None) is not None]
+        if tiered:
+            out["cache"] = CacheStats.summed(rep.cache_stats.as_dict() for rep in tiered)
             resident: dict = {}
-            for rep in self.replicas:
-                if getattr(rep, "cache_stats", None) is None:
-                    continue
+            for rep in tiered:
                 for tier, nbytes in rep.resident_bytes().items():
                     resident[tier] = resident.get(tier, 0) + nbytes
-            agg["resident_bytes"] = resident
-            out["cache"] = agg
+            out["cache"]["resident_bytes"] = resident
         return out

@@ -16,13 +16,15 @@ production recommender:
   full retrain pass on the merged ratings to machine precision;
 * :class:`~repro.serving.lifecycle.registry.SnapshotRegistry` —
   versioned factor snapshots layered on the checkpoint format, the
-  handoff point between (re)training and rollout;
-* :class:`~repro.serving.lifecycle.rollout.RolloutController` — the
-  zero-downtime v1 → v2 swap: drain one replica of a
-  :class:`~repro.serving.cluster.ServingCluster` at a time, swap its
-  :class:`~repro.serving.store.FactorStore` to the new snapshot, return
-  it to rotation — while the traffic simulator keeps queries flowing
-  around the drained replica.
+  handoff point between (re)training and rollout.
+
+The zero-downtime v1 → v2 swap is not here: it is the cluster's rolling
+swap (:meth:`~repro.serving.cluster.ServingCluster.swap_snapshot`, and
+:meth:`~repro.serving.cluster.ServingCluster.plan_swap` for a replay's
+timeline), which drains one replica at a time, swaps its store to the
+new snapshot and returns it to rotation while traffic flows around it;
+:class:`~repro.serving.service.facade.RecommenderService` rolls a
+cluster to a registry version with it.
 """
 
 from repro.serving.lifecycle.log import InteractionLog
@@ -33,7 +35,6 @@ from repro.serving.lifecycle.refresh import (
     run_refresh_session,
 )
 from repro.serving.lifecycle.registry import Snapshot, SnapshotRegistry
-from repro.serving.lifecycle.rollout import RolloutController
 
 __all__ = [
     "InteractionLog",
@@ -43,5 +44,4 @@ __all__ = [
     "run_refresh_session",
     "Snapshot",
     "SnapshotRegistry",
-    "RolloutController",
 ]

@@ -192,17 +192,6 @@ class InteractionLog:
         _, items, _ = self.arrays()
         return int(items.max()) if items.size else -1
 
-    def new_user_ids(self, n_base_users: int) -> np.ndarray:
-        """Sorted unique recorded user ids at or above ``n_base_users``."""
-        users = self.affected_users()
-        return users[users >= n_base_users]
-
-    def new_item_ids(self, n_base_items: int) -> np.ndarray:
-        """Sorted unique recorded item ids at or above ``n_base_items``."""
-        _, items, _ = self.arrays()
-        unique = np.unique(items)
-        return unique[unique >= n_base_items]
-
     def to_csr(self, n_users: int | None = None, n_items: int | None = None) -> CSRMatrix:
         """Materialise the delta as a CSR matrix, summing duplicates.
 

@@ -107,19 +107,15 @@ class SnapshotRegistry:
         iterations already present in a shared directory (the next
         number is past *every* existing file).
         """
-        existing = self.manager.list_iterations()
-        version = existing[-1] + 1 if existing else 0
-        # The manager must not rotate anything while the registry saves;
-        # version retention is applied below, by the registry itself.
-        self.manager.keep = len(existing) + 1
-        self.manager.save(
-            version,
+        # A protected save rotates nothing; version retention is applied
+        # below, by the registry itself.
+        version = self.manager.save_next(
             np.asarray(x, dtype=np.float64),
             np.asarray(theta, dtype=np.float64),
             lam=np.float64(lam),
             weighted=np.bool_(weighted),
             tag=np.str_(tag),
-            registry_version=np.int64(version),
+            registry_version=np.bool_(True),
             protected=np.bool_(True),
         )
         self._prune_versions()
@@ -142,9 +138,10 @@ class SnapshotRegistry:
         later roll*back of the rollback* is just another rollback), so
         reverting v1 → v0 publishes a v2 carrying v0's exact factors and
         fold-in hyper-parameters, tagged with its provenance.  Roll the
-        new head out with a
-        :class:`~repro.serving.lifecycle.rollout.RolloutController` (or
-        :meth:`RecommenderService.rollback`, which does both).
+        new head out with
+        :meth:`~repro.serving.service.facade.RecommenderService.rollout`
+        (or :meth:`~repro.serving.service.facade.RecommenderService.rollback`,
+        which does both).
         """
         published = self.versions()
         require(version in published, f"no version {version} in {self.directory!r}; published: {published}")
@@ -179,7 +176,7 @@ class SnapshotRegistry:
         restored = self.manager.load(version)
         require(_MARKER in restored.extras, f"iteration {version} in {self.directory!r} is not a registry version")
         return Snapshot(
-            version=int(restored.extras[_MARKER]),
+            version=restored.iteration,
             x=restored.x,
             theta=restored.theta,
             lam=float(restored.extras["lam"]),

@@ -34,10 +34,9 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 import repro.obs as obs
-from repro.serving.cluster import ServingCluster
+from repro.serving.cluster import LifecycleEvent, ServingCluster
 from repro.serving.lifecycle.refresh import RefreshResult, run_refresh_session
 from repro.serving.lifecycle.registry import Snapshot, SnapshotRegistry
-from repro.serving.lifecycle.rollout import RolloutController
 from repro.serving.service.envelopes import (
     ENVELOPE_STATUS,
     SERVICE_DEFAULT,
@@ -46,7 +45,7 @@ from repro.serving.service.envelopes import (
     RecommendRequest,
     ServeResponse,
 )
-from repro.serving.simulator import LifecycleEvent, QueryTrace, RequestSimulator, TrafficReport, serve_window
+from repro.serving.simulator import QueryTrace, RequestSimulator, TrafficReport, serve_window
 from repro.serving.store import FactorStore
 from repro.serving.tenancy import STATUS_DEGRADED, STATUS_ERROR, STATUS_OK, STATUS_SHED_CAP, TenantPolicyTable, TenantScheduler
 from repro.sparse.csr import CSRMatrix
@@ -424,13 +423,34 @@ class RecommenderService:
         self._lifecycle("snapshot", version=version)
         return version
 
+    def _target(self, version: int | None) -> Snapshot:
+        """Load registry ``version`` (default: latest) if the cluster may roll to it.
+
+        A snapshot that serves fewer users or items than the live model
+        would turn in-flight queries into errors mid-rollout, so axes
+        may only grow or stay — for rollouts *and* rollbacks alike.
+        """
+        snap = self._require_registry().load(version)
+        if snap.x.shape[0] < self.backend.n_users:
+            raise ValueError(f"snapshot v{snap.version} serves {snap.x.shape[0]} users but the backend serves {self.backend.n_users}")
+        if snap.theta.shape[0] < self.backend.n_items:
+            raise ValueError(f"snapshot v{snap.version} serves {snap.theta.shape[0]} items but the backend serves {self.backend.n_items}")
+        return snap
+
     def rollout(self, version: int | None = None) -> Snapshot:
         """Roll every serving unit to ``version`` (default: latest) now.
 
-        Deploying a pending refresh also promotes its merged matrix to
-        the live exclusion (the backend serves the new axes now).
+        This is the cluster's rolling
+        :meth:`~repro.serving.cluster.ServingCluster.swap_snapshot`: each
+        unit in rotation is drained, swapped and restored before the next
+        one starts, so direct traffic never sees fewer than ``R - 1``
+        active units; a drained unit is swapped in place and stays
+        drained.  Deploying a pending refresh also promotes its merged
+        matrix to the live exclusion (the backend serves the new axes
+        now).  Returns the snapshot that was rolled out.
         """
-        snap = self._controller().rollout(version)
+        snap = self._target(version)
+        self.backend.swap_snapshot(snap.x, snap.theta, lam=snap.lam, weighted=snap.weighted, version=snap.label)
         self._adopt_if_pending(snap.version)
         self._lifecycle("rollout", version=snap.version)
         return snap
@@ -443,22 +463,19 @@ class RecommenderService:
         step_s: float,
         swap_s: float | None = None,
     ) -> list[LifecycleEvent]:
-        """The rolling swap as simulator events (one unit per step).
+        """The rolling swap to ``version`` as simulator events (one unit per step).
 
+        The cluster's :meth:`~repro.serving.cluster.ServingCluster.plan_swap`
+        (schedule rules and known limit included) on the loaded snapshot.
         When the target is a pending refresh, a final event promotes its
         merged matrix to the live exclusion once the last unit swapped.
         """
-        controller = self._controller()
-        events = controller.plan_events(version, start_s=start_s, step_s=step_s, swap_s=swap_s)
-        target = controller.validate_target(version)
-        if self._pending is not None and self._pending[0] == target.version:
-            events.append(
-                LifecycleEvent(
-                    time=events[-1].time,
-                    action=partial(self._adopt_if_pending, target.version),
-                    label=f"adopt ratings for {target.label}",
-                )
-            )
+        snap = self._target(version)
+        events = self.backend.plan_swap(
+            snap.x, snap.theta, lam=snap.lam, weighted=snap.weighted, version=snap.label, start_s=start_s, step_s=step_s, swap_s=swap_s
+        )
+        if self._pending is not None and self._pending[0] == snap.version:
+            events.append(LifecycleEvent(time=events[-1].time, action=partial(self._adopt_if_pending, snap.version), label=f"adopt ratings for {snap.label}"))
         return events
 
     def rollback(self, version: int) -> Snapshot:
@@ -472,10 +489,9 @@ class RecommenderService:
         is refused *before* anything is published, so a rejected
         rollback leaves the registry head untouched.
         """
-        registry = self._require_registry()
-        self._controller().validate_target(version)
+        self._target(version)
         self._lifecycle("rollback", target=version)
-        return self.rollout(registry.rollback(version))
+        return self.rollout(self.registry.rollback(version))
 
     def plan_rollback(
         self,
@@ -492,10 +508,9 @@ class RecommenderService:
         refused never publishes a new registry head (planning has no
         side effects; only the returned events mutate anything).
         """
-        registry = self._require_registry()
-        controller = self._controller()
-        controller.plan_events(version, start_s=start_s, step_s=step_s, swap_s=swap_s)
-        return self.plan_rollout(registry.rollback(version), start_s=start_s, step_s=step_s, swap_s=swap_s)
+        snap = self._target(version)
+        self.backend.plan_swap(snap.x, snap.theta, start_s=start_s, step_s=step_s, swap_s=swap_s)
+        return self.plan_rollout(self.registry.rollback(version), start_s=start_s, step_s=step_s, swap_s=swap_s)
 
     def drain(self, unit: int) -> None:
         """Take one serving unit out of rotation."""
@@ -546,6 +561,3 @@ class RecommenderService:
         if self.registry is None:
             raise RuntimeError("no snapshot registry attached; serve with ServingConfig(registry_dir=...)")
         return self.registry
-
-    def _controller(self) -> RolloutController:
-        return RolloutController(self.backend, self._require_registry())

@@ -42,7 +42,8 @@ import numpy as np
 import repro.obs as obs
 from repro.datasets.synthetic import powerlaw_weights
 from repro.obs.stats import event_window_p95, percentile_summary, utilization
-from repro.serving.cluster import ServingCluster
+from repro.serving.cache.tiered import CacheStats
+from repro.serving.cluster import LifecycleEvent, ServingCluster
 from repro.serving.routing import select_replica
 from repro.serving.store import FactorStore, _distinct
 from repro.serving.tenancy import (
@@ -59,30 +60,7 @@ from repro.serving.tenancy import (
 )
 from repro.sparse.csr import CSRMatrix
 
-__all__ = ["LifecycleEvent", "QueryTrace", "RequestSimulator", "TrafficReport", "serve_window"]
-
-
-@dataclass(frozen=True)
-class LifecycleEvent:
-    """A model-lifecycle action scheduled on the simulated timeline.
-
-    ``action`` runs (once) when the replay clock passes ``time`` — e.g.
-    drain a replica, swap its snapshot, return it to rotation.  Events
-    fire between batch dispatches at arrival-time granularity; events
-    scheduled past the last arrival are applied when the trace ends, so
-    a rollout always completes.  Build rollout event lists with
-    :meth:`~repro.serving.lifecycle.RolloutController.plan_events`.
-    """
-
-    time: float
-    action: Callable[[], None]
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError("event time must be non-negative")
-        if not callable(self.action):
-            raise ValueError("event action must be callable")
+__all__ = ["QueryTrace", "RequestSimulator", "TrafficReport", "serve_window"]
 
 
 @dataclass(frozen=True)
@@ -365,24 +343,13 @@ def _cache_delta(replicas: Sequence, before: list) -> dict:
     service time does: on a long-lived store the cache may already have
     history from earlier traffic.
     """
-    agg: dict = {}
-    found = False
-    for rep, snap in zip(replicas, before):
+    deltas = []
+    for rep, base in zip(replicas, before):
         stats = getattr(rep, "cache_stats", None)
-        if stats is None:
-            continue
-        found = True
-        after = stats.as_dict()
-        base = snap if snap is not None else {}
-        for key, value in after.items():
-            if key == "hit_rate":
-                continue
-            agg[key] = agg.get(key, 0) + value - base.get(key, 0)
-    if not found:
-        return {}
-    total = agg.get("hits", 0) + agg.get("misses", 0)
-    agg["hit_rate"] = agg.get("hits", 0) / total if total else 0.0
-    return agg
+        if stats is not None:
+            base = base or {}
+            deltas.append({key: value - base.get(key, 0) for key, value in stats.as_dict().items()})
+    return CacheStats.summed(deltas)
 
 
 def _publish_report(report: TrafficReport, served: np.ndarray, tenants: np.ndarray | None) -> None:

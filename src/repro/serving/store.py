@@ -527,17 +527,10 @@ class FactorStore:
         sizes = np.array([seg.size for seg in folded], dtype=np.int64)
         indptr = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(sizes)])
         items = np.concatenate(folded) if folded else np.empty(0, dtype=np.int64)
-        manager = CheckpointManager(directory, keep=1)
-        existing = manager.list_iterations()
-        # Become the *latest* checkpoint (so load() restores this snapshot;
-        # saving below an existing iteration would even prune the file
-        # written here) while retention is widened so the manager's own
-        # pruning cannot evict a trainer's checkpoints from a shared
-        # directory.
-        manager.keep = len(existing) + 1
-        iteration = existing[-1] + 1 if existing else 0
-        path = manager.save(
-            iteration,
+        manager = CheckpointManager(directory)
+        # The *latest* checkpoint, so load() restores this snapshot; being
+        # protected, the save prunes none of a trainer's checkpoints.
+        iteration = manager.save_next(
             self.x,
             self.theta,
             lam=np.float64(self.lam),
@@ -552,8 +545,9 @@ class FactorStore:
         # GC superseded store snapshots (recognisable by their fold-in
         # extras) so repeated saves into one directory keep exactly one
         # servable file; training checkpoints lack the marker and survive.
-        for old_iteration in existing:
-            old_path = os.path.join(manager.directory, f"cumf_iter{old_iteration}.npz")
+        path = manager._path(iteration)
+        for old_iteration in manager.list_iterations()[:-1]:  # every file below the one just written
+            old_path = manager._path(old_iteration)
             try:
                 with np.load(old_path) as blob:
                     is_store_snapshot = "n_trained_users" in blob.files

@@ -17,7 +17,6 @@ from repro.serving import (
     QueryTrace,
     RecommenderService,
     RequestSimulator,
-    RolloutController,
     ServingCluster,
     ServingConfig,
     SnapshotRegistry,
@@ -58,8 +57,6 @@ class TestInteractionLog:
         assert log.n_events == 3
         np.testing.assert_array_equal(log.affected_users(), [2, 9])
         assert log.max_user() == 9 and log.max_item() == 7
-        np.testing.assert_array_equal(log.new_user_ids(5), [9])
-        np.testing.assert_array_equal(log.new_item_ids(6), [7])
         users, items, ratings = log.arrays()
         assert users.tolist() == [2, 2, 9]
         assert items.tolist() == [5, 7, 7]
@@ -475,55 +472,52 @@ class TestRollout:
 
     def test_immediate_rollout_swaps_every_replica(self, versioned):
         registry, cluster = versioned
-        controller = RolloutController(cluster, registry)
-        snap = controller.rollout()  # latest = v1
+        service = RecommenderService(cluster, registry=registry)
+        snap = service.rollout()  # latest = v1
         assert snap.version == 1
-        status = controller.status()
-        assert status["versions"] == ["v1", "v1", "v1"]
-        assert status["active"] == [0, 1, 2]
+        assert service.versions() == ["v1", "v1", "v1"]
+        assert cluster.active_indices() == [0, 1, 2]
         assert cluster.n_users == snap.x.shape[0]
 
     def test_single_replica_rollout_swaps_directly(self, fitted, tmp_path):
-        """R=1 has no one to rotate behind: rollout() swaps, plan_events refuses."""
+        """R=1 has no one to rotate behind: rollout() swaps, plan_rollout refuses."""
         registry = SnapshotRegistry(str(tmp_path))
         registry.publish_result(fitted.result)
         registry.publish_result(fitted.result, tag="again")
         cluster = ServingCluster([registry.build_store(0, n_shards=2)])
-        controller = RolloutController(cluster, registry)
-        snap = controller.rollout(1)
+        service = RecommenderService(cluster, registry=registry)
+        snap = service.rollout(1)
         assert cluster.replicas[0].version == "v1" == snap.label
         assert cluster.active_indices() == [0]
         with pytest.raises(ValueError, match="at least 2 replicas"):
-            controller.plan_events(1, start_s=0.0, step_s=1.0)
+            service.plan_rollout(1, start_s=0.0, step_s=1.0)
 
     def test_rollout_refuses_shrinking_snapshots(self, versioned):
         registry, cluster = versioned
-        controller = RolloutController(cluster, registry)
-        controller.rollout(1)
+        service = RecommenderService(cluster, registry=registry)
+        service.rollout(1)
         with pytest.raises(ValueError, match="users"):
-            controller.rollout(0)  # v0 has fewer users than the live v1
+            service.rollout(0)  # v0 has fewer users than the live v1
 
-    def test_plan_events_validation(self, versioned):
+    def test_plan_rollout_validation(self, versioned):
         registry, cluster = versioned
-        controller = RolloutController(cluster, registry)
+        service = RecommenderService(cluster, registry=registry)
         with pytest.raises(ValueError, match="start_s"):
-            controller.plan_events(1, start_s=-1.0, step_s=1.0)
+            service.plan_rollout(1, start_s=-1.0, step_s=1.0)
         with pytest.raises(ValueError, match="step_s"):
-            controller.plan_events(1, start_s=0.0, step_s=0.0)
+            service.plan_rollout(1, start_s=0.0, step_s=0.0)
         with pytest.raises(ValueError, match="swap_s"):
-            controller.plan_events(1, start_s=0.0, step_s=1.0, swap_s=2.0)
-        events = controller.plan_events(1, start_s=0.5, step_s=0.2)
+            service.plan_rollout(1, start_s=0.0, step_s=1.0, swap_s=2.0)
+        events = service.plan_rollout(1, start_s=0.5, step_s=0.2)
         assert len(events) == 2 * cluster.n_replicas
         assert [e.time for e in events] == sorted(e.time for e in events)
 
     def test_mid_trace_rollout_zero_drops(self, versioned):
         """The tentpole invariant: a rolling swap under traffic drops nothing."""
         registry, cluster = versioned
-        controller = RolloutController(cluster, registry)
+        service = RecommenderService(cluster, registry=registry)
         trace = QueryTrace.poisson(1200, 200_000.0, cluster.n_users, seed=2)
-        events = controller.plan_events(
-            1, start_s=0.25 * trace.duration, step_s=0.2 * trace.duration
-        )
+        events = service.plan_rollout(1, start_s=0.25 * trace.duration, step_s=0.2 * trace.duration)
         sim = RequestSimulator(cluster, k=4, max_batch=32, window_s=0.0)
         report = sim.run(trace, events=events)
         assert report.n_dropped == 0
@@ -534,7 +528,7 @@ class TestRollout:
         assert sum(report.per_version_queries.values()) == trace.n_requests
         assert report.n_events == 6
         assert report.window_queries > 0 and report.window_p95_s > 0.0
-        assert controller.status()["versions"] == ["v1", "v1", "v1"]
+        assert service.versions() == ["v1", "v1", "v1"]
         assert cluster.active_indices() == [0, 1, 2]
         assert "lifecycle events" in report.summary()
 
@@ -543,10 +537,10 @@ class TestRollout:
         """A cluster fold-in between two swaps of a planned rollout is installed by the later swaps too."""
         rng = np.random.default_rng(5)
         x, theta = rng.random((20, 4)), rng.random((30, 4))
-        service = RecommenderService(ServingCluster.from_store(cls(x, theta, n_shards=2), 3))
         registry = SnapshotRegistry(str(tmp_path))
+        service = RecommenderService(ServingCluster.from_store(cls(x, theta, n_shards=2), 3), registry=registry)
         version = registry.publish(x + 1.0, theta, tag="next")
-        events = RolloutController(service.backend, registry).plan_events(version, start_s=0.0, step_s=1.0)
+        events = service.plan_rollout(version, start_s=0.0, step_s=1.0)
         for event in events[:2]:  # drain and swap replica 0
             event.action()
         user = service.fold_in(np.array([1, 2]), np.array([4.0, 5.0]))
@@ -562,12 +556,12 @@ class TestRollout:
 
     def test_late_events_fire_at_end_of_trace(self, versioned):
         registry, cluster = versioned
-        controller = RolloutController(cluster, registry)
+        service = RecommenderService(cluster, registry=registry)
         trace = QueryTrace.poisson(60, 50_000.0, cluster.n_users, seed=3)
-        events = controller.plan_events(1, start_s=trace.duration * 10, step_s=1.0)
+        events = service.plan_rollout(1, start_s=trace.duration * 10, step_s=1.0)
         report = RequestSimulator(cluster, k=3, max_batch=16).run(trace, events=events)
         assert report.n_dropped == 0
-        assert controller.status()["versions"] == ["v1", "v1", "v1"]
+        assert service.versions() == ["v1", "v1", "v1"]
         assert cluster.active_indices() == [0, 1, 2]
 
     def test_all_replicas_drained_drops_the_tail(self, fitted):

@@ -24,7 +24,6 @@ from repro.serving import (
     RecommenderService,
     RecommendRequest,
     RequestSimulator,
-    RolloutController,
     ServeResponse,
     ServingCluster,
     ServingConfig,
@@ -136,10 +135,10 @@ class TestBackendContract:
         assert report.n_replicas == len(backend.serving_units())
         assert report.router == backend.router.name == "least-loaded"
 
-    def test_rollout_controller_drives_any_backend(self, backend, fitted, tmp_path):
+    def test_rollout_drives_any_backend(self, backend, fitted, tmp_path):
         registry = SnapshotRegistry(str(tmp_path))
         registry.publish(fitted.result.x, fitted.result.theta, lam=LAM, tag="v0")
-        snap = RolloutController(backend, registry).rollout(0)
+        snap = RecommenderService(backend, registry=registry).rollout(0)
         assert snap.version == 0
         assert all(unit.version == "v0" for unit in backend.serving_units())
 

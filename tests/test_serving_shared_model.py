@@ -11,7 +11,7 @@ cache, and is charged every query and write it serves.
 
 A hypothesis property runs one generated sequence of replay windows
 (``serve_window``), cluster fold-ins, rolling swaps (immediate, or
-planned by the rollout controller and stepped one event at a time, so
+planned by the cluster and stepped one event at a time, so
 fold-ins and windows land mid-rollout on two models), item growth,
 drain/restore and direct fold-ins on one replica, on 1-3 replicas, plain
 and tiered, through a shared-model cluster and an oracle cluster whose
@@ -41,7 +41,7 @@ from repro.core.config import ALSConfig
 from repro.core.trainer import CuMF
 from repro.serving import CacheConfig, FactorStore, ServingCluster, TieredFactorStore
 from repro.serving.foldin import fold_in_user
-from repro.serving.lifecycle import RolloutController, SnapshotRegistry
+from repro.serving.lifecycle import SnapshotRegistry
 from repro.serving.simulator import serve_window
 from repro.sparse.csr import CSRMatrix
 
@@ -253,7 +253,7 @@ def test_a_shared_model_serves_what_independent_replicas_serve(n_replicas, tiere
             elif op == "plan" and n_replicas > 1 and shared.n_active == n_replicas:
                 # A refresh's snapshot (every served user, fold-ins included), rolled out one event at a time.
                 snap = registry.load(registry.publish(*_integer_factors(rng, n_users, n_items), tag=f"p{step}"))
-                events = RolloutController(shared, registry).plan_events(snap.version, start_s=0.0, step_s=1.0)
+                events = shared.plan_swap(snap.x, snap.theta, lam=snap.lam, weighted=snap.weighted, version=snap.label, start_s=0.0, step_s=1.0)
                 pending = list(zip([event.action for event in events], _oracle_plan(oracle, snap)))
                 got, want = _steps(pending, args[0])
             else:
