@@ -75,7 +75,7 @@ from repro.serving.cache import (
     TieredFactorStore,
     Wave,
 )
-from repro.serving.cluster import LifecycleEvent, ServingCluster
+from repro.serving.cluster import LifecycleEvent, ServingCluster, ShrinkingSnapshotError
 from repro.serving.foldin import fold_in_user, fold_in_users, validate_ratings
 from repro.serving.lifecycle import (
     InteractionLog,
@@ -139,6 +139,7 @@ __all__ = [
     "ServingStats",
     "TopK",
     "ServingCluster",
+    "ShrinkingSnapshotError",
     "Router",
     "RouterSpec",
     "RoundRobinRouter",

@@ -49,7 +49,7 @@ from repro.serving.cache.tiered import CacheStats
 from repro.serving.routing import Router, make_router
 from repro.serving.store import FactorStore, _Gated, _Model
 
-__all__ = ["LifecycleEvent", "ServingCluster"]
+__all__ = ["LifecycleEvent", "ServingCluster", "ShrinkingSnapshotError"]
 
 
 @dataclass(frozen=True)
@@ -76,17 +76,32 @@ class LifecycleEvent:
             raise ValueError("event action must be callable")
 
 
+class ShrinkingSnapshotError(ValueError):
+    """A snapshot would serve fewer users or items than the live cluster.
+
+    Installing it would drop the users and items the cluster gained after
+    the snapshot was taken (a fold-in's user, whose id would then be
+    handed out again; grown items) and turn queries for them into errors,
+    so a rollout refuses it before any replica installs it
+    (:meth:`ServingCluster.check_axes`).
+    """
+
+
 class _RollingSwap:
     """One rolling swap of a cluster to a snapshot: a drain step and a swap step per replica.
 
     :meth:`drain` takes a replica out of rotation if it is in rotation
     and another replica is serving; :meth:`swap` installs the target on
     it, then restores it if its drain step took it out.  The first swap
-    installs the gated snapshot.  Every later swap installs the model the
-    replica swapped before it serves at that moment (:meth:`model`), so a
-    write the cluster made mid-rollout (a fold-in, item growth) on the
-    already-swapped replicas reaches the replicas still to swap instead
-    of being lost on them.
+    installs the gated snapshot, once it has checked, when it fires, that
+    the snapshot still covers every user and item the live cluster serves
+    (a write made after the swap was planned may have added some); if it
+    does not, the step raises :class:`ShrinkingSnapshotError`, installs
+    nothing and still restores the replica.  Every later swap installs
+    the model the replica swapped before it serves at that moment
+    (:meth:`model`), so a write the cluster made mid-rollout (a fold-in,
+    item growth) on the already-swapped replicas reaches the replicas
+    still to swap instead of being lost on them.
     """
 
     def __init__(self, cluster: "ServingCluster", gated: _Gated, meta: dict):
@@ -112,6 +127,8 @@ class _RollingSwap:
     def swap(self, replica: int) -> None:
         store = self.cluster.replicas[replica]
         try:
+            if self.leader is None:
+                self.cluster.check_axes(self.gated.x.shape[0], self.gated.theta.shape[0], "the snapshot")
             store._swap_to(self, **self.meta)
             self.leader = store
         finally:
@@ -310,6 +327,20 @@ class ServingCluster:
             replica=replica,
         )
 
+    def check_axes(self, n_users: int, n_items: int, what: str) -> None:
+        """Refuse a snapshot of ``n_users`` x ``n_items`` that serves fewer users or items than a replica does now.
+
+        Axes may only grow or stay across a rollout (or a rollback), so
+        in-flight queries never name a user or item the new model lacks;
+        raises :class:`ShrinkingSnapshotError` naming the snapshot as
+        ``what``.
+        """
+        users, items = max(rep.n_users for rep in self.replicas), max(rep.n_items for rep in self.replicas)
+        if n_users < users:
+            raise ShrinkingSnapshotError(f"{what} serves {n_users} users but the backend serves {users}")
+        if n_items < items:
+            raise ShrinkingSnapshotError(f"{what} serves {n_items} items but the backend serves {items}")
+
     # ------------------------------------------------------------------ #
     # topology
     # ------------------------------------------------------------------ #
@@ -396,7 +427,9 @@ class ServingCluster:
         """Swap every replica to a new model, one at a time — the rolling swap, run now.
 
         The snapshot is gated once and the replicas install one model of
-        it per shard count.
+        it per shard count.  A snapshot with fewer users or items than the
+        cluster serves is refused (:class:`ShrinkingSnapshotError`) before
+        any replica swaps.
         Each active replica is rotated out (drained) while its store
         swaps, then restored, so concurrent facade traffic always finds
         ``R - 1`` replicas serving; a lone replica is swapped directly
@@ -430,12 +463,13 @@ class ServingCluster:
         snapshot is gated once, when the plan is built.  The first replica
         swaps to its model, and every later one to the model the replica
         swapped before it serves at that moment, so a cluster fold-in or
-        item growth made between two swaps reaches every replica.  Known
-        limit: a write made after the plan is built but before its first
-        swap is not in the snapshot, so the first swap drops it, the
-        later swaps follow the first, and a dropped fold-in's user id is
-        handed out again; plan the rollout after such writes, or publish
-        a snapshot that holds them.
+        item growth made between two swaps reaches every replica.  A write
+        made after the plan is built but before its first swap is not in
+        the snapshot, which then serves fewer users or items than the
+        cluster: the first swap step checks this when it fires and raises
+        :class:`ShrinkingSnapshotError` (out of the replay that fires it)
+        before any replica installs the snapshot, so the write is never
+        dropped and no user id is handed out twice.
         Needs at least two replicas (someone must serve while one
         drains; use :meth:`swap_snapshot` for a single-replica cluster),
         all in rotation: a replica already drained would break the
@@ -468,6 +502,9 @@ class ServingCluster:
     def stats_dict(self) -> dict:
         """Aggregate + per-replica counters for printing / reports.
 
+        ``rows_scored`` sums the user rows the replicas actually scored
+        (:class:`~repro.serving.store.ServingStats`): the queries the
+        shared answer tables did not answer.
         When the replicas are tiered cache fronts, their cache counters
         are summed into one cluster-level ``cache`` block (hit_rate is
         recomputed from the summed hits/misses, resident bytes summed
@@ -479,6 +516,7 @@ class ServingCluster:
             "n_active": self.n_active,
             "queries": sum(rep.stats.queries for rep in self.replicas),
             "fold_ins": sum(rep.stats.fold_ins for rep in self.replicas),
+            "rows_scored": sum(rep.stats.rows_scored for rep in self.replicas),
             "versions": [rep.version for rep in self.replicas],
             "per_replica": [rep.stats.as_dict() for rep in self.replicas],
         }

@@ -428,13 +428,11 @@ class RecommenderService:
 
         A snapshot that serves fewer users or items than the live model
         would turn in-flight queries into errors mid-rollout, so axes
-        may only grow or stay — for rollouts *and* rollbacks alike.
+        may only grow or stay — for rollouts *and* rollbacks alike
+        (:meth:`~repro.serving.cluster.ServingCluster.check_axes`).
         """
         snap = self._require_registry().load(version)
-        if snap.x.shape[0] < self.backend.n_users:
-            raise ValueError(f"snapshot v{snap.version} serves {snap.x.shape[0]} users but the backend serves {self.backend.n_users}")
-        if snap.theta.shape[0] < self.backend.n_items:
-            raise ValueError(f"snapshot v{snap.version} serves {snap.theta.shape[0]} items but the backend serves {self.backend.n_items}")
+        self.backend.check_axes(snap.x.shape[0], snap.theta.shape[0], f"snapshot v{snap.version}")
         return snap
 
     def rollout(self, version: int | None = None) -> Snapshot:
@@ -466,7 +464,11 @@ class RecommenderService:
         """The rolling swap to ``version`` as simulator events (one unit per step).
 
         The cluster's :meth:`~repro.serving.cluster.ServingCluster.plan_swap`
-        (schedule rules and known limit included) on the loaded snapshot.
+        (schedule rules included) on the loaded snapshot: its first swap
+        re-checks the axes when it fires, so a fold-in or item growth made
+        after planning makes that step raise
+        :class:`~repro.serving.cluster.ShrinkingSnapshotError` instead of
+        being dropped.
         When the target is a pending refresh, a final event promotes its
         merged matrix to the live exclusion once the last unit swapped.
         """

@@ -14,12 +14,16 @@ training, and answers top-k queries in batches:
 * items a user has already rated are masked out from a CSR matrix
   (typically the training matrix) with one gather over its ``indptr``;
 * each user is scored and selected once per served model: the model
-  keeps an answer table of every top-k row computed on it, and a later
-  query by the same user reads the stored row.  The replicas of a
-  :class:`~repro.serving.cluster.ServingCluster` that serve one model
-  share the model, its table included, while each keeps its own
+  keeps an answer table of every top-k row computed on it (one for
+  ``exclude=None`` and one for the last exclude matrix), and a later
+  query by the same user reads the stored row.  A write that installs a
+  successor model hands it the rows whose inputs it leaves unchanged
+  (the same Θ bits and shard layout, the same x row, the same mask), so
+  an answer outlives a fold-in or a swap to an equal Θ.  The replicas of
+  a :class:`~repro.serving.cluster.ServingCluster` that serve one model
+  share the model, its tables included, while each keeps its own
   machine, clock, stats (and cache); :meth:`FactorStore.replicate` makes
-  a copy with a table of its own;
+  a copy whose tables start empty;
 * the host selects each user's exact top-k from the whole score block
   (descending score, ties by ascending item id).  Items are grouped by
   stride, so the group maxima reduce long contiguous slabs of the
@@ -128,7 +132,7 @@ class TopK(Sequence):
 
 
 class _Answers:
-    """The answer table: every top-k row computed on one model for one ``exclude``.
+    """An answer table: every top-k row computed on one model for one ``exclude``.
 
     Row ``u`` holds user ``u``'s top-``width`` ids and scores once
     ``known[u]`` is set.  A top-kk answer is the bitwise prefix of the
@@ -147,6 +151,19 @@ class _Answers:
         self.scores = np.zeros((n_users, width), dtype=np.float32)
         self.known = np.zeros(n_users, dtype=bool)
 
+    def carried(self, n_users: int, keep: np.ndarray) -> "_Answers":
+        """A table of ``n_users`` rows, as wide and for the same ``exclude``, that knows this table's rows ``keep`` marks.
+
+        ``keep`` is a mask over this table's first ``keep.size`` rows.  The
+        whole prefix is copied in one go (the rows it does not keep are
+        not known, so the next query scores them over the copy).
+        """
+        n = keep.size
+        table = _Answers(n_users, self.ids.shape[1], self.exclude)
+        table.ids[:n], table.scores[:n] = self.ids[:n], self.scores[:n]
+        table.known[:n] = keep & self.known[:n]
+        return table
+
 
 class _Model:
     """One served model, shared by every replica that serves it.
@@ -154,13 +171,15 @@ class _Model:
     It holds the gated float64 masters ``x`` and ``theta`` (read-only),
     their float32 scoring copies (``x_score``, and ``shards``: one block
     of Θ rows per device of ``partition``), the fold-in state
-    (``n_trained_users``, ``folded_items``) and ``answers``, the answer
-    table: the one part that fills as queries arrive.  A write never
-    changes a model; it builds a new one with an empty table
-    (:meth:`folded`, :meth:`grown`, :meth:`derive`) that shares every array
-    the write left alone.  So a table's rows always belong to the model
-    they were computed on, and the replicas that serve one model read one
-    table.
+    (``n_trained_users``, ``folded_items``) and ``answers``, its two
+    answer tables (:meth:`table`): the one part that fills as queries
+    arrive.  A write never changes a model; it builds a new one without
+    tables (:meth:`folded`, :meth:`grown`, :meth:`derive`) that shares
+    every array the write left alone.  When a store installs the new
+    model, each table it lacks starts from the predecessor's rows whose
+    inputs are unchanged (:meth:`inherit`), copied, so a table only holds
+    rows computed from this model's inputs, and the replicas that serve
+    one model read one pair of tables.
     """
 
     __slots__ = ("x", "theta", "x_score", "partition", "shards", "n_trained_users", "folded_items", "answers")
@@ -175,7 +194,8 @@ class _Model:
         # the rows of an exclude matrix; later fold-ins live above this.
         self.n_trained_users = x.shape[0]
         self.folded_items: dict[int, np.ndarray] = {}
-        self.answers: _Answers | None = None
+        # The tables for exclude=None and for the last exclude matrix asked with.
+        self.answers: list[_Answers | None] = [None, None]
 
     @staticmethod
     def _layout(theta: np.ndarray, n_shards: int) -> tuple[Partition1D, list[np.ndarray]]:
@@ -200,14 +220,55 @@ class _Model:
         return len(self.shards)
 
     def derive(self, n_shards: int | None = None, **changes) -> "_Model":
-        """A new model with ``changes`` applied, laid out over ``n_shards`` devices (default: as this one), and an empty table."""
+        """A new model with ``changes`` applied, laid out over ``n_shards`` devices (default: as this one), and no tables."""
         if n_shards is not None and n_shards != self.n_shards:
             changes["partition"], changes["shards"] = self._layout(changes.get("theta", self.theta), n_shards)
         model = _Model.__new__(_Model)
         for name in _Model.__slots__:
             setattr(model, name, changes.get(name, getattr(self, name)))
-        model.answers = None
+        model.answers = [None, None]
         return model
+
+    def table(self, exclude: CSRMatrix | None, kk: int) -> _Answers:
+        """The answer table for ``exclude`` at least ``kk`` wide: the one kept, or a new empty one in its place.
+
+        ``exclude=None`` and exclude matrices keep a table each, so the
+        two kinds of caller do not empty each other's; a matrix other
+        than the last one, or a ``kk`` wider than the table, starts its
+        kind's table anew.
+        """
+        slot = exclude is not None
+        answers = self.answers[slot]
+        if answers is None or answers.exclude is not exclude or answers.ids.shape[1] < kk:
+            answers = self.answers[slot] = _Answers(self.n_users, kk, exclude)
+        return answers
+
+    def inherit(self, old: "_Model") -> None:
+        """Start each table this model lacks with copies of ``old``'s rows whose inputs this model leaves unchanged.
+
+        A row carries when Θ is the same array
+        or holds the same bits (compared as int64, so -0.0 differs from
+        0.0), the item count and shard layout are the same, the user's x
+        row holds the same bits, and, for an exclude matrix, the user's
+        mask is the same: trained (a row of the matrix) on both sides, or
+        folded in on both sides with the same items.
+        """
+        slots = [slot for slot in (0, 1) if self.answers[slot] is None and old.answers[slot] is not None]
+        if not slots or (self.n_items, self.n_shards) != (old.n_items, old.n_shards):
+            return
+        if self.theta is not old.theta and not np.array_equal(self.theta.view(np.int64), old.theta.view(np.int64)):
+            return
+        n = min(self.n_users, old.n_users)
+        same = np.ones(n, dtype=bool)
+        same[np.flatnonzero(self.x[:n].view(np.int64) != old.x[:n].view(np.int64)) // self.f] = False  # the rows holding a changed entry
+        for slot in slots:
+            keep = same
+            if slot:
+                keep = same & (np.arange(n) < min(self.n_trained_users, old.n_trained_users))
+                for user in range(max(self.n_trained_users, old.n_trained_users), n):
+                    mine, theirs = self.folded_items.get(user), old.folded_items.get(user)
+                    keep[user] = same[user] and (mine is theirs or (mine is not None and theirs is not None and np.array_equal(mine, theirs)))
+            self.answers[slot] = old.answers[slot].carried(self.n_users, keep)
 
     def folded(self, items: np.ndarray, ratings: np.ndarray, lam: float, weighted: bool) -> tuple["_Model", int]:
         """This model with one cold-start user folded in, and the validated rating count.
@@ -296,6 +357,12 @@ class ServingStats:
     (top-k scoring/selection and fold-in solves), accumulated as deltas —
     on a machine shared with training it deliberately excludes the
     training kernels that also raised ``dev.busy_seconds()``.
+
+    ``rows_scored`` counts the user rows this store actually scored and
+    selected; the answer tables answered the other queries.  It is host
+    work, not simulated traffic (every query is charged either way), so
+    :meth:`as_dict` leaves it out and a cluster reports it in
+    :meth:`~repro.serving.cluster.ServingCluster.stats_dict`.
     """
 
     queries: int = 0
@@ -303,6 +370,7 @@ class ServingStats:
     fold_ins: int = 0
     simulated_seconds: float = 0.0
     per_device_seconds: dict = field(default_factory=dict)
+    rows_scored: int = 0
 
     def simulated_qps(self) -> float:
         """Queries per simulated second (inf for an idle store)."""
@@ -424,16 +492,26 @@ class FactorStore:
     def _install(self, model: _Model) -> None:
         """Serve ``model`` from now on.
 
-        Per-shape charges (see :meth:`_charge`) and the kernel-profile
-        config depend on the Θ partition and ``f``, so they are rebuilt
-        when ``model`` lays Θ out anew; a fold-in's model keeps its
-        parent's partition, and with it the charges.
+        Every write (:meth:`_fold_to`, :meth:`_swap_to`, :meth:`_grow_to`,
+        :meth:`_restore_fold_state`) comes through here while its
+        predecessor is still served, so ``model`` starts each answer table
+        it lacks from the predecessor's unchanged rows
+        (:meth:`_Model.inherit`); the shared model of a cluster write is
+        seeded by the first replica that installs it.  A constructor has
+        no predecessor, so a new store, a :meth:`replicate` copy and a
+        cluster's first replica start empty.  Per-shape charges (see
+        :meth:`_charge`) and the kernel-profile config depend on the Θ
+        partition and ``f``, so they are rebuilt when ``model`` lays Θ out
+        anew; a fold-in's model keeps its parent's partition, and with it
+        the charges.
         """
         if self._model is None or model.partition is not self._model.partition:
             self._charges: dict[tuple, _Charge] = {}
             # Profile construction reuses the training kernel models, which
             # are parameterised by an ALSConfig.
             self._profile_config = ALSConfig(f=model.f, lam=self.lam)
+        if self._model is not None:
+            model.inherit(self._model)
         self._model = model
 
     # The served model's state, read through the store.
@@ -576,7 +654,7 @@ class FactorStore:
         return {}
 
     def _restore_fold_state(self, n_trained_users: int, folded_items: dict) -> None:
-        """Adopt fold-in bookkeeping from a saved store; it changes what is masked, so the store gets a model (and table) of its own."""
+        """Adopt fold-in bookkeeping from a saved store; it changes what is masked, so the store gets a model of its own (inheriting the unchanged rows)."""
         if not 0 <= n_trained_users <= self.n_users:
             raise ValueError(f"n_trained_users must be in [0, {self.n_users}], got {n_trained_users}")
         if set(folded_items) != set(range(n_trained_users, self.n_users)):
@@ -593,17 +671,17 @@ class FactorStore:
         independently.  It shares the source's factor arrays: they
         passed the gate already and are read-only, and every write
         (fold-in, swap, item growth) installs new arrays rather than
-        touching them.  It does not share the source's answer table: the
-        clone scores every user afresh.  (The replicas of one
+        touching them.  It does not share or inherit the source's answer
+        tables: the clone scores every user afresh.  (The replicas of one
         :class:`~repro.serving.cluster.ServingCluster` share one model,
-        table included; see :meth:`_sibling`.)
+        tables included; see :meth:`_sibling`.)
         """
         if machine is None and n_shards is None:
             n_shards = self.n_shards
         return self._clone(self._model.derive(), machine, n_shards)
 
     def _sibling(self) -> "FactorStore":
-        """Another replica of this very model on a fresh machine: the answer table is shared, clock, stats (and cache) are its own."""
+        """Another replica of this very model on a fresh machine: the answer tables are shared, clock, stats (and cache) are its own."""
         return self._clone(self._model, None, self.n_shards)
 
     def _clone(self, model: _Model, machine: MultiGPUMachine | None, n_shards: int | None) -> "FactorStore":
@@ -796,21 +874,30 @@ class FactorStore:
         buffer.  This is the one top-k entry point: the traffic simulator
         and every serving front end go through it.
 
-        Each user is scored once per (model, ``exclude``) epoch: the
-        served model's answer table keeps every row computed on it, and
-        later queries by that user, in this call or a later one, on this
-        store or on any replica serving the same model, read the stored
-        row (its first columns for a smaller ``k``).  So a user's answer
-        is the one computed when the user was first scored in the epoch,
-        bit for bit, whatever block, call or replica repeats it.  The
-        epoch ends when the factors, the item axis or the fold-in state
-        change (:meth:`swap_snapshot`, :meth:`grow_items`,
-        :meth:`fold_in`, :meth:`load`, :meth:`replicate`), when ``k``
-        exceeds every ``k`` asked so far, or when ``exclude`` is another
-        object than the last call's.  ``exclude`` is therefore read as a
-        value: do not mutate a matrix in place between calls; pass a new
-        one.  Every query is still charged to the simulated clock and
-        counted in :attr:`stats`, whether the table answered it or not.
+        Each user is scored once per epoch of its answer: the served
+        model keeps a table of every row computed on it, one for
+        ``exclude=None`` and one for the last exclude matrix, and later
+        queries by that user, in this call or a later one, on this store
+        or on any replica serving the same model, read the stored row
+        (its first columns for a smaller ``k``).  So a user's answer is
+        the one computed when the user was first scored in the epoch, bit
+        for bit, whatever block, call or replica repeats it.  A write
+        (:meth:`fold_in`, :meth:`swap_snapshot`, :meth:`grow_items`, the
+        fold-in state :meth:`load` restores) ends the epoch of the rows
+        whose inputs it changes and keeps the others: a row survives when
+        Θ keeps its bits, item count and shard layout, the user's x row
+        keeps its bits and, under a matrix, the user's mask is unchanged
+        (trained on both sides, or folded in on both with the same
+        items).  So a fold-in keeps every row, a swap to an equal Θ keeps
+        the rows of users whose x it leaves alone, and item growth or a
+        changed Θ keeps none.  The epoch of every row also ends when
+        ``k`` exceeds every ``k`` asked of its table so far, when an
+        exclude matrix is another object than the last one asked with,
+        and in a fresh store (:meth:`load`, :meth:`replicate`).
+        ``exclude`` is therefore read as a value: do not mutate a matrix
+        in place between calls; pass a new one.  Every query is still
+        charged to the simulated clock and counted in :attr:`stats`,
+        whether a table answered it or not.
         """
         self.check_topk_args(k, user_block)
         users = self._validate_users(users)
@@ -852,22 +939,21 @@ class FactorStore:
         """Exact top-``kk`` ids/scores for one block of users, one row per query.
 
         Scores (:meth:`_score_block`) and selects (:meth:`_select_topk`)
-        only the block's distinct users the model's answer table lacks,
-        stores their rows, and reads every query's answer from the table.
-        The table is rebuilt, empty and ``kk`` wide, when ``exclude`` is
-        not the object it was filled under or ``kk`` is wider than it.
-        The simulated per-device time of the sharded dataflow is charged
-        to this store's machine clock for all ``block.size`` queries.
+        only the block's distinct users the model's table for ``exclude``
+        (:meth:`_Model.table`) lacks, whether its rows were computed on
+        this model or inherited from its predecessor, stores their rows,
+        counts them in ``stats.rows_scored``, and reads every query's
+        answer from the table.  The simulated per-device time of the
+        sharded dataflow is charged to this store's machine clock for all
+        ``block.size`` queries.
         """
-        model = self._model
-        answers = model.answers
-        if answers is None or answers.exclude is not exclude or answers.ids.shape[1] < kk:
-            answers = model.answers = _Answers(model.n_users, kk, exclude)
+        answers = self._model.table(exclude, kk)
         missing = block[~answers.known[block]]
         if missing.size:
             missing = _distinct(missing)[0]
             answers.ids[missing], answers.scores[missing] = self._select_topk(self._score_block(missing, exclude), answers.ids.shape[1])
             answers.known[missing] = True
+            self.stats.rows_scored += missing.size
         self._account_topk(block.size, kk)
         return answers.ids[block, :kk], answers.scores[block, :kk]
 

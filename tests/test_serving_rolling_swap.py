@@ -7,6 +7,10 @@ events in time order with no traffic and requires the result of the
 immediate swap, bit for bit: versions, rotation (fully restored),
 serving metadata, each replica's simulated seconds and clock breakdown,
 one shared model per cluster, identical answers and no stale cache hit.
+A write made between planning and the first swap (a fold-in, item
+growth) is never dropped: when the snapshot no longer covers the
+cluster, the first swap raises :class:`ShrinkingSnapshotError` on both
+sides and leaves every replica serving what it served, in rotation.
 The facade loads a registry version once per planned rollout and three
 times per planned rollback (the dry-run target, the registry's
 re-publish and the rollout of the new head).
@@ -19,7 +23,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serving import CacheConfig, FactorStore, RecommenderService, ServingCluster, SnapshotRegistry, TieredFactorStore
+from repro.serving import (
+    CacheConfig,
+    FactorStore,
+    QueryTrace,
+    RecommenderService,
+    RequestSimulator,
+    ServingCluster,
+    ShrinkingSnapshotError,
+    SnapshotRegistry,
+    TieredFactorStore,
+)
 from repro.sparse.csr import CSRMatrix
 
 N_USERS, N_ITEMS, F, K, SHARDS = 16, 40, 4, 5, 2
@@ -64,9 +78,10 @@ def _state(cluster: ServingCluster) -> list:
     new_users=st.integers(0, 3),
     new_items=st.integers(0, 6),
     warm=st.lists(st.integers(0, N_USERS - 1), max_size=8),
+    write=st.sampled_from(["none", "fold_in", "grow_items"]),
     seed=st.integers(0, 2**16),
 )
-def test_swap_snapshot_equals_the_planned_swap_fired_in_time_order(n_replicas, tiered, masked, new_users, new_items, warm, seed):
+def test_swap_snapshot_equals_the_planned_swap_fired_in_time_order(n_replicas, tiered, masked, new_users, new_items, warm, write, seed):
     rng = np.random.default_rng(seed)
     x, theta = rng.standard_normal((N_USERS, F)), rng.standard_normal((N_ITEMS, F))
     now, planned = _cluster(tiered, n_replicas, x, theta), _cluster(tiered, n_replicas, x, theta)
@@ -78,13 +93,34 @@ def test_swap_snapshot_equals_the_planned_swap_fired_in_time_order(n_replicas, t
 
     new_x = rng.standard_normal((N_USERS + 1 + new_users, F))
     new_theta = rng.standard_normal((N_ITEMS + new_items, F))
-    now.swap_snapshot(new_x, new_theta, lam=0.2, weighted=False, version="v1")
     events = planned.plan_swap(new_x, new_theta, lam=0.2, weighted=False, version="v1", start_s=0.0, step_s=1.0)
     assert len(events) == 2 * n_replicas
-    for event in sorted(events, key=lambda event: event.time):
-        event.action()
+    grown = rng.standard_normal((3, F))
+    for cluster in (now, planned):  # a write after the plan was built, before its first swap
+        if write == "fold_in":
+            assert cluster.fold_in(np.array([0, 2]), np.array([5.0, 1.0])) == N_USERS + 1
+        elif write == "grow_items":
+            assert cluster.grow_items(grown) == N_ITEMS
+    before = _state(now)
+    refused = now.n_users > new_x.shape[0] or now.n_items > new_theta.shape[0]
 
+    outcomes = []
+    try:
+        now.swap_snapshot(new_x, new_theta, lam=0.2, weighted=False, version="v1")
+    except ShrinkingSnapshotError as exc:
+        outcomes.append(str(exc))
+    for event in sorted(events, key=lambda event: event.time):
+        try:
+            event.action()
+        except ShrinkingSnapshotError as exc:  # a replay stops here: the error propagates out of it
+            outcomes.append(str(exc))
+            break
+    assert len(outcomes) == 2 * refused and len(set(outcomes)) <= 1
     assert _state(now) == _state(planned)
+    if refused:  # nothing installed, nothing dropped, every replica back in rotation
+        assert _state(now) == before
+        assert all(cluster.active_indices() == list(range(n_replicas)) for cluster in (now, planned))
+        return
     users = np.arange(new_x.shape[0])
     exclude = CSRMatrix.from_dense((rng.random((users.size, new_theta.shape[0])) < 0.2).astype(np.float64)) if masked else None
     answers = []
@@ -99,6 +135,22 @@ def test_swap_snapshot_equals_the_planned_swap_fired_in_time_order(n_replicas, t
                 assert rep.cache_stats.stale_hits == 0
     assert len(set(answers)) == 1
     assert _state(now) == _state(planned)
+
+
+@pytest.mark.parametrize("tiered", [False, True])
+def test_a_fold_in_after_planning_is_refused_by_the_first_swap_not_dropped(tiered):
+    """3 replicas of a 20-user store: plan the swap, fold a user in (id 20), replay with the events."""
+    rng = np.random.default_rng(11)
+    x, theta = rng.standard_normal((20, F)), rng.standard_normal((N_ITEMS, F))
+    cluster = _cluster(tiered, 3, x, theta)
+    trace = QueryTrace.poisson(300, 100_000.0, 20, seed=1)
+    events = cluster.plan_swap(x + 1.0, theta, version="v1", start_s=0.25 * trace.duration, step_s=0.2 * trace.duration)
+    assert cluster.fold_in(np.array([1, 3]), np.array([4.0, 2.0])) == 20
+    with pytest.raises(ShrinkingSnapshotError, match="the snapshot serves 20 users but the backend serves 21"):
+        RequestSimulator(cluster, k=K).run(trace, events)
+    assert [rep.n_users for rep in cluster.replicas] == [21, 21, 21]
+    assert [rep.version for rep in cluster.replicas] == ["", "", ""] and cluster.active_indices() == [0, 1, 2]
+    assert cluster.fold_in(np.array([2]), np.array([3.0])) == 21
 
 
 @pytest.mark.parametrize("planned", [False, True])

@@ -98,20 +98,28 @@ def _oracle_swap(cluster: ServingCluster, x, theta, version: str) -> None:
 def _oracle_plan(cluster: ServingCluster, snap) -> list:
     """The rolling swap's events, each replica swapped through its own store (its own gate).
 
-    Replica 0 swaps to the snapshot; every later replica to what the
-    replica swapped before it serves then, fold-ins included, so a
-    mid-rollout cluster fold-in reaches the replicas still to swap.
+    The first replica to swap swaps to the snapshot, once the snapshot
+    still covers every user and item the cluster serves (a write since
+    planning makes the step raise, and the replica is restored all the
+    same); every later replica swaps to what the replica swapped before
+    it serves then, fold-ins included, so a mid-rollout cluster fold-in
+    reaches the replicas still to swap.
     """
+    swapped: list[FactorStore] = []
 
     def swap_and_restore(i):
         rep = cluster.replicas[i]
-        if i == 0:
-            rep.swap_snapshot(snap.x, snap.theta, lam=snap.lam, weighted=snap.weighted, version=snap.label)
-        else:
-            lead = cluster.replicas[i - 1]
-            rep.swap_snapshot(lead.x, lead.theta, lam=snap.lam, weighted=snap.weighted, version=snap.label)
-            rep._restore_fold_state(lead._n_trained_users, lead._folded_items)
-        cluster.restore(i)
+        try:
+            if not swapped:
+                cluster.check_axes(snap.x.shape[0], snap.theta.shape[0], "the snapshot")
+                rep.swap_snapshot(snap.x, snap.theta, lam=snap.lam, weighted=snap.weighted, version=snap.label)
+            else:
+                lead = swapped[-1]
+                rep.swap_snapshot(lead.x, lead.theta, lam=snap.lam, weighted=snap.weighted, version=snap.label)
+                rep._restore_fold_state(lead._n_trained_users, lead._folded_items)
+            swapped.append(rep)
+        finally:
+            cluster.restore(i)
 
     return [action for i in range(cluster.n_replicas) for action in (partial(cluster.drain, i), partial(swap_and_restore, i))]
 

@@ -625,16 +625,17 @@ class TestAnswerTable:
         assert narrow.ids.tolist() == [first.ids[0, :3].tolist()] and narrow.scores[0].tobytes() == first.scores[0, :3].tobytes()
         assert store.stats.queries == 1 + 27 + 1 and store.stats.batches == 3
 
-    def test_every_mutation_rescores_the_next_query(self, tmp_path):
+    def test_each_mutation_rescores_exactly_the_rows_it_changes(self, tmp_path):
         rng = np.random.default_rng(7)
         x, theta = rng.integers(-3, 4, size=(6, 3)), rng.integers(-3, 4, size=(20, 3))
-        seen = CSRMatrix.from_arrays((6, 20), rng.integers(0, 6, 30), rng.integers(0, 20, 30), np.ones(30))
+        # A row for user 6 too, so one matrix masks the folded-in user 6 once a swap makes it a trained user.
+        seen = CSRMatrix.from_arrays((7, 20), rng.integers(0, 7, 35), rng.integers(0, 20, 35), np.ones(35))
         store = FactorStore(x, theta, n_shards=2)
         users = np.array([0, 2, 2, 5])
 
         def rescored(store, k=4, exclude=seen):
             scored = _count_scored(store)
-            store.recommend_batch(users, k=k, exclude=exclude)
+            store.recommend_batch(np.r_[users, 6:store.n_users], k=k, exclude=exclude)
             del store._score_block
             return sorted(np.concatenate(scored).tolist()) if scored else []
 
@@ -643,18 +644,42 @@ class TestAnswerTable:
         assert rescored(store, k=5) == [0, 2, 5]  # a wider k than the table holds
         assert rescored(store, exclude=CSRMatrix(seen.shape, seen.indptr, seen.indices, seen.data)) == [0, 2, 5]  # equal, not the same object
         assert rescored(store) == [0, 2, 5] and rescored(store, exclude=None) == [0, 2, 5]
-        for mutate in (
-            lambda: store.swap_snapshot(x, theta),
-            lambda: store.fold_in(np.array([1, 2]), np.array([4.0, 5.0])),
-            lambda: store._restore_fold_state(6, {6: np.array([3])}),
-            lambda: store.grow_items(np.ones((1, 3))),
+        assert rescored(store) == rescored(store, exclude=None) == rescored(store) == []  # exclude=None and the matrix keep a table each
+
+        def swap(x_entry=None, theta_entry=None):
+            """Swap to the served factors (a fresh copy through the gate), with one (row, col, value) entry of x or Θ changed."""
+
+            def run():
+                factors = [np.array(store.x), np.array(store.theta)]
+                for matrix, entry in zip(factors, (x_entry, theta_entry)):
+                    if entry is not None:
+                        matrix[entry[:2]] = entry[2]
+                store.swap_snapshot(*factors)
+
+            return run
+
+        zero = tuple(np.argwhere(theta == 0)[0])
+        everyone = [0, 2, 5, 6]
+        for mutate, plain, masked in (  # the rows re-scored under exclude=None and under the matrix
+            (lambda: store.swap_snapshot(x, theta), [], []),  # equal factors
+            (lambda: store.fold_in(np.array([1, 2]), np.array([4.0, 5.0])), [6], [6]),  # only the new user
+            (lambda: store._restore_fold_state(6, {6: np.array([3])}), [], [6]),  # user 6's mask changed
+            (swap(), [], [6]),  # user 6 is trained now: masked by the matrix row, not its fold-in items
+            (swap(x_entry=(2, 0, 9.0)), [2], [2]),
+            (swap(theta_entry=(0, 0, np.nextafter(theta[0, 0], np.inf))), everyone, everyone),  # one ulp
+            (swap(theta_entry=(*zero, -0.0)), everyone, everyone),  # -0.0 is not the bits of 0.0
+            (lambda: store.grow_items(np.ones((1, 3))), everyone, None),  # the matrix no longer fits the item axis
         ):
             assert rescored(store, exclude=None) == []
+            if masked is not None:
+                assert rescored(store) == []
             mutate()
-            assert rescored(store, exclude=None) == [0, 2, 5]
+            assert rescored(store, exclude=None) == plain
+            if masked is not None:
+                assert rescored(store) == masked
         store.save(str(tmp_path))
         for clone in (store.replicate(), FactorStore.load(str(tmp_path), n_shards=2)):
-            assert rescored(clone, exclude=None) == [0, 2, 5]
+            assert rescored(clone, exclude=None) == everyone
 
 
 class TestPersistence:

@@ -591,6 +591,21 @@ class TestServiceTenancy:
         assert labels == {"default"}
         assert RecommendRequest(users=3, tenant="").tenant == PredictRequest(0, 0, tenant="").tenant == RateRequest(0, 0, 0, tenant="").tenant == "default"
 
+    def test_unnamed_tenant_recommend_and_rate_tally_under_the_default_name(self, fitted, data):
+        """``recommend`` and ``rate`` from ``tenant=""``, ok and error alike, count under ``default`` in ``stats()`` and ``serve.requests``."""
+        service = self._service(fitted, data, tenants=[TenantPolicy("acme")], log=True)
+        with obs.observed() as (registry, _):
+            statuses = [
+                service.recommend(3, k=5, tenant="").status,
+                service.recommend(3, k=0, tenant="").status,
+                service.rate(3, np.array([1]), np.array([4.0]), tenant="").status,
+                service.rate(10**9, np.array([1]), np.array([4.0]), tenant="").status,
+            ]
+        assert statuses == ["ok", "error", "ok", "error"]
+        assert service.stats()["tenants"] == {"default": {"ok": 2, "degraded": 0, "shed": 0, "error": 2}}
+        requests = {tuple(sorted(dict(metric.labels).items())): metric.value for metric in registry.metrics() if metric.name == "serve.requests"}
+        assert requests == {(("kind", kind), ("status", status), ("tenant", "default")): 1.0 for kind in ("recommend", "rate") for status in ("ok", "error")}
+
     def test_degraded_envelope_reduces_k(self, fitted, data):
         service = self._service(
             fitted,
