@@ -7,7 +7,7 @@ same bursty trace under each routing policy (round-robin vs
 power-of-two-choices vs least-outstanding-work), shows the throughput
 scaling from 1 to 4 replicas on a saturating trace, folds a cold-start
 user into every replica write-through, and round-trips a store with
-fold-ins through save/load.
+fold-ins through a snapshot registry version.
 
 Run:  python examples/cluster_serving.py
 """
@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core import ALSConfig, CuMF
 from repro.datasets import NETFLIX, generate_ratings
-from repro.serving import FactorStore, QueryTrace, RequestSimulator, ServingCluster
+from repro.serving import FactorStore, QueryTrace, RequestSimulator, ServingCluster, SnapshotRegistry
 
 
 def main() -> None:
@@ -75,15 +75,16 @@ def main() -> None:
     print(f"\nfolded-in user {newcomer} on {cluster.n_replicas} replicas; "
           f"consistent top-5 everywhere: {len(answers) == 1}")
 
-    # 5. Persistence keeps fold-in state: a reloaded store still knows the
-    #    newcomer's items, so exclusion works against the training matrix.
+    # 5. A registry version keeps fold-in state: a store built from it still
+    #    knows the newcomer's items, so exclusion works against the training
+    #    matrix.
     single = cluster.replicas[0]
     with tempfile.TemporaryDirectory() as directory:
-        single.save(directory)
-        reloaded = FactorStore.load(directory)
+        registry = SnapshotRegistry(directory)
+        reloaded = registry.build_store(registry.publish_store(single))
         same = (reloaded.recommend(newcomer, k=5, exclude=data.train)
                 == single.recommend(newcomer, k=5, exclude=data.train))
-        print(f"save/load round-trip with fold-ins: identical recommendations: {same}")
+        print(f"registry round-trip with fold-ins: identical recommendations: {same}")
 
 
 if __name__ == "__main__":

@@ -25,8 +25,9 @@ class Checkpoint:
     """One restored checkpoint.
 
     ``extras`` holds any additional scalar/array metadata that was passed
-    to :meth:`CheckpointManager.save` (e.g. the serving layer persists
-    its fold-in hyper-parameters alongside the factors).
+    to :meth:`CheckpointManager.save` (e.g. a snapshot registry version
+    carries its fold-in hyper-parameters and fold-in state alongside the
+    factors).
     """
 
     iteration: int
@@ -56,10 +57,10 @@ class CheckpointManager:
         ``extras`` (array-convertible values) are stored in the same npz
         and surface again on :attr:`Checkpoint.extras`.  An extra named
         ``protected`` (any value) marks the file as exempt from retention
-        pruning: the serving tier and the snapshot registry park their
-        snapshots in (possibly shared) checkpoint directories and a
-        trainer's ``keep=N`` rotation must never evict them.  A protected
-        save prunes nothing either, so it cannot evict a trainer's files.
+        pruning: the snapshot registry parks its versions in (possibly
+        shared) checkpoint directories and a trainer's ``keep=N`` rotation
+        must never evict them.  A protected save prunes nothing either, so
+        it cannot evict a trainer's files.
 
         Stored uncompressed (zlib saves ~5% on float factors at ~30× the
         write time); :meth:`load` reads compressed files as well.
@@ -92,8 +93,8 @@ class CheckpointManager:
 
     def _prune(self) -> None:
         # Retention applies to the trainer's own rotation only: protected
-        # files (store snapshots, registry versions) neither count against
-        # ``keep`` nor get deleted.
+        # files (registry versions, older store snapshots) neither count
+        # against ``keep`` nor get deleted.
         prunable = [it for it in sorted(self.list_iterations()) if not self._is_protected(it)]
         for iteration in prunable[: max(0, len(prunable) - self.keep)]:
             try:
@@ -104,10 +105,12 @@ class CheckpointManager:
     def _is_protected(self, iteration: int) -> bool:
         """Whether a checkpoint opted out of retention pruning.
 
-        Recognised by the ``protected`` extra, plus the serving layer's
-        ``n_trained_users`` fold-in marker so store snapshots written
-        before the flag existed stay safe too.  Reading ``.files`` only
-        touches the zip directory, so the scan is cheap.
+        Recognised by the ``protected`` extra, plus the ``n_trained_users``
+        fold-in marker: files written by the store-level ``save`` that
+        predates the snapshot registry (some of them before the flag
+        existed) carry it, and a trainer's ``keep=N`` rotation must not
+        evict them either.  Reading ``.files`` only touches the zip
+        directory, so the scan is cheap.
         """
         try:
             with np.load(self._path(iteration)) as blob:

@@ -153,7 +153,7 @@ class TieredFactorStore(FactorStore):
         self._init_cache()
 
     # ------------------------------------------------------------------ #
-    # cache construction / clone + persistence hooks
+    # cache construction / clone hook
     # ------------------------------------------------------------------ #
     def _init_cache(self) -> None:
         """(Re)build heat sketch, page table and planner for this snapshot."""
@@ -181,52 +181,6 @@ class TieredFactorStore(FactorStore):
     def _clone_kwargs(self) -> dict:
         """Replicas rebuild the same tier configuration."""
         return {**super()._clone_kwargs(), "cache": self.cache_config}
-
-    def _snapshot_extras(self) -> dict:
-        """Persist the tier configuration alongside the factors.
-
-        Encoded as one numeric vector (``None`` becomes ``-1``) so the
-        checkpoint layer stores it like any other array extra.
-        """
-        cfg = self.cache_config
-        encoded = np.array(
-            [
-                -1.0 if cfg.hot_bytes is None else float(cfg.hot_bytes),
-                -1.0 if cfg.hot_fraction is None else float(cfg.hot_fraction),
-                -1.0 if cfg.warm_bytes is None else float(cfg.warm_bytes),
-                float(cfg.page_items),
-                float(cfg.half_life_s),
-                float(cfg.plan_window_s),
-                -1.0 if cfg.max_wave_bytes is None else float(cfg.max_wave_bytes),
-                float(cfg.hysteresis),
-                float(cfg.cold_latency_s),
-                float(cfg.cold_bandwidth_gbs),
-            ],
-            dtype=np.float64,
-        )
-        return {**super()._snapshot_extras(), "cache_config": encoded}
-
-    @classmethod
-    def _restore_extras(cls, extras: dict, kwargs: dict) -> None:
-        """Rebuild the saved :class:`CacheConfig` on :meth:`load`."""
-        super()._restore_extras(extras, kwargs)
-        if "cache_config" in extras:
-            v = np.asarray(extras["cache_config"], dtype=np.float64)
-            kwargs.setdefault(
-                "cache",
-                CacheConfig(
-                    hot_bytes=None if v[0] < 0 else int(v[0]),
-                    hot_fraction=None if v[1] < 0 else float(v[1]),
-                    warm_bytes=None if v[2] < 0 else int(v[2]),
-                    page_items=int(v[3]),
-                    half_life_s=float(v[4]),
-                    plan_window_s=float(v[5]),
-                    max_wave_bytes=None if v[6] < 0 else int(v[6]),
-                    hysteresis=float(v[7]),
-                    cold_latency_s=float(v[8]),
-                    cold_bandwidth_gbs=float(v[9]),
-                ),
-            )
 
     # ------------------------------------------------------------------ #
     # lifecycle: invalidation composes with refresh / rollout

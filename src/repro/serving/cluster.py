@@ -405,13 +405,13 @@ class ServingCluster:
                 rep._grow_to(model)
         return start
 
-    def _rolling_steps(self, x: np.ndarray, theta: np.ndarray, **meta) -> list[tuple[Callable[[], None], Callable[[], None]]]:
-        """The rolling swap to ``(x, theta)``: one ``(drain, swap)`` pair of steps per replica, in replica order.
+    def _rolling_steps(self, x: np.ndarray, theta: np.ndarray, folded_items: dict | None, **meta) -> list[tuple[Callable[[], None], Callable[[], None]]]:
+        """The rolling swap to ``(x, theta)`` with fold-in state ``folded_items``: one ``(drain, swap)`` pair of steps per replica, in replica order.
 
         The snapshot is gated here, once; ``meta`` is the serving
         metadata every swap sets (see :meth:`FactorStore.swap_snapshot`).
         """
-        roll = _RollingSwap(self, _Gated(x, theta), meta)
+        roll = _RollingSwap(self, _Gated(x, theta, folded_items), meta)
         return [(partial(roll.drain, i), partial(roll.swap, i)) for i in range(self.n_replicas)]
 
     def swap_snapshot(
@@ -423,11 +423,14 @@ class ServingCluster:
         weighted: bool | None = None,
         version: str | None = None,
         solver: str | None = None,
+        folded_items: dict[int, np.ndarray] | None = None,
     ) -> None:
         """Swap every replica to a new model, one at a time — the rolling swap, run now.
 
         The snapshot is gated once and the replicas install one model of
-        it per shard count.  A snapshot with fewer users or items than the
+        it per shard count, with the fold-in state ``folded_items`` (see
+        :meth:`FactorStore.swap_snapshot`; by default every row is a
+        trained user).  A snapshot with fewer users or items than the
         cluster serves is refused (:class:`ShrinkingSnapshotError`) before
         any replica swaps.
         Each active replica is rotated out (drained) while its store
@@ -437,7 +440,7 @@ class ServingCluster:
         replica is swapped in place and left out of rotation.  To run the
         same steps mid-trace under traffic, use :meth:`plan_swap`.
         """
-        for drain, swap in self._rolling_steps(x, theta, lam=lam, weighted=weighted, version=version, solver=solver):
+        for drain, swap in self._rolling_steps(x, theta, folded_items, lam=lam, weighted=weighted, version=version, solver=solver):
             drain()
             swap()
 
@@ -449,6 +452,7 @@ class ServingCluster:
         lam: float | None = None,
         weighted: bool | None = None,
         version: str | None = None,
+        folded_items: dict[int, np.ndarray] | None = None,
         start_s: float,
         step_s: float,
         swap_s: float | None = None,
@@ -460,10 +464,12 @@ class ServingCluster:
         seconds later, modelling the time a real replica spends loading
         the new factors.  ``swap_s`` defaults to half a step and must not
         exceed ``step_s``, so at most one replica is out at a time.  The
-        snapshot is gated once, when the plan is built.  The first replica
-        swaps to its model, and every later one to the model the replica
-        swapped before it serves at that moment, so a cluster fold-in or
-        item growth made between two swaps reaches every replica.  A write
+        snapshot (with its fold-in state ``folded_items``, as
+        :meth:`swap_snapshot` takes it) is gated once, when the plan is
+        built.  The first replica swaps to its model, and every later one
+        to the model the replica swapped before it serves at that moment,
+        so a cluster fold-in or item growth made between two swaps
+        reaches every replica.  A write
         made after the plan is built but before its first swap is not in
         the snapshot, which then serves fewer users or items than the
         cluster: the first swap step checks this when it fires and raises
@@ -490,7 +496,7 @@ class ServingCluster:
         if not 0 < swap_s <= step_s:
             raise ValueError("need 0 < swap_s <= step_s (one replica out at a time)")
         events: list[LifecycleEvent] = []
-        for replica, (drain, swap) in enumerate(self._rolling_steps(x, theta, lam=lam, weighted=weighted, version=version)):
+        for replica, (drain, swap) in enumerate(self._rolling_steps(x, theta, folded_items, lam=lam, weighted=weighted, version=version)):
             drain_at = start_s + replica * step_s
             events.append(LifecycleEvent(time=drain_at, action=drain, label=f"drain r{replica}"))
             events.append(LifecycleEvent(time=drain_at + swap_s, action=swap, label=f"swap r{replica} -> {version}"))

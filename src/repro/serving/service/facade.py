@@ -448,7 +448,7 @@ class RecommenderService:
         now).  Returns the snapshot that was rolled out.
         """
         snap = self._target(version)
-        self.backend.swap_snapshot(snap.x, snap.theta, lam=snap.lam, weighted=snap.weighted, version=snap.label)
+        self.backend.swap_snapshot(snap.x, snap.theta, lam=snap.lam, weighted=snap.weighted, version=snap.label, folded_items=snap.folded_items)
         self._adopt_if_pending(snap.version)
         self._lifecycle("rollout", version=snap.version)
         return snap
@@ -474,7 +474,15 @@ class RecommenderService:
         """
         snap = self._target(version)
         events = self.backend.plan_swap(
-            snap.x, snap.theta, lam=snap.lam, weighted=snap.weighted, version=snap.label, start_s=start_s, step_s=step_s, swap_s=swap_s
+            snap.x,
+            snap.theta,
+            lam=snap.lam,
+            weighted=snap.weighted,
+            version=snap.label,
+            folded_items=snap.folded_items,
+            start_s=start_s,
+            step_s=step_s,
+            swap_s=swap_s,
         )
         if self._pending is not None and self._pending[0] == snap.version:
             events.append(LifecycleEvent(time=events[-1].time, action=partial(self._adopt_if_pending, snap.version), label=f"adopt ratings for {snap.label}"))
@@ -511,7 +519,7 @@ class RecommenderService:
         side effects; only the returned events mutate anything).
         """
         snap = self._target(version)
-        self.backend.plan_swap(snap.x, snap.theta, start_s=start_s, step_s=step_s, swap_s=swap_s)
+        self.backend.plan_swap(snap.x, snap.theta, folded_items=snap.folded_items, start_s=start_s, step_s=step_s, swap_s=swap_s)
         return self.plan_rollout(self.registry.rollback(version), start_s=start_s, step_s=step_s, swap_s=swap_s)
 
     def drain(self, unit: int) -> None:

@@ -51,14 +51,12 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.checkpoint import CheckpointManager
 from repro.core.config import ALSConfig, FitResult
 from repro.core.kernels import FLOAT_BYTES, batch_solve_profile, get_hermitian_profile
 from repro.gpu.kernel import KernelProfile
@@ -184,16 +182,17 @@ class _Model:
 
     __slots__ = ("x", "theta", "x_score", "partition", "shards", "n_trained_users", "folded_items", "answers")
 
-    def __init__(self, x: np.ndarray, theta: np.ndarray, n_shards: int):
+    def __init__(self, x: np.ndarray, theta: np.ndarray, n_shards: int, folded_items: dict[int, np.ndarray] | None = None):
         x.setflags(write=False)
         theta.setflags(write=False)
         self.x, self.theta = x, theta
         self.x_score = np.ascontiguousarray(x, dtype=np.float32)
         self.partition, self.shards = self._layout(theta, n_shards)
         # Users [0, n_trained_users) came from training and map 1:1 onto
-        # the rows of an exclude matrix; later fold-ins live above this.
-        self.n_trained_users = x.shape[0]
-        self.folded_items: dict[int, np.ndarray] = {}
+        # the rows of an exclude matrix; the fold-ins above them map to
+        # the items they rated.
+        self.folded_items: dict[int, np.ndarray] = folded_items or {}
+        self.n_trained_users = x.shape[0] - len(self.folded_items)
         # The tables for exclude=None and for the last exclude matrix asked with.
         self.answers: list[_Answers | None] = [None, None]
 
@@ -298,16 +297,27 @@ class _Model:
         return self.derive(theta=theta, partition=partition, shards=shards)
 
 
+def _fold_state(n_users: int, folded_items: dict) -> dict[int, np.ndarray]:
+    """The fold-in state of ``n_users`` users: ``folded_items`` with int64 item arrays, once it maps exactly the last ``len(folded_items)`` users."""
+    if len(folded_items) > n_users or set(folded_items) != set(range(n_users - len(folded_items), n_users)):
+        raise ValueError(f"folded_items must map exactly the last users of the {n_users} served, got users {sorted(folded_items)}")
+    return {int(u): np.asarray(seg, dtype=np.int64) for u, seg in folded_items.items()}
+
+
 class _Gated:
     """A new snapshot's factors, passed through the gate once, and the model of them each shard count serves (built once).
 
-    Every replica that swaps to one ``_Gated`` installs the same model
-    (one per shard count), so the rolling swap gates and lays out a
-    snapshot once however many replicas it swaps.
+    ``folded_items`` is the snapshot's fold-in state: it maps the last
+    ``len(folded_items)`` users of ``x`` to the items they rated, and
+    every other row is a trained user (by default, every row).  Every
+    replica that swaps to one ``_Gated`` installs the same model (one per
+    shard count), so the rolling swap gates and lays out a snapshot once
+    however many replicas it swaps.
     """
 
-    def __init__(self, x: np.ndarray, theta: np.ndarray):
+    def __init__(self, x: np.ndarray, theta: np.ndarray, folded_items: dict[int, np.ndarray] | None = None):
         self.x, self.theta = FactorStore._checked_factors({"x": x, "theta": theta})
+        self.folded_items = _fold_state(self.x.shape[0], folded_items or {})
         self._models: dict[int, _Model] = {}
 
     def model(self, n_shards: int) -> _Model:
@@ -316,7 +326,7 @@ class _Gated:
             raise ValueError(f"new snapshot has {self.theta.shape[0]} items but the store keeps {n_shards} shards")
         model = self._models.get(n_shards)
         if model is None:
-            model = self._models[n_shards] = _Model(self.x, self.theta, n_shards)
+            model = self._models[n_shards] = _Model(self.x, self.theta, n_shards, self.folded_items)
         return model
 
 
@@ -464,13 +474,14 @@ class FactorStore:
         """Private C-order float64 copies of the named factor matrices.
 
         The one gate factors pass on their way into the served state
-        (construction, and so :meth:`load`; :meth:`swap_snapshot`;
-        :meth:`grow_items`).  Every matrix must be 2-D, all must share
-        one latent dimension (``f`` when given), and every entry must be
-        finite and within the float32 range of the scoring copies: a
-        diverged fit's NaN row, or an entry that overflows to ``inf`` in
-        float32, would otherwise rank first in selection and be left out
-        of the answer, so its users would silently get fewer than ``k`` items.
+        (construction, and so a registry's ``build_store``;
+        :meth:`swap_snapshot`; :meth:`grow_items`).  Every matrix must be
+        2-D, all must share one latent dimension (``f`` when given), and
+        every entry must be finite and within the float32 range of the
+        scoring copies: a diverged fit's NaN row, or an entry that
+        overflows to ``inf`` in float32, would otherwise rank first in
+        selection and be left out of the answer, so its users would
+        silently get fewer than ``k`` items.
         """
         copies = [np.array(v, dtype=np.float64, order="C", copy=True) for v in factors.values()]
         names = list(factors)
@@ -547,7 +558,7 @@ class FactorStore:
         return self._model.folded_items
 
     # ------------------------------------------------------------------ #
-    # construction / persistence
+    # construction
     # ------------------------------------------------------------------ #
     @classmethod
     def from_result(cls, result: FitResult, **kwargs) -> "FactorStore":
@@ -557,110 +568,18 @@ class FactorStore:
         kwargs.setdefault("solver", result.solver)
         return cls(result.x, result.theta, **kwargs)
 
-    @classmethod
-    def load(cls, directory: str, **kwargs) -> "FactorStore":
-        """Restore a store from a directory written by :meth:`save`.
-
-        The on-disk format is the trainer's checkpoint layer, so a store
-        can equally be built from a mid-training checkpoint directory.
-        ``lam``/``weighted`` saved by :meth:`save` are restored unless
-        overridden via ``kwargs``, and the fold-in bookkeeping (trained
-        user count plus each folded user's item set) is restored when
-        present, so exclusion behaves exactly as before the save.
-        """
-        restored = CheckpointManager(directory).latest()
-        if restored is None:
-            raise ValueError(f"no checkpoint found in {directory!r}")
-        if "lam" in restored.extras:
-            kwargs.setdefault("lam", float(restored.extras["lam"]))
-        if "weighted" in restored.extras:
-            kwargs.setdefault("weighted", bool(restored.extras["weighted"]))
-        if "version" in restored.extras:
-            kwargs.setdefault("version", str(restored.extras["version"]))
-        cls._restore_extras(restored.extras, kwargs)
-        store = cls(restored.x, restored.theta, **kwargs)
-        if "n_trained_users" in restored.extras:
-            n_trained = int(restored.extras["n_trained_users"])
-            indptr = np.asarray(restored.extras["foldin_indptr"], dtype=np.int64)
-            items = np.asarray(restored.extras["foldin_items"], dtype=np.int64)
-            folded = {n_trained + j: items[indptr[j] : indptr[j + 1]].copy() for j in range(indptr.size - 1)}
-            store._restore_fold_state(n_trained, folded)
-        return store
-
-    def save(self, directory: str) -> str:
-        """Persist the factors through the checkpoint layer; returns the path.
-
-        Folded-in users are included (the saved X has one row per user
-        the store currently knows), as are the ``lam``/``weighted``
-        fold-in hyper-parameters and the fold-in bookkeeping — the
-        trained-user count plus a CSR-style encoding of each folded
-        user's item set — so :meth:`load` reproduces fold-in and
-        exclusion behaviour exactly.  The snapshot is written as the
-        directory's new latest checkpoint; earlier *store* snapshots in
-        the directory are garbage-collected (only the newest is servable)
-        but a trainer's own checkpoints are never deleted, so a shared
-        mid-training checkpoint directory keeps its history.
-        """
-        folded = [self._folded_items[u] for u in range(self._n_trained_users, self.n_users)]
-        sizes = np.array([seg.size for seg in folded], dtype=np.int64)
-        indptr = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(sizes)])
-        items = np.concatenate(folded) if folded else np.empty(0, dtype=np.int64)
-        manager = CheckpointManager(directory)
-        # The *latest* checkpoint, so load() restores this snapshot; being
-        # protected, the save prunes none of a trainer's checkpoints.
-        iteration = manager.save_next(
-            self.x,
-            self.theta,
-            lam=np.float64(self.lam),
-            weighted=np.bool_(self.weighted),
-            version=np.str_(self.version),
-            n_trained_users=np.int64(self._n_trained_users),
-            foldin_indptr=indptr,
-            foldin_items=items,
-            protected=np.bool_(True),
-            **self._snapshot_extras(),
-        )
-        # GC superseded store snapshots (recognisable by their fold-in
-        # extras) so repeated saves into one directory keep exactly one
-        # servable file; training checkpoints lack the marker and survive.
-        path = manager._path(iteration)
-        for old_iteration in manager.list_iterations()[:-1]:  # every file below the one just written
-            old_path = manager._path(old_iteration)
-            try:
-                with np.load(old_path) as blob:
-                    is_store_snapshot = "n_trained_users" in blob.files
-            except (OSError, ValueError):  # pragma: no cover - benign race
-                continue
-            if is_store_snapshot:
-                os.remove(old_path)
-        return path
-
-    def _snapshot_extras(self) -> dict:
-        """Extra arrays subclasses persist with :meth:`save` (none here).
-
-        Together with :meth:`_restore_extras` and :meth:`_clone_kwargs`
-        this lets a subclass (e.g. the tiered cache front) round-trip its
-        own configuration through save/load/replicate without overriding
-        the whole methods.
-        """
-        return {}
-
-    @classmethod
-    def _restore_extras(cls, extras: dict, kwargs: dict) -> None:
-        """Turn saved :meth:`_snapshot_extras` back into constructor kwargs."""
-
     def _clone_kwargs(self) -> dict:
         """Extra constructor kwargs :meth:`replicate` forwards (none here)."""
         return {}
 
-    def _restore_fold_state(self, n_trained_users: int, folded_items: dict) -> None:
-        """Adopt fold-in bookkeeping from a saved store; it changes what is masked, so the store gets a model of its own (inheriting the unchanged rows)."""
-        if not 0 <= n_trained_users <= self.n_users:
-            raise ValueError(f"n_trained_users must be in [0, {self.n_users}], got {n_trained_users}")
-        if set(folded_items) != set(range(n_trained_users, self.n_users)):
-            raise ValueError("folded-items map must cover exactly the rows above n_trained_users")
-        folded_items = {int(u): np.asarray(seg, dtype=np.int64) for u, seg in folded_items.items()}
-        self._install(self._model.derive(n_trained_users=int(n_trained_users), folded_items=folded_items))
+    def _restore_fold_state(self, folded_items: dict) -> None:
+        """Adopt fold-in bookkeeping (a registry version's): ``folded_items`` maps the last ``len(folded_items)`` users to their items.
+
+        It changes what is masked, so the store gets a model of its own
+        (inheriting the unchanged rows).
+        """
+        folded_items = _fold_state(self.n_users, folded_items)
+        self._install(self._model.derive(n_trained_users=self.n_users - len(folded_items), folded_items=folded_items))
 
     def replicate(self, *, machine: MultiGPUMachine | None = None, n_shards: int | None = None) -> "FactorStore":
         """An independent copy of this snapshot on a fresh simulated machine.
@@ -709,21 +628,26 @@ class FactorStore:
         weighted: bool | None = None,
         version: str | None = None,
         solver: str | None = None,
+        folded_items: dict[int, np.ndarray] | None = None,
     ) -> None:
         """Replace the served model in place — the zero-downtime rollout hook.
 
         The store keeps its machine, clock and running stats (it is the
         same serving process) but swaps in private immutable copies of
         the new factors, rebuilds the Θ shards over the same device
-        count, and resets fold-in bookkeeping: every row of the new X is
-        a trained user of the new snapshot.  The simulated clock is
-        charged for shipping each device its new Θ shard, which is the
-        load a real replica pays while drained.  ``lam``/``weighted``/
+        count, and installs the snapshot's fold-in bookkeeping:
+        ``folded_items`` maps the last ``len(folded_items)`` users of the
+        new X to the items they rated (a registry version's
+        :attr:`~repro.serving.lifecycle.Snapshot.folded_items`), and every
+        other row is a trained user — by default, every row.  The
+        simulated clock is charged for shipping each device its new Θ
+        shard, which is the load a real replica pays while drained.
+        ``lam``/``weighted``/
         ``version``/``solver`` update the serving metadata when given.
         The store gets a model of its own; a cluster's rolling swap gates
         the snapshot once and installs one model on every replica.
         """
-        self._swap_to(_Gated(x, theta), lam=lam, weighted=weighted, version=version, solver=solver)
+        self._swap_to(_Gated(x, theta, folded_items), lam=lam, weighted=weighted, version=version, solver=solver)
 
     def _swap_to(
         self, gated: _Gated, *, lam: float | None = None, weighted: bool | None = None, version: str | None = None, solver: str | None = None
@@ -883,17 +807,17 @@ class FactorStore:
         the one computed when the user was first scored in the epoch, bit
         for bit, whatever block, call or replica repeats it.  A write
         (:meth:`fold_in`, :meth:`swap_snapshot`, :meth:`grow_items`, the
-        fold-in state :meth:`load` restores) ends the epoch of the rows
-        whose inputs it changes and keeps the others: a row survives when
-        Θ keeps its bits, item count and shard layout, the user's x row
-        keeps its bits and, under a matrix, the user's mask is unchanged
-        (trained on both sides, or folded in on both with the same
-        items).  So a fold-in keeps every row, a swap to an equal Θ keeps
-        the rows of users whose x it leaves alone, and item growth or a
-        changed Θ keeps none.  The epoch of every row also ends when
-        ``k`` exceeds every ``k`` asked of its table so far, when an
-        exclude matrix is another object than the last one asked with,
-        and in a fresh store (:meth:`load`, :meth:`replicate`).
+        fold-in state a registry's ``build_store`` restores) ends the
+        epoch of the rows whose inputs it changes and keeps the others: a
+        row survives when Θ keeps its bits, item count and shard layout,
+        the user's x row keeps its bits and, under a matrix, the user's
+        mask is unchanged (trained on both sides, or folded in on both
+        with the same items).  So a fold-in keeps every row, a swap to an
+        equal Θ keeps the rows of users whose x it leaves alone, and item
+        growth or a changed Θ keeps none.  The epoch of every row also
+        ends when ``k`` exceeds every ``k`` asked of its table so far,
+        when an exclude matrix is another object than the last one asked
+        with, and in a fresh store (``build_store``, :meth:`replicate`).
         ``exclude`` is therefore read as a value: do not mutate a matrix
         in place between calls; pass a new one.  Every query is still
         charged to the simulated clock and counted in :attr:`stats`,

@@ -5,7 +5,8 @@ A hypothesis state machine drives one :class:`FactorStore` or
 operation that changes what a query should return: fold-in, snapshot
 swaps (a refresh's, to an equal Θ, to a Θ one ulp away, to new
 factors, with some x rows changed, keeping or dropping the fold-ins),
-item growth, replication and a save/load round trip.  Factors are small
+item growth, replication and a round trip through a snapshot registry
+version (publish, then build a store of it).  Factors are small
 integers, so float32 scores are exact: every answer must equal the
 plain-NumPy oracle and, bit for bit, a fresh
 :meth:`~FactorStore.replicate` (empty tables) answering the same query.
@@ -39,7 +40,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from repro.core.config import ALSConfig
 from repro.core.trainer import CuMF
 from repro.datasets import DatasetSpec, generate_ratings
-from repro.serving import CacheConfig, FactorStore, QueryTrace, ServingConfig, TieredFactorStore
+from repro.serving import CacheConfig, FactorStore, QueryTrace, ServingConfig, SnapshotRegistry, TieredFactorStore
 from repro.sparse.csr import CSRMatrix
 from tests.test_serving_store import _GENERATED, _assert_bitwise_equal, _count_scored, _generated_store, _oracle_topk
 
@@ -209,10 +210,10 @@ class AnswerTableMachine(RuleBasedStateMachine):
         self._ask_again()
 
     @rule()
-    def save_and_load(self):
+    def publish_and_build(self):
         with tempfile.TemporaryDirectory() as directory:
-            self.store.save(directory)
-            self._adopt(self.cls.load(directory, n_shards=self.store.n_shards))
+            registry = SnapshotRegistry(directory)
+            self._adopt(registry.build_store(registry.publish_store(self.store), store_cls=self.cls, n_shards=self.store.n_shards))
         self._ask_again()
 
     @invariant()

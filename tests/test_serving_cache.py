@@ -28,6 +28,7 @@ from repro.serving import (
     TieredFactorStore,
 )
 from repro.serving.cache import TIER_COLD, TIER_HOT, TIER_WARM, CachePlanner, CacheStats
+from repro.serving.lifecycle import SnapshotRegistry
 from repro.sparse.partition import Partition1D
 
 
@@ -489,31 +490,19 @@ class TestCloneAndPersistence:
         assert clone.cache_stats.hits == 0  # fresh counters
         assert clone.recommend(5, k=4) == tiered.recommend(5, k=4)
 
-    def test_save_load_round_trips_tier_configuration(self, fitted, tmp_path):
-        cache = CacheConfig(
-            hot_bytes=4096, warm_bytes=65536, page_items=8, max_wave_bytes=1024, hysteresis=1.25
-        )
+    def test_registry_build_answers_like_the_published_tiered_store(self, fitted, tiny_ratings, tmp_path):
+        # The tier configuration is a constructor argument, not snapshot data: build_store takes it again.
+        cache = CacheConfig(hot_bytes=4096, warm_bytes=65536, page_items=8, max_wave_bytes=1024, hysteresis=1.25)
         tiered = TieredFactorStore.from_result(fitted.result, cache=cache, n_shards=2)
-        tiered.save(str(tmp_path))
-        loaded = TieredFactorStore.load(str(tmp_path), n_shards=2)
-        assert isinstance(loaded, TieredFactorStore)
-        assert loaded.cache_config == cache
-        assert loaded.recommend(3, k=5) == tiered.recommend(3, k=5)
-
-    def test_save_load_round_trips_none_fields(self, fitted, tmp_path):
-        tiered = tiered_store(fitted)  # hot_fraction set, byte fields None
-        tiered.save(str(tmp_path))
-        loaded = TieredFactorStore.load(str(tmp_path))
-        assert loaded.cache_config == tiered.cache_config
-        assert loaded.cache_config.hot_bytes is None
-        assert loaded.cache_config.warm_bytes is None
-
-    def test_plain_store_load_ignores_cache_extras(self, fitted, tmp_path):
-        tiered = tiered_store(fitted)
-        tiered.save(str(tmp_path))
-        plain = FactorStore.load(str(tmp_path))
-        assert type(plain) is FactorStore
-        np.testing.assert_array_equal(plain.theta, tiered.theta)
+        tiered.fold_in(np.array([2, 8, 11]), np.array([5.0, 1.0, 3.0]))
+        registry = SnapshotRegistry(tmp_path)
+        loaded = registry.build_store(registry.publish_store(tiered), store_cls=TieredFactorStore, cache=cache, n_shards=2)
+        assert isinstance(loaded, TieredFactorStore) and loaded.cache_config == cache
+        users = np.arange(tiered.n_users)
+        for exclude in (None, tiny_ratings.train):
+            want, got = (store.recommend_batch(users, k=5, exclude=exclude) for store in (tiered, loaded))
+            np.testing.assert_array_equal(got.ids, want.ids)
+            np.testing.assert_array_equal(got.scores.view(np.int32), want.scores.view(np.int32))
 
 
 # ---------------------------------------------------------------------- #

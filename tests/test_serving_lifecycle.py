@@ -385,11 +385,11 @@ class TestStoreLifecycleHooks:
         users, items, ratings = log.arrays()
         assert items.tolist() == [2, 7] and ratings.tolist() == [5.0, 3.0]
 
-    def test_version_survives_replicate_and_save_load(self, fitted, tmp_path):
+    def test_version_survives_replicate_and_registry_stamps_its_own(self, fitted, tmp_path):
         store = FactorStore.from_result(fitted.result, version="v7")
         assert store.replicate().version == "v7"
-        store.save(str(tmp_path))
-        assert FactorStore.load(str(tmp_path)).version == "v7"
+        registry = SnapshotRegistry(tmp_path)
+        assert registry.build_store(registry.publish_store(store)).version == "v0"
 
 
 class TestClusterLifecycle:

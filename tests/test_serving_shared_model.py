@@ -10,18 +10,23 @@ its own.  Each replica still keeps its own machine, clock, stats and
 cache, and is charged every query and write it serves.
 
 A hypothesis property runs one generated sequence of replay windows
-(``serve_window``), cluster fold-ins, rolling swaps (immediate, or
-planned by the cluster and stepped one event at a time, so
-fold-ins and windows land mid-rollout on two models), item growth,
-drain/restore and direct fold-ins on one replica, on 1-3 replicas, plain
-and tiered, through a shared-model cluster and an oracle cluster whose
-replicas are gated separately and written one by one, so nothing is
-shared.  Factors are integer-valued (fold-in solutions rounded), so every
+(``serve_window``), cluster fold-ins, rolling swaps to new factors or
+to a refresh's (Θ and most x rows kept, so answer rows are inherited),
+immediate or planned by the cluster and stepped one event at a time (so
+fold-ins and windows land mid-rollout on two models, and a generated
+fold-in or item growth can land between planning and the first swap,
+which must then refuse the snapshot), item growth, drain/restore and
+direct fold-ins on one replica, on 1-3 replicas, plain and tiered,
+through a shared-model cluster and an oracle cluster whose replicas are
+gated separately and written one by one, so nothing is shared.
+Factors are integer-valued (fold-in solutions rounded), so every
 float32 score is exact and both sides must agree bit for bit: answers
 (ids and scores), routing, errors, and per replica the clock, its label
 totals, the device counters, the transfer totals, ``stats``,
 ``cache_stats`` and the page table.  The shared side must score exactly
-one row per distinct (model, exclude, user).
+one row per distinct (model, exclude, user), and a successor model's
+answer tables, inherited or not, must never share memory with its
+predecessor's.
 """
 
 from __future__ import annotations
@@ -116,7 +121,7 @@ def _oracle_plan(cluster: ServingCluster, snap) -> list:
             else:
                 lead = swapped[-1]
                 rep.swap_snapshot(lead.x, lead.theta, lam=snap.lam, weighted=snap.weighted, version=snap.label)
-                rep._restore_fold_state(lead._n_trained_users, lead._folded_items)
+                rep._restore_fold_state(lead._folded_items)
             swapped.append(rep)
         finally:
             cluster.restore(i)
@@ -182,13 +187,15 @@ def _window(cluster: ServingCluster, users: np.ndarray, exclude) -> tuple:
 
 _WINDOW = st.tuples(st.just("window"), st.lists(st.integers(0, 10**6), min_size=1, max_size=12))
 _FOLD_IN = st.tuples(st.just("fold_in"), st.integers(1, 5))
-_PLAN = st.tuples(st.just("plan"), st.integers(0, 6))  # and how many of its events run at once
+# How many of its events run at once, the cluster write (if any) made between planning and those events, and
+# whether the snapshot is a refresh's (see refresh_or_new).
+_PLAN = st.tuples(st.just("plan"), st.integers(0, 6), st.sampled_from([None, "fold_in", "grow"]), st.booleans())
 _STEP = st.tuples(st.just("step"), st.integers(1, 3))
 _OPS = st.lists(
     st.one_of(
         *(_WINDOW,) * 3,
         *(_FOLD_IN, _PLAN, _STEP) * 2,
-        st.tuples(st.just("swap"), st.integers(0, 2)),
+        st.tuples(st.just("swap"), st.integers(0, 2), st.booleans()),
         st.tuples(st.just("grow"), st.integers(0, 3)),
         st.tuples(st.just("drain"), st.integers(0, 2)),
         st.tuples(st.just("restore"), st.integers(0, 2)),
@@ -233,10 +240,25 @@ def test_a_shared_model_serves_what_independent_replicas_serve(n_replicas, tiere
     for rep in shared.replicas:
         count_rows(rep)
 
+    def fold_in(items, ratings) -> tuple:
+        return _outcome(shared.fold_in, items, ratings), _outcome(_oracle_fold_in, oracle, items, ratings)
+
+    def grow(rows) -> tuple:
+        return _outcome(shared.grow_items, rows), _outcome(_oracle_grow, oracle, rows)
+
+    def refresh_or_new(n_users: int, n_items: int, refresh: bool) -> tuple[np.ndarray, np.ndarray]:
+        """New factors for a snapshot; a refresh's keeps Θ and every served x row but the last, so its model inherits answer rows."""
+        x, theta = _integer_factors(rng, n_users, n_items)
+        if refresh:
+            lead = max(shared.replicas, key=lambda rep: rep.n_users)
+            x[: lead.n_users - 1], theta = lead.x[: lead.n_users - 1], np.array(lead.theta)
+        return x, theta
+
     with tempfile.TemporaryDirectory() as directory, mock.patch.object(store_module, "fold_in_user", _rounded_fold_in):
         registry = SnapshotRegistry(directory)
         pending: list[tuple] = []  # a planned rollout's (shared, oracle) actions, in order
         for step, (op, *args) in enumerate(ops):
+            served = [rep._model for rep in shared.replicas]
             n_users, n_items = max(rep.n_users for rep in shared.replicas), min(rep.n_items for rep in shared.replicas)
             if op == "window":
                 users = np.array(args[0]) % min(rep.n_users for rep in shared.replicas)
@@ -245,7 +267,7 @@ def test_a_shared_model_serves_what_independent_replicas_serve(n_replicas, tiere
                 items = rng.choice(n_items, size=min(args[-1], n_items), replace=False)
                 ratings = rng.integers(1, 6, items.size).astype(np.float64)
                 if op == "fold_in":
-                    got, want = _outcome(shared.fold_in, items, ratings), _outcome(_oracle_fold_in, oracle, items, ratings)
+                    got, want = fold_in(items, ratings)
                 else:
                     got, want = (_outcome(cluster.replicas[args[0] % n_replicas].fold_in, items, ratings) for cluster in (shared, oracle))
             elif op == "step":
@@ -253,17 +275,23 @@ def test_a_shared_model_serves_what_independent_replicas_serve(n_replicas, tiere
             elif pending:
                 continue  # the item axis, the rotation and the snapshot change only between rollouts
             elif op == "grow":
-                rows = rng.integers(-3, 4, (args[0], F)).astype(np.float64)
-                got, want = _outcome(shared.grow_items, rows), _outcome(_oracle_grow, oracle, rows)
+                got, want = grow(rng.integers(-3, 4, (args[0], F)).astype(np.float64))
             elif op == "swap":
-                new_x, new_theta = _integer_factors(rng, n_users + args[0], n_items)
+                new_x, new_theta = refresh_or_new(n_users + args[0], n_items, args[1])
                 got, want = shared.swap_snapshot(new_x, new_theta, version=f"s{step}"), _oracle_swap(oracle, new_x, new_theta, f"s{step}")
             elif op == "plan" and n_replicas > 1 and shared.n_active == n_replicas:
                 # A refresh's snapshot (every served user, fold-ins included), rolled out one event at a time.
-                snap = registry.load(registry.publish(*_integer_factors(rng, n_users, n_items), tag=f"p{step}"))
+                snap = registry.load(registry.publish(*refresh_or_new(n_users, n_items, args[2]), tag=f"p{step}"))
                 events = shared.plan_swap(snap.x, snap.theta, lam=snap.lam, weighted=snap.weighted, version=snap.label, start_s=0.0, step_s=1.0)
                 pending = list(zip([event.action for event in events], _oracle_plan(oracle, snap)))
+                written = ()  # a write after planning: the snapshot no longer covers the cluster, so the first swap refuses it
+                if args[1] == "fold_in":
+                    items = rng.choice(n_items, size=min(3, n_items), replace=False)
+                    written = fold_in(items, rng.integers(1, 6, items.size).astype(np.float64))
+                elif args[1] == "grow":
+                    written = grow(rng.integers(-3, 4, (1, F)).astype(np.float64))
                 got, want = _steps(pending, args[0])
+                got, want = [*written[:1], *got], [*written[1:], *want]
             else:
                 i = args[0] % n_replicas
                 if op == "drain" and shared.is_active(i) and shared.n_active > 1:
@@ -274,6 +302,10 @@ def test_a_shared_model_serves_what_independent_replicas_serve(n_replicas, tiere
                     continue
             assert got == want, op
             assert _state(shared) == _state(oracle), op
+            for old, rep in zip(served, shared.replicas):  # a table is inherited by copy, never shared
+                for mine, theirs in zip(rep._model.answers, old.answers):
+                    if rep._model is not old and mine is not None and theirs is not None:
+                        assert not any(np.shares_memory(a, b) for a, b in ((mine.ids, theirs.ids), (mine.scores, theirs.scores), (mine.known, theirs.known)))
 
     assert len(scored) == len(set(scored))  # one row per distinct (model, exclude, user)
 

@@ -1,4 +1,4 @@
-"""FactorStore: sharding, batched top-k, persistence, trainer delegation."""
+"""FactorStore: sharding, batched top-k, persistence through the snapshot registry, trainer delegation."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from repro.core import ALSConfig, CuMF
 from repro.core.checkpoint import CheckpointManager
 from repro.gpu.machine import MultiGPUMachine
 from repro.serving import CacheConfig, FactorStore, QueryTrace, RequestSimulator, ServingConfig, TieredFactorStore, TopK
+from repro.serving.lifecycle import SnapshotRegistry
 from repro.sparse.csr import CSRMatrix
 
 
@@ -84,8 +85,9 @@ class TestConstruction:
         theta = np.ones((6, 3))
         theta[0, 0] = np.nan
         CheckpointManager(str(tmp_path)).save(0, np.ones((4, 3)), theta)
+        checkpoint = CheckpointManager(str(tmp_path)).latest()
         with pytest.raises(ValueError, match="theta has non-finite"):
-            FactorStore.load(str(tmp_path))
+            FactorStore(checkpoint.x, checkpoint.theta)
 
     def test_store_is_a_snapshot(self, fitted):
         x_before = fitted.result.x.copy()
@@ -238,7 +240,7 @@ class TestTopKTieRule:
         # Rows above n_trained are fold-in users: their seen items come
         # from the store's fold-in bookkeeping, not the exclude matrix.
         folded = {n_trained + j: np.unique(rng.integers(0, n_items, rng.integers(1, 6))) for j in range(n_folded)}
-        store._restore_fold_state(n_trained, folded)
+        store._restore_fold_state(folded)
         # Trained user 0 has rated every item; the rest a few (duplicates allowed).
         nnz = int(rng.integers(0, 4 * n_trained))
         rows = np.concatenate([np.zeros(n_items, dtype=np.int64), rng.integers(1, n_trained, nnz)])
@@ -305,7 +307,7 @@ def _generated_store(n_shards, n_items, f, n_trained, n_folded, kk, batch, maske
             big = rng.random(factor.shape) < 0.2
             factor[big] = rng.choice([-1e20, 1e20], size=int(big.sum()))
     store = FactorStore(x, theta, n_shards=n_shards)
-    store._restore_fold_state(n_trained, {n_trained + j: np.unique(rng.integers(0, n_items, rng.integers(1, 6))) for j in range(n_folded)})
+    store._restore_fold_state({n_trained + j: np.unique(rng.integers(0, n_items, rng.integers(1, 6))) for j in range(n_folded)})
     spare = rng.choice(n_items, size=int(rng.integers(0, kk)), replace=False)
     rated = np.setdiff1d(np.arange(n_items), spare)
     nnz = int(rng.integers(0, 4 * n_trained))
@@ -663,7 +665,7 @@ class TestAnswerTable:
         for mutate, plain, masked in (  # the rows re-scored under exclude=None and under the matrix
             (lambda: store.swap_snapshot(x, theta), [], []),  # equal factors
             (lambda: store.fold_in(np.array([1, 2]), np.array([4.0, 5.0])), [6], [6]),  # only the new user
-            (lambda: store._restore_fold_state(6, {6: np.array([3])}), [], [6]),  # user 6's mask changed
+            (lambda: store._restore_fold_state({6: np.array([3])}), [], [6]),  # user 6's mask changed
             (swap(), [], [6]),  # user 6 is trained now: masked by the matrix row, not its fold-in items
             (swap(x_entry=(2, 0, 9.0)), [2], [2]),
             (swap(theta_entry=(0, 0, np.nextafter(theta[0, 0], np.inf))), everyone, everyone),  # one ulp
@@ -677,24 +679,26 @@ class TestAnswerTable:
             assert rescored(store, exclude=None) == plain
             if masked is not None:
                 assert rescored(store) == masked
-        store.save(str(tmp_path))
-        for clone in (store.replicate(), FactorStore.load(str(tmp_path), n_shards=2)):
+        registry = SnapshotRegistry(tmp_path)
+        for clone in (store.replicate(), registry.build_store(registry.publish_store(store), n_shards=2)):
             assert rescored(clone, exclude=None) == everyone
 
 
 class TestPersistence:
-    def test_save_load_roundtrip(self, store, tmp_path):
-        path = store.save(str(tmp_path))
-        assert path.endswith(".npz")
-        reloaded = FactorStore.load(str(tmp_path), n_shards=2, lam=store.lam)
+    def test_publish_build_roundtrip(self, store, tmp_path):
+        registry = SnapshotRegistry(tmp_path)
+        version = registry.publish_store(store)
+        assert registry.load(version).path.endswith(".npz")
+        reloaded = registry.build_store(version, n_shards=2)
         np.testing.assert_array_equal(reloaded.x, store.x)
         np.testing.assert_array_equal(reloaded.theta, store.theta)
+        assert reloaded.lam == store.lam
         assert reloaded.recommend(0, k=5) == store.recommend(0, k=5)
 
-    def test_save_load_preserves_fold_in_hyperparameters(self, fitted, tmp_path):
+    def test_publish_build_preserves_fold_in_hyperparameters(self, fitted, tmp_path):
         store = FactorStore.from_result(fitted.result, lam=0.7, weighted=False)
-        store.save(str(tmp_path))
-        reloaded = FactorStore.load(str(tmp_path))
+        registry = SnapshotRegistry(tmp_path)
+        reloaded = registry.build_store(registry.publish_store(store))
         assert reloaded.lam == 0.7
         assert reloaded.weighted is False
         items = np.array([1, 4, 7])
@@ -703,12 +707,12 @@ class TestPersistence:
         u_b = reloaded.fold_in(items, ratings)
         np.testing.assert_array_equal(store.x[u_a], reloaded.x[u_b])
 
-    def test_save_load_preserves_fold_in_state(self, store, tiny_ratings, tmp_path):
-        """Reloading a store with fold-ins must keep exclusion behaviour intact.
+    def test_publish_build_preserves_fold_in_state(self, store, tiny_ratings, tmp_path):
+        """A store built from a version with fold-ins must keep exclusion behaviour intact.
 
-        The saved X gains one row per folded user, so a reloaded store
+        The published X has one row per folded user, so the built store
         must still know which rows are fold-ins (their item sets live in
-        the store, not in the exclude matrix) — otherwise
+        the version, not in the exclude matrix) — otherwise
         ``recommend_batch(exclude=train)`` rejects the exclude matrix for
         having fewer rows than users.
         """
@@ -717,8 +721,8 @@ class TestPersistence:
             store.fold_in(np.array([2, 8, 11]), np.array([5.0, 1.0, 3.0])),
             store.fold_in(np.empty(0, dtype=np.int64), np.empty(0)),  # ratings-less user
         ]
-        store.save(str(tmp_path))
-        reloaded = FactorStore.load(str(tmp_path))
+        registry = SnapshotRegistry(tmp_path)
+        reloaded = registry.build_store(registry.publish_store(store))
         assert reloaded.n_users == store.n_users
         assert reloaded._n_trained_users == store._n_trained_users
         for user in folded:
@@ -728,53 +732,55 @@ class TestPersistence:
         want = store.recommend_batch(users, k=8, exclude=tiny_ratings.train)
         got = reloaded.recommend_batch(users, k=8, exclude=tiny_ratings.train)
         assert got == want
-        # fold-in items stay excluded for the folded users after reload
+        # fold-in items stay excluded for the folded users after the round trip
         recs = reloaded.recommend(folded[1], k=reloaded.n_items, exclude=tiny_ratings.train)
         assert not {2, 8, 11} & {i for i, _ in recs}
 
-    def test_load_empty_directory_raises(self, tmp_path):
-        with pytest.raises(ValueError, match="no checkpoint"):
-            FactorStore.load(str(tmp_path))
+    def test_build_from_empty_registry_raises(self, tmp_path):
+        with pytest.raises(ValueError, match="no versions published"):
+            SnapshotRegistry(tmp_path).build_store()
 
-    def test_save_into_training_checkpoint_dir_stays_latest(self, store, tiny_ratings, tmp_path):
-        """Saving over a mid-training checkpoint dir must not prune anything.
+    def test_publish_into_training_checkpoint_dir_stays_latest(self, store, tmp_path):
+        """Publishing into a mid-training checkpoint dir must not prune anything.
 
-        The retention layer keeps the highest iterations; a store saved at
-        a fixed low iteration would be deleted in favour of an existing
-        training checkpoint and load() would restore stale factors with no
+        The retention layer keeps the highest iterations; a version parked
+        below an existing training checkpoint would be deleted in favour of
+        it, and the latest version would restore stale factors with no
         fold-in state.  The trainer's own checkpoints must survive too.
         """
         CheckpointManager(str(tmp_path)).save(5, np.zeros((3, 8)), np.zeros((4, 8)))
         user = store.fold_in(np.array([1, 2]), np.array([4.0, 5.0]))
-        path = store.save(str(tmp_path))
-        assert os.path.exists(path)
-        reloaded = FactorStore.load(str(tmp_path))
+        registry = SnapshotRegistry(tmp_path)
+        version = registry.publish_store(store)
+        assert os.path.exists(registry.load(version).path)
+        reloaded = registry.build_store()
         assert reloaded.n_users == store.n_users
         np.testing.assert_array_equal(reloaded.x, store.x)
         np.testing.assert_array_equal(reloaded._folded_items[user], store._folded_items[user])
         # the pre-existing training checkpoint was not evicted
         assert CheckpointManager(str(tmp_path)).list_iterations() == [5, 6]
 
-    def test_trainer_pruning_never_evicts_store_snapshot(self, store, tmp_path):
-        """A trainer's ``keep=N`` rotation must skip store snapshots (regression).
+    def test_trainer_pruning_never_evicts_a_published_store(self, store, tmp_path):
+        """A trainer's ``keep=N`` rotation must skip registry versions (regression).
 
-        Store snapshots are saved ``protected``; before the fix,
+        Versions are saved ``protected``; before the fix,
         ``CheckpointManager._prune`` deleted the oldest files regardless,
-        so a store parked at a low iteration in a shared directory was
+        so a version parked at a low iteration in a shared directory was
         evicted as soon as the trainer checkpointed a few more times.
         """
         store.fold_in(np.array([0, 3]), np.array([4.0, 2.0]))
-        snapshot_path = store.save(str(tmp_path))
+        registry = SnapshotRegistry(tmp_path)
+        snapshot_path = registry.load(registry.publish_store(store)).path
         manager = CheckpointManager(str(tmp_path), keep=2)
         for iteration in (10, 11, 12, 13):
             manager.save(iteration, np.zeros((3, 8)), np.zeros((4, 8)))
         assert os.path.exists(snapshot_path)
         # the trainer's own rotation still applies to its own files
         assert manager.list_iterations() == [0, 12, 13]
-        # the surviving snapshot is intact, fold-in bookkeeping included
-        restored = manager.load(0)
+        # the surviving version is intact, fold-in bookkeeping included
+        restored = registry.load(0)
         np.testing.assert_array_equal(restored.x, store.x)
-        assert int(restored.extras["n_trained_users"]) == store._n_trained_users
+        assert restored.n_trained_users == store._n_trained_users
 
     def test_load_from_training_checkpoint(self, tiny_ratings, tmp_path):
         model = CuMF(
@@ -783,7 +789,8 @@ class TestPersistence:
             checkpoint_dir=str(tmp_path),
         )
         model.fit(tiny_ratings.train)
-        store = FactorStore.load(str(tmp_path))
+        checkpoint = CheckpointManager(str(tmp_path)).latest()
+        store = FactorStore(checkpoint.x, checkpoint.theta)
         np.testing.assert_array_equal(store.x, model.result.x)
 
 
