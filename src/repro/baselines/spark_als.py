@@ -87,7 +87,7 @@ class SparkALS(StashedBreakdown, Solver):
         the ratings matrix outlives the run.
         """
         volume_x = theta_shipping_volume(train, self.workers, self.config.f)
-        volume_theta = theta_shipping_volume(train.to_csc().transpose_csr(), self.workers, self.config.f)
+        volume_theta = theta_shipping_volume(train.transpose(), self.workers, self.config.f)
         self._stash_breakdown(
             {
                 "update_x_shuffle": volume_x,

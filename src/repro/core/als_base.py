@@ -82,7 +82,7 @@ class BaseALS(Solver):
         """
         cfg = self.config
         x, theta = starting_factors(train, cfg, x0, theta0)
-        train_t = train.to_csc().transpose_csr()  # R^T in CSR layout, for update-Θ
+        train_t = train.transpose()  # R^T in CSR layout, for update-Θ
         yield SolverStep(x, theta)
 
         for _ in range(cfg.iterations):
@@ -138,7 +138,7 @@ class GPUSolver(Solver):
         yield SolverStep(x, theta)
 
         mark = self.machine.elapsed_seconds()
-        train_t = train.to_csc().transpose_csr()
+        train_t = train.transpose()
         self._prepare(train, train_t)
         try:
             for _ in range(cfg.iterations):

@@ -119,7 +119,7 @@ class StreamingALS(GPUSolver):
                 x = x.copy()
                 x[lo:hi] = self._inner._update_pass(chunk_rows, theta, label="x")
             seen = train.row_slice(0, seen_hi)
-            seen_t = seen.to_csc().transpose_csr()
+            seen_t = seen.transpose()
             theta = self._inner._update_pass(seen_t, x[:seen_hi], label="theta")
             elapsed = self.machine.elapsed_seconds()
             yield SolverStep(x, theta, seconds=elapsed - mark)

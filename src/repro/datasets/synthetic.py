@@ -10,6 +10,13 @@ drive MF convergence and kernel behaviour:
 * **power-law row/column activity**, matching the skew of real
   recommendation data (a few very active users / popular items) that the
   paper calls out when discussing partitioning ("ratings are skewed").
+
+The same seed gives the same matrices bit for bit: :func:`generate_ratings`
+draws from one ``np.random.default_rng(seed)`` stream (plus ``seed + 1``
+for the test split) in a fixed order, and the rejection rounds of
+:func:`_sample_coordinates` (how many candidates each round draws, and
+which draws it keeps) are part of that contract.  A change that alters
+the number or order of draws changes every benchmark's input.
 """
 
 from __future__ import annotations
@@ -63,27 +70,33 @@ def powerlaw_weights(size: int, exponent: float, rng: np.random.Generator) -> np
 
 
 def _sample_coordinates(m: int, n: int, nnz: int, rng: np.random.Generator, row_exponent: float, col_exponent: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sample ``nnz`` distinct (row, col) coordinates with skewed activity."""
+    """Sample ``min(nnz, m * n)`` distinct (row, col) coordinates with skewed activity.
+
+    Rejection sampling in rounds: each round draws ``1.3×`` the shortfall
+    (plus 16) rows and columns from the power-law weights and keeps, in
+    draw order, the first draw of every cell not accepted in an earlier
+    round.  Accepted cells are kept as a sorted array of linear keys
+    ``row * n + col``, which each round's sorted unique keys are looked up
+    in (``searchsorted``) and merged into (``np.insert``).  The rounds and
+    every ``rng.choice`` draw are part of :func:`generate_ratings`'s
+    same-seed, same-matrix contract.
+    """
     row_w = powerlaw_weights(m, row_exponent, rng)
     col_w = powerlaw_weights(n, col_exponent, rng)
     target = min(nnz, m * n)
     rows = np.empty(0, dtype=np.int64)
     cols = np.empty(0, dtype=np.int64)
-    seen: set[int] = set()
-    # Rejection-sample in rounds until we have enough distinct coordinates.
+    seen = np.array([np.iinfo(np.int64).max])  # sentinel: every lookup lands on an entry
     while rows.size < target:
         need = int((target - rows.size) * 1.3) + 16
         cand_rows = rng.choice(m, size=need, p=row_w)
         cand_cols = rng.choice(n, size=need, p=col_w)
-        keys = cand_rows * n + cand_cols
-        fresh_mask = np.fromiter((k not in seen for k in keys), dtype=bool, count=need)
-        # also drop duplicates inside this round
-        _, first_idx = np.unique(keys, return_index=True)
-        round_mask = np.zeros(need, dtype=bool)
-        round_mask[first_idx] = True
-        mask = fresh_mask & round_mask
-        for k in keys[mask]:
-            seen.add(int(k))
+        keys, first_idx = np.unique(cand_rows * n + cand_cols, return_index=True)
+        at = np.searchsorted(seen, keys)
+        fresh = seen[at] != keys
+        seen = np.insert(seen, at[fresh], keys[fresh])
+        mask = np.zeros(need, dtype=bool)
+        mask[first_idx[fresh]] = True
         rows = np.concatenate([rows, cand_rows[mask]])
         cols = np.concatenate([cols, cand_cols[mask]])
     return rows[:target], cols[:target]
@@ -100,6 +113,9 @@ def generate_ratings(
     ensure_coverage: bool = True,
 ) -> SyntheticRatings:
     """Generate a synthetic workload matching ``spec``'s m, n and Nz.
+
+    Deterministic: the same ``spec`` and ``seed`` return bitwise-equal
+    ``train``/``test`` matrices and ground truth (see the module docstring).
 
     Parameters
     ----------

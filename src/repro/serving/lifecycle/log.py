@@ -12,8 +12,13 @@ Item ids *may* exceed the trained item count (that is how new items
 enter the system) and user ids may exceed the trained user count (that
 is a fold-in user); both axes grow when the log is folded back into the
 model by :func:`~repro.serving.lifecycle.refresh.refresh_factors`.
-Duplicate (user, item) pairs sum when the log is materialised, matching
-the deduplication the trainer applies to its input.
+Re-rating rule: a repeated (user, item) event is *added*, not replaced.
+Duplicate pairs sum when the log is materialised, matching the
+deduplication the trainer applies to its input, and a refresh adds them
+to the base entry of that cell too
+(:func:`~repro.serving.lifecycle.refresh.merged_ratings`): one user
+rating one item 5, then 1, then 2 gives a single 8.0 entry, which may
+leave the rating scale.
 """
 
 from __future__ import annotations
@@ -27,7 +32,11 @@ __all__ = ["InteractionLog"]
 
 
 class InteractionLog:
-    """Append-only (user, item, rating) events awaiting the next refresh."""
+    """Append-only (user, item, rating) events awaiting the next refresh.
+
+    Repeated (user, item) events sum (5, then 1, then 2 is one 8.0 entry);
+    see the module docstring.
+    """
 
     def __init__(self):
         self._users: list[np.ndarray] = []

@@ -100,7 +100,16 @@ def merged_ratings(
     """Merge the base training matrix with the log's delta.
 
     The result covers every id of either side (widened further by
-    ``n_users`` / ``n_items``); duplicate (user, item) entries sum.
+    ``n_users`` / ``n_items``) and is canonical CSR: columns strictly
+    ascending in each row.  Re-rating rule: every (user, item) entry of
+    the base and every event of the log on that cell sum into one entry
+    (see :class:`~repro.serving.lifecycle.log.InteractionLog`), so a
+    user who rates one unrated item 5, then 1, then 2 gets one 8.0 entry.
+
+    Cost: the base's entries, already in row-major order, are followed
+    by the ``t`` log events, and the one stable sort of
+    :func:`~repro.sparse.coo._compress` merges that short tail into the
+    sorted run, so a refresh pays ``O(nnz + t log t)``, not a full re-sort.
     """
     users, items, ratings = log.arrays()
     m = max(base.shape[0], log.max_user() + 1, n_users or 0)

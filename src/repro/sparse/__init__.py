@@ -16,6 +16,11 @@ Public classes
 ``CSCMatrix``
     Compressed sparse column; used for the update-Θ pass (column gathers).
 
+Every CSR/CSC build, transpose and conversion goes through one sort
+(:func:`repro.sparse.coo._compress`) and yields a *canonical* matrix:
+minor indices strictly ascending within each row (CSR) or column (CSC),
+a cell's duplicates summed in input order.
+
 Partitioning helpers (:mod:`repro.sparse.partition`) compute even
 partition bounds and the ``p × q`` grid split of Algorithm 3 (SU-ALS);
 :mod:`repro.sparse.ops` holds the sampled residual the metrics and the

@@ -1,8 +1,24 @@
-"""Coordinate (triplet) sparse matrix.
+"""Coordinate (triplet) sparse matrix, and the one compression routine.
 
 COO is the construction/interchange format: rating files, synthetic
 generators and train/test splitters all produce COO, which is then
 compressed into CSR/CSC before being handed to the solvers.
+
+Every compressed matrix is built by :func:`_compress`: the COO → CSR/CSC
+constructors, :meth:`COOMatrix.deduplicate`, the CSR ↔ CSC conversions
+and ``CSRMatrix.transpose``.  Its output is *canonical*: entries sorted
+by major index (the row for CSR, the column for CSC), then by minor
+index, one entry per cell, and a cell's duplicates summed in the order
+they were given.  So a build is a function of the triplets and their
+order only, and a cell holds the same bits in the CSR and the CSC build.
+
+The sort is NumPy's stable sort of one int64 key per entry, which is
+timsort: it finds the runs already in order and merges them.  The
+entries of a canonical matrix are one run, so re-compressing them (a
+train/test split of a canonical matrix, taken in order) is linear, and
+appending a short unsorted tail of ``t`` entries to ``nnz`` sorted ones
+(the refresh merge of :func:`~repro.serving.lifecycle.refresh.merged_ratings`)
+costs ``O(nnz + t log t)``, not a full ``O(nnz log nnz)`` re-sort.
 """
 
 from __future__ import annotations
@@ -12,6 +28,30 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["COOMatrix"]
+
+
+def _compress(major: np.ndarray, minor: np.ndarray, data: np.ndarray, n_major: int, n_minor: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical ``(indptr, indices, data)`` of the triplets, duplicates summed.
+
+    ``major``/``minor`` are int64 coordinates below ``n_major``/``n_minor``
+    (rows/columns for CSR, columns/rows for CSC).  One stable argsort of
+    the linear key ``major * n_minor + minor``, run starts from one
+    comparison of neighbouring keys, ``np.add.reduceat`` over the runs and
+    ``indptr`` from ``bincount`` + ``cumsum``.  Zero rows or columns are
+    allowed (there can then be no entries).
+    """
+    keys = major * n_minor + minor
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    summed = np.add.reduceat(data[order], starts)
+    major_ids, indices = np.divmod(keys[starts], n_minor)
+    indptr = np.zeros(n_major + 1, dtype=np.int64)
+    np.cumsum(np.bincount(major_ids, minlength=n_major), out=indptr[1:])
+    return indptr, indices, summed
 
 
 @dataclass
@@ -26,7 +66,7 @@ class COOMatrix:
         Integer arrays of length ``nnz`` with the coordinates of every
         stored entry.  Duplicates are allowed until :meth:`deduplicate`
         is called (duplicates are summed, matching the usual COO
-        convention).
+        convention).  Either dimension may be zero.
     data:
         Float array of length ``nnz`` with the stored values.
     """
@@ -48,8 +88,8 @@ class COOMatrix:
         if self.rows.ndim != 1:
             raise ValueError("COO buffers must be one-dimensional")
         m, n = self.shape
-        if m <= 0 or n <= 0:
-            raise ValueError(f"shape must be positive, got {self.shape}")
+        if m < 0 or n < 0:
+            raise ValueError(f"shape must be non-negative, got {self.shape}")
         if self.nnz:
             if self.rows.min() < 0 or self.rows.max() >= m:
                 raise ValueError("row index out of bounds")
@@ -66,9 +106,9 @@ class COOMatrix:
 
     @property
     def density(self) -> float:
-        """Fraction of cells that are stored, ``nnz / (m * n)``."""
+        """Fraction of cells that are stored, ``nnz / (m * n)`` (0.0 with no cells)."""
         m, n = self.shape
-        return self.nnz / float(m * n)
+        return self.nnz / float(m * n) if m * n else 0.0
 
     def copy(self) -> "COOMatrix":
         """Deep copy of all three buffers."""
@@ -104,17 +144,8 @@ class COOMatrix:
     # transformations
     # ------------------------------------------------------------------ #
     def deduplicate(self) -> "COOMatrix":
-        """Return a copy where duplicate coordinates have been summed."""
-        if self.nnz == 0:
-            return self.copy()
-        m, n = self.shape
-        keys = self.rows * n + self.cols
-        order = np.argsort(keys, kind="stable")
-        keys_sorted = keys[order]
-        data_sorted = self.data[order]
-        unique_keys, start = np.unique(keys_sorted, return_index=True)
-        summed = np.add.reduceat(data_sorted, start)
-        return COOMatrix(self.shape, unique_keys // n, unique_keys % n, summed)
+        """Return a copy where duplicate coordinates have been summed, in row-major order."""
+        return self.to_csr().to_coo()
 
     def transpose(self) -> "COOMatrix":
         """Return the transposed matrix (rows and columns swapped)."""

@@ -2,12 +2,16 @@
 
 The update-Θ pass of ALS mirrors update-X with all variables symmetrically
 exchanged (paper §2.1): solving column ``v`` of Θ needs all ratings in
-column ``v`` of R, which CSC exposes contiguously.
+column ``v`` of R, which CSC exposes contiguously.  Its constructors and
+:meth:`CSCMatrix.to_csr` go through :func:`repro.sparse.coo._compress`,
+so rows are strictly ascending within each column.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.sparse.coo import COOMatrix, _compress
 
 __all__ = ["CSCMatrix"]
 
@@ -50,22 +54,12 @@ class CSCMatrix:
     @classmethod
     def from_coo(cls, coo) -> "CSCMatrix":
         """Compress a :class:`~repro.sparse.coo.COOMatrix`, summing duplicates."""
-        dedup = coo.deduplicate()
-        m, n = dedup.shape
-        order = np.lexsort((dedup.rows, dedup.cols))
-        rows = dedup.rows[order]
-        cols = dedup.cols[order]
-        data = dedup.data[order]
-        counts = np.bincount(cols, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls((m, n), indptr, rows, data)
+        m, n = coo.shape
+        return cls((m, n), *_compress(coo.cols, coo.rows, coo.data, n, m))
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "CSCMatrix":
         """Build directly from a dense array, dropping zeros."""
-        from repro.sparse.coo import COOMatrix
-
         return cls.from_coo(COOMatrix.from_dense(dense))
 
     # ------------------------------------------------------------------ #
@@ -102,15 +96,14 @@ class CSCMatrix:
     # ------------------------------------------------------------------ #
     def to_coo(self):
         """Expand back to :class:`~repro.sparse.coo.COOMatrix`."""
-        from repro.sparse.coo import COOMatrix
-
         return COOMatrix(self.shape, self.indices.copy(), self.col_ids(), self.data.copy())
 
     def to_csr(self):
         """Re-compress by rows."""
         from repro.sparse.csr import CSRMatrix
 
-        return CSRMatrix.from_coo(self.to_coo())
+        m, n = self.shape
+        return CSRMatrix(self.shape, *_compress(self.indices, self.col_ids(), self.data, m, n))
 
     def to_dense(self) -> np.ndarray:
         """Materialise as a dense array."""

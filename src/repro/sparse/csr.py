@@ -5,11 +5,17 @@ needs all ratings in row ``u`` of R, which CSR exposes as a contiguous
 slice ``indices[indptr[u]:indptr[u+1]]``.  The memory-footprint column of
 Table 3 counts a CSR row as ``(2*Nz + m + 1) / m`` floats, i.e. the whole
 structure is ``data`` (Nz) + ``indices`` (Nz) + ``indptr`` (m + 1).
+
+Every constructor and conversion that sorts goes through
+:func:`repro.sparse.coo._compress`, so its output is canonical (see
+:mod:`repro.sparse.coo`): columns strictly ascending within each row.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.sparse.coo import COOMatrix, _compress
 
 __all__ = ["CSRMatrix"]
 
@@ -55,29 +61,17 @@ class CSRMatrix:
     @classmethod
     def from_coo(cls, coo) -> "CSRMatrix":
         """Compress a :class:`~repro.sparse.coo.COOMatrix`, summing duplicates."""
-        dedup = coo.deduplicate()
-        m, n = dedup.shape
-        order = np.lexsort((dedup.cols, dedup.rows))
-        rows = dedup.rows[order]
-        cols = dedup.cols[order]
-        data = dedup.data[order]
-        counts = np.bincount(rows, minlength=m)
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls((m, n), indptr, cols, data)
+        m, n = coo.shape
+        return cls((m, n), *_compress(coo.rows, coo.cols, coo.data, m, n))
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "CSRMatrix":
         """Build directly from a dense array, dropping zeros."""
-        from repro.sparse.coo import COOMatrix
-
         return cls.from_coo(COOMatrix.from_dense(dense))
 
     @classmethod
     def from_arrays(cls, shape, rows, cols, data) -> "CSRMatrix":
-        """Convenience constructor from raw triplet arrays."""
-        from repro.sparse.coo import COOMatrix
-
+        """Convenience constructor from raw triplet arrays (duplicates summed)."""
         return cls.from_coo(COOMatrix(shape, np.asarray(rows), np.asarray(cols), np.asarray(data)))
 
     # ------------------------------------------------------------------ #
@@ -90,9 +84,9 @@ class CSRMatrix:
 
     @property
     def density(self) -> float:
-        """``nnz / (m * n)``."""
+        """``nnz / (m * n)`` (0.0 with no cells)."""
         m, n = self.shape
-        return self.nnz / float(m * n)
+        return self.nnz / float(m * n) if m * n else 0.0
 
     def range_nnz(self, start_row: int, stop_row: int) -> int:
         """Stored entries in rows ``[start_row, stop_row)``."""
@@ -143,15 +137,18 @@ class CSRMatrix:
     # ------------------------------------------------------------------ #
     def to_coo(self):
         """Expand back to :class:`~repro.sparse.coo.COOMatrix`."""
-        from repro.sparse.coo import COOMatrix
-
         return COOMatrix(self.shape, self.row_ids(), self.indices.copy(), self.data.copy())
+
+    def _by_column(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, indices, data)`` of the entries sorted column-major: CSC of R, CSR of Rᵀ."""
+        m, n = self.shape
+        return _compress(self.indices, self.row_ids(), self.data, n, m)
 
     def to_csc(self):
         """Re-compress by columns (used for the update-Θ pass)."""
         from repro.sparse.csc import CSCMatrix
 
-        return CSCMatrix.from_coo(self.to_coo())
+        return CSCMatrix(self.shape, *self._by_column())
 
     def to_dense(self) -> np.ndarray:
         """Materialise as a dense array."""
@@ -161,7 +158,8 @@ class CSRMatrix:
 
     def transpose(self):
         """Return R^T as a CSR matrix (equivalently, R in CSC reinterpreted)."""
-        return CSRMatrix.from_coo(self.to_coo().transpose())
+        m, n = self.shape
+        return CSRMatrix((n, m), *self._by_column())
 
     # ------------------------------------------------------------------ #
     # arithmetic helpers

@@ -152,6 +152,48 @@ class TestCSC:
         assert small_csr.to_csc().to_csr() == small_csr
 
 
+class TestZeroSize:
+    """Matrices with zero rows or columns convert like any other (they used to raise in COO's shape check)."""
+
+    @staticmethod
+    def _empty_rows() -> CSRMatrix:
+        return CSRMatrix((0, 5), np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
+
+    def test_transpose(self):
+        rt = self._empty_rows().transpose()
+        assert rt.shape == (5, 0) and rt.nnz == 0
+        np.testing.assert_array_equal(rt.indptr, np.zeros(6))
+
+    def test_to_csc(self):
+        csc = self._empty_rows().to_csc()
+        assert csc.shape == (0, 5) and csc.nnz == 0
+        np.testing.assert_array_equal(csc.indptr, np.zeros(6))
+
+    def test_to_coo(self):
+        coo = self._empty_rows().to_coo()
+        assert coo.shape == (0, 5) and coo.nnz == 0 and coo.density == 0.0
+        assert coo.to_csr() == self._empty_rows()
+
+    def test_empty_row_slice_transposes(self, small_csr):
+        piece = small_csr.row_slice(2, 2)
+        assert piece.shape == (0, 5) and piece.density == 0.0
+        assert piece.transpose().shape == (5, 0)
+
+    def test_csc_with_no_columns_converts_to_csr(self, small_csr):
+        csr = small_csr.to_csc().col_slice(3, 3).to_csr()
+        assert csr.shape == (4, 0) and csr.nnz == 0
+        np.testing.assert_array_equal(csr.indptr, np.zeros(5))
+
+    def test_coo_with_no_cells_deduplicates(self):
+        coo = COOMatrix.empty((0, 0))
+        assert coo.density == 0.0 and coo.deduplicate().nnz == 0
+        assert coo.to_csc().shape == (0, 0)
+
+    def test_negative_shape_still_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            COOMatrix.empty((-1, 3))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     m=st.integers(min_value=1, max_value=12),
