@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.datasets.registry import DatasetSpec
-from repro.sparse.coo import COOMatrix
+from repro.sparse.coo import COOMatrix, _run_starts, _stable_order
 from repro.sparse.csr import CSRMatrix
 
 __all__ = ["SyntheticRatings", "powerlaw_weights", "generate_ratings"]
@@ -75,31 +75,43 @@ def _sample_coordinates(m: int, n: int, nnz: int, rng: np.random.Generator, row_
     Rejection sampling in rounds: each round draws ``1.3×`` the shortfall
     (plus 16) rows and columns from the power-law weights and keeps, in
     draw order, the first draw of every cell not accepted in an earlier
-    round.  Accepted cells are kept as a sorted array of linear keys
-    ``row * n + col``, which each round's sorted unique keys are looked up
-    in (``searchsorted``) and merged into (``np.insert``).  The rounds and
-    every ``rng.choice`` draw are part of :func:`generate_ratings`'s
-    same-seed, same-matrix contract.
+    round.  One :func:`~repro.sparse.coo._stable_order` of the round's
+    linear keys ``row * n + col`` puts equal keys in runs in draw order, so
+    each run's start is the cell's first draw.  Accepted cells are kept as
+    a sorted array of keys, which each round's distinct keys are looked up
+    in (``searchsorted``) and merged into (``np.insert``); the accepted
+    rows and columns of every round are concatenated once, at the end.
+    The rounds and every ``rng.choice`` draw are part of
+    :func:`generate_ratings`'s same-seed, same-matrix contract.
     """
     row_w = powerlaw_weights(m, row_exponent, rng)
     col_w = powerlaw_weights(n, col_exponent, rng)
     target = min(nnz, m * n)
-    rows = np.empty(0, dtype=np.int64)
-    cols = np.empty(0, dtype=np.int64)
+    rows = [np.empty(0, dtype=np.int64)]
+    cols = [np.empty(0, dtype=np.int64)]
+    accepted = 0
     seen = np.array([np.iinfo(np.int64).max])  # sentinel: every lookup lands on an entry
-    while rows.size < target:
-        need = int((target - rows.size) * 1.3) + 16
+    while accepted < target:
+        need = int((target - accepted) * 1.3) + 16
         cand_rows = rng.choice(m, size=need, p=row_w)
         cand_cols = rng.choice(n, size=need, p=col_w)
-        keys, first_idx = np.unique(cand_rows * n + cand_cols, return_index=True)
+        keys, order = _stable_order(cand_rows * n + cand_cols, m * n)
+        starts = _run_starts(keys)
+        keys = keys[starts]
         at = np.searchsorted(seen, keys)
         fresh = seen[at] != keys
         seen = np.insert(seen, at[fresh], keys[fresh])
         mask = np.zeros(need, dtype=bool)
-        mask[first_idx[fresh]] = True
-        rows = np.concatenate([rows, cand_rows[mask]])
-        cols = np.concatenate([cols, cand_cols[mask]])
-    return rows[:target], cols[:target]
+        mask[order[starts[fresh]]] = True
+        rows.append(cand_rows[mask])
+        cols.append(cand_cols[mask])
+        accepted += rows[-1].size
+    return np.concatenate(rows)[:target], np.concatenate(cols)[:target]
+
+
+def _uncovered(ids: np.ndarray, size: int) -> np.ndarray:
+    """The ids of ``range(size)`` that ``ids`` never names, ascending (one ``bincount``, no sort)."""
+    return np.flatnonzero(np.bincount(ids, minlength=size) == 0)
 
 
 def generate_ratings(
@@ -146,12 +158,12 @@ def generate_ratings(
     rows, cols = _sample_coordinates(spec.m, spec.n, spec.nz, rng, row_exponent, col_exponent)
 
     if ensure_coverage:
-        missing_rows = np.setdiff1d(np.arange(spec.m), rows, assume_unique=False)
+        missing_rows = _uncovered(rows, spec.m)
         if missing_rows.size:
             extra_cols = rng.integers(0, spec.n, size=missing_rows.size)
             rows = np.concatenate([rows, missing_rows])
             cols = np.concatenate([cols, extra_cols])
-        missing_cols = np.setdiff1d(np.arange(spec.n), cols, assume_unique=False)
+        missing_cols = _uncovered(cols, spec.n)
         if missing_cols.size:
             extra_rows = rng.integers(0, spec.m, size=missing_cols.size)
             rows = np.concatenate([rows, extra_rows])

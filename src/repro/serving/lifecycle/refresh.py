@@ -106,10 +106,10 @@ def merged_ratings(
     (see :class:`~repro.serving.lifecycle.log.InteractionLog`), so a
     user who rates one unrated item 5, then 1, then 2 gets one 8.0 entry.
 
-    Cost: the base's entries, already in row-major order, are followed
-    by the ``t`` log events, and the one stable sort of
-    :func:`~repro.sparse.coo._compress` merges that short tail into the
-    sorted run, so a refresh pays ``O(nnz + t log t)``, not a full re-sort.
+    Cost: one :func:`~repro.sparse.coo._compress` of the base's entries
+    followed by the ``t`` log events, i.e. one packed-key value sort of
+    all ``nnz + t`` of them; the base's order is not exploited, which at
+    ~108k entries costs about 1 ms against a merge.
     """
     users, items, ratings = log.arrays()
     m = max(base.shape[0], log.max_user() + 1, n_users or 0)

@@ -10,7 +10,8 @@ training, and answers top-k queries in batches:
 * a batch of B users is scored against all N items in blocked matmuls
   (one GEMM per Θ shard, i.e. per device), in single precision like the
   cuMF kernels, into one item-major ``(N, B)`` block: each shard's GEMM
-  fills its own contiguous item rows;
+  fills its own contiguous item rows of a per-thread workspace that every
+  batch reuses;
 * items a user has already rated are masked out from a CSR matrix
   (typically the training matrix) with one gather over its ``indptr``;
 * each user is scored and selected once per served model: the model
@@ -50,7 +51,9 @@ single-precision scoring copy for the top-k path.
 from __future__ import annotations
 
 import math
+import mmap
 import operator
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -71,6 +74,30 @@ __all__ = ["FactorStore", "ServingStats", "TopK"]
 
 # Largest factor entry the float32 scoring copies hold without overflowing to inf.
 _SCORE_MAX = float(np.finfo(np.float32).max)
+# Each thread's scoring workspace (:func:`_score_buffer`): an anonymous mapping, private where the
+# platform says so (Unix shares one by default), so a forked process gets a copy on write, not the buffer.
+_workspace = threading.local()
+_MAP_FLAGS = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+
+
+def _score_buffer(size: int) -> np.ndarray:
+    """``size`` float32 entries of this thread's scoring workspace, which every score block is written into.
+
+    The workspace is a memory mapping of its own, kept from block to block
+    and doubled when a block outgrows it, so a block allocates nothing and
+    its pages never come from the C heap.  A fresh ``n_items × b`` block
+    per batch (10 MB at 10k items and 256 users) landed either in a hole
+    the heap's history had left or in a new mapping, and that choice moved
+    a replay's peak RSS by a block or two from one run to the next.  The
+    pages a block touches stay resident: the workspace holds the largest
+    block the thread has scored.
+    """
+    buf = getattr(_workspace, "scores", None)
+    if buf is None or buf.size < size:
+        capacity = max(size, 1024, 0 if buf is None else 2 * buf.size)
+        _workspace.scores = buf = None  # the old mapping is released before the larger one is made
+        buf = _workspace.scores = np.frombuffer(mmap.mmap(-1, capacity * 4, **_MAP_FLAGS), dtype=np.float32)
+    return buf[:size]
 
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -889,10 +916,12 @@ class FactorStore:
         writes its contiguous rows ``[lo, hi)`` in place, :meth:`_mask_seen`
         writes into the same buffer, and the returned array is its
         transposed view, which :meth:`_select_topk` reads without a copy.
+        The buffer is the thread's workspace (:func:`_score_buffer`): the
+        block holds until the thread scores its next one.
         """
         model = self._model
         xb = model.x_score[block]
-        scores = np.empty((model.n_items, block.size), dtype=np.float32)
+        scores = _score_buffer(model.n_items * block.size).reshape(model.n_items, block.size)
         for i, shard in enumerate(model.shards):
             lo, hi = model.partition.range_of(i)
             np.matmul(shard, xb.T, out=scores[lo:hi])

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.sparse.coo import _stable_order
 from repro.sparse.csr import CSRMatrix
 
 __all__ = [
@@ -121,7 +122,8 @@ def grid_partition(r: CSRMatrix, p: int, q: int) -> GridPartition:
 
     This is ``GridPartition(R, p, q)`` of Algorithm 3 line 4.  Each row
     batch is a contiguous range of R's entries; one ``searchsorted`` finds
-    every entry's column owner and one stable ``argsort`` on the owners
+    every entry's column owner and one :func:`~repro.sparse.coo._stable_order`
+    of the owners (a packed value sort, equal to a stable ``argsort``)
     lays the batch out block after block.  Stability keeps the entries of
     each block in R's row-major order, so column indices stay sorted
     within rows whenever they are in R (every constructor but the raw one
@@ -136,12 +138,12 @@ def grid_partition(r: CSRMatrix, p: int, q: int) -> GridPartition:
         start, stop = r.indptr[lo], r.indptr[hi]
         cols = r.indices[start:stop]
         owner = np.searchsorted(col_part.bounds, cols, side="right") - 1
-        order = np.argsort(owner, kind="stable")
+        block_owner, order = _stable_order(owner, p)
         # Entries per (owner, row): row u of block i spans indptrs[i, u:u + 2].
         row_ids = np.repeat(np.arange(rows, dtype=np.int64), np.diff(r.indptr[lo : hi + 1]))
         indptrs = np.zeros((p, rows + 1), dtype=np.int64)
         np.cumsum(np.bincount(owner * rows + row_ids, minlength=p * rows).reshape(p, rows), axis=1, out=indptrs[:, 1:])
-        block_cols = cols[order] - col_part.bounds[owner[order]]
+        block_cols = cols[order] - col_part.bounds[block_owner]
         block_data = r.data[start:stop][order]
         offsets = np.concatenate(([0], np.cumsum(indptrs[:, -1])))
         for i in range(p):

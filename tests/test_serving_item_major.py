@@ -8,10 +8,14 @@ layout.  The properties pin both to references that know no layout, bit
 for bit: the block equals the row-major concatenation of one
 ``xb @ shard.T`` GEMM per shard with the same items masked, and the
 selection equals the grouping-free full scan on item-major and C-ordered
-copies of one block alike.
+copies of one block alike.  The blocks are written into one workspace per
+thread, which the properties reuse from example to example, stale
+entries included.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 from hypothesis import given, settings
@@ -93,3 +97,34 @@ def test_a_partial_last_slab_keeps_its_items_and_no_others():
     scores[1, [60, 58]] = [9.0, 8.0]
     ids, top = FactorStore._select_topk(np.ascontiguousarray(scores.T).T, 2)
     assert ids.tolist() == [[13, 29], [60, 58]] and top.tolist() == [[5.0, 4.0], [9.0, 8.0]]
+
+
+
+def _in_new_thread(fn):
+    """``fn()`` run on a thread of its own (so with a workspace of its own); its result."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join()
+    return out[0]
+
+
+def test_score_blocks_reuse_one_workspace_per_thread():
+    # A smaller block is written over the last one, a larger one gets a workspace of its own, and so does another thread.
+    rng = np.random.default_rng(0)
+    store = FactorStore(rng.standard_normal((40, 4)), rng.standard_normal((600, 4)))
+
+    def blocks():
+        first = store._score_block(np.arange(3), None).copy()
+        smaller = store._score_block(np.arange(2), None)
+        shared = np.shares_memory(smaller, store._score_block(np.arange(3), None))
+        larger = store._score_block(np.arange(4), None)
+        return first, shared, np.shares_memory(smaller, larger), larger
+
+    first, shared, grown_shared, larger = _in_new_thread(blocks)
+    assert shared and not grown_shared
+    np.testing.assert_array_equal(first, _row_major_block(store, np.arange(3), None))
+    np.testing.assert_array_equal(larger, _row_major_block(store, np.arange(4), None))
+    other = _in_new_thread(lambda: store._score_block(np.arange(4), None))
+    assert not np.shares_memory(other, larger)
+    np.testing.assert_array_equal(other, larger)

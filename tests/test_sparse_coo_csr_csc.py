@@ -194,6 +194,23 @@ class TestZeroSize:
             COOMatrix.empty((-1, 3))
 
 
+class TestKeyRange:
+    """Entries are placed by one int64 key ``row * n + col``: a shape with more cells than int64 can number is refused."""
+
+    @pytest.mark.parametrize("m", [5, 4, 3])
+    def test_too_many_cells_raise_naming_the_shape(self, m):
+        # (5, 2**62) used to put entry (4, 5) in row 0 without an error; (4, 2**62) failed inside bincount.
+        with pytest.raises(ValueError, match=f"{m} x {2**62} matrix"):
+            CSRMatrix.from_arrays((m, 2**62), [m - 1, 1], [5, 7], [1.0, 2.0])
+
+    def test_the_widest_shape_that_fits_still_builds(self):
+        # 2 × 2**62 cells: the largest key is 2**63 - 1.
+        csr = CSRMatrix.from_arrays((2, 2**62), [1, 0, 1, 1], [2**62 - 1, 5, 3, 2**62 - 1], [1.0, 2.0, 3.0, 4.0])
+        assert csr.indptr.tolist() == [0, 1, 3]
+        assert csr.indices.tolist() == [5, 3, 2**62 - 1]
+        assert csr.data.tolist() == [2.0, 3.0, 5.0]
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     m=st.integers(min_value=1, max_value=12),

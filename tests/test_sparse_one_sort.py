@@ -1,16 +1,20 @@
 """The one-sort sparse data path, against the constructors and sampler it replaced.
 
 Every compressed matrix is built by :func:`repro.sparse.coo._compress`
-(one stable argsort of a linear key, ``reduceat`` over the runs), and
-:func:`repro.datasets.synthetic._sample_coordinates` checks freshness
-against a sorted key array.  This module keeps the earlier code as
-test-only oracles and requires the same bits from the new code:
+(one :func:`~repro.sparse.coo._stable_order` of a linear key, ``reduceat``
+over the runs); :func:`repro.datasets.synthetic._sample_coordinates`
+finds each round's first draws with the same sort and checks freshness
+against a sorted key array, and :func:`repro.sparse.partition.grid_partition`
+orders each row batch by owner with it.  This module keeps the earlier
+code as test-only oracles and requires the same bits from the new code:
 
+* ``np.argsort(keys, kind="stable")`` for ``_stable_order`` itself;
 * ``_reference_dedup`` / ``_reference_csr`` / ``_reference_csc``: a
   deduplication by stable ``argsort`` + ``np.unique`` + ``reduceat``,
   then a ``lexsort`` into row- or column-major order;
 * ``_reference_sample_coordinates``: rejection rounds with a Python
-  ``set`` of accepted keys.
+  ``set`` of accepted keys, and ``_reference_uncovered``: ``np.setdiff1d``;
+* ``_reference_grid_partition``: one stable ``argsort`` of the owners.
 
 Arrays are compared as int64 bits, so ``-0.0``, NaN payloads and the
 order in which a cell's duplicates were summed all count.  The last
@@ -29,6 +33,8 @@ import repro.datasets.synthetic as synthetic
 from repro.datasets import HUGEWIKI, NETFLIX, DatasetSpec, generate_ratings
 from repro.serving.lifecycle import InteractionLog, merged_ratings
 from repro.sparse import COOMatrix, CSCMatrix, CSRMatrix
+from repro.sparse.coo import _stable_order
+from repro.sparse.partition import GridPartition, Partition1D, grid_partition
 
 # --------------------------------------------------------------------------- #
 # oracles: the constructors and the sampler before the one-sort path
@@ -88,6 +94,34 @@ def _reference_sample_coordinates(m, n, nnz, rng, row_exponent, col_exponent):
     return rows[:target], cols[:target]
 
 
+def _reference_uncovered(ids: np.ndarray, size: int) -> np.ndarray:
+    return np.setdiff1d(np.arange(size), ids, assume_unique=False)
+
+
+def _reference_grid_partition(r: CSRMatrix, p: int, q: int) -> GridPartition:
+    """The grid partition with one stable ``argsort`` of each batch's owners."""
+    row_part = Partition1D(r.shape[0], q)
+    col_part = Partition1D(r.shape[1], p)
+    blocks: list[list[CSRMatrix]] = [[] for _ in range(p)]
+    for j in range(q):
+        lo, hi = row_part.range_of(j)
+        rows = hi - lo
+        start, stop = r.indptr[lo], r.indptr[hi]
+        cols = r.indices[start:stop]
+        owner = np.searchsorted(col_part.bounds, cols, side="right") - 1
+        order = np.argsort(owner, kind="stable")
+        row_ids = np.repeat(np.arange(rows, dtype=np.int64), np.diff(r.indptr[lo : hi + 1]))
+        indptrs = np.zeros((p, rows + 1), dtype=np.int64)
+        np.cumsum(np.bincount(owner * rows + row_ids, minlength=p * rows).reshape(p, rows), axis=1, out=indptrs[:, 1:])
+        block_cols = cols[order] - col_part.bounds[owner[order]]
+        block_data = r.data[start:stop][order]
+        offsets = np.concatenate(([0], np.cumsum(indptrs[:, -1])))
+        for i in range(p):
+            seg = slice(offsets[i], offsets[i + 1])
+            blocks[i].append(CSRMatrix((rows, col_part.size_of(i)), indptrs[i], block_cols[seg], block_data[seg]))
+    return GridPartition(row_part, col_part, blocks)
+
+
 def _reference_to_csr(self: COOMatrix) -> CSRMatrix:
     return CSRMatrix(self.shape, *_reference_csr(self))
 
@@ -107,6 +141,49 @@ def _assert_bits(got, want) -> None:
 
 def _buffers(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return matrix.indptr, matrix.indices, matrix.data
+
+
+# --------------------------------------------------------------------------- #
+# the packed-key sort
+# --------------------------------------------------------------------------- #
+
+
+@st.composite
+def _keys_and_range(draw) -> tuple[np.ndarray, int]:
+    """Keys from a small pool (heavy duplicates, often empty) and a key range at least as wide; 2**62 forces the fallback."""
+    pool = draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=6))
+    keys = np.array(draw(st.lists(st.sampled_from(pool), max_size=200)), dtype=np.int64)
+    n_keys = draw(st.one_of(st.just(max(pool) + 1), st.integers(max(pool) + 1, 2**41), st.just(2**62)))
+    return keys, n_keys
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_keys_and_range())
+def test_stable_order_equals_the_stable_argsort(case):
+    keys, n_keys = case
+    got_keys, got_order = _stable_order(keys, n_keys)
+    order = np.argsort(keys, kind="stable")
+    assert got_order.dtype == order.dtype and got_keys.dtype == keys.dtype
+    _assert_bits((got_keys, got_order), (keys[order], order))
+
+
+def test_stable_order_of_nothing():
+    keys, order = _stable_order(np.zeros(0, dtype=np.int64), 0)
+    assert keys.size == order.size == 0 and order.dtype == np.intp
+
+
+def test_a_key_range_too_wide_to_pack_builds_like_the_reference():
+    # 3 × 2**60 cells: every key fits in int64, but key * nnz + position does not, so _stable_order
+    # takes the stable argsort; the CSC case is the transpose, whose column pointer stays short.
+    rows = np.array([2, 0, 2, 1, 2, 0, 1, 2], dtype=np.int64)
+    cols = np.array([2**60 - 1, 7, 5, 2**59, 2**60 - 1, 7, 0, 5], dtype=np.int64)
+    data = np.array([1.0, 2.0, 3.0, 4.0, 5.0, -0.0, 6.0, 0.5])
+    coo = COOMatrix((3, 2**60), rows, cols, data)
+    assert 3 * 2**60 * coo.nnz > np.iinfo(np.int64).max
+    csr = CSRMatrix.from_coo(coo)
+    _assert_bits(_buffers(csr), _reference_csr(coo))
+    _assert_bits(_buffers(CSCMatrix.from_coo(coo.transpose())), _reference_csc(coo.transpose()))
+    assert csr.indptr.tolist() == [0, 1, 3, 5] and csr.indices.tolist() == [7, 0, 2**59, 5, 2**60 - 1]
 
 
 # --------------------------------------------------------------------------- #
@@ -178,6 +255,29 @@ def test_a_long_run_of_one_cell_sums_like_the_reference():
 
 
 # --------------------------------------------------------------------------- #
+# the grid partition
+# --------------------------------------------------------------------------- #
+
+
+@settings(max_examples=200, deadline=None)
+@given(coo=_coo_inputs(), p=st.integers(1, 4), q=st.integers(1, 4), shuffle=st.integers(0, 2**32 - 1) | st.none())
+def test_grid_partition_matches_the_argsort_reference(coo, p, q, shuffle):
+    with np.errstate(invalid="ignore", over="ignore"):
+        r = CSRMatrix.from_coo(coo)
+    if shuffle is not None:
+        # The raw constructor keeps columns in any order within a row: the blocks must keep that order too.
+        rng = np.random.default_rng(shuffle)
+        perm = np.concatenate([lo + rng.permutation(hi - lo) for lo, hi in zip(r.indptr[:-1], r.indptr[1:])]).astype(np.int64)
+        r = CSRMatrix(r.shape, r.indptr, r.indices[perm], r.data[perm])
+    got, want = grid_partition(r, p, q), _reference_grid_partition(r, p, q)
+    _assert_bits((got.row_partition.bounds, got.col_partition.bounds), (want.row_partition.bounds, want.col_partition.bounds))
+    for i in range(p):
+        for j in range(q):
+            assert got.block(i, j).shape == want.block(i, j).shape
+            _assert_bits(_buffers(got.block(i, j)), _buffers(want.block(i, j)))
+
+
+# --------------------------------------------------------------------------- #
 # the coordinate sampler
 # --------------------------------------------------------------------------- #
 
@@ -208,6 +308,8 @@ _E2E_SPECS = {
     "train-mp": (NETFLIX.scaled(max_rows=1500, f=32), 1, 0.0),
     "train-dp": (HUGEWIKI.scaled(max_rows=6000, f=16), 1, 0.0),
     "serve-lifecycle": (DatasetSpec("lifecycle", 4000, 3000, 120_000, 16, 0.05, kind="synthetic"), 0, 0.1),
+    # 200 skewed draws over 300 rows and 500 columns: most rows and columns get a coverage entry.
+    "uncovered": (DatasetSpec("uncovered", 300, 500, 200, 4, 0.05, kind="synthetic"), 3, 0.1),
 }
 
 
@@ -215,7 +317,14 @@ _E2E_SPECS = {
 def test_generate_ratings_matches_the_set_sampler_and_lexsort_build(name, monkeypatch):
     spec, seed, test_fraction = _E2E_SPECS[name]
     got = generate_ratings(spec, seed=seed, test_fraction=test_fraction)
+    uncovered = []
+
+    def reference_uncovered(ids, size):
+        uncovered.append(_reference_uncovered(ids, size))
+        return uncovered[-1]
+
     monkeypatch.setattr(synthetic, "_sample_coordinates", _reference_sample_coordinates)
+    monkeypatch.setattr(synthetic, "_uncovered", reference_uncovered)
     monkeypatch.setattr(COOMatrix, "deduplicate", _reference_deduplicate)
     monkeypatch.setattr(COOMatrix, "to_csr", _reference_to_csr)
     want = generate_ratings(spec, seed=seed, test_fraction=test_fraction)
@@ -223,6 +332,9 @@ def test_generate_ratings_matches_the_set_sampler_and_lexsort_build(name, monkey
         assert g.shape == w.shape
         _assert_bits(_buffers(g), _buffers(w))
     assert got.train.nnz > 0.8 * spec.nz
+    assert np.all(got.train.nnz_per_row() > 0) and np.all(got.train.nnz_per_col() > 0)
+    if name == "uncovered":
+        assert [ids.size > 0 for ids in uncovered] == [True, True]
 
 
 # --------------------------------------------------------------------------- #
