@@ -48,9 +48,9 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, smoke: bool) -> str:
-    """Standard output of one untraced ``run.py`` run inside ``checkout``."""
-    cmd = [sys.executable, "benchmarks/e2e/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, smoke: bool, trace: int = 0) -> str:
+    """Standard output of one ``run.py`` run inside ``checkout`` (untraced unless ``trace=1``)."""
+    cmd = [sys.executable, "benchmarks/e2e/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd + ["--smoke"] * smoke, cwd=checkout, capture_output=True, text=True)
     if done.returncode:
         raise RuntimeError(f"{checkout}: {workload} seed {seed} exited {done.returncode}\n{done.stderr[-2000:]}")

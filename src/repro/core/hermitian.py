@@ -9,19 +9,28 @@ the λ term appears ``n_{x_u}`` times, i.e. ``A_u`` gets ``λ n_{x_u} I``.
 
 Two implementations are provided:
 
-* :func:`compute_hermitians` — the vectorised production path: gathers
-  ``[θ_v | r_uv]`` for every rating of a row block once, as one
-  ``(nnz, f + 1)`` array ``[G | r]``, groups the rows by rating count and
-  forms each group's ``Gᵀ_u [G_u | r_u]`` with one batched ``matmul`` over a
-  ``(rows, n_{x_u}, f + 1)`` stack: the first ``f`` columns are ``A_u``'s
-  Gram, the last is ``B_u``.  No per-rating ``f × f`` outer product is ever
-  stored (the host analogue of ``get_hermitian`` staging θ columns through
-  shared memory), and λ is added to the diagonal only.
+* :func:`compute_hermitians` — the vectorised production path, the host
+  analogue of ``get_hermitian``'s staged access to sparse data.  It orders
+  a row block's rows by rating count and gathers ``[θ_v | r_uv]`` for every
+  rating once, in that order, as one ``(nnz, f + 1)`` array.  The rows of
+  one length ``n_{x_u}`` are then a contiguous ``(k, n_{x_u}, f + 1)``
+  stack ``G``, and one batched ``Gᵀ G[:, :, :f]`` gives their ``A_u``
+  Grams (first ``f`` rows) and ``B_uᵀ`` (last row).  λ goes on each
+  product's diagonal while it is in cache, and the product's two parts are
+  written once, into their rows' places in the contiguous ``A`` and ``B``.
+  No per-rating ``f × f`` outer product is ever stored, and each rating's
+  bytes are gathered once.  The product is ``(f + 1) × f`` per row, and
+  the per-group oracle in ``tests/test_hermitian_one_gather.py`` forms its
+  ``f × (f + 1)`` transpose; a single-threaded OpenBLAS gives the same bits
+  for both, while a multi-threaded one may split products above ~10⁶
+  multiply-adds differently by output shape.
 * :func:`compute_hermitians_loop` — a straight transliteration of
   Algorithm 1 used as the ground truth in tests.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -48,47 +57,49 @@ def compute_hermitians(
     Returns ``(A, B)`` with shapes ``(rows, f, f)`` and ``(rows, f)``.
     ``weighted=True`` applies the weighted-λ-regularization
     (``λ n_{x_u} I``); ``False`` applies plain ``λ I`` (useful for
-    comparisons against non-weighted formulations).  Both come from one
-    gathered ``[G | r]`` and one ``Gᵀ[G | r]`` product per row length; λ is
-    added to ``A``'s diagonal in place.
+    comparisons against non-weighted formulations).
+
+    ``A`` and ``B`` are separate C-contiguous arrays.  Raises
+    ``ValueError`` when ``theta`` is not 2-D or ``lam`` is negative or not
+    finite.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape[0] != r.shape[1]:
-        raise ValueError("theta must have one row per column of R")
+    if theta.ndim != 2 or theta.shape[0] != r.shape[1]:
+        raise ValueError(f"theta must be 2-D with one row per column of R; got shape {theta.shape} for R {r.shape}")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and non-negative; got {lam}")
     row_stop = r.shape[0] if row_stop is None else row_stop
     if not 0 <= row_start <= row_stop <= r.shape[0]:
         raise ValueError("invalid row range")
     f = theta.shape[1]
     rows = row_stop - row_start
 
-    lo, hi = r.indptr[row_start], r.indptr[row_stop]
-    cols = r.indices[lo:hi]
-    vals = r.data[lo:hi]
-    indptr = r.indptr[row_start : row_stop + 1] - lo
-
-    # One gather of [θ_v | r_uv] per rating: A and B both come from it.
-    gathered = np.empty((hi - lo, f + 1), dtype=np.float64)
-    gathered[:, :f] = theta[cols]
-    gathered[:, f] = vals
-    counts = np.diff(indptr)
-    a = np.zeros((rows, f, f), dtype=np.float64)
-    b = np.zeros((rows, f), dtype=np.float64)
-    # Rows of equal length L stack into a dense (k, L, f + 1) block G; one
-    # batched Gᵀ[G | r] gives their A (first f columns) and B (last column).
-    # Only one block exists at a time.
+    counts = np.diff(r.indptr[row_start : row_stop + 1])
     order = np.argsort(counts, kind="stable")
     lengths = counts[order]
-    starts = np.flatnonzero(np.diff(lengths, prepend=0))  # rows with no ratings keep A = 0, B = 0
-    for lo_k, hi_k in zip(starts, np.append(starts[1:], rows)):
-        sel = order[lo_k:hi_k]
-        g = gathered[indptr[sel, None] + np.arange(lengths[lo_k])]
-        ab = np.matmul(g[:, :, :f].transpose(0, 2, 1), g)
-        a[sel] = ab[:, :, :f]
-        b[sel] = ab[:, :, f]
+    offsets = np.cumsum(lengths) - lengths  # where each ordered row's ratings start in the gather
+    # One gather of [θ_v | r_uv], rows in length order: whole rows of a
+    # widened θ land contiguously, then r_uv fills the spare column.
+    nnz = int(r.indptr[row_stop] - r.indptr[row_start])
+    picked = np.arange(nnz) + np.repeat(r.indptr[row_start:row_stop][order] - offsets, lengths)
+    widened = np.empty((theta.shape[0], f + 1), dtype=np.float64)
+    widened[:, :f] = theta
+    gathered = np.take(widened, np.take(r.indices, picked), axis=0)
+    gathered[:, f] = np.take(r.data, picked)
 
-    # λ goes on the diagonal only, through a strided view of A.
-    diagonal = a.reshape(rows, f * f)[:, :: f + 1]
-    diagonal += lam * counts[:, None] if weighted else lam
+    # A run of k rows of length L is the (k, L, f + 1) block G; Gᵀ G[:, :, :f]
+    # stacks A_u over B_uᵀ.  λ goes on A's diagonal before the one write of
+    # each part.  The zero-length run's product is zeros, so every row is written.
+    a = np.empty((rows, f, f), dtype=np.float64)
+    b = np.empty((rows, f), dtype=np.float64)
+    starts = np.flatnonzero(np.diff(lengths, prepend=-1))
+    for lo, hi in zip(starts, np.append(starts[1:], rows)):
+        k, length = hi - lo, lengths[lo]
+        g = gathered[offsets[lo] : offsets[lo] + k * length].reshape(k, length, f + 1)
+        block = np.matmul(g.transpose(0, 2, 1), g[:, :, :f])
+        block.reshape(k, -1)[:, : f * f : f + 1] += lam * length if weighted else lam
+        a[order[lo:hi]] = block[:, :f]
+        b[order[lo:hi]] = block[:, f]
     return a, b
 
 
@@ -166,9 +177,11 @@ def update_factor(
     """One full update-X pass: returns the new ``X`` given ``Θ`` fixed.
 
     The pass runs in row blocks of ``row_batch``, which is exactly the
-    batching structure cuMF uses on the GPU; a block's temporaries are its
-    ``(rows, f, f)`` Hermitians and ``block_nnz × (f + 1)`` gathered
-    ``[θ_v | r_uv]``.
+    batching structure cuMF uses on the GPU.  A block's temporaries are
+    its ``(rows, f, f)`` and ``(rows, f)`` outputs, the ``block_nnz ×
+    (f + 1)`` gathered ``[θ_v | r_uv]``, an ``n × (f + 1)`` widened copy of
+    ``Θ``, two ``block_nnz`` index arrays and one run's ``(k, f + 1, f)``
+    product.
     """
     m = r.shape[0]
     f = np.asarray(theta).shape[1]
