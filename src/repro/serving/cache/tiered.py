@@ -253,19 +253,16 @@ class TieredFactorStore(FactorStore):
             stats.warm_misses += n_warm
             stats.cold_misses += n_cold
 
+            spent = 0.0
             if n_cold:
                 cold = pages[tiers == TIER_COLD]
-                cold_bytes = int(self._pages.page_bytes[cold].sum())
-                self.machine.clock.advance(
-                    self.cache_config.cold_latency_s + cold_bytes / (self.cache_config.cold_bandwidth_gbs * 1e9),
-                    label="cache-cold-read",
-                )
+                spent = self.cache_config.cold_latency_s + int(self._pages.page_bytes[cold].sum()) / (self.cache_config.cold_bandwidth_gbs * 1e9)
+                self.machine.clock.advance(spent, label="cache-cold-read")
             if n_stale or n_warm or n_cold:
-                self.machine.charge_transfers(self._fill_report(pages[fetch]), label="cache-fill-h2d")
-            delta = self.machine.elapsed_seconds() - now
-            if delta:
-                self.stats.simulated_seconds += delta
-                stats.miss_seconds += delta
+                spent += self.machine.charge_transfers(self._fill_report(pages[fetch]), label="cache-fill-h2d")
+            if spent:
+                self._spend(spent)
+                stats.miss_seconds += spent
 
             if n_cold:
                 self._pages.move(cold, TIER_WARM)
@@ -351,12 +348,12 @@ class TieredFactorStore(FactorStore):
         obs_on = obs.enabled()
         registry = obs.get_registry()
         tracer = obs.get_tracer()
-        before_all = self.machine.elapsed_seconds()
+        spent = 0.0
         for wave in plan.waves:
             before = self.machine.elapsed_seconds()
             promoted = np.array(wave.promotions, dtype=np.int64)
             demoted = np.array(wave.demotions, dtype=np.int64)
-            self.machine.run_transfers(
+            spent += self.machine.run_transfers(
                 self._page_transfers(promoted, self.machine.h2d, "cache-promote") + self._page_transfers(demoted, self.machine.d2h, "cache-demote"),
                 label="cache-wave",
             )
@@ -382,9 +379,8 @@ class TieredFactorStore(FactorStore):
                     promo_bytes=wave.promo_bytes,
                     demo_bytes=wave.demo_bytes,
                 )
-        delta = self.machine.elapsed_seconds() - before_all
-        self.stats.simulated_seconds += delta
-        stats.miss_seconds += delta
+        self._spend(spent)
+        stats.miss_seconds += spent
         self._publish_residency()
 
     def _publish_residency(self) -> None:

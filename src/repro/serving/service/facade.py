@@ -185,9 +185,12 @@ class RecommenderService:
         """The replicas in rotation, each replica's free time, and now.
 
         The facade serves one-request windows on the replicas' own
-        timelines: replica ``r`` is free at its ``stats.simulated_seconds``
-        and a request arrives, is admitted and dispatches at the earliest
-        free time of a replica in rotation.
+        timelines: replica ``r`` is free at its ``stats.simulated_seconds``,
+        read as an instant, and a request arrives, is admitted and
+        dispatches at the earliest free time of a replica in rotation.  A
+        served read's latency is its wait for the chosen replica plus the
+        seconds its call charged, never a difference of that replica's
+        running total.
         """
         active = self.backend.active_indices()
         free = [unit.stats.simulated_seconds for unit in self.backend.replicas]
@@ -253,19 +256,19 @@ class RecommenderService:
                     code = STATUS_OK
             if code == STATUS_SHED_CAP:
                 return self._respond(kind, tenant, code)
-        try:
-            replica, [(payload, _, done)] = serve_window(self.backend, active, free, now, [call(k)])
+        try:  # on a copy of ``free``: the wait below reads the chosen replica's free time before the call
+            replica, [(payload, service, _)] = serve_window(self.backend, active, list(free), now, [call(k)])
         except (ValueError, RuntimeError) as exc:
             return self._respond(kind, tenant, STATUS_ERROR, exc=exc)
         version = self.backend.replicas[replica].version
-        return self._respond(kind, tenant, code, payload, latency_s=done - now, version=version, replica=replica, start_s=now)
+        return self._respond(kind, tenant, code, payload, latency_s=max(0.0, free[replica] - now) + service, version=version, replica=replica, start_s=now)
 
     def predict(self, users: Any, items: np.ndarray | None = None, *, tenant: str = "default") -> ServeResponse:
         """Score aligned (user, item) pairs, served as a one-request window like :meth:`recommend`.
 
         Accepts a :class:`PredictRequest` or plain aligned index arrays.
         The request is routed, served and charged by the replay's
-        dispatch step, and ``latency_s`` is its finish minus its arrival.
+        dispatch step, and ``latency_s`` is its wait plus its service.
         With tenancy configured, an over-cap tenant is shed — prediction
         has no reduced-``k`` degrade knob, so the cap is hard here.
         """
@@ -291,9 +294,9 @@ class RecommenderService:
 
         The request arrives when the first replica in rotation frees up
         (see :meth:`_clock`) and is routed, served and charged by the
-        replay's dispatch step.  ``latency_s`` is its finish minus that
-        arrival: the service time on a load-aware pick, plus the wait
-        behind the chosen replica's backlog on a load-blind one.
+        replay's dispatch step.  ``latency_s`` is the service time on a
+        load-aware pick, plus the wait behind the chosen replica's
+        backlog on a load-blind one.
 
         With tenancy configured, admission runs first: an over-cap
         tenant whose policy has a ``degrade_k`` is served at that

@@ -339,9 +339,8 @@ def _cache_snapshot(replicas: Sequence) -> list:
 def _cache_delta(replicas: Sequence, before: list) -> dict:
     """Cache counters accrued since ``before``, summed over the units.
 
-    Replays read *deltas*, not the raw counters, for the same reason
-    service time does: on a long-lived store the cache may already have
-    history from earlier traffic.
+    Replays read *deltas*, not the raw counters: on a long-lived store
+    the cache may already have history from earlier traffic.
     """
     deltas = []
     for rep, base in zip(replicas, before):
@@ -395,10 +394,13 @@ def serve_window(
     ``calls`` is what the window serves: it takes the chosen replica and
     makes one data-plane call on it (a ``recommend_batch`` or a
     ``predict``, e.g. an :func:`operator.methodcaller`).  They run back to
-    back from ``max(dispatch, free[choice])``, each lasting the simulated
-    seconds it charges the replica, and ``free[choice]`` moves to the last
-    finish.  Returns the chosen replica index and one ``(answer, service
-    seconds, finish time)`` per call.
+    back from ``max(dispatch, free[choice])``, each lasting the seconds
+    its charges return (the replica's meter, reset before the call, see
+    :meth:`~repro.serving.store.FactorStore._spend`; never a difference
+    of the replica's running total, whose rounding grows with it), and
+    ``free[choice]`` moves to the last finish.  Returns the chosen
+    replica index and one ``(answer, service seconds, finish time)`` per
+    call.
     """
     loads = [max(0.0, free[r] - dispatch) for r in active]
     choice = active[select_replica(cluster.router, loads)]
@@ -406,9 +408,9 @@ def serve_window(
     done = max(dispatch, free[choice])
     served = []
     for call in calls:
-        before = replica.stats.simulated_seconds
+        replica._metered = 0.0
         answer = call(replica)
-        service = replica.stats.simulated_seconds - before
+        service = replica._metered
         done += service
         served.append((answer, service, done))
     free[choice] = done

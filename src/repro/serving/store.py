@@ -366,7 +366,7 @@ class _Charge(NamedTuple):
     launches.  :meth:`replay` charges them through the same machine
     methods running the pass goes through, so it leaves the clock, the
     transfer totals and the device counters bit for bit where running
-    the pass would.
+    the pass would, and returns the seconds those methods return.
     """
 
     up: TransferReport | None
@@ -379,21 +379,24 @@ class _Charge(NamedTuple):
         engine = machine.transfer_engine
         return cls(engine.estimate(up), machine.price_kernels(profiles), engine.estimate(down))
 
-    def replay(self, machine: MultiGPUMachine) -> None:
-        """Charge the pass to ``machine``."""
-        machine.charge_transfers(self.up, label="serve-h2d")
-        machine.charge_kernels(self.kernels)
-        machine.charge_transfers(self.down, label="serve-d2h")
+    def replay(self, machine: MultiGPUMachine) -> float:
+        """Charge the pass to ``machine``; returns its seconds (up + slowest kernel + down)."""
+        up = machine.charge_transfers(self.up, label="serve-h2d")
+        return up + machine.charge_kernels(self.kernels) + machine.charge_transfers(self.down, label="serve-d2h")
 
 
 @dataclass
 class ServingStats:
     """Running counters of one store's serving activity.
 
-    ``per_device_seconds`` holds *serving-only* kernel seconds per device
-    (top-k scoring/selection and fold-in solves), accumulated as deltas —
-    on a machine shared with training it deliberately excludes the
-    training kernels that also raised ``dev.busy_seconds()``.
+    ``simulated_seconds`` is the sum of the seconds every serving charge
+    returned (:meth:`FactorStore._spend`), never a difference of clock
+    readings, so equal calls add equal seconds however long the store
+    has served.  ``per_device_seconds`` holds *serving-only* kernel
+    seconds per device (top-k scoring/selection and fold-in solves), the
+    priced launch seconds of each pass — on a machine shared with
+    training it deliberately excludes the training kernels that also
+    raised ``dev.busy_seconds()``.
 
     ``rows_scored`` counts the user rows this store actually scored and
     selected; the answer tables answered the other queries.  It is host
@@ -489,6 +492,7 @@ class FactorStore:
         self.version = str(version)
         self.machine = machine or MultiGPUMachine(n_gpus=n_shards)
         self.stats = ServingStats()
+        self._metered = 0.0  # seconds spent since serve_window last reset it
         self._model: _Model | None = None
         if model is None:
             model = _Model(x, theta, n_shards)
@@ -567,14 +571,6 @@ class FactorStore:
     def partition(self) -> Partition1D:
         """The row partition of Θ over the devices."""
         return self._model.partition
-
-    @property
-    def _x_score(self) -> np.ndarray:
-        return self._model.x_score
-
-    @property
-    def _shards(self) -> list[np.ndarray]:
-        return self._model.shards
 
     @property
     def _n_trained_users(self) -> int:
@@ -692,12 +688,12 @@ class FactorStore:
         if solver is not None:
             self.solver = solver
         self._install(model)
-        before = self.machine.elapsed_seconds()
-        self.machine.run_transfers(
-            [self.machine.h2d(i, self.partition.size_of(i) * self.f * FLOAT_BYTES, tag="swap-shard") for i in range(self.n_shards)],
-            label="swap-h2d",
+        self._spend(
+            self.machine.run_transfers(
+                [self.machine.h2d(i, self.partition.size_of(i) * self.f * FLOAT_BYTES, tag="swap-shard") for i in range(self.n_shards)],
+                label="swap-h2d",
+            )
         )
-        self.stats.simulated_seconds += self.machine.elapsed_seconds() - before
 
     def grow_items(self, new_theta: np.ndarray) -> int:
         """Append item rows to Θ; returns the id of the first new item.
@@ -720,12 +716,9 @@ class FactorStore:
         """Serve ``model``, this store's model with item rows appended, and charge broadcasting the new rows."""
         n_new = model.n_items - self.n_items
         self._install(model)
-        before = self.machine.elapsed_seconds()
-        self.machine.run_transfers(
-            [self.machine.h2d(i, n_new * self.f * FLOAT_BYTES, tag="grow-items") for i in range(self.n_shards)],
-            label="grow-h2d",
+        self._spend(
+            self.machine.run_transfers([self.machine.h2d(i, n_new * self.f * FLOAT_BYTES, tag="grow-items") for i in range(self.n_shards)], label="grow-h2d")
         )
-        self.stats.simulated_seconds += self.machine.elapsed_seconds() - before
 
     # ------------------------------------------------------------------ #
     # basic properties
@@ -1070,21 +1063,22 @@ class FactorStore:
         on its args, the Θ partition, ``f`` and the machine, so
         ``price(*args)`` builds it the first time the shape is seen and
         the record is kept until :meth:`_install` installs a new
-        partition.  The stats still difference the clock around the
-        replay, as they do around any pass, and each device's cumulative
-        ``busy_seconds()`` around it (see :class:`ServingStats`).
+        partition.  The stats are credited the seconds the replay returns
+        and each device the seconds of its priced launch (see
+        :class:`ServingStats`).
         """
         charge = self._charges.get(shape)
         if charge is None:
             charge = self._charges[shape] = price(*shape[1:])
-        before = self.machine.elapsed_seconds()
-        busy_before = [self.machine.device(i).busy_seconds() for i in range(self.n_shards)]
-        charge.replay(self.machine)
-        self.stats.simulated_seconds += self.machine.elapsed_seconds() - before
-        for i, already_busy in enumerate(busy_before):
-            delta = self.machine.device(i).busy_seconds() - already_busy
-            if delta:
-                self.stats.per_device_seconds[i] = self.stats.per_device_seconds.get(i, 0.0) + delta
+        self._spend(charge.replay(self.machine))
+        for i, _, seconds in charge.kernels:
+            if seconds:
+                self.stats.per_device_seconds[i] = self.stats.per_device_seconds.get(i, 0.0) + seconds
+
+    def _spend(self, seconds: float) -> None:
+        """Credit ``seconds`` of serving work: the one writer of ``stats.simulated_seconds``, and the per-call meter ``serve_window`` reads."""
+        self.stats.simulated_seconds += seconds
+        self._metered += seconds
 
     # ------------------------------------------------------------------ #
     # cold start

@@ -159,7 +159,7 @@ class AnswerTableMachine(RuleBasedStateMachine):
             return
         target = rng.choice([-2.0, -1.0, 1.0, 2.0], size=f)
         user = self.store.fold_in(items, self.theta[items] @ target)
-        assert user == self.x.shape[0] and (self.store._x_score[user] == target).all()
+        assert user == self.x.shape[0] and (self.store._model.x_score[user] == target).all()
         # The solved float64 row (its float32 copy is target): a later swap that keeps the fold-ins keeps these bits.
         self._write(np.vstack([self.x, self.store.x[user]]), self.theta, self.n_trained, {**self.folded, user: np.unique(items)})
         self._ask_again()

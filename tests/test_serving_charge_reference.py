@@ -5,19 +5,23 @@ per ``(b, kk)``, each predict pass once per ``n`` and each fold-in pass
 once per ``nnz`` (``_Charge``), keeps the record until its Θ partition,
 ``n_items`` or ``f`` changes, and replays it on every call.  The per-call
 accounting it replaced — build the transfer lists and kernel profiles,
-then run them through the machine — lives on below, copied verbatim, as
-the oracle (fold-in whole, and the per-device credit helpers, so the
-oracle shares none of the store's charging code).  The tiered oracle also
-keeps the demand path it replaced, ``_touch`` and ``_page_transfers``
-verbatim: per-tier page arrays and a transfer list run per batch, where
-the store classifies pages with one ``bincount`` and charges a fill
-report priced once per per-device byte vector.  A hypothesis property drives generated
-sequences of recommends, predicts, fold-ins, snapshot swaps (``n_items``
-and ``f`` may change), item growth and stale page stamps through a store
-and its oracle twin, on 1-4 shards of single- and dual-socket machines,
-plain and tiered (with a bounded or unbounded warm tier), and requires the
-clock, its per-label totals, every device counter, the transfer engine's
-totals, the serving stats and the page table to agree bit for bit.
+then run them through the machine — lives on below as the oracle
+(fold-in whole, and the per-device credit helper, so the oracle shares
+none of the store's charging code).  Like the store, the oracle credits
+the stats the seconds that ``run_transfers`` and ``run_parallel_kernels``
+return, and each device its kernel's estimated seconds, never a
+difference of clock or ``busy_seconds()`` readings.  The tiered oracle
+also keeps the demand path it replaced, ``_touch`` and
+``_page_transfers``: per-tier page arrays and a transfer list run per
+batch, where the store classifies pages with one ``bincount`` and
+charges a fill report priced once per per-device byte vector.  A
+hypothesis property drives generated sequences of recommends, predicts,
+fold-ins, snapshot swaps (``n_items`` and ``f`` may change), item growth
+and stale page stamps through a store and its oracle twin, on 1-4 shards
+of single- and dual-socket machines, plain and tiered (with a bounded or
+unbounded warm tier), and requires the clock, its per-label totals,
+every device counter, the transfer engine's totals, the serving stats
+and the page table to agree bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.kernels import FLOAT_BYTES, batch_solve_profile, get_hermitian_profile
-from repro.gpu.kernel import KernelProfile
+from repro.gpu.kernel import KernelProfile, estimate_kernel_time
 from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.memory import MemoryKind
 from repro.gpu.topology import MachineTopology
@@ -42,22 +46,19 @@ from repro.serving.store import FactorStore
 # the oracle: every pass charged by running it through the machine
 # ---------------------------------------------------------------------- #
 class _PerCallCharges:
-    """The per-call ``_account_topk`` / ``_account_predict`` / ``fold_in`` and their helpers, as they were before per-shape records."""
+    """The per-call ``_account_topk`` / ``_account_predict`` / ``fold_in`` as they were before per-shape records, crediting the seconds each run returns."""
 
-    def _device_busy(self) -> list[float]:
-        return [self.machine.device(i).busy_seconds() for i in range(self.n_shards)]
-
-    def _account_device_deltas(self, busy_before: list[float]) -> None:
-        for i, already_busy in enumerate(busy_before):
-            delta = self.machine.device(i).busy_seconds() - already_busy
-            if delta:
-                self.stats.per_device_seconds[i] = self.stats.per_device_seconds.get(i, 0.0) + delta
+    def _run_kernels(self, profiles: dict) -> float:
+        """Run ``profiles`` (device → kernel) as one step, credit each device its kernel's seconds, and return the step's seconds."""
+        for i, profile in profiles.items():
+            seconds = estimate_kernel_time(self.machine.device(i).spec, profile)
+            if seconds:
+                self.stats.per_device_seconds[i] = self.stats.per_device_seconds.get(i, 0.0) + seconds
+        return self.machine.run_parallel_kernels(profiles)
 
     def _account_topk(self, b: int, kk: int) -> None:
-        before = self.machine.elapsed_seconds()
-        busy_before = self._device_busy()
         f = self.f
-        self.machine.run_transfers(
+        up = self.machine.run_transfers(
             [self.machine.h2d(i, b * f * FLOAT_BYTES, tag="serve-users") for i in range(self.n_shards)],
             label="serve-h2d",
         )
@@ -77,32 +78,26 @@ class _PerCallCharges:
                 blocks=b,
             )
             profiles[i] = score.merged(select, name="serve_score+topk")
-        self.machine.run_parallel_kernels(profiles)
-        self.machine.run_transfers(
+        kernels = self._run_kernels(profiles)
+        down = self.machine.run_transfers(
             [self.machine.d2h(i, 2 * b * kk * FLOAT_BYTES, tag="serve-candidates") for i in range(self.n_shards)],
             label="serve-d2h",
         )
-        elapsed = self.machine.elapsed_seconds() - before
         self.stats.queries += b
         self.stats.batches += 1
-        self.stats.simulated_seconds += elapsed
-        self._account_device_deltas(busy_before)
+        self.stats.simulated_seconds += up + kernels + down
 
     def _account_predict(self, n: int) -> None:
-        before = self.machine.elapsed_seconds()
-        busy_before = self._device_busy()
-        self.machine.run_transfers([self.machine.h2d(0, 2 * n * FLOAT_BYTES, tag="predict-pairs")], label="serve-h2d")
+        up = self.machine.run_transfers([self.machine.h2d(0, 2 * n * FLOAT_BYTES, tag="predict-pairs")], label="serve-h2d")
         dot = KernelProfile(
             name="predict_dot",
             flops=2.0 * n * self.f,
             traffic={MemoryKind.GLOBAL: float((2 * n * self.f + n) * FLOAT_BYTES)},
             blocks=n,
         )
-        self.machine.run_parallel_kernels({0: dot})
-        self.machine.run_transfers([self.machine.d2h(0, n * FLOAT_BYTES, tag="predict-scores")], label="serve-d2h")
-        self.stats.simulated_seconds += self.machine.elapsed_seconds() - before
-        self._account_device_deltas(busy_before)
-
+        kernels = self._run_kernels({0: dot})
+        down = self.machine.run_transfers([self.machine.d2h(0, n * FLOAT_BYTES, tag="predict-scores")], label="serve-d2h")
+        self.stats.simulated_seconds += up + kernels + down
 
     def fold_in(self, items: np.ndarray, ratings: np.ndarray) -> int:
         items, ratings = validate_ratings(items, ratings, self.n_items)
@@ -110,28 +105,25 @@ class _PerCallCharges:
         user = self.n_users
         x = np.vstack([self.x, factor[None, :]])
         x.setflags(write=False)
-        x_score = np.vstack([self._x_score, factor[None, :].astype(np.float32)])
+        x_score = np.vstack([self._model.x_score, factor[None, :].astype(np.float32)])
         self._model = self._model.derive(x=x, x_score=x_score, folded_items={**self._folded_items, user: np.unique(items)})
 
         # Simulated cost: one Hermitian assembly + one 1-row batched solve
         # on device 0, plus shipping the ratings up and the factor back.
         nnz = int(items.size)
-        before = self.machine.elapsed_seconds()
-        busy_before = self._device_busy()
-        self.machine.run_transfers(
+        up = self.machine.run_transfers(
             [self.machine.h2d(0, 2 * nnz * FLOAT_BYTES, tag="foldin-ratings")],
             label="serve-h2d",
         )
         herm = get_hermitian_profile(self.machine.spec, 1, nnz, self.n_items, self._profile_config, name="foldin_hermitian")
         solve = batch_solve_profile(1, self.f, name="foldin_solve")
-        self.machine.run_parallel_kernels({0: herm.merged(solve, name="foldin")})
-        self.machine.run_transfers(
+        kernels = self._run_kernels({0: herm.merged(solve, name="foldin")})
+        down = self.machine.run_transfers(
             [self.machine.d2h(0, self.f * FLOAT_BYTES, tag="foldin-factor")],
             label="serve-d2h",
         )
         self.stats.fold_ins += 1
-        self.stats.simulated_seconds += self.machine.elapsed_seconds() - before
-        self._account_device_deltas(busy_before)
+        self.stats.simulated_seconds += up + kernels + down
         return user
 
 
@@ -172,19 +164,16 @@ class _ReferenceTiered(_PerCallCharges, TieredFactorStore):
             stats.cold_misses += int(cold.size)
 
             fetch = np.concatenate([hot_stale, warm, cold])
-            before = self.machine.elapsed_seconds()
+            spent = 0.0
             if cold.size:
                 cold_bytes = int(self._pages.page_bytes[cold].sum())
-                self.machine.clock.advance(
-                    self.cache_config.cold_latency_s + cold_bytes / (self.cache_config.cold_bandwidth_gbs * 1e9),
-                    label="cache-cold-read",
-                )
+                spent = self.cache_config.cold_latency_s + cold_bytes / (self.cache_config.cold_bandwidth_gbs * 1e9)
+                self.machine.clock.advance(spent, label="cache-cold-read")
             if fetch.size:
-                self.machine.run_transfers(self._page_transfers(fetch, self.machine.h2d, "cache-fill"), label="cache-fill-h2d")
-            delta = self.machine.elapsed_seconds() - before
-            if delta:
-                self.stats.simulated_seconds += delta
-                stats.miss_seconds += delta
+                spent += self.machine.run_transfers(self._page_transfers(fetch, self.machine.h2d, "cache-fill"), label="cache-fill-h2d")
+            if spent:
+                self.stats.simulated_seconds += spent
+                stats.miss_seconds += spent
 
             if cold.size:
                 self._pages.move(cold, TIER_WARM)

@@ -8,13 +8,16 @@ request arrives and dispatches at the earliest free time of a replica in
 rotation, and the router sees ``max(0, free[r] - now)``.
 
 The earlier rule lives on here as the reference: the router sees each
-active replica's ``stats.simulated_seconds`` as is, and the latency is
-the chosen replica's stats delta.  A hypothesis sequence of recommend,
-predict, fold-in and drain/restore calls on 1-3 replicas pins that the
-picks agree under every built-in router (predict included: it used to
-serve on the first replica in rotation), that least-loaded latencies
-agree bit for bit, and that a load-blind pick now waits behind the
-replica's backlog, as it does in the replay.
+active replica's ``stats.simulated_seconds`` as is.  A served read's
+latency is its wait behind the chosen replica plus the seconds its call
+charges, which are the ``stats.simulated_seconds`` of a fresh
+``replicate()`` after the same single call, however long the replica has
+served.  A hypothesis sequence of recommend, predict, fold-in and
+drain/restore calls on 1-3 replicas pins that the picks agree under
+every built-in router (predict included: it used to serve on the first
+replica in rotation), that least-loaded latencies equal the fresh
+replica's seconds bit for bit, and that a load-blind pick now waits
+behind the replica's backlog, as it does in the replay.
 """
 
 from __future__ import annotations
@@ -69,18 +72,21 @@ def test_facade_dispatch_matches_the_reference_rule(router, n_replicas, ops):
             free = [rep.stats.simulated_seconds for rep in cluster.replicas]
             if op in ("recommend", "predict"):
                 pick = active[reference.select([free[r] for r in active])]
+                fresh = cluster.replicas[pick].replicate()
                 if op == "recommend":
                     users, k = args
                     response = service.recommend(np.array(users), k=k, exclude=None)
+                    fresh.recommend_batch(np.array(users), k=k, exclude=None)
                 else:
                     user, item = args
                     response = service.predict(np.array([user]), np.array([item]))
+                    fresh.predict(np.array([user]), np.array([item]))
                 assert response.ok and response.replica == pick
-                service_s = cluster.replicas[pick].stats.simulated_seconds - free[pick]
+                service_s = fresh.stats.simulated_seconds
                 if router == "least-loaded":
                     assert response.latency_s == service_s  # bit for bit
                 now = min(free[r] for r in active)
-                assert response.latency_s == pytest.approx((free[pick] - now) + service_s, rel=1e-12, abs=0.0)
+                assert response.latency_s == (free[pick] - now) + service_s
             elif op == "fold_in":
                 service.fold_in(np.array(args[0]), np.full(len(args[0]), 4.0))
                 continue
@@ -144,16 +150,18 @@ def test_predict_charges_the_replica_clock():
 
 
 def test_predict_load_spreads_over_the_replicas():
-    """Under least-loaded routing, predicts land on every replica, and each latency is its finish minus its arrival."""
+    """Under least-loaded routing, predicts land on every replica, and each latency is what the call charges a fresh replica."""
     service = RecommenderService(ServingCluster.from_store(_BASE, 3, router="least-loaded"))
     replicas = service.backend.replicas
     rng = np.random.default_rng(2)
     for _ in range(20):
         free = [rep.stats.simulated_seconds for rep in replicas]
         now = min(free)
-        response = service.predict(rng.integers(0, N_USERS, 50), rng.integers(0, N_ITEMS, 50))
+        users, items = rng.integers(0, N_USERS, 50), rng.integers(0, N_ITEMS, 50)
+        response = service.predict(users, items)
         start = free[response.replica]
         assert start == now  # least-loaded picks a replica that is free at the arrival
-        done = start + (replicas[response.replica].stats.simulated_seconds - start)
-        assert response.ok and response.latency_s == done - now
+        fresh = replicas[response.replica].replicate()
+        fresh.predict(users, items)
+        assert response.ok and response.latency_s == fresh.stats.simulated_seconds
     assert all(rep.stats.simulated_seconds > 0 for rep in replicas)

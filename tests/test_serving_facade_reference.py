@@ -8,8 +8,9 @@ code to its envelope, and ``stats()`` derives ``requests``,
 ``request_errors`` and ``tenants`` from one ``(kind, tenant, code)``
 tally.  The facade it replaced — a clock → admit → shed → serve → error
 → envelope sequence per method, string admission verdicts from a scalar
-``admit``, and three hand-kept counters — lives on below, copied
-verbatim, as the oracle.
+``admit``, and three hand-kept counters — lives on below as the oracle,
+copied verbatim except for a served read's latency: its wait for the
+chosen replica plus the seconds the call charged, as the facade counts it.
 
 A hypothesis property runs one generated call sequence on two identical
 clusters of 1-3 replicas, one behind the facade and one behind the
@@ -134,8 +135,9 @@ class _ReferenceService(RecommenderService):
             decision, _ = self._scheduler.admit(request.tenant, now)
             if decision != "ok":
                 return self._shed("predict", request.tenant)
+        wait = [max(0.0, t - now) for t in free]
         try:
-            replica, [(payload, _, done)] = serve_window(self.backend, active, free, now, [methodcaller("predict", request.users, request.items)])
+            replica, [(payload, service, _)] = serve_window(self.backend, active, free, now, [methodcaller("predict", request.users, request.items)])
         except (ValueError, RuntimeError) as exc:
             return self._error("predict", exc, tenant=request.tenant)
         self._counters["predict"] += 1
@@ -145,7 +147,7 @@ class _ReferenceService(RecommenderService):
                 kind="predict",
                 status="ok",
                 payload=payload,
-                latency_s=done - now,
+                latency_s=wait[replica] + service,
                 version=self.backend.replicas[replica].version,
                 replica=replica,
                 tenant=request.tenant,
@@ -174,7 +176,8 @@ class _ReferenceService(RecommenderService):
         try:
             batch = np.atleast_1d(np.asarray(request.users))
             call = methodcaller("recommend_batch", batch, k=k_eff, exclude=mask, user_block=request.user_block)
-            replica, [(payload, _, done)] = serve_window(self.backend, active, free, now, [call])
+            wait = [max(0.0, t - now) for t in free]
+            replica, [(payload, service, _)] = serve_window(self.backend, active, free, now, [call])
         except (ValueError, RuntimeError) as exc:
             return self._error("recommend", exc, tenant=request.tenant)
         self._counters["recommend"] += 1
@@ -184,7 +187,7 @@ class _ReferenceService(RecommenderService):
                 kind="recommend",
                 status=status,
                 payload=payload,
-                latency_s=done - now,
+                latency_s=wait[replica] + service,
                 version=self.backend.replicas[replica].version,
                 replica=replica,
                 tenant=request.tenant,

@@ -27,8 +27,8 @@ from tests.test_serving_store import _assert_bitwise_equal, _full_scan_select, _
 
 def _row_major_block(store: FactorStore, block: np.ndarray, exclude) -> np.ndarray:
     """One ``xb @ shard.T`` per shard, concatenated along the items, each user's seen items set to ``-inf``."""
-    xb = store._x_score[block]
-    want = np.concatenate([xb @ shard.T for shard in store._shards], axis=1)
+    xb = store._model.x_score[block]
+    want = np.concatenate([xb @ shard.T for shard in store._model.shards], axis=1)
     if exclude is not None:
         for r, user in enumerate(block.tolist()):
             seen = exclude.row(user)[0] if user < store._n_trained_users else store._folded_items[user]

@@ -289,7 +289,7 @@ class TestStoreLifecycleHooks:
         assert (store.n_users, store.n_items) == (x2.shape[0], theta2.shape[0])
         assert store.version == "v2" and store.lam == 0.1
         assert store._n_trained_users == store.n_users and not store._folded_items
-        rebuilt = np.concatenate(store._shards, axis=0)
+        rebuilt = np.concatenate(store._model.shards, axis=0)
         np.testing.assert_array_equal(rebuilt, store.theta.astype(np.float32))
         recs = store.recommend(store.n_users - 1, k=3)  # a user only v2 has
         assert len(recs) == 3
@@ -344,7 +344,7 @@ class TestStoreLifecycleHooks:
         start = store.grow_items(rows)
         assert start == n_before and store.n_items == n_before + 5
         np.testing.assert_array_equal(store.theta[n_before:], rows)
-        rebuilt = np.concatenate(store._shards, axis=0)
+        rebuilt = np.concatenate(store._model.shards, axis=0)
         np.testing.assert_array_equal(rebuilt, store.theta.astype(np.float32))
         assert store.partition.bounds[-1] == store.n_items
         # new items are scorable (give one a huge factor so it must win)

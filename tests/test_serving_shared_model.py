@@ -332,7 +332,7 @@ def test_replicate_rescores_with_a_table_of_its_own(cls):
     users = np.arange(N_USERS)
     want = store.recommend_batch(users, k=K)
     clone = store.replicate()
-    assert clone._model is not store._model and clone.x is store.x and clone._shards is store._shards
+    assert clone._model is not store._model and clone.x is store.x and clone._model.shards is store._model.shards
     rows = _scored_users(clone)
     got = clone.recommend_batch(users, k=K)
     assert sorted(rows) == users.tolist()  # every user scored again

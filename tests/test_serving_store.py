@@ -40,7 +40,7 @@ class TestConstruction:
 
     def test_shards_cover_theta(self, fitted):
         store = fitted.serve(ServingConfig(n_shards=4, log=False)).backend.replicas[0]
-        rebuilt = np.concatenate(store._shards, axis=0)
+        rebuilt = np.concatenate(store._model.shards, axis=0)
         np.testing.assert_array_equal(rebuilt, store.theta.astype(np.float32))
         assert store.partition.bounds[-1] == store.n_items
 
@@ -387,8 +387,8 @@ class TestSelectionMatchesReference:
         rng = np.random.default_rng(m + n)
         store = FactorStore(rng.standard_normal((m, f)), rng.standard_normal((n, f)), n_shards=n_shards)
         block = rng.integers(0, m, 2 * m)
-        xb = store._x_score[block]
-        want = np.concatenate([xb @ shard.T for shard in store._shards], axis=1)
+        xb = store._model.x_score[block]
+        want = np.concatenate([xb @ shard.T for shard in store._model.shards], axis=1)
         np.testing.assert_array_equal(store._score_block(block, None).view(np.int32), want.view(np.int32))
 
 
