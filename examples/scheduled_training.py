@@ -49,7 +49,8 @@ def main() -> None:
     graph, _ = solver.build_update_graph(data.train, theta0, label="x")
     kinds = {kind: sum(1 for t in graph.tasks if t.kind == kind) for kind in ("transfer", "kernel", "compute")}
     print("one x-update pass as a graph:")
-    print(f"  {len(graph)} tasks {kinds}, {len(graph.waves())} waves, {graph.total_bytes() / 1e6:.2f} MB on the wire\n")
+    wire = sum(t.transfer.nbytes for t in graph.tasks if t.transfer is not None)
+    print(f"  {len(graph)} tasks {kinds}, {len(graph.waves())} waves, {wire / 1e6:.2f} MB on the wire\n")
 
     # 2. Same numerics, different clocks: sweep the scheduler registry.
     print("scheduler     simulated seconds   final train RMSE")

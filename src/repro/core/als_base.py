@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.config import ALSConfig, FitResult, IterationTime
 from repro.core.hermitian import update_factor
-from repro.core.schedule import ExecutionTrace, Scheduler, execute_graph
+from repro.core.schedule import ExecutionTrace, Scheduler, execute_graph, phase_seconds
 from repro.core.solver.protocol import Solver, SolverStep, apply_warm_start
 from repro.datasets.registry import DatasetSpec
 from repro.gpu.machine import MultiGPUMachine
@@ -102,9 +102,9 @@ class GPUSolver(Solver):
     ``execute_graph`` bound in the solver's own module, where
     ``benchmarks/e2e/spans.py`` times it.)  This class owns everything
     around that: the alternating loop with simulated seconds per
-    iteration, the merged trace export, the per-label breakdown on the
-    :class:`~repro.core.config.FitResult` and the full-scale
-    :meth:`iteration_time`.  Per-fit set-up that outlives one pass (SU-ALS's
+    iteration, the merged trace export, the per-phase breakdown on the
+    :class:`~repro.core.config.FitResult` (:func:`~repro.core.schedule.phase_seconds`
+    of the fit's traces) and the full-scale :meth:`iteration_time`.  Per-fit set-up that outlives one pass (SU-ALS's
     grid partitions of R and Rᵀ) is made in ``_prepare`` and dropped in
     ``_release`` when the fit ends, so a finished solver holds none of it.
     :class:`~repro.core.streaming.StreamingALS` replaces :meth:`iterate`
@@ -162,8 +162,8 @@ class GPUSolver(Solver):
         return merged
 
     def finalize_result(self, result: FitResult) -> FitResult:
-        """Attach the machine's per-kernel/transfer/reduction time breakdown."""
-        result.breakdown = self.machine.clock.breakdown()
+        """Attach the fit's simulated seconds per phase, read off its traces."""
+        result.breakdown = phase_seconds(self.traces)
         return result
 
     def iteration_time(self, spec: DatasetSpec) -> IterationTime:
@@ -174,7 +174,7 @@ class GPUSolver(Solver):
         device, GPU count, topology and scheduler.
         """
         machine = MultiGPUMachine(n_gpus=self.machine.n_gpus, spec=self.machine.spec, topology=self.machine.topology)
-        batches = []
+        traces, batches = [], []
         # A full-scale pass is up to ~10^5 tasks, all alive until it has run;
         # the cyclic collector can free none of them, so it is paused rather
         # than left to re-scan the growing graph.
@@ -183,9 +183,9 @@ class GPUSolver(Solver):
         try:
             for source, label in ((spec, "x"), (spec.transposed(), "theta")):
                 graph, _ = self.build_update_graph(source, None, label)
-                execute_graph(graph, machine, self.scheduler, verify=self.verify)
+                traces.append(execute_graph(graph, machine, self.scheduler, verify=self.verify))
                 batches.append(self.plan_batches(source))
         finally:
             if collecting:
                 gc.enable()
-        return IterationTime(machine.elapsed_seconds(), machine.clock.breakdown(), *batches)
+        return IterationTime(machine.elapsed_seconds(), phase_seconds(traces), *batches)

@@ -110,9 +110,9 @@ class MemoryOptimizedALS(GPUSolver):
         the graph executes.
 
         Every kernel gets its own wave (unique ``group``) so the serial
-        schedule charges the clock launch by launch under the
-        ``get_hermitian_*`` / ``batch_solve_*`` labels, and each waits for
-        the one before it (the device's single compute stream).  When eq. 8
+        schedule charges the clock launch by launch under the ``herm`` /
+        ``solve`` phases, and each waits for the one before it (the
+        device's single compute stream).  When eq. 8
         splits the pass into ``q > 1`` batches (§4.4 out-of-core), each
         batch first streams in its R block and X slice: one ``h2d`` task its
         kernels wait for.  Loads are double buffered — batch ``j``'s reuses
@@ -136,7 +136,6 @@ class MemoryOptimizedALS(GPUSolver):
                 load = graph.new_task(
                     f"h2d:{label}:b{j}",
                     "transfer",
-                    clock_label="h2d",
                     transfer=self.machine.h2d(0, nbytes, tag=f"r-block-{label}"),
                     after=[freed[j - 2]] if j >= 2 else [],
                 )
@@ -149,7 +148,6 @@ class MemoryOptimizedALS(GPUSolver):
                     f"herm:{label}:r{start}",
                     "kernel",
                     group=f"{label}:r{start}:herm",
-                    clock_label=f"get_hermitian_{label}",
                     profile=herm,
                     use_texture=cfg.use_texture,
                     pin=0,
@@ -167,7 +165,6 @@ class MemoryOptimizedALS(GPUSolver):
                     f"solve:{label}:r{start}",
                     "kernel",
                     group=f"{label}:r{start}:solve",
-                    clock_label=f"batch_solve_{label}",
                     profile=solve,
                     pin=0,
                     run=run_solve,
@@ -183,12 +180,14 @@ class MemoryOptimizedALS(GPUSolver):
         return out
 
     def _prepare(self, train: CSRMatrix, train_t: CSRMatrix) -> None:
-        """Reserve device memory, then charge the initial host→device load of Θ, X and R.
+        """Reserve device memory, then run the initial host→device load of Θ, X and R.
 
-        The load lands on the first iteration's clock; further
-        iterations reuse the resident copies.
+        The load is a one-transfer graph on the first iteration's clock;
+        further iterations reuse the resident copies.
         """
         m, n = train.shape
         self._check_and_allocate(m, n, train.nnz)
         initial_bytes = (n * self.config.f + m * self.config.f + 2 * train.nnz + m + 1) * FLOAT_BYTES
-        self.machine.run_transfers([self.machine.h2d(0, initial_bytes, tag="initial-load")], label="h2d")
+        graph = TaskGraph()
+        graph.new_task("h2d:initial", "transfer", transfer=self.machine.h2d(0, initial_bytes, tag="initial-load"))
+        self.traces.append(execute_graph(graph, self.machine, self.scheduler, verify=self.verify))

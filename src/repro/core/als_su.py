@@ -164,7 +164,6 @@ class ScaleUpALS(GPUSolver):
                 f"bcast:{label}:g{i}",
                 "transfer",
                 group=f"{label}:bcast",
-                clock_label="scatter",
                 transfer=self.machine.h2d(i, fixed_bytes, tag=f"fixed-bcast-{label}"),
             )
             fixed_objs[i] = graph.new_object(fixed_bytes, name=f"fixed:{label}:g{i}", producer=task)
@@ -181,7 +180,6 @@ class ScaleUpALS(GPUSolver):
                     f"h2d:{label}:b{j}:g{i}",
                     "transfer",
                     group=f"{label}:b{j}:h2d",
-                    clock_label="h2d",
                     transfer=self.machine.h2d(i, nbytes, tag=f"r-rows-{label}"),
                 )
                 block_objs[i] = graph.new_object(nbytes, name=f"rows:{label}:b{j}:g{i}", producer=task)
@@ -199,7 +197,6 @@ class ScaleUpALS(GPUSolver):
                     f"herm:{label}:b{j}:g{i}",
                     "kernel",
                     group=f"{label}:b{j}:herm",
-                    clock_label="kernels",
                     profile=profile,
                     use_texture=cfg.use_texture,
                     pin=i,
@@ -219,7 +216,6 @@ class ScaleUpALS(GPUSolver):
                     f"solve:{label}:b{j}:g{i}",
                     "kernel",
                     group=f"{label}:b{j}:solve",
-                    clock_label="kernels",
                     profile=profile,
                     pin=i,
                     run=run_solve,
@@ -230,7 +226,6 @@ class ScaleUpALS(GPUSolver):
                     f"gather:{label}:b{j}:g{i}",
                     "transfer",
                     group=f"{label}:b{j}:gather",
-                    clock_label="gather",
                     transfer=self.machine.d2h(i, (hi - lo) * cfg.f * FLOAT_BYTES, tag=f"x-gather-{label}"),
                     after=[solve_tasks[i]],
                 )
@@ -265,7 +260,6 @@ class ScaleUpALS(GPUSolver):
                 f"scatter:{label}:g{gpu}",
                 "transfer",
                 group=f"{label}:scatter",
-                clock_label="scatter",
                 transfer=transfer,
             )
             scatter_tasks[gpu] = task
@@ -287,7 +281,6 @@ class ScaleUpALS(GPUSolver):
                     f"h2d:{label}:b{j}:g{i}",
                     "transfer",
                     group=f"{label}:b{j}:h2d",
-                    clock_label="h2d",
                     transfer=self.machine.h2d(i, nbytes, tag=f"r-block-{label}"),
                 )
                 block_objs[i] = graph.new_object(nbytes, name=f"block:{label}:b{j}:g{i}", producer=task)
@@ -318,7 +311,6 @@ class ScaleUpALS(GPUSolver):
                         f"herm:{label}:b{j}:g{i}",
                         "kernel",
                         group=f"{label}:b{j}:herm",
-                        clock_label="kernels",
                         profile=profile,
                         use_texture=cfg.use_texture,
                         pin=i,
@@ -342,7 +334,6 @@ class ScaleUpALS(GPUSolver):
                         f"reduce:{label}:b{j}:p{k}:{idx}",
                         "transfer",
                         group=f"{label}:b{j}:reduce{k}",
-                        clock_label=f"reduce:{self.reduction.name}",
                         transfer=transfer,
                         after=barrier,
                     )
@@ -386,7 +377,6 @@ class ScaleUpALS(GPUSolver):
                         f"solve:{label}:b{j}:g{i}",
                         "kernel",
                         group=f"{label}:b{j}:solve",
-                        clock_label="kernels",
                         profile=profile,
                         pin=i,
                         run=run_solve,
@@ -400,7 +390,6 @@ class ScaleUpALS(GPUSolver):
                     f"gather:{label}:b{j}:g{i}",
                     "transfer",
                     group=f"{label}:b{j}:gather",
-                    clock_label="gather",
                     transfer=self.machine.d2h(i, slice_part.size_of(i) * cfg.f * FLOAT_BYTES, tag=f"x-gather-{label}"),
                     after=[solve_tasks[i]],
                 )

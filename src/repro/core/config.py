@@ -97,7 +97,7 @@ class IterationStats:
 
 @dataclass
 class IterationTime:
-    """Simulated seconds of one ALS iteration (both passes) and their breakdown.
+    """Simulated seconds of one ALS iteration (both passes) and their seconds per phase.
 
     ``q_x`` and ``q_theta`` are the eq.-8 batch counts the update-X and
     update-Θ passes were planned with.

@@ -15,9 +15,8 @@ and :func:`execute_graph` runs the graph on a
 * **numerics** always run in insertion-stable topological order, so the
   factors are bitwise identical under every scheduler;
 * **time** is charged according to the scheduler.  The serial scheduler
-  replays the graph's waves through ``run_parallel_kernels`` /
-  ``run_transfers`` — call-for-call what the old eager solvers did, so
-  clock labels, transfer-engine counters and totals are unchanged.  The
+  replays the graph's waves one at a time, as the old eager solvers did,
+  each charged to the clock under its phase (task name up to ``:``).  The
   event schedulers simulate a list schedule where kernels occupy
   devices, transfers occupy every directed link on their
   :meth:`~repro.gpu.topology.MachineTopology.path`, and independent work
@@ -53,6 +52,7 @@ __all__ = [
     "RoundRobinScheduler",
     "TraceEvent",
     "ExecutionTrace",
+    "phase_seconds",
     "execute_graph",
 ]
 
@@ -276,6 +276,23 @@ class ExecutionTrace:
         return merged
 
 
+def phase_seconds(traces) -> dict:
+    """Simulated seconds per phase (task name up to the first ``:``) of ``traces``; a phase's overlapping spans in one trace count once."""
+    totals: dict[str, float] = {}
+    for trace in traces:
+        spans: dict[str, list] = {}
+        for event in trace.events:
+            spans.setdefault(event.name.partition(":")[0], []).append((event.start, event.end))
+        for phase, pairs in spans.items():
+            total, end = totals.get(phase, 0.0), float("-inf")
+            for start, stop in sorted(pairs):
+                if stop > end:
+                    total += stop - max(start, end)
+                    end = stop
+            totals[phase] = total
+    return totals
+
+
 # ---------------------------------------------------------------------- #
 # the executor
 # ---------------------------------------------------------------------- #
@@ -325,17 +342,12 @@ def execute_graph(graph: TaskGraph, machine: MultiGPUMachine, scheduler="serial"
 
 
 def _replay_waves(graph: TaskGraph, machine: MultiGPUMachine, sched) -> ExecutionTrace:
-    """Serial replay: one wave at a time, concurrency only inside a wave.
-
-    This reproduces the eager solvers call-for-call: a kernel wave is one
-    ``run_parallel_kernels`` (or a single-device execute for waves with a
-    bespoke clock label), a transfer wave is one ``run_transfers``.
-    """
+    """Serial replay: one wave at a time, concurrency only inside a wave, each charged under its first task's phase."""
     trace = ExecutionTrace(scheduler=sched.name)
     clock = machine.clock
     for wave in graph.waves():
         kind = wave[0].kind
-        label = wave[0].clock_label
+        label = wave[0].name.partition(":")[0]
         base = clock.now
         if kind == "kernel":
             durations = []
@@ -428,9 +440,7 @@ def _simulate_events(graph: TaskGraph, machine: MultiGPUMachine, sched) -> Execu
             for obj in task.inputs:
                 home = object_home[obj.oid]
                 if home != node:
-                    moved = occupy_path(
-                        home, node, obj.nbytes, object_ready.get(obj.oid, dep_done), f"move:{obj.name or obj.oid}", "move"
-                    )
+                    moved = occupy_path(home, node, obj.nbytes, object_ready.get(obj.oid, dep_done), f"move:{obj.name or obj.oid}", "move")
                     inputs_at = max(inputs_at, moved)
             start = max(device_free[device], inputs_at)
             seconds = machine.devices[device].execute(task.profile, use_texture=task.use_texture)

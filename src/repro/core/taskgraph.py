@@ -71,20 +71,18 @@ class Task:
     """One node of the graph: a kernel launch, a transfer, or numeric work.
 
     ``group`` names the wave the task belongs to (consecutive tasks with
-    equal groups run concurrently under the serial scheduler) and
-    ``clock_label`` is the :class:`~repro.perf.timeline.SimClock` label
-    its time is charged to — kept separate so two *sequential* waves can
-    still share one breakdown label (the two-phase reduction does).
-    ``run`` is an optional zero-argument closure holding the task's
-    numeric side effects; it executes in topological order regardless of
-    the schedule.
+    equal groups run concurrently under the serial scheduler).  The
+    task's *phase* is its name up to the first ``:`` (``herm``,
+    ``reduce``, …): traces, training breakdowns and the serial clock's
+    labels all read it.  ``run`` is an optional zero-argument closure
+    holding the task's numeric side effects; it executes in topological
+    order regardless of the schedule.
     """
 
     tid: int
     name: str
     kind: str
     group: str = ""
-    clock_label: str = ""
     profile: KernelProfile | None = None
     use_texture: bool = True
     pin: int | None = None
@@ -147,7 +145,6 @@ class TaskGraph:
         kind: str,
         *,
         group: str = "",
-        clock_label: str = "",
         profile: KernelProfile | None = None,
         use_texture: bool = True,
         pin: int | None = None,
@@ -163,7 +160,6 @@ class TaskGraph:
             name=name,
             kind=kind,
             group=group or name,
-            clock_label=clock_label or kind,
             profile=profile,
             use_texture=use_texture,
             pin=pin,
@@ -263,10 +259,6 @@ class TaskGraph:
         return waves
 
     # ------------------------------------------------------------------ #
-    def total_bytes(self) -> float:
-        """Bytes carried by explicit transfer tasks (observability)."""
-        return sum(t.transfer.nbytes for t in self.tasks if t.transfer is not None)
-
     def __len__(self) -> int:
         return len(self.tasks)
 

@@ -162,6 +162,7 @@ class TieredFactorStore(FactorStore):
         self._heat = HeatSketch(self.n_items, cfg.half_life_s)
         self._rebuild_planner()
         self.cache_stats = CacheStats()
+        self._missed = 0.0  # miss seconds spent since a replay last reset it (simulator._cache_snapshot)
         self._last_plan = self.machine.elapsed_seconds()
         # Each page's owning device and the priced fill batches, for the
         # (partition, page table) pair they were built on; see _fill_report.
@@ -261,8 +262,7 @@ class TieredFactorStore(FactorStore):
             if n_stale or n_warm or n_cold:
                 spent += self.machine.charge_transfers(self._fill_report(pages[fetch]), label="cache-fill-h2d")
             if spent:
-                self._spend(spent)
-                stats.miss_seconds += spent
+                self._spend_on_misses(spent)
 
             if n_cold:
                 self._pages.move(cold, TIER_WARM)
@@ -379,9 +379,14 @@ class TieredFactorStore(FactorStore):
                     promo_bytes=wave.promo_bytes,
                     demo_bytes=wave.demo_bytes,
                 )
-        self._spend(spent)
-        stats.miss_seconds += spent
+        self._spend_on_misses(spent)
         self._publish_residency()
+
+    def _spend_on_misses(self, seconds: float) -> None:
+        """Credit ``seconds`` of fills or plan waves: to serving time, the lifetime ``miss_seconds`` and the replay's miss meter."""
+        self._spend(seconds)
+        self.cache_stats.miss_seconds += seconds
+        self._missed += seconds
 
     def _publish_residency(self) -> None:
         """Gauge per-tier resident bytes into the active registry."""

@@ -332,22 +332,30 @@ class TrafficReport:
 
 
 def _cache_snapshot(replicas: Sequence) -> list:
-    """Per-unit cache counters before a replay (``None`` for plain stores)."""
-    return [rep.cache_stats.as_dict() if getattr(rep, "cache_stats", None) is not None else None for rep in replicas]
+    """Per-unit cache counters before a replay (``None`` for plain stores); zeroes each tiered unit's miss meter."""
+    before = []
+    for rep in replicas:
+        stats = getattr(rep, "cache_stats", None)
+        if stats is not None:
+            rep._missed = 0.0
+        before.append(None if stats is None else stats.as_dict())
+    return before
 
 
 def _cache_delta(replicas: Sequence, before: list) -> dict:
     """Cache counters accrued since ``before``, summed over the units.
 
-    Replays read *deltas*, not the raw counters: on a long-lived store
-    the cache may already have history from earlier traffic.
+    Replays read *deltas* of the counters, not the raw counters: on a
+    long-lived store the cache may already have history from earlier
+    traffic.  ``miss_seconds`` is what the replay's own fills and plan
+    waves spent (the unit's miss meter), never a difference of the
+    lifetime total, whose rounding grows with it.
     """
     deltas = []
     for rep, base in zip(replicas, before):
-        stats = getattr(rep, "cache_stats", None)
-        if stats is not None:
-            base = base or {}
-            deltas.append({key: value - base.get(key, 0) for key, value in stats.as_dict().items()})
+        if base is not None:
+            delta = {key: value - base[key] for key, value in rep.cache_stats.as_dict().items()}
+            deltas.append({**delta, "miss_seconds": rep._missed})
     return CacheStats.summed(deltas)
 
 

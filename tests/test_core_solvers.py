@@ -70,7 +70,7 @@ class TestMemoryOptimizedALS:
     def test_history_carries_simulated_seconds(self, tiny_ratings, als_config):
         result = MemoryOptimizedALS(als_config).fit(tiny_ratings.train)
         assert result.total_seconds > 0
-        assert any("get_hermitian" in k for k in result.breakdown)
+        assert result.breakdown["herm"] > 0 and result.breakdown["solve"] > 0
 
     def test_register_ablation_slows_simulated_time_not_numerics(self, tiny_ratings, als_config):
         fast = MemoryOptimizedALS(als_config).fit(tiny_ratings.train)
@@ -148,7 +148,7 @@ class TestScaleUpALS:
     def test_breakdown_contains_reduction_transfers(self, tiny_ratings, als_config):
         su = ScaleUpALS(als_config, n_gpus=4, force_data_parallel=True)
         result = su.fit(tiny_ratings.train)
-        assert any(k.startswith("reduce:") for k in result.breakdown)
+        assert result.breakdown["reduce"] > 0
 
 
 class TestCuMFTrainer:

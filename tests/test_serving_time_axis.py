@@ -20,15 +20,21 @@ residency carry over from one replay to the next, so a later replay of
 the same trace legitimately hits and misses differently.  A second
 property pins the tiered store's share of the meter instead: on a fresh
 tiered replica, one call's service is exactly the seconds the replica
-spent, cache-miss fills and plan waves included.
+spent, cache-miss fills and plan waves included.  A replay's
+``cache["miss_seconds"]`` is likewise the sum of what its own fills and
+plan waves spent, not a difference of the store's lifetime total: two
+copies of one long-lived tiered store, one with that total zeroed,
+report the same ``cache`` for a replay.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from operator import methodcaller
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -100,3 +106,24 @@ def test_a_tiered_call_serves_for_what_it_spent(shards, users, k, plan_window_s)
     _, [(_, service, done)] = serve_window(ServingCluster.of(replica), [0], [0.0], 0.0, [methodcaller("recommend_batch", np.array(users), k=k)])
     assert replica.cache_stats.miss_seconds > 0  # a fresh replica's pages are warm: the call paid fills
     assert service == done == replica.stats.simulated_seconds
+
+
+def test_a_tiered_replay_reports_the_miss_seconds_it_spent():
+    rng = np.random.default_rng(11)
+    n_users, n_items = 300, 1500
+    store = TieredFactorStore(
+        rng.standard_normal((n_users, 8)), rng.standard_normal((n_items, 8)), n_shards=4, cache=CacheConfig(hot_fraction=0.2, page_items=16, plan_window_s=1e-4)
+    )
+
+    def replay(on, seed):
+        return RequestSimulator(on, k=10, max_batch=64, window_s=2e-4).run(QueryTrace.poisson(2000, 50_000.0, n_users, seed=seed)).cache
+
+    for seed in range(6):  # a long-lived store: its lifetime miss total has grown
+        replay(store, seed)
+    for seed in range(6, 12):
+        grown, zeroed = copy.deepcopy(store), copy.deepcopy(store)
+        zeroed.cache_stats.miss_seconds = 0.0
+        report = replay(grown, seed)
+        assert report["miss_seconds"] > 0
+        assert report["miss_seconds"] == pytest.approx(grown.cache_stats.miss_seconds - store.cache_stats.miss_seconds, rel=1e-9)  # every fill and wave
+        assert report == replay(zeroed, seed), seed

@@ -20,11 +20,10 @@ def small_profile(name: str = "k", mb: float = 64.0) -> KernelProfile:
 
 
 class TestTaskGraphIR:
-    def test_new_task_defaults_group_and_clock_label(self):
+    def test_new_task_defaults_group_to_its_name(self):
         g = TaskGraph()
         t = g.new_task("herm:x", "kernel", profile=small_profile())
         assert t.group == "herm:x"
-        assert t.clock_label == "kernel"
 
     def test_object_location_follows_transfer_and_pin(self):
         machine = MultiGPUMachine(n_gpus=2)
@@ -95,13 +94,6 @@ class TestTaskGraphIR:
         tasks[4].after.append(tasks[5])  # one back edge: t5 before t4
         order = [t.name for t in g.topological_order()]
         assert order == ["t0", "t1", "t2", "t3", "t5", "t4"]
-
-    def test_total_bytes_counts_only_transfers(self):
-        machine = MultiGPUMachine(n_gpus=1)
-        g = TaskGraph()
-        g.new_task("t", "transfer", transfer=machine.h2d(0, 1000.0))
-        g.new_task("k", "kernel", profile=small_profile())
-        assert g.total_bytes() == 1000.0
 
 
 def _machine_stats(machine: MultiGPUMachine) -> dict:
@@ -183,7 +175,6 @@ class TestExecutor:
                 f"kern:{i}",
                 "kernel",
                 group="kern",
-                clock_label="kernels",
                 profile=small_profile(f"kern:{i}"),
                 pin=i,
                 inputs=[objs[i]],
